@@ -1,23 +1,36 @@
-"""Accelerated kernels for bulk d-range sweeps.
+"""Vectorised numpy kernels for bulk d-range sweeps.
 
 The exact big-integer engine stays the source of truth; these kernels exist
 because range sweeps (structure checks over every d up to 1e5 and beyond) are
 dominated by a tiny machine-word inner loop.  Values are gated well inside
 int64 range before a kernel is allowed to run.
 
-Backend selection, via SURDCF_KERNEL:
+Backend selection, via ``SURDCF_KERNEL`` or ``analyze --kernel``:
 
-    numba   - @njit kernels (default when numba imports cleanly)
-    numpy   - lockstep vectorized fallback, no JIT
-    python  - force the pure big-int engine path (handled by callers)
+    numpy   - the kernels below (default)
+    python  - the pure big-int engine path (handled by callers)
 
-Both accelerated backends return identical arrays, and tests pin them against
-the engine, so reports are byte-identical whichever one runs.
+Any other value is an error.  Tests pin the kernels against the engine, so
+reports are byte-identical whichever backend runs; ``perfbench/run.py``
+compares their speed.
+
+``sweep_range`` is a compacting kernel.  It works in blocks of ``BLOCK``
+radicands: every live lane takes one quotient step per round and leaves the
+live set as soon as Q == 1, so a block costs its total number of quotient
+steps rather than its longest period times its width.  The (lane, quotient)
+pairs logged along the way are laid out as flat period words at ``cumsum(ell)``
+offsets, and the palindrome, bound, terminal and centre facts are vectorised
+operations over those words.
+
+``two_squares_range`` is a segmented factor sieve over the window, built on
+the criterion: d > 1 is a sum of two coprime positive squares iff 4 does not
+divide d and every odd prime factor of d is 1 (mod 4).
 """
 
 from __future__ import annotations
 
 import os
+from math import isqrt
 
 import numpy as np
 
@@ -35,110 +48,30 @@ WORD_BUFFER = 8192
 # Kernels use int64 intermediates up to d itself; keep a wide safety margin.
 KERNEL_D_LIMIT = 10**12
 
-try:  # pragma: no cover - exercised via the numba backend tests
-    from numba import njit
+# Radicands per sweep block.  The quotient log of one block is held in
+# memory at once; 8192-wide blocks raised the peak RSS of a 5e4-wide
+# analyze run from about 50 to 89 MB.
+BLOCK = 1024
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+BACKENDS = ("numpy", "python")
 
 
-def backend_name() -> str:
-    """Active sweep backend after applying the SURDCF_KERNEL override."""
-    choice = os.environ.get("SURDCF_KERNEL", "").strip().lower()
-    if choice in ("numba", "numpy", "python"):
-        if choice == "numba" and not HAVE_NUMBA:
-            return "numpy"
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
+def backend_name(choice: str | None = None) -> str:
+    """The sweep backend to run: ``choice``, else ``SURDCF_KERNEL``, else numpy.
+
+    Raises ValueError for any name other than numpy or python.
+    """
+    name = choice or os.environ.get("SURDCF_KERNEL", "").strip().lower() or "numpy"
+    if name not in BACKENDS:
+        raise ValueError(f"unknown sweep backend {name!r}: want numpy|python")
+    return name
 
 
-@njit(cache=True)
-def _sweep_numba(lo, hi, buf_len):  # pragma: no cover - numba-compiled
-    n = hi - lo
-    ell = np.zeros(n, np.int64)
-    a0s = np.zeros(n, np.int64)
-    centers = np.full(n, -1, np.int64)
-    flags = np.zeros(n, np.uint8)
-    word = np.zeros(buf_len, np.int64)
-    for i in range(n):
-        d = lo + i
-        r = np.int64(np.sqrt(np.float64(d)))
-        while (r + 1) * (r + 1) <= d:
-            r += 1
-        while r * r > d:
-            r -= 1
-        a0s[i] = r
-        if r * r == d:
-            flags[i] |= F_SQUARE
-            continue
-        P = r
-        Q = d - r * r
-        steps = 0
-        overflow = False
-        while True:
-            a = (r + P) // Q
-            if steps >= buf_len:
-                overflow = True
-                break
-            word[steps] = a
-            steps += 1
-            if Q == 1:
-                break
-            P = a * Q - P
-            Q = (d - P * P) // Q
-        if overflow:
-            flags[i] |= F_OVERFLOW
-            continue
-        ell[i] = steps
-        pal = True
-        for j in range((steps - 1) // 2):
-            if word[j] != word[steps - 2 - j]:
-                pal = False
-                break
-        bound = True
-        for j in range(steps - 1):
-            if word[j] > r:
-                bound = False
-                break
-        if pal:
-            flags[i] |= F_PAL
-        if word[steps - 1] == 2 * r:
-            flags[i] |= F_TERM
-        if bound:
-            flags[i] |= F_BOUND
-        if steps % 2 == 0:
-            centers[i] = word[steps // 2 - 1]
-    return ell, a0s, centers, flags
-
-
-@njit(cache=True)
-def _two_squares_numba(lo, hi):  # pragma: no cover - numba-compiled
-    out = np.zeros(hi - lo, np.uint8)
-    a = 1
-    while a * a + 1 < hi:
-        b = 1
-        while b <= a:
-            s = a * a + b * b
-            if s >= hi:
-                break
-            if s >= lo:
-                x, y = a, b
-                while y:
-                    x, y = y, x % y
-                if x == 1:
-                    out[s - lo] = 1
-            b += 1
-        a += 1
-    return out
+def _check_range(lo: int, hi: int) -> None:
+    if lo < 1 or hi < lo:
+        raise ValueError("want 1 <= lo <= hi")
+    if hi > KERNEL_D_LIMIT:
+        raise ValueError("range exceeds the sweep kernels' int64 safety gate")
 
 
 def _isqrt_vec(d: np.ndarray) -> np.ndarray:
@@ -149,100 +82,127 @@ def _isqrt_vec(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def _sweep_numpy_block(d: np.ndarray, buf_len: int):
+def _period_words(d: np.ndarray, r: np.ndarray, lane: np.ndarray, buf_len: int):
+    """Expand sqrt(d[k]) for the block positions k in ``lane``.
+
+    Returns (ell, words, overflow): ell[k] is the period length of position
+    k (0 where it was not expanded or overflowed), ``words`` the periods laid
+    end to end in position order, and ``overflow`` the positions whose period
+    is longer than ``buf_len``.
+    """
+    ell = np.zeros(d.shape[0], np.int64)
+    # The state of sqrt(d) after k quotients is (P + sqrt(d)) / Q.  Q comes
+    # from the division-free recurrence Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
+    # with Q_0 = 1, P_1 = a0 and Q_1 = d - a0^2.
+    R = r[lane]
+    P = R.copy()
+    Q = d[lane] - R * R
+    Q_prev = np.ones_like(Q)
+    lane_log, a_log = [], []
+    overflow = lane[:0]
+    step = 0
+    while lane.size:
+        if step == buf_len:
+            overflow = lane
+            break
+        a = (R + P) // Q
+        lane_log.append(lane)
+        a_log.append(a)
+        step += 1
+        done = Q == 1
+        if np.count_nonzero(done):
+            ell[lane[done]] = step
+            live = ~done
+            lane, R, P, Q, Q_prev, a = lane[live], R[live], P[live], Q[live], Q_prev[live], a[live]
+        P_next = a * Q - P
+        Q, Q_prev = Q_prev + a * (P - P_next), Q
+        P = P_next
+
+    # Lane k's quotient from step j goes to start[k] + j; the partial words
+    # of overflowed lanes (ell 0) are dropped.  The empty lead array keeps
+    # the concatenation defined when no step ran.
+    lanes = np.concatenate([lane[:0], *lane_log])
+    quots = np.concatenate([lane[:0], *a_log])
+    steps = np.repeat(np.arange(step), [x.size for x in lane_log])
+    kept = ell[lanes] > 0
+    start = np.cumsum(ell) - ell
+    words = np.empty(int(ell.sum()), np.int64)
+    words[start[lanes[kept]] + steps[kept]] = quots[kept]
+    return ell, words, overflow
+
+
+def _sweep_block(d: np.ndarray, buf_len: int):
     n = d.shape[0]
     r = _isqrt_vec(d)
-    square = r * r == d
-    ell = np.zeros(n, np.int64)
-    centers = np.full(n, -1, np.int64)
     flags = np.zeros(n, np.uint8)
-    flags[square] |= F_SQUARE
+    centers = np.full(n, -1, np.int64)
+    square = r * r == d
+    flags[square] = F_SQUARE
+    ell, words, overflow = _period_words(d, r, np.flatnonzero(~square), buf_len)
+    flags[overflow] = F_OVERFLOW
 
-    active = ~square
-    P = np.where(active, r, 0)
-    Q = np.where(active, d - r * r, 1)
-    steps = []
-    step = 0
-    while active.any():
-        if step >= buf_len:
-            flags[active] |= F_OVERFLOW
-            break
-        a = (r + P) // Q
-        steps.append(np.where(active, a, 0))
-        step += 1
-        done = active & (Q == 1)
-        ell[done] = step
-        active = active & ~done
-        if active.any():
-            P1 = np.where(active, a * Q - P, 0)
-            Q = np.where(active, (d - P1 * P1) // np.where(active, Q, 1), 1)
-            P = P1
-
-    if steps:
-        words = np.stack(steps, axis=1)
-        for i in np.nonzero(ell > 0)[0]:
-            L = ell[i]
-            w = words[i, :L]
-            inner = w[: L - 1]
-            ok = F_BOUND if (inner <= r[i]).all() else 0
-            if inner.size == 0 or (inner == inner[::-1]).all():
-                ok |= F_PAL
-            if w[L - 1] == 2 * r[i]:
-                ok |= F_TERM
-            if L % 2 == 0:
-                centers[i] = w[L // 2 - 1]
-            flags[i] |= ok
+    done = np.flatnonzero(ell)
+    L = ell[done]
+    first = np.cumsum(ell)[done] - L
+    last = first + L - 1
+    # Per entry of the flat words: its lane and its word's ends.
+    lane_of = np.repeat(done, L)
+    idx = np.arange(words.size)
+    inner = idx < np.repeat(last, L)
+    # The interior w[0..L-2] is a palindrome: entry idx mirrors first+last-1-idx.
+    mirror = np.where(inner, np.repeat(first + last - 1, L) - idx, idx)
+    ok = np.full(n, F_PAL | F_BOUND, np.uint8)
+    ok[lane_of[inner & (words != words[mirror])]] &= ~np.uint8(F_PAL)
+    ok[lane_of[inner & (words > r[lane_of])]] &= ~np.uint8(F_BOUND)
+    ok[done[words[last] == 2 * r[done]]] |= F_TERM
+    flags[done] |= ok[done]
+    even = L % 2 == 0
+    centers[done[even]] = words[first[even] + L[even] // 2 - 1]
     return ell, r, centers, flags
 
 
-def _sweep_numpy(lo: int, hi: int, buf_len: int, block: int = 1024):
-    parts = []
-    for start in range(lo, hi, block):
-        d = np.arange(start, min(start + block, hi), dtype=np.int64)
-        parts.append(_sweep_numpy_block(d, buf_len))
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
-
-
-def _two_squares_numpy(lo: int, hi: int) -> np.ndarray:
-    out = np.zeros(hi - lo, np.uint8)
-    a = 1
-    while a * a + 1 < hi:
-        bmax = min(a, int(np.sqrt(hi - 1 - a * a)))
-        if bmax >= 1:
-            b = np.arange(1, bmax + 1, dtype=np.int64)
-            s = a * a + b * b
-            keep = (s >= lo) & (s < hi) & (np.gcd(a, b) == 1)
-            out[s[keep] - lo] = 1
-        a += 1
-    return out
-
-
-def sweep_range(lo: int, hi: int, backend: str | None = None, buf_len: int = WORD_BUFFER):
+def sweep_range(lo: int, hi: int, buf_len: int = WORD_BUFFER):
     """Per-d expansion structure for lo <= d < hi.
 
     Returns (ell, a0, center, flags) int64/uint8 arrays.  Callers must redo
-    any F_OVERFLOW lane with the exact engine.
+    any F_OVERFLOW lane (period longer than ``buf_len``) with the exact
+    engine; its ell is 0 and its centre -1.
     """
-    if lo < 1 or hi < lo:
-        raise ValueError("want 1 <= lo <= hi")
-    if hi > KERNEL_D_LIMIT:
-        raise ValueError("range exceeds the sweep kernels' int64 safety gate")
-    name = backend or backend_name()
-    if name == "numba" and HAVE_NUMBA:
-        return _sweep_numba(lo, hi, buf_len)
-    return _sweep_numpy(lo, hi, buf_len)
+    _check_range(lo, hi)
+    d = np.arange(lo, hi, dtype=np.int64)
+    # One block at least, so that an empty range gives empty arrays.
+    parts = [_sweep_block(d[i : i + BLOCK], buf_len) for i in range(0, max(d.size, 1), BLOCK)]
+    return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
 
 
-def two_squares_range(lo: int, hi: int, backend: str | None = None) -> np.ndarray:
-    """Boolean mask over [lo, hi): d is a sum of two coprime positive squares."""
-    if lo < 1 or hi < lo:
-        raise ValueError("want 1 <= lo <= hi")
-    if hi > KERNEL_D_LIMIT:
-        raise ValueError("range exceeds the sweep kernels' int64 safety gate")
-    name = backend or backend_name()
-    if name == "numba" and HAVE_NUMBA:
-        return _two_squares_numba(lo, hi)
-    return _two_squares_numpy(lo, hi)
+def _primes_upto(m: int) -> np.ndarray:
+    sieve = np.ones(m + 1, bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def two_squares_range(lo: int, hi: int) -> np.ndarray:
+    """Mask over [lo, hi): d is a sum of two coprime positive squares.
+
+    d > 1 qualifies iff 4 does not divide d and every odd prime factor of d
+    is 1 (mod 4); d = 1 is False.  The sieve marks multiples of 4 and of each
+    prime p = 3 (mod 4) up to isqrt(hi - 1).  An unmarked d has at most one
+    prime factor above isqrt(hi - 1), and every other odd prime factor is
+    1 (mod 4), so the odd part of d is that cofactor (mod 4): d is rejected
+    when it is 3.  The cost grows with the width of the window and the
+    number of sieving primes, not with hi.
+    """
+    _check_range(lo, hi)
+    d = np.arange(lo, hi, dtype=np.int64)
+    odd_part = np.where(d % 2 == 0, d // 2, d)
+    bad = (d == 1) | (d % 4 == 0) | (odd_part % 4 == 3)
+    for p in _primes_upto(isqrt(max(hi - 1, 0))).tolist():
+        if p % 4 == 3:
+            bad[-lo % p :: p] = True
+    return (~bad).astype(np.uint8)
 
 
 __all__ = [
@@ -251,7 +211,6 @@ __all__ = [
     "F_TERM",
     "F_BOUND",
     "F_OVERFLOW",
-    "HAVE_NUMBA",
     "KERNEL_D_LIMIT",
     "backend_name",
     "sweep_range",

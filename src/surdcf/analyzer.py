@@ -204,8 +204,8 @@ def _claims_chunk(args) -> StructReport:
             _record(report, d, ell, a0, center, pal, term, bound, twosq, word)
         return report
 
-    ell_a, a0_a, center_a, flags_a = _kernels.sweep_range(lo, hi, backend)
-    twosq_a = _kernels.two_squares_range(lo, hi, backend)
+    ell_a, a0_a, center_a, flags_a = _kernels.sweep_range(lo, hi)
+    twosq_a = _kernels.two_squares_range(lo, hi)
     for i in range(hi - lo):
         d = lo + i
         flags = int(flags_a[i])
@@ -256,11 +256,12 @@ def check_claims(
 
     Parity claims use the canonical split d = a^2 + b with a = isqrt(d).
     Deterministic: chunk results merge in range order, so output does not
-    depend on the parallelism degree.
+    depend on the parallelism degree.  ``backend`` is numpy or python (see
+    ``_kernels.backend_name``); any other name raises ValueError.
     """
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
-    backend = backend or _kernels.backend_name()
+    backend = _kernels.backend_name(backend)
     report = StructReport(d_min, d_max)
     chunks = _chunks(d_min, d_max, jobs, backend)
     if jobs <= 1 or len(chunks) == 1:

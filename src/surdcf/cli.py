@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import analyzer, families, miner, sequences
+from . import _kernels, analyzer, families, miner, sequences
 from .convergents import convergents_of_word
 from .engine import SurdState, expand_sqrt, expand_surd
 from .exact import DomainError, ResourceLimitError
@@ -176,7 +176,12 @@ def cmd_analyze(args) -> int:
     if args.d_from < 1 or args.d_to < args.d_from:
         print("analyze: need 1 <= --from <= --to", file=sys.stderr)
         return EXIT_USAGE
-    report = analyzer.check_claims(args.d_from, args.d_to, jobs=args.jobs, backend=args.kernel)
+    try:
+        backend = _kernels.backend_name(args.kernel)
+    except ValueError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    report = analyzer.check_claims(args.d_from, args.d_to, jobs=args.jobs, backend=backend)
     if args.format == "csv":
         print("length,count")
         for k, v in sorted(report.histogram.items()):
@@ -259,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="d_from", type=int, required=True)
     p.add_argument("--to", dest="d_to", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--kernel", choices=("numba", "numpy", "python"), default=None)
+    p.add_argument("--kernel", choices=_kernels.BACKENDS, default=None)
     _add_format(p)
     p.set_defaults(fn=cmd_analyze)
 

@@ -77,11 +77,14 @@ class TestCheckClaims:
         assert 20 in ds and 21 in ds
 
     def test_backends_identical(self):
-        views = [
-            json.dumps(check_claims(2, 3000, backend=b).to_dict(), sort_keys=True)
-            for b in ("numba", "numpy", "python")
-        ]
-        assert views[0] == views[1] == views[2]
+        # The second range has periods of thousands of quotients, and its
+        # two-squares mask depends on prime cofactors above sqrt(d).
+        for lo, hi in ((2, 3000), (5 * 10**7, 5 * 10**7 + 199)):
+            views = [
+                json.dumps(check_claims(lo, hi, backend=b).to_dict(), sort_keys=True)
+                for b in ("numpy", "python")
+            ]
+            assert views[0] == views[1], (lo, hi)
 
     def test_jobs_deterministic(self):
         one = json.dumps(check_claims(2, 4000, jobs=1).to_dict(), sort_keys=True)

@@ -150,6 +150,24 @@ class TestAnalyze:
         _, out8, _ = run(capsys, "analyze", "--from", "2", "--to", "3000", "--jobs", "4")
         assert out1 == out8
 
+    def test_kernels_byte_identical(self, capsys):
+        outs = [
+            run(capsys, "analyze", "--from", "2", "--to", "3000", "--kernel", k)
+            for k in ("numpy", "python")
+        ]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0][1] == outs[1][1]
+
+    def test_unknown_kernel_is_usage_error(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "20", "--kernel", "jit")
+        assert code == 1 and out == ""
+
+    def test_unknown_kernel_env_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("SURDCF_KERNEL", "jit")
+        code, out, err = run(capsys, "analyze", "--from", "2", "--to", "20")
+        assert code == 1 and out == ""
+        assert "numpy|python" in err
+
 
 class TestSequences:
     def test_csv(self, capsys):

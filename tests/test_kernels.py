@@ -1,4 +1,5 @@
-import numpy as np
+from math import isqrt
+
 import pytest
 
 from surdcf import _kernels
@@ -19,32 +20,54 @@ def engine_row(d):
     return cf.length, cf.a0, center, flags
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_sweep_matches_engine(backend):
-    lo, hi = 2, 4000
-    ell, a0, center, flags = _kernels.sweep_range(lo, hi, backend)
+@pytest.mark.parametrize(
+    "lo, hi, buf_len",
+    [
+        (2, 4000, _kernels.WORD_BUFFER),
+        # Three full sweep blocks and a partial one, at larger d.
+        (100_001, 103_201, _kernels.WORD_BUFFER),
+        # Many periods here are longer than the buffer: those lanes must be
+        # flagged with their partial words dropped, the rest stay exact.
+        (5 * 10**7, 5 * 10**7 + 200, 1024),
+    ],
+    ids=["small-d", "block-edges", "overflow"],
+)
+def test_sweep_matches_engine(lo, hi, buf_len):
+    ell, a0, center, flags = _kernels.sweep_range(lo, hi, buf_len=buf_len)
+    overflowed = 0
     for i, d in enumerate(range(lo, hi)):
         if is_square(d):
-            assert flags[i] & _kernels.F_SQUARE
+            assert flags[i] == _kernels.F_SQUARE
             continue
         want = engine_row(d)
+        if want[0] > buf_len:
+            overflowed += 1
+            want = (0, want[1], -1, _kernels.F_OVERFLOW)
         assert (ell[i], a0[i], center[i], int(flags[i])) == want, f"d={d}"
+    assert (overflowed > 0) == (buf_len < _kernels.WORD_BUFFER)
 
 
-def test_backends_agree_exactly():
-    a = _kernels.sweep_range(2, 30_000, "numba")
-    b = _kernels.sweep_range(2, 30_000, "numpy")
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-    sa = _kernels.two_squares_range(2, 30_000, "numba")
-    sb = _kernels.two_squares_range(2, 30_000, "numpy")
-    assert np.array_equal(sa, sb)
+def _has_big_3mod4_cofactor(lo, hi):
+    """Some d in [lo, hi) has a prime factor = 3 (mod 4) above isqrt(hi - 1)."""
+    root = isqrt(hi - 1)
+    for d in range(max(lo, 2), hi):
+        p = d
+        for q in range(2, root + 1):
+            while p % q == 0:
+                p //= q
+        if p > root and p % 4 == 3:
+            return True
+    return False
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_two_squares_sieve_matches_brute_force(backend):
-    lo, hi = 1, 2500
-    mask = _kernels.two_squares_range(lo, hi, backend)
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1, 2500), (10**6, 10**6 + 300)],
+    ids=["small-d", "big-cofactor"],
+)
+def test_two_squares_sieve_matches_brute_force(lo, hi):
+    assert _has_big_3mod4_cofactor(lo, hi)
+    mask = _kernels.two_squares_range(lo, hi)
     for i, d in enumerate(range(lo, hi)):
         # the sieve covers a >= b >= 1; d = 1 is the lone b = 0 edge
         want = sum_two_coprime_squares(d) if d > 1 else False
@@ -52,7 +75,7 @@ def test_two_squares_sieve_matches_brute_force(backend):
 
 
 def test_overflow_lanes_marked():
-    ell, _, _, flags = _kernels.sweep_range(2, 500, "numba", buf_len=4)
+    ell, _, _, flags = _kernels.sweep_range(2, 500, buf_len=4)
     for i, d in enumerate(range(2, 500)):
         if is_square(d):
             continue
@@ -69,7 +92,12 @@ def test_backend_env_override(monkeypatch):
     monkeypatch.setenv("SURDCF_KERNEL", "python")
     assert _kernels.backend_name() == "python"
     monkeypatch.delenv("SURDCF_KERNEL")
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"
+    assert _kernels.backend_name("python") == "python"
+    for bad in ("jit", "nump"):
+        monkeypatch.setenv("SURDCF_KERNEL", bad)
+        with pytest.raises(ValueError, match=r"numpy\|python"):
+            _kernels.backend_name()
 
 
 def test_range_gates():
