@@ -8,11 +8,13 @@ int64 range before a kernel is allowed to run.
 Backend selection, via ``SURDCF_KERNEL`` or ``analyze --kernel``:
 
     numpy   - the kernels below (default)
-    python  - the pure big-int engine path (handled by callers)
+    python  - the exact engine, one radicand at a time
 
-Any other value is an error.  Tests pin the kernels against the engine, so
-reports are byte-identical whichever backend runs; ``perfbench/run.py``
-compares their speed.
+Any other value is an error.  Both backends fill the same fact columns
+(ell, a0, center, flags, twosq), and ``analyzer`` folds them into a report in
+one place.  Tests pin the kernels against ``engine.period_facts``, so reports
+are byte-identical whichever backend runs; ``perfbench/run.py`` compares
+their speed.
 
 ``sweep_range`` is a compacting kernel.  It works in blocks of ``BLOCK``
 radicands: every live lane takes one quotient step per round and leaves the

@@ -5,6 +5,12 @@ For every non-square d in a range this checks the classical period facts
 odd period length iff d is a sum of two coprime squares) and evaluates the
 three central-term parity claims, one per central-term class.
 
+Each chunk of the range first becomes fact columns (ell, a0, center, flags,
+twosq): from the numpy kernels, or from the exact engine for the python
+backend and for radicands past the kernels' int64 gate.  One fold turns the
+columns into a report, with one boolean mask per claim, whichever source
+filled them.
+
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
 engine bug; the central-term parity claims are unproven observations and the
@@ -17,8 +23,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from . import _kernels
-from .engine import expand_sqrt
+from .engine import expand_sqrt, period_facts
 from .exact import DomainError, is_square, isqrt
 
 CLAIM_PALINDROME = "palindrome"
@@ -121,122 +129,97 @@ class StructReport:
             self.histogram[k] = self.histogram.get(k, 0) + v
 
 
-def _record(report, d, ell, a0, center, pal_ok, term_ok, bound_ok, twosq, word=None):
-    """Fold one expansion's structure facts into a chunk report."""
-    report.tested += 1
-    report.histogram[ell] = report.histogram.get(ell, 0) + 1
-    b = d - a0 * a0
+def _exact_facts(d: int) -> tuple:
+    """(ell, a0, center, flags) of non-square d, from the exact engine."""
+    cf = expand_sqrt(d)
+    center, pal, term, bound = period_facts(cf)
+    flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
+    return cf.length, cf.a0, center, flags
 
-    def fail(cid, **extra):
-        cex = {"d": d}
-        cex.update(extra)
-        report.claim(cid).counterexamples.append(cex)
 
-    report.claim(CLAIM_PALINDROME).tested += 1
-    if not pal_ok:
-        fail(CLAIM_PALINDROME, period=word)
-    report.claim(CLAIM_TERMINAL).tested += 1
-    if not term_ok:
-        fail(CLAIM_TERMINAL, period=word)
-    report.claim(CLAIM_BOUND).tested += 1
-    if not bound_ok:
-        fail(CLAIM_BOUND, period=word, a0=a0)
+def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
+    """The fact columns (ell, a0, center, flags, twosq) of [lo, hi), exactly.
+
+    They hold Python ints (object dtype): a0 fits in int64 far beyond the
+    kernels' gate, but a0 * a0 would wrap.
+    """
+    rows = []
+    for d in range(lo, hi):
+        if is_square(d):
+            rows.append((0, isqrt(d), -1, _kernels.F_SQUARE, False))
+        else:
+            rows.append((*_exact_facts(d), sum_two_coprime_squares(d)))
+    return [np.array(col, dtype=object) for col in zip(*rows)]
+
+
+def _kernel_columns(lo: int, hi: int) -> list[np.ndarray]:
+    """The same columns from the sweep kernels; overflowed lanes are redone exactly."""
+    ell, a0, center, flags = _kernels.sweep_range(lo, hi)
+    for i in np.flatnonzero(flags & _kernels.F_OVERFLOW).tolist():
+        ell[i], a0[i], center[i], flags[i] = _exact_facts(lo + i)
+    return [ell, a0, center, flags, _kernels.two_squares_range(lo, hi)]
+
+
+def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
+    """One chunk's report from its fact columns: one boolean mask per claim.
+
+    Counterexample dicts are built only at failing rows, in d order.
+    """
+    report = StructReport(lo, hi - 1)
+    d = np.arange(lo, hi, dtype=a0.dtype)
+    live = (flags & _kernels.F_SQUARE) == 0
+    report.tested = int(np.count_nonzero(live))
+    report.skipped = hi - lo - report.tested
+    lengths, counts = np.unique(ell[live], return_counts=True)
+    report.histogram = dict(zip(lengths.tolist(), counts.tolist()))
+
+    def claim(cid, tested, failed, **cols):
+        result = report.claim(cid)
+        result.tested = int(np.count_nonzero(tested))
+        idx = np.flatnonzero(tested & failed)
+        rows = zip(d[idx].tolist(), *(col[idx].tolist() for col in cols.values()))
+        result.counterexamples = [dict(zip(("d", *cols), row)) for row in rows]
+
+    pal, term, bound = (
+        (flags & bit) != 0 for bit in (_kernels.F_PAL, _kernels.F_TERM, _kernels.F_BOUND)
+    )
+    # The classical facts only fail on an engine or kernel bug; pull the
+    # exact word so that the report is actionable.
+    period = np.empty(hi - lo, dtype=object)
+    for i in np.flatnonzero(live & ~(pal & term & bound)).tolist():
+        period[i] = list(expand_sqrt(lo + i).period)
+    claim(CLAIM_PALINDROME, live, ~pal, period=period)
+    claim(CLAIM_TERMINAL, live, ~term, period=period)
+    claim(CLAIM_BOUND, live, ~bound, period=period, a0=a0)
+
     # Odd period length implies a coprime two-square splitting (theorem);
     # the printed converse is checked separately and does have exceptions
     # (the smallest is d = 34 = 3^2 + 5^2 with period length 4).
-    if ell % 2 == 1:
-        report.claim(CLAIM_TWOSQ).tested += 1
-        if not twosq:
-            fail(CLAIM_TWOSQ, ell=ell, two_squares=False)
-    if twosq:
-        report.claim(CLAIM_TWOSQ_CONVERSE).tested += 1
-        if ell % 2 == 0:
-            fail(CLAIM_TWOSQ_CONVERSE, ell=ell, two_squares=True)
+    twosq = live & twosq.astype(bool)
+    odd = live & (ell % 2 == 1)
+    even = live & (ell % 2 == 0)
+    claim(CLAIM_TWOSQ, odd, ~twosq, ell=ell, two_squares=twosq)
+    claim(CLAIM_TWOSQ_CONVERSE, twosq, even, ell=ell, two_squares=twosq)
 
-    if ell % 2 == 1:
-        return
+    # Central-term claims, with the canonical split d = a0^2 + b.
+    b = d - a0 * a0
     detail = dict(center=center, a0=a0, b=b, ell=ell)
-    if center > a0:
-        report.claim(CLAIM_CLASS).tested += 1
-        fail(CLAIM_CLASS, **detail)
-    elif center == a0:
-        report.claim(CLAIM_CENTER_EQ).tested += 1
-        if b % 4 != 2:
-            fail(CLAIM_CENTER_EQ, **detail)
-    elif center == a0 - 1:
-        # The parity claim for this class is stated for periods longer than 4.
-        if ell > 4:
-            report.claim(CLAIM_CENTER_EQM1).tested += 1
-            ok = (a0 % 2 == 1 and b % 4 == 1) or (a0 % 2 == 0 and b % 4 == 3)
-            if not ok:
-                fail(CLAIM_CENTER_EQM1, **detail)
-    else:
-        report.claim(CLAIM_CENTER_LT).tested += 1
-        ok = (center % 2 == 1 and a0 % 2 == 0 and b % 2 == 0) or (
-            center % 2 == 0 and a0 % 2 == 1 and b % 2 == 1
-        )
-        if not ok:
-            fail(CLAIM_CENTER_LT, **detail)
-
-
-def _expansion_facts(d: int):
-    cf = expand_sqrt(d)
-    word = list(cf.period)
-    ell = cf.length
-    inner = word[:-1]
-    pal = inner == inner[::-1]
-    term = word[-1] == 2 * cf.a0
-    bound = all(a <= cf.a0 for a in inner)
-    center = word[ell // 2 - 1] if ell % 2 == 0 else -1
-    return cf.a0, ell, center, pal, term, bound, word
+    claim(CLAIM_CLASS, even & (center > a0), True, **detail)
+    claim(CLAIM_CENTER_EQ, even & (center == a0), b % 4 != 2, **detail)
+    # The parity claim for this class is stated for periods longer than 4.
+    eqm1_ok = ((a0 % 2 == 1) & (b % 4 == 1)) | ((a0 % 2 == 0) & (b % 4 == 3))
+    claim(CLAIM_CENTER_EQM1, even & (center == a0 - 1) & (ell > 4), ~eqm1_ok, **detail)
+    lt_ok = ((center % 2 == 1) & (a0 % 2 == 0) & (b % 2 == 0)) | (
+        (center % 2 == 0) & (a0 % 2 == 1) & (b % 2 == 1)
+    )
+    claim(CLAIM_CENTER_LT, even & (center < a0 - 1), ~lt_ok, **detail)
+    return report
 
 
 def _claims_chunk(args) -> StructReport:
     lo, hi, backend = args
-    report = StructReport(lo, hi - 1)
-    if backend == "python" or hi > _kernels.KERNEL_D_LIMIT:
-        for d in range(lo, hi):
-            if is_square(d):
-                report.skipped += 1
-                continue
-            a0, ell, center, pal, term, bound, word = _expansion_facts(d)
-            twosq = sum_two_coprime_squares(d)
-            _record(report, d, ell, a0, center, pal, term, bound, twosq, word)
-        return report
-
-    ell_a, a0_a, center_a, flags_a = _kernels.sweep_range(lo, hi)
-    twosq_a = _kernels.two_squares_range(lo, hi)
-    for i in range(hi - lo):
-        d = lo + i
-        flags = int(flags_a[i])
-        if flags & _kernels.F_SQUARE:
-            report.skipped += 1
-            continue
-        if flags & _kernels.F_OVERFLOW:
-            a0, ell, center, pal, term, bound, word = _expansion_facts(d)
-            _record(report, d, ell, a0, center, pal, term, bound, bool(twosq_a[i]), word)
-            continue
-        pal = bool(flags & _kernels.F_PAL)
-        term = bool(flags & _kernels.F_TERM)
-        bound = bool(flags & _kernels.F_BOUND)
-        word = None
-        if not (pal and term and bound):
-            # Classical facts only fail if the kernel and engine disagree;
-            # pull the exact word so the report is actionable.
-            word = list(expand_sqrt(d).period)
-        _record(
-            report,
-            d,
-            int(ell_a[i]),
-            int(a0_a[i]),
-            int(center_a[i]),
-            pal,
-            term,
-            bound,
-            bool(twosq_a[i]),
-            word,
-        )
-    return report
+    exact = backend == "python" or hi > _kernels.KERNEL_D_LIMIT
+    return _fold(lo, hi, *(_exact_columns if exact else _kernel_columns)(lo, hi))
 
 
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):
@@ -267,7 +250,7 @@ def check_claims(
     if jobs <= 1 or len(chunks) == 1:
         parts = map(_claims_chunk, chunks)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(_claims_chunk, chunks))
     for part in parts:
         report.merge(part)

@@ -126,13 +126,33 @@ def period_length(d: int) -> int:
     return expand_sqrt(d).length
 
 
+class PeriodFacts(NamedTuple):
+    """The structure facts of one period word w = (w_1..w_ell) of sqrt(d)."""
+
+    center: int  # w_{ell/2} for even ell, -1 for odd ell
+    palindrome: bool  # w_1..w_{ell-1} reads the same reversed
+    terminal: bool  # w_ell == 2*a0
+    bound: bool  # every w_i with i < ell is <= a0
+
+
+def period_facts(cf: PeriodicCF) -> PeriodFacts:
+    """Centre, palindrome, terminal and bound facts of an expansion's period."""
+    inner = cf.interior()
+    ell = cf.length
+    return PeriodFacts(
+        cf.period[ell // 2 - 1] if ell % 2 == 0 else -1,
+        inner == inner[::-1],
+        cf.period[-1] == 2 * cf.a0,
+        all(a <= cf.a0 for a in inner),
+    )
+
+
 def central_class(d: int) -> CentralClass:
     """Central term of sqrt(d)'s period, or NoCenter for odd length."""
     cf = expand_sqrt(d)
-    ell = cf.length
-    if ell % 2 == 1:
+    center = period_facts(cf).center
+    if center < 0:
         return CentralClass(None, None)
-    center = cf.period[ell // 2 - 1]
     if center == cf.a0:
         rel = CenterRelation.EQUALS_A0
     elif center == cf.a0 - 1:
@@ -201,9 +221,11 @@ __all__ = [
     "CenterRelation",
     "SurdState",
     "SurdExpansion",
+    "PeriodFacts",
     "expand_sqrt",
     "expand_surd",
     "period_length",
     "central_class",
+    "period_facts",
     "is_primitive_word",
 ]

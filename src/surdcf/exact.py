@@ -8,6 +8,7 @@ reduced-form invariant (gcd(num, den) = 1, den > 0) on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -32,22 +33,10 @@ class RationalValueError(DomainError):
 
 
 def isqrt(n: int) -> int:
-    """Floor of the square root, by Newton iteration on integers.
-
-    The iterate starts at a power of two >= sqrt(n) and decreases strictly
-    until it stabilises, so termination is monotone; the result r satisfies
-    r*r <= n < (r+1)*(r+1).
-    """
+    """Floor of the square root: r*r <= n < (r+1)*(r+1)."""
     if n < 0:
         raise DomainError(f"isqrt of negative value {n}")
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 1) // 2)
-    while True:
-        y = (x + n // x) // 2
-        if y >= x:
-            return x
-        x = y
+    return math.isqrt(n)
 
 
 def is_square(n: int) -> bool:

@@ -470,7 +470,7 @@ def verify_family(
         (fam, assignments[i : i + size]) for i in range(0, len(assignments), size)
     ]
     report = VerifyReport(fam.id)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
         for part in pool.map(_verify_chunk, chunks):
             report.tested += part.tested
             report.skipped += part.skipped

@@ -137,7 +137,7 @@ def mine_sweep(max_len: int, max_entry: int, jobs: int = 1) -> list[MinedFamily]
     if jobs <= 1 or len(pals) < 8:
         results = map(mine, pals)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pals))) as pool:
             results = list(pool.map(mine, pals))
     return [fam for fam in results if fam is not None]
 

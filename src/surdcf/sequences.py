@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Looked up at call time: convergents imports mat2, which imports this module.
+from . import convergents
 from .exact import DomainError, InternalConsistencyError
 
 
@@ -126,19 +128,6 @@ def pell_pair(k: int) -> tuple[int, int]:
     return _pair_iter(2, 1, 1, 1, 0, 1, k)
 
 
-def _word_convergents(word, count):
-    """First `count` convergents (p_k, q_k) of a quotient word, k from 0."""
-    p0, p1 = 0, 1
-    q0, q1 = 1, 0
-    out = []
-    for i in range(count):
-        a = word[i]
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append((p1, q1))
-    return out
-
-
 def _sqrt3_word(count):
     # sqrt(3) = [1; 1, 2 repeating]
     word = [1]
@@ -155,13 +144,13 @@ def sqrt3_pair(k: int) -> tuple[int, int]:
     """
     if k < 0:
         raise DomainError("sqrt3_pair wants k >= 0")
-    return _word_convergents(_sqrt3_word(k + 2), k + 2)[k + 1]
+    c = convergents.convergents_of_word(_sqrt3_word(k + 2))[k + 1]
+    return c.p, c.q
 
 
 def sqrt3_denominators(up_to: int) -> list[int]:
     """Classical sqrt(3) convergent denominators q_0..q_up_to (q_0 = 1)."""
-    conv = _word_convergents(_sqrt3_word(up_to + 1), up_to + 1)
-    return [q for _, q in conv]
+    return [c.q for c in convergents.convergents_of_word(_sqrt3_word(up_to + 1))]
 
 
 def ab_pair(k: int) -> tuple[int, int]:
@@ -234,8 +223,7 @@ def pair_m2m_denominators(m: int, up_to: int) -> list[int]:
     while len(word) <= up_to:
         word.append(m)
         word.append(2 * m)
-    conv = _word_convergents(word[: up_to + 1], up_to + 1)
-    return [q for _, q in conv]
+    return [c.q for c in convergents.convergents_of_word(word[: up_to + 1])]
 
 
 # Named single-value sequences exposed for CSV export.

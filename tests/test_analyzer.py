@@ -13,12 +13,67 @@ from surdcf.analyzer import (
     CLAIM_TERMINAL,
     CLAIM_TWOSQ,
     CLAIM_TWOSQ_CONVERSE,
+    CLAIM_IDS,
     check_claims,
     period_stats,
     sum_two_coprime_squares,
 )
+from surdcf import _kernels
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError, is_square
+
+
+def oracle_report(d_min, d_max):
+    """check_claims(d_min, d_max).to_dict(), restated one d at a time."""
+    claims = {cid: [0, []] for cid in CLAIM_IDS}
+    histogram = {}
+    skipped = 0
+
+    def check(cid, ok, d, **detail):
+        claims[cid][0] += 1
+        if not ok:
+            claims[cid][1].append({"d": d, **detail})
+
+    for d in range(d_min, d_max + 1):
+        if is_square(d):
+            skipped += 1
+            continue
+        cf = expand_sqrt(d)
+        a0, word, ell = cf.a0, list(cf.period), cf.length
+        histogram[ell] = histogram.get(ell, 0) + 1
+        inner = word[:-1]
+        check(CLAIM_PALINDROME, inner == inner[::-1], d, period=word)
+        check(CLAIM_TERMINAL, word[-1] == 2 * a0, d, period=word)
+        check(CLAIM_BOUND, max(inner, default=0) <= a0, d, period=word, a0=a0)
+        twosq = sum_two_coprime_squares(d)
+        if ell % 2 == 1:
+            check(CLAIM_TWOSQ, twosq, d, ell=ell, two_squares=twosq)
+        if twosq:
+            check(CLAIM_TWOSQ_CONVERSE, ell % 2 == 1, d, ell=ell, two_squares=twosq)
+        if ell % 2 == 1:
+            continue
+        c, b = word[ell // 2 - 1], d - a0 * a0
+        detail = dict(center=c, a0=a0, b=b, ell=ell)
+        if c > a0:
+            check(CLAIM_CLASS, False, d, **detail)
+        elif c == a0:
+            check(CLAIM_CENTER_EQ, b % 4 == 2, d, **detail)
+        elif c == a0 - 1:
+            if ell > 4:
+                check(CLAIM_CENTER_EQM1, (a0 % 2, b % 4) in ((1, 1), (0, 3)), d, **detail)
+        else:
+            check(CLAIM_CENTER_LT, (c % 2, a0 % 2, b % 2) in ((1, 0, 0), (0, 1, 1)), d, **detail)
+    return {
+        "range": [d_min, d_max],
+        "tested": d_max - d_min + 1 - skipped,
+        "skipped": skipped,
+        "claims": [
+            {"id": cid, "tested": n, "status": "counterexamples" if cex else "ok",
+             "counterexamples": cex}
+            for cid, (n, cex) in claims.items()
+        ],
+        "histogram": {str(k): v for k, v in sorted(histogram.items())},
+    }
 
 
 class TestTwoSquares:
@@ -85,6 +140,54 @@ class TestCheckClaims:
                 for b in ("numpy", "python")
             ]
             assert views[0] == views[1], (lo, hi)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (2, 3000),
+            (5 * 10**7, 5 * 10**7 + 199),
+            # Single radicands on the exact path, either side of 2**63 and
+            # where a0 * a0 no longer fits in int64.  Only m^2 + 1: the
+            # brute-force two-squares test is O(sqrt(d)) for non-sums.
+            (3037000499**2 + 1, 3037000499**2 + 1),
+            (3037000500**2 + 1, 3037000500**2 + 1),
+            (10**20 + 1, 10**20 + 1),
+        ],
+        ids=["small-d", "long-periods", "below-2^63", "above-2^63", "1e20"],
+    )
+    def test_matches_per_d_oracle(self, lo, hi, backend):
+        got = json.dumps(check_claims(lo, hi, backend=backend).to_dict())
+        assert got == json.dumps(oracle_report(lo, hi))
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_classical_failure_reports_exact_word(self, monkeypatch, backend):
+        # Break the bound fact at d = 22 = [4; 1,2,4,2,1,8] in whichever
+        # source fills the columns: the report must carry the exact word.
+        if backend == "numpy":
+            sweep = _kernels.sweep_range
+
+            def broken(lo, hi):
+                ell, a0, center, flags = sweep(lo, hi)
+                if lo <= 22 < hi:
+                    flags[22 - lo] ^= _kernels.F_BOUND
+                return ell, a0, center, flags
+
+            monkeypatch.setattr(_kernels, "sweep_range", broken)
+        else:
+            facts = analyzer.period_facts
+
+            def broken(cf):
+                got = facts(cf)
+                return got._replace(bound=False) if cf.d == 22 else got
+
+            monkeypatch.setattr(analyzer, "period_facts", broken)
+        report = check_claims(2, 100, backend=backend)
+        assert report.claim(CLAIM_BOUND).counterexamples == [
+            {"d": 22, "period": [1, 2, 4, 2, 1, 8], "a0": 4}
+        ]
+        assert report.claim(CLAIM_BOUND).tested == report.tested
+        assert report.claim(CLAIM_PALINDROME).status == "ok"
 
     def test_jobs_deterministic(self):
         one = json.dumps(check_claims(2, 4000, jobs=1).to_dict(), sort_keys=True)

@@ -3,11 +3,13 @@ import pytest
 from conftest import sqrt_cf_oracle, surd_cf_oracle
 from surdcf.engine import (
     CenterRelation,
+    PeriodicCF,
     SurdState,
     central_class,
     expand_sqrt,
     expand_surd,
     is_primitive_word,
+    period_facts,
     period_length,
 )
 from surdcf.exact import DomainError, ResourceLimitError, isqrt
@@ -104,6 +106,20 @@ class TestCentralClass:
         assert not c13.has_center and c13.relation is None
         c22 = central_class(22)
         assert (c22.center, c22.relation) == (4, CenterRelation.EQUALS_A0)
+
+
+class TestPeriodFacts:
+    def test_engine_periods(self):
+        assert period_facts(expand_sqrt(22)) == (4, True, True, True)
+        assert period_facts(expand_sqrt(2)) == (-1, True, True, True)
+        assert period_facts(expand_sqrt(13)) == (-1, True, True, True)
+
+    def test_each_fact_can_fail(self):
+        # Hand-built words, not expansions: each breaks one fact.
+        assert period_facts(PeriodicCF(0, 3, (1, 2, 1, 6))) == (2, True, True, True)
+        assert period_facts(PeriodicCF(0, 3, (1, 2, 2, 6))) == (2, False, True, True)
+        assert period_facts(PeriodicCF(0, 3, (1, 2, 1, 5))) == (2, True, False, True)
+        assert period_facts(PeriodicCF(0, 3, (4, 6))) == (4, True, True, False)
 
 
 class TestExpandSurd:

@@ -4,19 +4,14 @@ import pytest
 
 from surdcf import _kernels
 from surdcf.analyzer import sum_two_coprime_squares
-from surdcf.engine import expand_sqrt
+from surdcf.engine import expand_sqrt, period_facts
 from surdcf.exact import is_square
 
 
 def engine_row(d):
     cf = expand_sqrt(d)
-    inner = cf.period[:-1]
-    flags = _kernels.F_PAL if list(inner) == list(inner)[::-1] else 0
-    if cf.period[-1] == 2 * cf.a0:
-        flags |= _kernels.F_TERM
-    if all(a <= cf.a0 for a in inner):
-        flags |= _kernels.F_BOUND
-    center = cf.period[cf.length // 2 - 1] if cf.length % 2 == 0 else -1
+    center, pal, term, bound = period_facts(cf)
+    flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
     return cf.length, cf.a0, center, flags
 
 
