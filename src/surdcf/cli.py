@@ -144,7 +144,11 @@ def cmd_verify_families(args) -> int:
 
 def cmd_mine(args) -> int:
     if args.sweep:
-        found = miner.mine_sweep(args.max_len, args.max_entry, jobs=args.jobs)
+        try:
+            found = miner.mine_sweep(args.max_len, args.max_entry, jobs=args.jobs)
+        except DomainError as exc:
+            print(f"mine: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for fam in found:
             if args.format == "text":
                 print(

@@ -8,13 +8,14 @@ expansion denotes.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
-from .mat2 import IDENTITY, Mat2, quotient_matrix
+from .mat2 import IDENTITY, Mat2
 
 
 @dataclass(frozen=True)
@@ -53,34 +54,40 @@ def _check_word(word: Sequence[int]) -> None:
         raise DomainError("quotients after the first must be >= 1")
 
 
+def _recurrence(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1.
+
+    Seeds p(-2) = 0, p(-1) = 1, q(-2) = 1, q(-1) = 0 and steps
+    p_k = a_k*p_{k-1} + p_{k-2}, likewise q.  This is the one implementation
+    of the convergent recurrence; it accepts any integer quotients.
+    """
+    p0, p1 = 0, 1
+    q0, q1 = 1, 0
+    for a in word:
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        yield p1, p0, q1, q0
+
+
 def convergents_of_word(word: Sequence[int]) -> list[Convergent]:
     """All convergents p_k/q_k of a finite quotient word, k = 0..len-1.
 
-    Seeds p(-2) = 0, p(-1) = 1, q(-2) = 1, q(-1) = 0, so c_0 = word[0]/1.
+    c_0 = word[0]/1; see `_recurrence` for the seeds.
     """
     _check_word(word)
-    p0, p1 = 0, 1
-    q0, q1 = 1, 0
-    out = []
-    for k, a in enumerate(word):
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        out.append(Convergent(p1, q1, k))
-    return out
+    return [Convergent(p, q, k) for k, (p, _, q, _) in enumerate(_recurrence(word))]
 
 
 def word_matrix(word: Sequence[int]) -> Mat2:
     """Product of the step matrices [[a,1],[1,0]] over the word.
 
-    Columns are (p_n, q_n) and (p_{n-1}, q_{n-1}); the determinant of an
-    (n+1)-factor product is (-1)^(n+1).
+    Built from the convergent recurrence rather than by multiplying: the
+    columns are the last two convergents, (p_n, q_n) and (p_{n-1}, q_{n-1}).
+    The determinant of an (n+1)-factor product is (-1)^(n+1).
     """
     if len(word) == 0:
         raise DomainError("empty quotient word")
-    m = IDENTITY
-    for a in word:
-        m = m * quotient_matrix(a)
-    return m
+    return Mat2(*deque(_recurrence(word), maxlen=1)[0])
 
 
 def _square_free_reduce(P: int, Q: int, D: int) -> tuple[int, int, int]:

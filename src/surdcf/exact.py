@@ -47,21 +47,6 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    r0, r1 = a, b
-    x0, x1 = 1, 0
-    y0, y1 = 0, 1
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if r0 < 0:
-        r0, x0, y0 = -r0, -x0, -y0
-    return r0, x0, y0
-
-
 @dataclass(frozen=True)
 class CongruenceSolution:
     """Least nonnegative solution of a linear congruence, if one exists.
@@ -78,16 +63,16 @@ class CongruenceSolution:
 def solve_linear_congruence(c1: int, c0: int, mod: int) -> CongruenceSolution:
     """Solve c1*x + c0 == 0 (mod mod) for x.
 
-    Solvable iff gcd(c1, mod) divides c0; the solution is unique modulo
-    mod // gcd(c1, mod).  Uses the extended Euclidean algorithm only.
+    Solvable iff g = gcd(c1, mod) divides c0; the solution is unique modulo
+    m2 = mod // g, and is -(c0/g) times the inverse of c1/g modulo m2.
     """
     if mod <= 0:
         raise DomainError(f"modulus must be positive, got {mod}")
-    g, inv, _ = ext_gcd(c1 % mod, mod)
+    g = gcd(c1, mod)
     if c0 % g != 0:
         return CongruenceSolution(False)
     m2 = mod // g
-    x = ((-c0 // g) * inv) % m2
+    x = (-c0 // g) * pow(c1 // g, -1, m2) % m2
     return CongruenceSolution(True, x, m2)
 
 
@@ -104,7 +89,6 @@ __all__ = [
     "isqrt",
     "is_square",
     "gcd",
-    "ext_gcd",
     "CongruenceSolution",
     "solve_linear_congruence",
     "DomainError",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,22 @@ class TestMine:
         assert code == 0
         pals = [json.loads(l)["palindrome"] for l in out.splitlines()]
         assert [] in pals and [2, 2] in pals
+
+    @pytest.mark.parametrize("bounds", [("-1", "3"), ("1", "0")], ids=["negative-len", "zero-entry"])
+    def test_sweep_bad_bounds_is_usage_error(self, capsys, bounds):
+        max_len, max_entry = bounds
+        code, out, err = run(capsys, "mine", "--sweep", "--max-len", max_len, "--max-entry", max_entry)
+        assert code == 1 and out == ""
+        assert err == "mine: bad sweep bounds\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_output_pinned(self, capsys, jobs):
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6", "--jobs", jobs)
+        assert code == 0
+        assert len(out.splitlines()) == 1441
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e5fb68478594b192d0257d91a9037452bb35ab673189c573282df08463648225"
+        )
 
 
 class TestAnalyze:

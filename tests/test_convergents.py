@@ -1,7 +1,8 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surdcf.convergents import (
@@ -12,7 +13,7 @@ from surdcf.convergents import (
 )
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
-from surdcf.mat2 import Mat2, quotient_matrix
+from surdcf.mat2 import IDENTITY, Mat2, quotient_matrix
 
 words = st.lists(st.integers(1, 9), min_size=1, max_size=12)
 
@@ -75,6 +76,17 @@ class TestWordMatrix:
     @given(words)
     def test_determinant_sign(self, word):
         assert word_matrix(word).det() == (-1) ** len(word)
+
+    @given(st.lists(st.integers(-5, 60), min_size=1, max_size=40))
+    @example(list(range(-5, 35)))
+    def test_equals_step_matrix_product(self, word):
+        # the reference is the literal product, independent of the recurrence
+        want = reduce(Mat2.__mul__, map(quotient_matrix, word), IDENTITY)
+        assert word_matrix(word) == want
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(DomainError):
+            word_matrix([])
 
 
 def _palindromes(max_len, max_entry):

@@ -2,18 +2,39 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from surdcf.convergents import word_matrix
 from surdcf.exact import (
     CongruenceSolution,
     DomainError,
-    ext_gcd,
     is_square,
     isqrt,
     rat,
     solve_linear_congruence,
 )
+
+
+# palindromes of length <= 30 with entries <= 50: the miner's word matrices,
+# whose entries run well past 2**64
+palindromes = st.builds(
+    lambda half, odd: tuple(half + half[::-1][odd:]),
+    st.lists(st.integers(1, 50), min_size=1, max_size=15),
+    st.integers(0, 1),
+)
+
+
+def assert_congruence_definition(c1, c0, mod):
+    sol = solve_linear_congruence(c1, c0, mod)
+    g = math.gcd(c1, mod)
+    assert sol.solvable == (c0 % g == 0)
+    if sol.solvable:
+        assert sol.modulus == mod // g
+        assert 0 <= sol.residue < sol.modulus
+        assert (c1 * sol.residue + c0) % mod == 0
+    else:
+        assert sol == CongruenceSolution(False)
 
 
 def brute_congruence(c1, c0, mod):
@@ -62,14 +83,6 @@ class TestIsSquare:
             assert not is_square(k * k - 1)
 
 
-class TestExtGcd:
-    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
-    def test_bezout(self, a, b):
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-
-
 class TestLinearCongruence:
     def test_examples(self):
         # frozen from the brute-force oracle below
@@ -96,6 +109,42 @@ class TestLinearCongruence:
             assert hits == list(range(sol.residue, mod, sol.modulus))
             for x in (sol.residue, sol.residue + sol.modulus):
                 assert (c1 * x + c0) % mod == 0
+
+    @given(palindromes, st.integers(-2, 2))
+    @example((50,) * 30, 0)
+    def test_definition_at_miner_sizes(self, pal, shift):
+        m = word_matrix(pal)
+        A, B, C = m.m11, m.m12, m.m22
+        # the miner's head congruence 2B*a + C == 0 (mod A), shifted so that
+        # unsolvable cases occur too, and with a negative coefficient
+        assert_congruence_definition(2 * B, C + shift, A)
+        assert_congruence_definition(-B, C + shift, A)
+
+    def test_miner_operands_exceed_64_bits(self):
+        m = word_matrix((50,) * 30)
+        assert min(m.m11, m.m12, m.m22) > 2**64
+        assert_congruence_definition(2 * m.m12, m.m22, m.m11)
+
+    def test_unit_modulus(self):
+        for c1, c0 in [(0, 0), (3, -7), (-5, 2), (2**70, 2**65 + 1)]:
+            assert solve_linear_congruence(c1, c0, 1) == CongruenceSolution(True, 0, 1)
+
+    def test_zero_coefficient(self):
+        assert solve_linear_congruence(0, 6, 3) == CongruenceSolution(True, 0, 1)
+        assert solve_linear_congruence(0, 0, 7) == CongruenceSolution(True, 0, 1)
+        assert solve_linear_congruence(0, 5, 3) == CongruenceSolution(False)
+
+    def test_negative_coefficient(self):
+        assert brute_congruence(-4, 1, 5) == [4]
+        assert solve_linear_congruence(-4, 1, 5) == CongruenceSolution(True, 4, 5)
+        assert brute_congruence(-6, 4, 10) == [4, 9]
+        assert solve_linear_congruence(-6, 4, 10) == CongruenceSolution(True, 4, 5)
+
+    def test_coefficient_multiple_of_modulus(self):
+        assert solve_linear_congruence(10, 5, 5) == CongruenceSolution(True, 0, 1)
+        assert solve_linear_congruence(-15, 0, 5) == CongruenceSolution(True, 0, 1)
+        assert solve_linear_congruence(10, 3, 5) == CongruenceSolution(False)
+        assert solve_linear_congruence(12, 4, 6) == CongruenceSolution(False)
 
 
 class TestRat:
