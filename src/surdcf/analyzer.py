@@ -9,7 +9,10 @@ Each chunk of the range first becomes fact columns (ell, a0, center, flags,
 twosq): from the numpy kernels, or from the exact engine for the python
 backend and for radicands past the kernels' int64 gate.  One fold turns the
 columns into a report, with one boolean mask per claim, whichever source
-filled them.
+filled them.  The exact engine walks to the centre of a period and mirrors
+it, so the palindrome and terminal facts of its columns hold by
+construction; the numpy kernel walks whole periods, and is the one source
+that checks those two facts against a walked word.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -59,21 +61,27 @@ CLAIM_IDS = [
 def sum_two_coprime_squares(d: int) -> bool:
     """True iff d = a^2 + b^2 with a >= b >= 1 and gcd(a, b) = 1.
 
-    Brute force over b <= sqrt(d/2).  The b = 0 edge is admitted only for
-    d = 1 (gcd(1, 0) = 1).
+    By the criterion: d > 1 is such a sum iff 4 does not divide d and every
+    odd prime factor of d is 1 (mod 4).  Trial division of the odd part
+    stops at the first prime factor that is 3 (mod 4); the cofactor left
+    above the square root is 1 or a prime.  d = 1 (the b = 0 edge,
+    gcd(1, 0) = 1) is admitted.
     """
     if d < 1:
         raise DomainError("sum_two_coprime_squares wants d >= 1")
-    if d == 1:
-        return True
-    b = 1
-    while 2 * b * b <= d:
-        rest = d - b * b
-        a = isqrt(rest)
-        if a * a == rest and gcd(a, b) == 1:
-            return True
-        b += 1
-    return False
+    if d % 4 == 0:
+        return False
+    n = d >> 1 if d % 2 == 0 else d
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            if p % 4 == 3:
+                return False
+            n //= p
+            while n % p == 0:
+                n //= p
+        p += 2
+    return n % 4 != 3
 
 
 @dataclass

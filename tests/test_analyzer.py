@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import brute_two_coprime_squares, sqrt_full_walk
 from surdcf import analyzer
 from surdcf.analyzer import (
     CLAIM_BOUND,
@@ -38,14 +39,14 @@ def oracle_report(d_min, d_max):
         if is_square(d):
             skipped += 1
             continue
-        cf = expand_sqrt(d)
-        a0, word, ell = cf.a0, list(cf.period), cf.length
+        a0, word = sqrt_full_walk(d)
+        word, ell = list(word), len(word)
         histogram[ell] = histogram.get(ell, 0) + 1
         inner = word[:-1]
         check(CLAIM_PALINDROME, inner == inner[::-1], d, period=word)
         check(CLAIM_TERMINAL, word[-1] == 2 * a0, d, period=word)
         check(CLAIM_BOUND, max(inner, default=0) <= a0, d, period=word, a0=a0)
-        twosq = sum_two_coprime_squares(d)
+        twosq = brute_two_coprime_squares(d)
         if ell % 2 == 1:
             check(CLAIM_TWOSQ, twosq, d, ell=ell, two_squares=twosq)
         if twosq:
@@ -86,8 +87,18 @@ class TestTwoSquares:
         assert not sum_two_coprime_squares(45)  # only 6^2 + 3^2, not coprime
 
     def test_bad_input(self):
-        with pytest.raises(DomainError):
-            sum_two_coprime_squares(0)
+        for bad in (0, -5):
+            with pytest.raises(DomainError):
+                sum_two_coprime_squares(bad)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1, 20_000), (10**6, 10**6 + 300), (5 * 10**7, 5 * 10**7 + 300)],
+        ids=["small-d", "1e6", "5e7"],
+    )
+    def test_criterion_matches_brute_force(self, lo, hi):
+        for d in range(lo, hi):
+            assert sum_two_coprime_squares(d) == brute_two_coprime_squares(d), f"d={d}"
 
 
 class TestCheckClaims:

@@ -96,6 +96,18 @@ class TestVerifyFamilies:
         assert len(lines) == 2
         assert [json.loads(l)["id"] for l in lines] == ["euler-l1", "rep2-k1"]
 
+    def test_long_period_errata_output_pinned(self, capsys):
+        # The two erratum families whose failure records print the longest
+        # actual periods (up to 271,170 quotients): every one of them comes
+        # from the engine's mirrored half walk.
+        code, out, _ = run(capsys, "verify-families", "--id", "pair-m2m-k2-printed",
+                           "--id", "l9-d-printed")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "937cd7b85044c796374cb869f05d86bd07f151696d8fe6ccc3eda6e672c575a6"
+        )
+
 
 class TestMine:
     def test_pattern(self, capsys):

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import sqrt_cf_oracle, surd_cf_oracle
+from conftest import sqrt_cf_oracle, sqrt_full_walk, surd_cf_oracle
+from surdcf import engine
 from surdcf.engine import (
     CenterRelation,
     PeriodicCF,
@@ -12,7 +15,7 @@ from surdcf.engine import (
     period_facts,
     period_length,
 )
-from surdcf.exact import DomainError, ResourceLimitError, isqrt
+from surdcf.exact import DomainError, InternalConsistencyError, ResourceLimitError, isqrt
 
 
 class TestExpandSqrt:
@@ -39,6 +42,54 @@ class TestExpandSqrt:
         assert period_length(13) == 5
         assert period_length(7) == 4
         assert expand_sqrt(7).as_list() == [2, 1, 1, 1, 4]
+
+
+def assert_full_walk(d):
+    cf = expand_sqrt(d)
+    assert (cf.a0, cf.period) == sqrt_full_walk(d), f"d={d}"
+    return cf
+
+
+class TestHalfWalk:
+    """expand_sqrt stops at the centre and mirrors; the full walk does not."""
+
+    def test_every_small_d(self):
+        for d in range(2, 30_001):
+            if isqrt(d) ** 2 != d:
+                assert_full_walk(d)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(2, 10**9 - 1))
+    def test_random_d(self, d):
+        if isqrt(d) ** 2 != d:
+            assert_full_walk(d)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 10, 999, 10**12])
+    def test_short_periods(self, a):
+        assert assert_full_walk(a * a + 1).period == (2 * a,)
+        assert assert_full_walk(a * a + 2).period == (a, 2 * a)
+        assert assert_full_walk(a * a + 2 * a).period == (1, 2 * a)
+
+    def test_even_and_odd_centres(self):
+        assert assert_full_walk(7).period == (1, 1, 1, 4)
+        assert assert_full_walk(13).period == (1, 1, 1, 1, 6)
+
+    def test_long_erratum_member(self):
+        # pair-m2m-k2-printed at m=5, n=22: its printed period has length 10,
+        # the actual one 100,398.
+        from surdcf.families import family_by_id, instantiate
+        d, _ = instantiate(family_by_id("pair-m2m-k2-printed"), {"m": 5, "n": 22})
+        assert assert_full_walk(d).length > 100_000
+
+    def test_failed_step_raises(self, monkeypatch):
+        # Steps faked through the module's divmod: a remainder, and a Q == 1
+        # that arrives before either centre, must raise rather than walk on.
+        monkeypatch.setattr(engine, "divmod", lambda n, q: (2, 1), raising=False)
+        with pytest.raises(InternalConsistencyError, match="remainder"):
+            expand_sqrt(19)
+        monkeypatch.setattr(engine, "divmod", lambda n, q: (1, 0), raising=False)
+        with pytest.raises(InternalConsistencyError, match="without a centre"):
+            expand_sqrt(19)
 
 
 class TestStructuralSweep:

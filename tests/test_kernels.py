@@ -2,8 +2,8 @@ from math import isqrt
 
 import pytest
 
+from conftest import brute_two_coprime_squares
 from surdcf import _kernels
-from surdcf.analyzer import sum_two_coprime_squares
 from surdcf.engine import expand_sqrt, period_facts
 from surdcf.exact import is_square
 
@@ -65,7 +65,7 @@ def test_two_squares_sieve_matches_brute_force(lo, hi):
     mask = _kernels.two_squares_range(lo, hi)
     for i, d in enumerate(range(lo, hi)):
         # the sieve covers a >= b >= 1; d = 1 is the lone b = 0 edge
-        want = sum_two_coprime_squares(d) if d > 1 else False
+        want = brute_two_coprime_squares(d) if d > 1 else False
         assert bool(mask[i]) == want, f"d={d}"
 
 
