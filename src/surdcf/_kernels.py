@@ -16,13 +16,12 @@ one place.  Tests pin the kernels against ``engine.period_facts``, so reports
 are byte-identical whichever backend runs; ``perfbench/run.py`` compares
 their speed.
 
-``sweep_range`` is a compacting kernel.  It works in blocks of ``BLOCK``
-radicands: every live lane takes one quotient step per round and leaves the
-live set as soon as Q == 1, so a block costs its total number of quotient
-steps rather than its longest period times its width.  The (lane, quotient)
-pairs logged along the way are laid out as flat period words at ``cumsum(ell)``
-offsets, and the palindrome, bound, terminal and centre facts are vectorised
-operations over those words.
+``sweep_range`` is a half-walk kernel.  Like ``engine.expand_sqrt`` it walks
+each sqrt(d) only to the centre of its period and logs no quotient.  Its
+live set is ``WIDTH`` lanes wide; a lane that reaches its centre is refilled
+from the queue of pending radicands, and the set is compacted only once the
+queue is empty.  The palindrome and terminal facts hold by construction of
+the mirrored period, and the bound fact is "largest walked quotient <= a0".
 
 ``two_squares_range`` is a segmented factor sieve over the window, built on
 the criterion: d > 1 is a sum of two coprime positive squares iff 4 does not
@@ -36,24 +35,21 @@ from math import isqrt
 
 import numpy as np
 
+from .exact import InternalConsistencyError
+
 # Bit layout of the per-d flags array.
 F_SQUARE = 1
 F_PAL = 2
 F_TERM = 4
 F_BOUND = 8
+# Reserved and never set; readers of the flags may still test it.
 F_OVERFLOW = 16
-
-# Periods for d <= 1e7 stay far below this; overflowing lanes are redone
-# exactly by the caller.
-WORD_BUFFER = 8192
 
 # Kernels use int64 intermediates up to d itself; keep a wide safety margin.
 KERNEL_D_LIMIT = 10**12
 
-# Radicands per sweep block.  The quotient log of one block is held in
-# memory at once; 8192-wide blocks raised the peak RSS of a 5e4-wide
-# analyze run from about 50 to 89 MB.
-BLOCK = 1024
+# Lanes in the live set of the half walk.
+WIDTH = 16384
 
 BACKENDS = ("numpy", "python")
 
@@ -84,97 +80,85 @@ def _isqrt_vec(d: np.ndarray) -> np.ndarray:
     return r
 
 
-def _period_words(d: np.ndarray, r: np.ndarray, lane: np.ndarray, buf_len: int):
-    """Expand sqrt(d[k]) for the block positions k in ``lane``.
+def _half_walk(r, q1, queue, ell, center, flags) -> None:
+    """Walk sqrt(d) to its centre for the positions in ``queue``, in place.
 
-    Returns (ell, words, overflow): ell[k] is the period length of position
-    k (0 where it was not expanded or overflowed), ``words`` the periods laid
-    end to end in position order, and ``overflow`` the positions whose period
-    is longer than ``buf_len``.
+    Sets ell and center there, and F_BOUND where it holds.  A lane holds
+    (P + sqrt(d)) / Q after k quotients, the previous Q, its largest
+    quotient ``top`` and the round ``start`` it was loaded in.  Q steps by
+    Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), from Q_0 = 1, P_1 = a0 and
+    Q_1 = d - a0^2.  The stops are those of ``engine.expand_sqrt``: the
+    first P_{k+1} == P_k gives ell = 2k with centre a_k, the first
+    Q_{k+1} == Q_k gives ell = 2k + 1, and Q_{k+1} == 1 before either raises
+    InternalConsistencyError.
     """
-    ell = np.zeros(d.shape[0], np.int64)
-    # The state of sqrt(d) after k quotients is (P + sqrt(d)) / Q.  Q comes
-    # from the division-free recurrence Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}),
-    # with Q_0 = 1, P_1 = a0 and Q_1 = d - a0^2.
+    lane = queue[:WIDTH].copy()
+    pending = queue[lane.size :]
     R = r[lane]
     P = R.copy()
-    Q = d[lane] - R * R
+    Q = q1[lane]
     Q_prev = np.ones_like(Q)
-    lane_log, a_log = [], []
-    overflow = lane[:0]
+    top = np.zeros_like(Q)
+    start = np.zeros_like(Q)
     step = 0
     while lane.size:
-        if step == buf_len:
-            overflow = lane
-            break
         a = (R + P) // Q
-        lane_log.append(lane)
-        a_log.append(a)
-        step += 1
-        done = Q == 1
-        if np.count_nonzero(done):
-            ell[lane[done]] = step
-            live = ~done
-            lane, R, P, Q, Q_prev, a = lane[live], R[live], P[live], Q[live], Q_prev[live], a[live]
+        np.maximum(top, a, out=top)
         P_next = a * Q - P
-        Q, Q_prev = Q_prev + a * (P - P_next), Q
-        P = P_next
-
-    # Lane k's quotient from step j goes to start[k] + j; the partial words
-    # of overflowed lanes (ell 0) are dropped.  The empty lead array keeps
-    # the concatenation defined when no step ran.
-    lanes = np.concatenate([lane[:0], *lane_log])
-    quots = np.concatenate([lane[:0], *a_log])
-    steps = np.repeat(np.arange(step), [x.size for x in lane_log])
-    kept = ell[lanes] > 0
-    start = np.cumsum(ell) - ell
-    words = np.empty(int(ell.sum()), np.int64)
-    words[start[lanes[kept]] + steps[kept]] = quots[kept]
-    return ell, words, overflow
-
-
-def _sweep_block(d: np.ndarray, buf_len: int):
-    n = d.shape[0]
-    r = _isqrt_vec(d)
-    flags = np.zeros(n, np.uint8)
-    centers = np.full(n, -1, np.int64)
-    square = r * r == d
-    flags[square] = F_SQUARE
-    ell, words, overflow = _period_words(d, r, np.flatnonzero(~square), buf_len)
-    flags[overflow] = F_OVERFLOW
-
-    done = np.flatnonzero(ell)
-    L = ell[done]
-    first = np.cumsum(ell)[done] - L
-    last = first + L - 1
-    # Per entry of the flat words: its lane and its word's ends.
-    lane_of = np.repeat(done, L)
-    idx = np.arange(words.size)
-    inner = idx < np.repeat(last, L)
-    # The interior w[0..L-2] is a palindrome: entry idx mirrors first+last-1-idx.
-    mirror = np.where(inner, np.repeat(first + last - 1, L) - idx, idx)
-    ok = np.full(n, F_PAL | F_BOUND, np.uint8)
-    ok[lane_of[inner & (words != words[mirror])]] &= ~np.uint8(F_PAL)
-    ok[lane_of[inner & (words > r[lane_of])]] &= ~np.uint8(F_BOUND)
-    ok[done[words[last] == 2 * r[done]]] |= F_TERM
-    flags[done] |= ok[done]
-    even = L % 2 == 0
-    centers[done[even]] = words[first[even] + L[even] // 2 - 1]
-    return ell, r, centers, flags
+        Q_next = Q_prev + a * (P - P_next)
+        step += 1
+        stop = np.flatnonzero((P_next == P) | (Q_next == Q) | (Q_next == 1))
+        even = P_next[stop] == P[stop]
+        odd = ~even & (Q_next[stop] == Q[stop])
+        P, Q, Q_prev = P_next, Q_next, Q
+        if not stop.size:
+            continue
+        at = lane[stop]
+        if not np.all(even | odd):
+            i = at[np.argmin(even | odd)]
+            raise InternalConsistencyError(
+                f"period of sqrt({r[i] * r[i] + q1[i]}) ended without a centre"
+            )
+        ell[at] = 2 * (step - start[stop]) + odd
+        center[at] = np.where(even, a[stop], -1)
+        flags[at[top[stop] <= R[stop]]] |= F_BOUND
+        # Refill the finished slots from the queue; once it is empty, drop
+        # the slots left over.
+        fill, stop = stop[: pending.size], stop[pending.size :]
+        if fill.size:
+            new, pending = pending[: fill.size], pending[fill.size :]
+            lane[fill] = new
+            R[fill] = P[fill] = r[new]
+            Q[fill] = q1[new]
+            Q_prev[fill] = 1
+            top[fill] = 0
+            start[fill] = step
+        if stop.size:
+            keep = np.ones(lane.size, bool)
+            keep[stop] = False
+            lane, R, P, Q, Q_prev, top, start = (
+                x[keep] for x in (lane, R, P, Q, Q_prev, top, start)
+            )
 
 
-def sweep_range(lo: int, hi: int, buf_len: int = WORD_BUFFER):
+def sweep_range(lo: int, hi: int):
     """Per-d expansion structure for lo <= d < hi.
 
-    Returns (ell, a0, center, flags) int64/uint8 arrays.  Callers must redo
-    any F_OVERFLOW lane (period longer than ``buf_len``) with the exact
-    engine; its ell is 0 and its centre -1.
+    Returns (ell, a0, center, flags) int64/uint8 arrays.  Squares have ell 0,
+    centre -1 and flags F_SQUARE; every other d has F_PAL | F_TERM, F_BOUND
+    where its interior quotients are <= a0, and centre -1 for odd ell.
     """
     _check_range(lo, hi)
     d = np.arange(lo, hi, dtype=np.int64)
-    # One block at least, so that an empty range gives empty arrays.
-    parts = [_sweep_block(d[i : i + BLOCK], buf_len) for i in range(0, max(d.size, 1), BLOCK)]
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))
+    a0 = _isqrt_vec(d)
+    q1 = d - a0 * a0
+    ell = (q1 == 1).astype(np.int64)
+    center = np.full(d.size, -1, np.int64)
+    flags = np.full(d.size, F_PAL | F_TERM, np.uint8)
+    flags[q1 == 1] |= F_BOUND
+    flags[q1 == 0] = F_SQUARE
+    _half_walk(a0, q1, np.flatnonzero(q1 > 1), ell, center, flags)
+    return ell, a0, center, flags
 
 
 def _primes_upto(m: int) -> np.ndarray:
@@ -214,6 +198,7 @@ __all__ = [
     "F_BOUND",
     "F_OVERFLOW",
     "KERNEL_D_LIMIT",
+    "WIDTH",
     "backend_name",
     "sweep_range",
     "two_squares_range",

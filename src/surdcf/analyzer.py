@@ -9,10 +9,18 @@ Each chunk of the range first becomes fact columns (ell, a0, center, flags,
 twosq): from the numpy kernels, or from the exact engine for the python
 backend and for radicands past the kernels' int64 gate.  One fold turns the
 columns into a report, with one boolean mask per claim, whichever source
-filled them.  The exact engine walks to the centre of a period and mirrors
-it, so the palindrome and terminal facts of its columns hold by
-construction; the numpy kernel walks whole periods, and is the one source
-that checks those two facts against a walked word.
+filled them.  Both sources walk sqrt(d) only to the centre of its period
+and take the rest as the mirror image, so the palindrome and terminal facts
+hold by construction in either; no source path checks them against a walked
+word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
+periods, is that check (``test_matches_per_d_oracle``).
+
+A range splits into up to 4 * jobs chunks.  On the numpy kernel it splits
+into no more than ceil(width / _kernels.WIDTH), so that a chunk fills the
+kernel's live set where the range can: a chunk narrower than the live set
+never refills its lanes, and pays its longest half period in rounds.  The
+python backend, and ranges past the kernels' int64 gate, keep the plain
+split.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -29,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import expand_sqrt, period_facts
-from .exact import DomainError, is_square, isqrt
+from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt
 
 CLAIM_PALINDROME = "palindrome"
 CLAIM_TERMINAL = "terminal-2a0"
@@ -58,21 +66,27 @@ CLAIM_IDS = [
 ]
 
 
+# Trial divisors below this run with no primality test of the cofactor.
+_TRIAL_ONLY = 1 << 10
+
+
 def sum_two_coprime_squares(d: int) -> bool:
     """True iff d = a^2 + b^2 with a >= b >= 1 and gcd(a, b) = 1.
 
     By the criterion: d > 1 is such a sum iff 4 does not divide d and every
     odd prime factor of d is 1 (mod 4).  Trial division of the odd part
     stops at the first prime factor that is 3 (mod 4); the cofactor left
-    above the square root is 1 or a prime.  d = 1 (the b = 0 edge,
-    gcd(1, 0) = 1) is admitted.
+    above the square root is 1 or a prime.  Past the divisor _TRIAL_ONLY,
+    each new cofactor that ``is_prime`` can test is tested, and a prime one
+    ends the search, so a large prime cofactor costs no O(sqrt(d)) trial
+    division.  d = 1 (the b = 0 edge, gcd(1, 0) = 1) is admitted.
     """
     if d < 1:
         raise DomainError("sum_two_coprime_squares wants d >= 1")
     if d % 4 == 0:
         return False
     n = d >> 1 if d % 2 == 0 else d
-    p = 3
+    p, probe = 3, _TRIAL_ONLY
     while p * p <= n:
         if n % p == 0:
             if p % 4 == 3:
@@ -80,6 +94,12 @@ def sum_two_coprime_squares(d: int) -> bool:
             n //= p
             while n % p == 0:
                 n //= p
+            probe = max(p, _TRIAL_ONLY)
+        elif p >= probe:
+            if n < PRIME_TEST_LIMIT and is_prime(n):
+                break
+            # Composite: no further test until a division changes n.
+            probe = n
         p += 2
     return n % 4 != 3
 
@@ -137,14 +157,6 @@ class StructReport:
             self.histogram[k] = self.histogram.get(k, 0) + v
 
 
-def _exact_facts(d: int) -> tuple:
-    """(ell, a0, center, flags) of non-square d, from the exact engine."""
-    cf = expand_sqrt(d)
-    center, pal, term, bound = period_facts(cf)
-    flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
-    return cf.length, cf.a0, center, flags
-
-
 def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
     """The fact columns (ell, a0, center, flags, twosq) of [lo, hi), exactly.
 
@@ -156,16 +168,16 @@ def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
         if is_square(d):
             rows.append((0, isqrt(d), -1, _kernels.F_SQUARE, False))
         else:
-            rows.append((*_exact_facts(d), sum_two_coprime_squares(d)))
+            cf = expand_sqrt(d)
+            center, pal, term, bound = period_facts(cf)
+            flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
+            rows.append((cf.length, cf.a0, center, flags, sum_two_coprime_squares(d)))
     return [np.array(col, dtype=object) for col in zip(*rows)]
 
 
 def _kernel_columns(lo: int, hi: int) -> list[np.ndarray]:
-    """The same columns from the sweep kernels; overflowed lanes are redone exactly."""
-    ell, a0, center, flags = _kernels.sweep_range(lo, hi)
-    for i in np.flatnonzero(flags & _kernels.F_OVERFLOW).tolist():
-        ell[i], a0[i], center[i], flags[i] = _exact_facts(lo + i)
-    return [ell, a0, center, flags, _kernels.two_squares_range(lo, hi)]
+    """The same columns from the sweep kernels."""
+    return [*_kernels.sweep_range(lo, hi), _kernels.two_squares_range(lo, hi)]
 
 
 def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
@@ -232,7 +244,8 @@ def _claims_chunk(args) -> StructReport:
 
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):
     span = d_max - d_min + 1
-    n = max(1, min(jobs * 4, span))
+    kernel = backend == "numpy" and d_max < _kernels.KERNEL_D_LIMIT
+    n = max(1, min(jobs * 4, -(-span // _kernels.WIDTH) if kernel else span))
     size = (span + n - 1) // n
     return [
         (lo, min(lo + size, d_max + 1), backend)

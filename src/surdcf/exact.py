@@ -47,6 +47,34 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+# Miller-Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2017).
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Primality of 0 <= n < PRIME_TEST_LIMIT, by deterministic Miller-Rabin."""
+    if not 0 <= n < PRIME_TEST_LIMIT:
+        raise DomainError(f"is_prime wants 0 <= n < {PRIME_TEST_LIMIT}, got {n}")
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    m, s = n - 1, 0
+    while m % 2 == 0:
+        m, s = m // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, m, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class CongruenceSolution:
     """Least nonnegative solution of a linear congruence, if one exists.
@@ -88,6 +116,8 @@ __all__ = [
     "rat",
     "isqrt",
     "is_square",
+    "is_prime",
+    "PRIME_TEST_LIMIT",
     "gcd",
     "CongruenceSolution",
     "solve_linear_congruence",

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,14 @@ class TestTwoSquares:
     def test_criterion_matches_brute_force(self, lo, hi):
         for d in range(lo, hi):
             assert sum_two_coprime_squares(d) == brute_two_coprime_squares(d), f"d={d}"
+
+    def test_large_prime_cofactor_is_fast(self):
+        # 3037000500^2 + 1 = 17 * 3361 * 161425556767073, the last a prime
+        # that trial division would reach only after ~6e6 divisions.
+        d = 3037000500**2 + 1
+        start = time.perf_counter()
+        assert sum_two_coprime_squares(d)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestCheckClaims:
@@ -204,6 +213,17 @@ class TestCheckClaims:
         one = json.dumps(check_claims(2, 4000, jobs=1).to_dict(), sort_keys=True)
         four = json.dumps(check_claims(2, 4000, jobs=4).to_dict(), sort_keys=True)
         assert one == four
+
+    def test_chunk_floor(self):
+        width = _kernels.WIDTH
+        # numpy: no more chunks than live sets cover the range
+        assert len(analyzer._chunks(2, 1001, 1, "numpy")) == 1
+        assert len(analyzer._chunks(1, 3 * width, 8, "numpy")) == 3
+        assert len(analyzer._chunks(1, 100 * width, 2, "numpy")) == 8
+        # python, and past the kernels' gate: up to 4 * jobs chunks
+        assert len(analyzer._chunks(2, 1001, 1, "python")) == 4
+        limit = _kernels.KERNEL_D_LIMIT
+        assert len(analyzer._chunks(limit, limit + 999, 1, "numpy")) == 4
 
     def test_bad_range(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from surdcf import analyzer
 from surdcf.cli import main
 
 
@@ -178,6 +179,18 @@ class TestAnalyze:
         _, out1, _ = run(capsys, "analyze", "--from", "2", "--to", "3000")
         _, out8, _ = run(capsys, "analyze", "--from", "2", "--to", "3000", "--jobs", "4")
         assert out1 == out8
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_output_pinned(self, capsys, jobs):
+        # 2..10^5 is several kernel live sets wide, so it splits into chunks
+        # and --jobs 2 runs them in a pool.
+        assert len(analyzer._chunks(2, 100_000, int(jobs), "numpy")) >= 2
+        code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "100000",
+                           "--kernel", "numpy", "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee652425736f0a9b"
+        )
 
     def test_kernels_byte_identical(self, capsys):
         outs = [

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from surdcf.convergents import word_matrix
 from surdcf.exact import (
     CongruenceSolution,
+    PRIME_TEST_LIMIT,
     DomainError,
+    is_prime,
     is_square,
     isqrt,
     rat,
@@ -81,6 +83,38 @@ class TestIsSquare:
         if k > 1:
             assert not is_square(k * k + 1)
             assert not is_square(k * k - 1)
+
+
+def trial_division_prime(n):
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_exhaustive_small(self):
+        for n in range(20_000):
+            assert is_prime(n) == trial_division_prime(n), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10**9, 10**12))
+    def test_matches_trial_division(self, n):
+        assert is_prime(n) == trial_division_prime(n)
+
+    def test_strong_pseudoprimes_rejected(self):
+        # The least strong pseudoprimes to all of the first 5, 6, 8, 11 and
+        # 12 prime bases.
+        for n in (2152302898747, 3474749660383, 341550071728321,
+                  3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n), n
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(161425556767073)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+    def test_domain(self):
+        for bad in (-1, PRIME_TEST_LIMIT):
+            with pytest.raises(DomainError):
+                is_prime(bad)
 
 
 class TestLinearCongruence:

@@ -1,11 +1,12 @@
 from math import isqrt
 
+import numpy as np
 import pytest
 
 from conftest import brute_two_coprime_squares
 from surdcf import _kernels
 from surdcf.engine import expand_sqrt, period_facts
-from surdcf.exact import is_square
+from surdcf.exact import InternalConsistencyError, is_square
 
 
 def engine_row(d):
@@ -15,31 +16,89 @@ def engine_row(d):
     return cf.length, cf.a0, center, flags
 
 
-@pytest.mark.parametrize(
-    "lo, hi, buf_len",
-    [
-        (2, 4000, _kernels.WORD_BUFFER),
-        # Three full sweep blocks and a partial one, at larger d.
-        (100_001, 103_201, _kernels.WORD_BUFFER),
-        # Many periods here are longer than the buffer: those lanes must be
-        # flagged with their partial words dropped, the rest stay exact.
-        (5 * 10**7, 5 * 10**7 + 200, 1024),
-    ],
-    ids=["small-d", "block-edges", "overflow"],
-)
-def test_sweep_matches_engine(lo, hi, buf_len):
-    ell, a0, center, flags = _kernels.sweep_range(lo, hi, buf_len=buf_len)
-    overflowed = 0
+def check_against_engine(lo, hi):
+    ell, a0, center, flags = _kernels.sweep_range(lo, hi)
+    assert ell.size == a0.size == center.size == flags.size == hi - lo
     for i, d in enumerate(range(lo, hi)):
         if is_square(d):
-            assert flags[i] == _kernels.F_SQUARE
-            continue
-        want = engine_row(d)
-        if want[0] > buf_len:
-            overflowed += 1
-            want = (0, want[1], -1, _kernels.F_OVERFLOW)
+            want = (0, isqrt(d), -1, _kernels.F_SQUARE)
+        else:
+            want = engine_row(d)
         assert (ell[i], a0[i], center[i], int(flags[i])) == want, f"d={d}"
-    assert (overflowed > 0) == (buf_len < _kernels.WORD_BUFFER)
+    return ell
+
+
+@pytest.mark.parametrize(
+    "lo, hi, width",
+    [
+        (2, 4000, None),
+        # Lanes refilled many times over at larger d.
+        (100_001, 103_201, 64),
+    ],
+    ids=["small-d", "block-edges"],
+)
+def test_sweep_matches_engine(monkeypatch, lo, hi, width):
+    if width is not None:
+        monkeypatch.setattr(_kernels, "WIDTH", width)
+    check_against_engine(lo, hi)
+
+
+def test_sweep_long_periods_match_engine():
+    # 32 periods here are longer than 8192 quotients, up to 18,624: the
+    # lanes walk half of each.
+    ell = check_against_engine(5 * 10**7, 5 * 10**7 + 1000)
+    assert int(ell.max()) == 18_624
+    assert int(np.count_nonzero(ell > 8192)) == 32
+
+
+def walked(lo, hi):
+    """The radicands in [lo, hi) that the kernel walks: not squares, ell > 1."""
+    return [d for d in range(lo, hi) if d - isqrt(d) ** 2 > 1]
+
+
+@pytest.mark.parametrize("short", [1, 7])
+def test_refill_with_queue_short_of_width(monkeypatch, short):
+    # The queue holds `short` radicands beyond the first live set.  The
+    # first round finishes more lanes than that (every ell of 2 or 3), so
+    # the queue empties part way through a round and the set compacts.
+    lo, hi = 2, 4000
+    queue = walked(lo, hi)
+    width = len(queue) - short
+    assert sum(expand_sqrt(d).length in (2, 3) for d in queue[:width]) > short
+    monkeypatch.setattr(_kernels, "WIDTH", width)
+    check_against_engine(lo, hi)
+
+
+def test_refill_one_lane(monkeypatch):
+    monkeypatch.setattr(_kernels, "WIDTH", 1)
+    check_against_engine(2, 600)
+
+
+def test_refill_in_any_queue_order(monkeypatch):
+    # Refilled lanes start afresh: walked from the largest d down, a stale
+    # largest quotient would exceed the next lane's a0 and clear F_BOUND.
+    walk = _kernels._half_walk
+    monkeypatch.setattr(
+        _kernels, "_half_walk", lambda r, q1, queue, *cols: walk(r, q1, queue[::-1], *cols)
+    )
+    monkeypatch.setattr(_kernels, "WIDTH", 3)
+    check_against_engine(2, 600)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(4, 6), (25, 27), (5, 5)], ids=["4-5", "25-26", "empty"]
+)
+def test_no_lane_to_walk(lo, hi):
+    # Squares and d = a0^2 + 1 only, or nothing: filled before the walk.
+    assert walked(lo, hi) == []
+    check_against_engine(lo, hi)
+
+
+def test_centre_missed_raises():
+    # A lane faked with a0 = 1 for d = 5 meets Q == 1 before a centre.
+    ell, center, flags = np.zeros(1, np.int64), np.full(1, -1, np.int64), np.zeros(1, np.uint8)
+    with pytest.raises(InternalConsistencyError, match="without a centre"):
+        _kernels._half_walk(np.array([1]), np.array([4]), np.array([0]), ell, center, flags)
 
 
 def _has_big_3mod4_cofactor(lo, hi):
@@ -67,18 +126,6 @@ def test_two_squares_sieve_matches_brute_force(lo, hi):
         # the sieve covers a >= b >= 1; d = 1 is the lone b = 0 edge
         want = brute_two_coprime_squares(d) if d > 1 else False
         assert bool(mask[i]) == want, f"d={d}"
-
-
-def test_overflow_lanes_marked():
-    ell, _, _, flags = _kernels.sweep_range(2, 500, buf_len=4)
-    for i, d in enumerate(range(2, 500)):
-        if is_square(d):
-            continue
-        true_len = expand_sqrt(d).length
-        if true_len > 4:
-            assert flags[i] & _kernels.F_OVERFLOW
-        else:
-            assert ell[i] == true_len
 
 
 def test_backend_env_override(monkeypatch):
