@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _kernels
 from .engine import expand_sqrt, period_facts
-from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt
+from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
 
 CLAIM_PALINDROME = "palindrome"
 CLAIM_TERMINAL = "terminal-2a0"
@@ -77,9 +77,11 @@ def sum_two_coprime_squares(d: int) -> bool:
     odd prime factor of d is 1 (mod 4).  Trial division of the odd part
     stops at the first prime factor that is 3 (mod 4); the cofactor left
     above the square root is 1 or a prime.  Past the divisor _TRIAL_ONLY,
-    each new cofactor that ``is_prime`` can test is tested, and a prime one
-    ends the search, so a large prime cofactor costs no O(sqrt(d)) trial
-    division.  d = 1 (the b = 0 edge, gcd(1, 0) = 1) is admitted.
+    a cofactor n that ``is_prime`` can test ends the search: it is split
+    into primes by ``pollard_brent`` and ``is_prime``, and each prime is
+    tested, so no large cofactor costs O(sqrt(n)) trial division.  A
+    cofactor too large for ``is_prime`` is trial-divided on until a division
+    brings it into range.  d = 1 (the b = 0 edge, gcd(1, 0) = 1) is admitted.
     """
     if d < 1:
         raise DomainError("sum_two_coprime_squares wants d >= 1")
@@ -96,12 +98,27 @@ def sum_two_coprime_squares(d: int) -> bool:
                 n //= p
             probe = max(p, _TRIAL_ONLY)
         elif p >= probe:
-            if n < PRIME_TEST_LIMIT and is_prime(n):
-                break
-            # Composite: no further test until a division changes n.
+            if n < PRIME_TEST_LIMIT:
+                return all(q % 4 == 1 for q in _prime_factors(n))
+            # No further test until a division changes n.
             probe = n
         p += 2
     return n % 4 != 3
+
+
+def _prime_factors(n: int):
+    """The prime factors of odd 1 < n < PRIME_TEST_LIMIT, with multiplicity.
+
+    Each split is an exact division by a factor ``pollard_brent`` found.
+    """
+    parts = [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            yield m
+        else:
+            f = pollard_brent(m)
+            parts += (f, m // f)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
 from .mat2 import IDENTITY, Mat2
@@ -143,20 +143,50 @@ def surd_from_periodic_cf(a0: int, period: Sequence[int]) -> QuadSolution:
     return QuadSolution(a2, a1, a0c, D, P, Q)
 
 
-def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
-    """The unique b making [a0; palindrome, 2*a0] expand sqrt(a0^2 + b).
+def palindrome_matrix(
+    palindrome: Sequence[int], matrix_of: Callable[[Sequence[int]], Mat2]
+) -> Mat2:
+    """Word matrix of a palindrome with entries >= 1; the empty one is IDENTITY.
 
-    The word matrix of a palindrome is symmetric, [[A, B], [B, C]], and the
-    candidate is b = (2*a0*B + C) / A; the pattern is realized by an actual
-    square root exactly when this rational is a positive integer.  The empty
-    palindrome is legal (identity matrix, b = 1).
+    ``matrix_of`` is the caller's ``word_matrix``, passed so that the call
+    goes through the caller's binding of it (perfbench's tracer wraps the
+    miner's).  Raises DomainError for a word that is not a palindrome or has
+    an entry below 1.
     """
     pal = list(palindrome)
     if pal != pal[::-1]:
         raise DomainError("word is not a palindrome")
     if any(a < 1 for a in pal):
         raise DomainError("palindrome entries must be >= 1")
-    m = word_matrix(pal) if pal else IDENTITY
+    return matrix_of(pal) if pal else IDENTITY
+
+
+def realizes(m: Mat2, max_entry: int, a: int, b: int) -> bool:
+    """True iff sqrt(a^2 + b) = [a; w, 2a] for the palindrome w with matrix m.
+
+    ``m`` = [[A, B], [B, C]] is the symmetric word matrix of w (entries >= 1,
+    see ``palindrome_matrix``) and ``max_entry`` its largest entry, 0 for the
+    empty word.  The identity is b*A == 2*a*B + C, with every entry of w at
+    most a and 1 <= b <= 2a.  Then a = isqrt(a^2 + b), a^2 + b is not a
+    square, and [a; w, 2a, w, 2a, ...] has all quotients >= 1 and is fixed by
+    the same quadratic as sqrt(a^2 + b); infinite continued fractions are
+    unique (Friesen, Proc. AMS 103, 1988), so they are equal.  The period is
+    exactly (w, 2a), not a repetition of a shorter word, because 2a exceeds
+    every entry of w.
+    """
+    return max_entry <= a and 1 <= b <= 2 * a and b * m.m11 == 2 * a * m.m12 + m.m22
+
+
+def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
+    """The unique b making [a0; palindrome, 2*a0] expand sqrt(a0^2 + b).
+
+    The word matrix of a palindrome is symmetric, [[A, B], [B, C]], and the
+    candidate is b = (2*a0*B + C) / A; the pattern is realized by an actual
+    square root exactly when this rational is an integer in [1, 2*a0] and no
+    entry exceeds a0 (``realizes``).  The empty palindrome is legal (identity
+    matrix, b = 1).
+    """
+    m = palindrome_matrix(palindrome, word_matrix)
     if not m.is_symmetric:
         raise DomainError("palindrome produced an asymmetric matrix")
     return Fraction(2 * a0 * m.m12 + m.m22, m.m11)
@@ -168,5 +198,7 @@ __all__ = [
     "convergents_of_word",
     "word_matrix",
     "surd_from_periodic_cf",
+    "palindrome_matrix",
     "palindrome_b",
+    "realizes",
 ]

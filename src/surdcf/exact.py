@@ -8,6 +8,7 @@ reduced-form invariant (gcd(num, den) = 1, den > 0) on construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,6 +76,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_RHO_BATCH = 128
+
+
+def pollard_brent(n: int) -> int:
+    """A factor 1 < f < n of an odd composite n, by Brent's variant of Pollard's rho.
+
+    Deterministic: it iterates y -> y^2 + c (mod n) from y = 2 for
+    c = 1, 2, ..., taking the first c whose walk meets a nontrivial gcd.
+    Each walk is periodic mod n, so it ends; on a prime n no walk would
+    succeed and it would not return, so test primality first.  Products of
+    |x - y| are taken 128 at a time, one gcd per batch, and a batch that
+    overshoots to gcd n is replayed one step at a time.
+    """
+    if n < 9 or n % 2 == 0:
+        raise DomainError(f"pollard_brent wants an odd composite n, got {n}")
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 @dataclass(frozen=True)
 class CongruenceSolution:
     """Least nonnegative solution of a linear congruence, if one exists.
@@ -117,6 +157,7 @@ __all__ = [
     "isqrt",
     "is_square",
     "is_prime",
+    "pollard_brent",
     "PRIME_TEST_LIMIT",
     "gcd",
     "CongruenceSolution",

@@ -3,8 +3,11 @@
 Given a palindrome w, the symmetric word matrix [[A, B], [B, C]] makes
 b = (2aB + C)/A, so [a; w, 2a] is realized by sqrt(a^2 + b) only when
 2B a + C == 0 (mod A).  Solving that congruence yields the arithmetic
-progression of admissible heads and the matching affine b; candidates are
-then confirmed against the expansion engine before a family is returned.
+progression of admissible heads and the matching affine b.  Each family's
+first instances are then checked by the realisation identity
+(``convergents.realizes``), not by expanding them: by the uniqueness of
+infinite continued fractions the identity is equivalent to the expansion,
+and the tests keep the engine as its oracle.
 """
 
 from __future__ import annotations
@@ -13,10 +16,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .convergents import word_matrix
-from .engine import expand_sqrt
+from .convergents import palindrome_matrix, realizes, word_matrix
 from .exact import DomainError, solve_linear_congruence
-from .mat2 import IDENTITY
 
 ACCEPT_INSTANCES = 5
 
@@ -25,8 +26,12 @@ ACCEPT_INSTANCES = 5
 class MinedFamily:
     """Family a(c) = a_modulus*c + a_residue, b(c) = b_slope*c + b_const.
 
-    Every admissible c (>= min_c) satisfies
-    sqrt(a(c)^2 + b(c)) = [a(c); palindrome..., 2 a(c)].
+    Every c >= min_c satisfies sqrt(a(c)^2 + b(c)) = [a(c); palindrome..., 2 a(c)].
+    The realisation identity holds for every c by the head congruence, and a,
+    b and 2a - b do not decrease in c (b's slope is 2B/A times a's, and
+    B <= A), so the bounds 1 <= b <= 2a and max(palindrome) <= a that hold at
+    min_c hold beyond it.  ``verified_instances`` counts the instances from
+    min_c on that ``convergents.realizes`` checked.
     """
 
     palindrome: tuple[int, ...]
@@ -68,25 +73,16 @@ class MinedFamily:
         }
 
 
-def _family_instance_ok(pal: tuple[int, ...], a: int, b: int) -> bool:
-    d = a * a + b
-    cf = expand_sqrt(d)
-    return cf.a0 == a and cf.period == (*pal, 2 * a)
-
-
 def mine(palindrome: list[int] | tuple[int, ...]) -> MinedFamily | None:
     """Family of heads realizing a constant palindrome, or None.
 
-    Returns None when the head congruence is unsolvable, or when the first
-    few admissible candidates are refuted by the engine (one coincidence can
-    slip through; five verified instances spanning parity cannot).
+    Returns None when the head congruence is unsolvable or no head in the
+    search bound satisfies ``convergents.realizes``.  The first
+    ACCEPT_INSTANCES heads from min_c are checked by the identity; by the
+    monotonicity in ``MinedFamily`` none of them can fail once min_c holds.
     """
     pal = tuple(palindrome)
-    if list(pal) != list(pal)[::-1]:
-        raise DomainError("can only mine palindromic patterns")
-    if any(x < 1 for x in pal):
-        raise DomainError("palindrome entries must be >= 1")
-    m = word_matrix(pal) if pal else IDENTITY
+    m = palindrome_matrix(pal, word_matrix)
     A, B, C = m.m11, m.m12, m.m22
     sol = solve_linear_congruence(2 * B, C, A)
     if not sol.solvable:
@@ -96,22 +92,17 @@ def mine(palindrome: list[int] | tuple[int, ...]) -> MinedFamily | None:
     b_const = (2 * B * res + C) // A
     max_entry = max(pal, default=0)
 
-    def admissible(c: int) -> bool:
-        a = mod * c + res
-        b = b_slope * c + b_const
-        # interior quotients never exceed the integer part, and b in [1, 2a]
-        # keeps a the integer part of sqrt(a^2 + b)
-        return a >= max(max_entry, 1) and 1 <= b <= 2 * a
+    def realized(c: int) -> bool:
+        return realizes(m, max_entry, mod * c + res, b_slope * c + b_const)
 
     c = 0
-    while not admissible(c):
+    while not realized(c):
         c += 1
         if c > 4 * (A + max_entry + abs(b_const)) + 16:
             return None
     min_c = c
-    for c in range(min_c, min_c + ACCEPT_INSTANCES):
-        if not _family_instance_ok(pal, mod * c + res, b_slope * c + b_const):
-            return None
+    if not all(map(realized, range(min_c, min_c + ACCEPT_INSTANCES))):
+        return None
     return MinedFamily(pal, res, mod, b_slope, b_const, min_c, ACCEPT_INSTANCES)
 
 
@@ -135,11 +126,17 @@ def mine_sweep(max_len: int, max_entry: int, jobs: int = 1) -> list[MinedFamily]
         raise DomainError("bad sweep bounds")
     pals = list(_palindromes(max_len, max_entry))
     if jobs <= 1 or len(pals) < 8:
-        results = map(mine, pals)
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pals))) as pool:
-            results = list(pool.map(mine, pals))
-    return [fam for fam in results if fam is not None]
+        return _mine_slice(pals)
+    # Up to 4 * jobs contiguous slices: one task per palindrome would pay a
+    # pickle round trip for each, which costs more than mining it.
+    size = -(-len(pals) // min(4 * jobs, len(pals)))
+    slices = [pals[i : i + size] for i in range(0, len(pals), size)]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
+        return [fam for part in pool.map(_mine_slice, slices) for fam in part]
+
+
+def _mine_slice(pals: list[tuple[int, ...]]) -> list[MinedFamily]:
+    return [fam for fam in map(mine, pals) if fam is not None]
 
 
 __all__ = ["MinedFamily", "mine", "mine_sweep", "ACCEPT_INSTANCES"]

@@ -4,7 +4,7 @@ import time
 import pytest
 
 from conftest import brute_two_coprime_squares, sqrt_full_walk
-from surdcf import analyzer
+from surdcf import analyzer, exact
 from surdcf.analyzer import (
     CLAIM_BOUND,
     CLAIM_CENTER_EQ,
@@ -100,6 +100,36 @@ class TestTwoSquares:
     def test_criterion_matches_brute_force(self, lo, hi):
         for d in range(lo, hi):
             assert sum_two_coprime_squares(d) == brute_two_coprime_squares(d), f"d={d}"
+
+    def test_large_composite_cofactor_is_fast(self):
+        # 3037000499^2 + 1 = 2 * 29209 * 8029421 * 19663409: every cofactor
+        # left past the trial divisors is composite, and trial division would
+        # run to 8029421, about 4e6 more divisions.
+        d = 3037000499**2 + 1
+        start = time.perf_counter()
+        assert sum_two_coprime_squares(d)
+        assert time.perf_counter() - start < 0.05
+
+    def test_composite_cofactors_match_brute_force(self, monkeypatch):
+        # Products of two or three primes above the trial divisors, in both
+        # classes mod 4, so that the answer rests on splitting the cofactor.
+        splits = []
+
+        def counting(n):
+            splits.append(n)
+            return exact.pollard_brent(n)
+
+        monkeypatch.setattr(analyzer, "pollard_brent", counting)
+        ones = [1033, 1049, 1093, 1097, 1109, 1117]
+        threes = [1031, 1039, 1051, 1063, 1087, 1091]
+        primes = ones + threes
+        cases = [p * q for i, p in enumerate(primes) for q in primes[i:]]
+        cases += [2 * p * q for p, q in zip(ones, threes)]
+        cases += [p * q * r for p, q, r in zip(ones, ones[1:], threes)]
+        cases += [1033 * 1049 * 1093, 5 * 1033 * 1097, 13 * 1031 * 1033]
+        for d in cases:
+            assert sum_two_coprime_squares(d) == brute_two_coprime_squares(d), f"d={d}"
+        assert len(splits) >= len(cases)
 
     def test_large_prime_cofactor_is_fast(self):
         # 3037000500^2 + 1 = 17 * 3361 * 161425556767073, the last a prime

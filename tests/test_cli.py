@@ -149,6 +149,18 @@ class TestMine:
             "e5fb68478594b192d0257d91a9037452bb35ab673189c573282df08463648225"
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bench_size_sweep_output_pinned(self, capsys, jobs):
+        # The mine-sweep benchmark's command, 74,897 palindromes; at --jobs 2
+        # it runs through the pool's contiguous slices.
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "10", "--max-entry", "8", "--jobs", jobs)
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 8_481_992
+        assert hashlib.sha256(data).hexdigest() == (
+            "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
+        )
+
 
 class TestAnalyze:
     def test_json_report(self, capsys):

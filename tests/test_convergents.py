@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from surdcf.convergents import (
     convergents_of_word,
     palindrome_b,
+    realizes,
     surd_from_periodic_cf,
     word_matrix,
 )
@@ -160,6 +161,10 @@ class TestPalindromeB:
         with pytest.raises(DomainError):
             palindrome_b([1, 2], 3)
 
+    def test_entry_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            palindrome_b([2, 0, 2], 3)
+
     def test_palindromic_words_give_symmetric_matrices(self):
         count = 0
         for pal in _palindromes(9, 4):
@@ -171,3 +176,35 @@ class TestPalindromeB:
     def test_consistency_with_engine(self, expansions_10k):
         for d, cf in expansions_10k.items():
             assert palindrome_b(cf.interior(), cf.a0) == d - cf.a0 * cf.a0
+
+
+palindromes = st.builds(
+    lambda half, odd: tuple(half + half[::-1][odd:]),
+    st.lists(st.integers(1, 9), max_size=4),
+    st.integers(0, 1),
+)  # length <= 8
+
+
+def engine_realizes(pal, a, b):
+    try:
+        cf = expand_sqrt(a * a + b)
+    except DomainError:  # a perfect square, or below 1
+        return False
+    return cf.a0 == a and cf.period == (*pal, 2 * a)
+
+
+class TestRealizes:
+    # The engine is the oracle for the identity: at the nearest integer b
+    # to (2aB + C)/A, and one either side of it.
+    @settings(max_examples=400, deadline=None)
+    @given(palindromes, st.integers(1, 60))
+    @example((), 1)              # sqrt(2) = [1; 2]
+    @example((2, 2), 6)          # sqrt(41) = [6; 2, 2, 12]
+    @example((4,), 2)            # b = 1 and the identity hold, but 4 > a
+    @example((4,), 4)            # sqrt(18) = [4; 4, 8]
+    @example((1, 2, 1), 3)       # sqrt(14) = [3; 1, 2, 1, 6]
+    def test_agrees_with_engine(self, pal, a):
+        m = word_matrix(pal) if pal else IDENTITY
+        b0 = round(Fraction(2 * a * m.m12 + m.m22, m.m11))
+        for b in (b0 - 1, b0, b0 + 1):
+            assert realizes(m, max(pal, default=0), a, b) == engine_realizes(pal, a, b), (pal, a, b)

@@ -13,6 +13,7 @@ from surdcf.exact import (
     is_prime,
     is_square,
     isqrt,
+    pollard_brent,
     rat,
     solve_linear_congruence,
 )
@@ -115,6 +116,38 @@ class TestIsPrime:
         for bad in (-1, PRIME_TEST_LIMIT):
             with pytest.raises(DomainError):
                 is_prime(bad)
+
+
+class TestPollardBrent:
+    @pytest.mark.parametrize(
+        "n",
+        [
+            9, 15, 25, 1025**3, 29209 * 157885789156189,
+            (10**9 + 7) * (10**9 + 9), (2**31 - 1) ** 2, 3 * 5 * 7 * 11 * 13,
+            # the strong pseudoprimes of TestIsPrime
+            3825123056546413051, 318665857834031151167461,
+        ],
+    )
+    def test_proper_factor(self, n):
+        f = pollard_brent(n)
+        assert 1 < f < n and n % f == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 10**6), st.integers(3, 10**6))
+    def test_proper_factor_of_odd_products(self, x, y):
+        n = (2 * x + 1) * (2 * y + 1)
+        f = pollard_brent(n)
+        assert 1 < f < n and n % f == 0
+
+    def test_deterministic(self):
+        n = (2**31 - 1) * 1000003
+        assert len({pollard_brent(n) for _ in range(3)}) == 1
+
+    def test_domain(self):
+        # even or below the least odd composite; primes are the caller's to exclude
+        for bad in (-9, 1, 4, 7, 10**12):
+            with pytest.raises(DomainError):
+                pollard_brent(bad)
 
 
 class TestLinearCongruence:

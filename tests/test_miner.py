@@ -46,6 +46,10 @@ class TestMine:
         with pytest.raises(DomainError):
             mine([1, 2])
 
+    def test_entry_below_one_rejected(self):
+        with pytest.raises(DomainError):
+            mine([1, 0, 1])
+
     def test_no_pair_with_wings_12(self):
         # evidence for the claimed non-existence of 1,2,2m,2m,2,1 patterns
         for m in range(1, 7):
@@ -81,6 +85,17 @@ class TestMineSweep:
     def test_sweep_families_verify(self):
         for fam in mine_sweep(3, 3):
             assert_family_verifies(fam, upto=20)
+
+    def test_engine_confirms_every_family_far_out(self):
+        # The engine is the oracle for the realisation identity that mine
+        # checks: at the five checked instances, and a million heads on.
+        fams = mine_sweep(7, 6)
+        assert len(fams) == 1441
+        for fam in fams:
+            for c in [*range(fam.min_c, fam.min_c + fam.verified_instances), fam.min_c + 10**6]:
+                a, b = fam.a_of(c), fam.b_of(c)
+                cf = expand_sqrt(a * a + b)
+                assert cf.a0 == a and cf.period == (*fam.palindrome, 2 * a), (fam, c)
 
 
 class TestRegistryConsistency:

@@ -20,6 +20,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.tasks.append(len(items))
         return map(fn, items)
 
 
@@ -51,6 +53,18 @@ def mine_sweep_list(jobs):
 )
 def test_pool_capped_at_task_count(monkeypatch, module, call, tasks):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(RecordingPool, "tasks", [], raising=False)
     monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
     assert call(64) == call(1)
     assert RecordingPool.sizes == [tasks]
+
+
+def test_mine_sweep_maps_contiguous_slices(monkeypatch):
+    # 79 palindromes of length <= 6 over entries 1..3 go out as at most
+    # 4 * jobs tasks, not one task per palindrome.
+    monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(RecordingPool, "tasks", [], raising=False)
+    monkeypatch.setattr(miner, "ProcessPoolExecutor", RecordingPool)
+    assert miner.mine_sweep(6, 3, jobs=2) == miner.mine_sweep(6, 3)
+    assert RecordingPool.sizes == [2]
+    assert len(RecordingPool.tasks) == 1 and 1 < RecordingPool.tasks[0] <= 8
