@@ -26,10 +26,19 @@ Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
 engine bug; the central-term parity claims are unproven observations and the
 report carries a distinct status when instances violate them.
+
+Counterexamples are kept as columns.  A chunk keeps, per claim, only its
+failing rows: a ``d`` array and the claim's detail columns at those rows.
+``check_claims`` concatenates each claim's columns once, in range order, and
+no dict is built per row until a caller reads
+``ClaimResult.counterexamples``.  ``write_json`` writes the report's JSON
+from the columns, a block of rows at a time; its bytes are those of
+``json.dumps(report.to_dict(), sort_keys=True)``.
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -123,13 +132,31 @@ def _prime_factors(n: int):
 
 @dataclass
 class ClaimResult:
+    """One claim over a range: how many radicands it tested, and where it failed.
+
+    ``columns`` holds the failing rows only, in d order: "d" first, then the
+    claim's detail names, each an array with one entry per counterexample.
+    ``counterexamples`` builds the row dicts from them on each access; ``count``
+    reads the number of rows without building any.
+    """
+
     id: str
     tested: int = 0
-    counterexamples: list[dict] = field(default_factory=list)
+    columns: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @property
+    def count(self) -> int:
+        return len(self.columns["d"]) if self.columns else 0
+
+    @property
+    def counterexamples(self) -> list[dict]:
+        names = list(self.columns)
+        rows = zip(*(col.tolist() for col in self.columns.values()))
+        return [dict(zip(names, row)) for row in rows]
 
     @property
     def status(self) -> str:
-        return "ok" if not self.counterexamples else "counterexamples"
+        return "ok" if not self.count else "counterexamples"
 
     def to_dict(self) -> dict:
         return {
@@ -163,15 +190,48 @@ class StructReport:
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
 
-    def merge(self, other: "StructReport") -> None:
-        self.tested += other.tested
-        self.skipped += other.skipped
-        for cid in CLAIM_IDS:
-            mine, theirs = self.claims[cid], other.claims[cid]
-            mine.tested += theirs.tested
-            mine.counterexamples.extend(theirs.counterexamples)
-        for k, v in other.histogram.items():
-            self.histogram[k] = self.histogram.get(k, 0) + v
+
+# Counterexample rows that write_json formats per write.
+WRITE_BLOCK = 4096
+
+
+def write_json(report: StructReport, out) -> None:
+    """Write ``json.dumps(report.to_dict(), sort_keys=True)`` to the text stream ``out``.
+
+    The same bytes, built from the columns: keys sorted in every object,
+    histogram keys as strings (so "10" sorts before "2"), booleans as
+    true/false and period words as JSON lists.  Counterexample rows are
+    formatted and written WRITE_BLOCK at a time, so the whole report never
+    exists as one string.
+    """
+    out.write('{"claims": [')
+    for n, cid in enumerate(CLAIM_IDS):
+        c = report.claims[cid]
+        out.write(', {"counterexamples": [' if n else '{"counterexamples": [')
+        _write_rows(c.columns, out)
+        out.write(f'], "id": {json.dumps(c.id)}, "status": "{c.status}", "tested": {c.tested}}}')
+    hist = sorted((str(k), v) for k, v in report.histogram.items())
+    out.write('], "histogram": {' + ", ".join(f'"{k}": {v}' for k, v in hist) + "}")
+    out.write(f', "range": [{report.d_min}, {report.d_max}]'
+              f', "skipped": {report.skipped}, "tested": {report.tested}}}')
+
+
+def _write_rows(columns: dict[str, np.ndarray], out) -> None:
+    """The rows of one claim's columns as comma-separated JSON objects.
+
+    Values are ints, bools or lists of ints; ``str`` of an int or of a list
+    of ints is already its JSON, so only the bool columns are mapped.
+    """
+    names = sorted(columns)
+    template = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in names) + "}"
+    cols = [columns[k] for k in names]
+    for start in range(0, len(cols[0]) if cols else 0, WRITE_BLOCK):
+        block = [
+            np.where(b, "true", "false").tolist() if b.dtype == bool else b.tolist()
+            for b in (col[start:start + WRITE_BLOCK] for col in cols)
+        ]
+        rows = ", ".join(map(template.__mod__, zip(*block)))
+        out.write(", " + rows if start else rows)
 
 
 def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
@@ -200,7 +260,7 @@ def _kernel_columns(lo: int, hi: int) -> list[np.ndarray]:
 def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     """One chunk's report from its fact columns: one boolean mask per claim.
 
-    Counterexample dicts are built only at failing rows, in d order.
+    Each claim keeps the d and detail columns at its failing rows, in d order.
     """
     report = StructReport(lo, hi - 1)
     d = np.arange(lo, hi, dtype=a0.dtype)
@@ -211,20 +271,28 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     report.histogram = dict(zip(lengths.tolist(), counts.tolist()))
 
     def claim(cid, tested, failed, **cols):
+        # A detail is a chunk-wide column, or a function of the failing rows.
         result = report.claim(cid)
         result.tested = int(np.count_nonzero(tested))
         idx = np.flatnonzero(tested & failed)
-        rows = zip(d[idx].tolist(), *(col[idx].tolist() for col in cols.values()))
-        result.counterexamples = [dict(zip(("d", *cols), row)) for row in rows]
+        result.columns = {"d": d[idx]}
+        for name, col in cols.items():
+            result.columns[name] = col(idx) if callable(col) else col[idx]
 
     pal, term, bound = (
         (flags & bit) != 0 for bit in (_kernels.F_PAL, _kernels.F_TERM, _kernels.F_BOUND)
     )
     # The classical facts only fail on an engine or kernel bug; pull the
-    # exact word so that the report is actionable.
-    period = np.empty(hi - lo, dtype=object)
-    for i in np.flatnonzero(live & ~(pal & term & bound)).tolist():
-        period[i] = list(expand_sqrt(lo + i).period)
+    # exact word so that the report is actionable.  Only the rows where one
+    # of them fails get a word.
+    broken = np.flatnonzero(live & ~(pal & term & bound))
+    words = np.empty(len(broken), dtype=object)
+    for j, i in enumerate(broken.tolist()):
+        words[j] = list(expand_sqrt(lo + i).period)
+
+    def period(idx):
+        return words[np.searchsorted(broken, idx)]
+
     claim(CLAIM_PALINDROME, live, ~pal, period=period)
     claim(CLAIM_TERMINAL, live, ~term, period=period)
     claim(CLAIM_BOUND, live, ~bound, period=period, a0=a0)
@@ -283,15 +351,35 @@ def check_claims(
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
     backend = _kernels.backend_name(backend)
-    report = StructReport(d_min, d_max)
     chunks = _chunks(d_min, d_max, jobs, backend)
     if jobs <= 1 or len(chunks) == 1:
-        parts = map(_claims_chunk, chunks)
+        parts = [_claims_chunk(chunk) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             parts = list(pool.map(_claims_chunk, chunks))
+    return _merge(StructReport(d_min, d_max), parts)
+
+
+def _merge(report: StructReport, parts: list[StructReport]) -> StructReport:
+    """Sum the chunk reports into ``report``, in range order.
+
+    Each claim's columns are concatenated once; the parts' columns are
+    dropped claim by claim, so that no more than one claim is held twice.
+    """
     for part in parts:
-        report.merge(part)
+        report.tested += part.tested
+        report.skipped += part.skipped
+        for k, v in part.histogram.items():
+            report.histogram[k] = report.histogram.get(k, 0) + v
+    for cid in CLAIM_IDS:
+        mine, theirs = report.claims[cid], [part.claims[cid] for part in parts]
+        mine.tested = sum(t.tested for t in theirs)
+        mine.columns = {
+            name: np.concatenate([t.columns[name] for t in theirs])
+            for name in theirs[0].columns
+        }
+        for t in theirs:
+            t.columns = {}
     return report
 
 
@@ -309,5 +397,6 @@ __all__ = [
     "check_claims",
     "period_stats",
     "sum_two_coprime_squares",
+    "write_json",
     "CLAIM_IDS",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import _kernels, analyzer, families, miner, sequences
@@ -194,9 +195,10 @@ def cmd_analyze(args) -> int:
         print(f"range [{report.d_min}, {report.d_max}]: {report.tested} tested, {report.skipped} squares skipped")
         for cid in analyzer.CLAIM_IDS:
             c = report.claim(cid)
-            print(f"  {cid}: {c.status} ({c.tested} tested, {len(c.counterexamples)} counterexamples)")
+            print(f"  {cid}: {c.status} ({c.tested} tested, {c.count} counterexamples)")
     else:
-        print(json.dumps(report.to_dict(), sort_keys=True))
+        analyzer.write_json(report, sys.stdout)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -287,8 +289,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, so that the
+        # interpreter's flush at exit finds no broken pipe to report.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
 
 

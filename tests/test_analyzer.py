@@ -1,7 +1,11 @@
+import io
 import json
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_two_coprime_squares, sqrt_full_walk
 from surdcf import analyzer, exact
@@ -16,9 +20,12 @@ from surdcf.analyzer import (
     CLAIM_TWOSQ,
     CLAIM_TWOSQ_CONVERSE,
     CLAIM_IDS,
+    ClaimResult,
+    StructReport,
     check_claims,
     period_stats,
     sum_two_coprime_squares,
+    write_json,
 )
 from surdcf import _kernels
 from surdcf.engine import expand_sqrt
@@ -76,6 +83,39 @@ def oracle_report(d_min, d_max):
         ],
         "histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
+
+
+FACT_BITS = {"palindrome": _kernels.F_PAL, "terminal": _kernels.F_TERM, "bound": _kernels.F_BOUND}
+
+
+def break_fact(monkeypatch, backend, fact, ds):
+    """Clear one classical fact at the radicands ``ds`` in the source of ``backend``."""
+    if backend == "numpy":
+        sweep = _kernels.sweep_range
+
+        def broken(lo, hi):
+            ell, a0, center, flags = sweep(lo, hi)
+            for d in ds:
+                if lo <= d < hi:
+                    flags[d - lo] ^= FACT_BITS[fact]
+            return ell, a0, center, flags
+
+        monkeypatch.setattr(_kernels, "sweep_range", broken)
+    else:
+        facts = analyzer.period_facts
+
+        def broken(cf):
+            got = facts(cf)
+            return got._replace(**{fact: False}) if cf.d in ds else got
+
+        monkeypatch.setattr(analyzer, "period_facts", broken)
+
+
+def assert_writer_matches(report):
+    """write_json's bytes are those of json.dumps(report.to_dict(), sort_keys=True)."""
+    buf = io.StringIO()
+    write_json(report, buf)
+    assert buf.getvalue() == json.dumps(report.to_dict(), sort_keys=True)
 
 
 class TestTwoSquares:
@@ -214,24 +254,7 @@ class TestCheckClaims:
     def test_classical_failure_reports_exact_word(self, monkeypatch, backend):
         # Break the bound fact at d = 22 = [4; 1,2,4,2,1,8] in whichever
         # source fills the columns: the report must carry the exact word.
-        if backend == "numpy":
-            sweep = _kernels.sweep_range
-
-            def broken(lo, hi):
-                ell, a0, center, flags = sweep(lo, hi)
-                if lo <= 22 < hi:
-                    flags[22 - lo] ^= _kernels.F_BOUND
-                return ell, a0, center, flags
-
-            monkeypatch.setattr(_kernels, "sweep_range", broken)
-        else:
-            facts = analyzer.period_facts
-
-            def broken(cf):
-                got = facts(cf)
-                return got._replace(bound=False) if cf.d == 22 else got
-
-            monkeypatch.setattr(analyzer, "period_facts", broken)
+        break_fact(monkeypatch, backend, "bound", [22])
         report = check_claims(2, 100, backend=backend)
         assert report.claim(CLAIM_BOUND).counterexamples == [
             {"d": 22, "period": [1, 2, 4, 2, 1, 8], "a0": 4}
@@ -258,6 +281,82 @@ class TestCheckClaims:
     def test_bad_range(self):
         with pytest.raises(DomainError):
             check_claims(5, 4)
+
+
+class TestWriteJson:
+    @settings(max_examples=40, deadline=None)
+    @given(lo=st.integers(1, 30_000), width=st.integers(1, 600))
+    def test_numpy_windows(self, lo, width):
+        assert_writer_matches(check_claims(lo, lo + width - 1, backend="numpy"))
+
+    @settings(max_examples=15, deadline=None)
+    @given(lo=st.integers(1, 30_000), width=st.integers(1, 120))
+    def test_python_windows(self, lo, width):
+        assert_writer_matches(check_claims(lo, lo + width - 1, backend="python"))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_rows_cross_block_edges(self, monkeypatch, block):
+        report = check_claims(2, 3000)
+        assert report.claim(CLAIM_CENTER_LT).count > 3 * block
+        monkeypatch.setattr(analyzer, "WRITE_BLOCK", block)
+        assert_writer_matches(report)
+
+    def test_histogram_keys_sort_as_strings(self):
+        report = check_claims(2, 3000, jobs=2)
+        assert 2 in report.histogram and 10 in report.histogram
+        buf = io.StringIO()
+        write_json(report, buf)
+        hist = buf.getvalue().split('"histogram": {')[1]
+        assert hist.index('"10": ') < hist.index('"2": ')
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1, 1), (2, 3), (4, 4), (3037000500**2 + 1, 3037000500**2 + 1)],
+        ids=["one", "no-counterexamples", "square", "above-2^63"],
+    )
+    def test_small_reports(self, lo, hi):
+        assert_writer_matches(check_claims(lo, hi))
+
+    def test_fresh_report(self):
+        report = StructReport(5, 9)
+        assert all(c.count == 0 and c.counterexamples == [] for c in report.claims.values())
+        assert_writer_matches(report)
+
+    def test_both_two_squares_values(self, monkeypatch):
+        report = StructReport(1, 100)
+        report.claims[CLAIM_TWOSQ] = ClaimResult(CLAIM_TWOSQ, 5, {
+            "d": np.array([13, 34, 41]),
+            "ell": np.array([5, 4, 3]),
+            "two_squares": np.array([True, False, True]),
+        })
+        monkeypatch.setattr(analyzer, "WRITE_BLOCK", 2)
+        assert_writer_matches(report)
+        assert report.claim(CLAIM_TWOSQ).counterexamples[1] == {"d": 34, "ell": 4, "two_squares": False}
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("fact", ["palindrome", "terminal", "bound"])
+    def test_broken_classical_fact(self, monkeypatch, backend, fact):
+        # Period lists, and a0 on the bound claim, reach the writer.
+        break_fact(monkeypatch, backend, fact, [22, 31, 94])
+        report = check_claims(2, 100, backend=backend)
+        cid = {"palindrome": CLAIM_PALINDROME, "terminal": CLAIM_TERMINAL, "bound": CLAIM_BOUND}[fact]
+        assert [c["d"] for c in report.claim(cid).counterexamples] == [22, 31, 94]
+        assert report.claim(cid).counterexamples[0]["period"] == [1, 2, 4, 2, 1, 8]
+        monkeypatch.setattr(analyzer, "WRITE_BLOCK", 2)
+        assert_writer_matches(report)
+
+    def test_writer_builds_no_dicts(self, monkeypatch):
+        report = check_claims(2, 500)
+        want = json.dumps(report.to_dict(), sort_keys=True)
+
+        def no_dicts(self):
+            raise AssertionError("counterexample dicts built")
+
+        monkeypatch.setattr(ClaimResult, "counterexamples", property(no_dicts))
+        monkeypatch.setattr(StructReport, "to_dict", no_dicts)
+        buf = io.StringIO()
+        write_json(report, buf)
+        assert buf.getvalue() == want
 
 
 class TestPeriodStats:

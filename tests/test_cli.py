@@ -1,10 +1,20 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from surdcf import analyzer
 from surdcf.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# stdout sha256 of `analyze --from 2 --to 100000`; the CI workflow checks the
+# same digest on a real pipe.
+ANALYZE_1E5_SHA256 = "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee652425736f0a9b"
 
 
 def run(capsys, *argv):
@@ -200,9 +210,53 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "100000",
                            "--kernel", "numpy", "--jobs", jobs)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee652425736f0a9b"
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_1E5_SHA256
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_million_output_pinned(self, capsys, jobs):
+        # 556,014 center-lt-parity rows alone: the writer crosses thousands
+        # of block edges.
+        code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "1000000", "--jobs", jobs)
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 35_721_081
+        assert hashlib.sha256(data).hexdigest() == (
+            "d3a354c355f3edb0a22d67142dc35d0c4fde366e048b5c7c96c42c458f9493c7"
         )
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader leaves after 100 bytes: the report breaks off mid-stream.
+        # stdout is block-buffered, as under a shell.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "surdcf.cli", "analyze", "--from", "2", "--to", "1000000",
+             "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(100).startswith(b'{"claims": [{"counterexamples": [], ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
+    def test_text_counts_match_json(self, capsys, monkeypatch):
+        _, out, _ = run(capsys, "analyze", "--from", "2", "--to", "3000")
+        want = {c["id"]: len(c["counterexamples"]) for c in json.loads(out)["claims"]}
+
+        def no_dicts(self):
+            raise AssertionError("counterexample dicts built")
+
+        monkeypatch.setattr(analyzer.ClaimResult, "counterexamples", property(no_dicts))
+        code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "3000", "--format", "text")
+        assert code == 0
+        got = {}
+        for line in out.splitlines()[1:]:
+            cid, rest = line.strip().split(": ")
+            got[cid] = int(rest.split(", ")[1].split()[0])
+        assert got == want
+        assert got["center-lt-parity"] > 0
 
     def test_kernels_byte_identical(self, capsys):
         outs = [

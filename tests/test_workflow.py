@@ -25,3 +25,14 @@ def test_matrix_covers_requires_python_floor():
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     assert floor in job["strategy"]["matrix"]["python-version"]
+
+
+def test_ci_checks_pinned_analyze_digest_on_a_pipe():
+    from test_cli import ANALYZE_1E5_SHA256
+
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    runs = [step.get("run", "") for step in job["steps"]]
+    (check,) = [run for run in runs if "sha256sum -c" in run]
+    assert "python -m surdcf.cli analyze --from 2 --to 100000 |" in check
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
