@@ -20,8 +20,12 @@ their speed.
 each sqrt(d) only to the centre of its period and logs no quotient.  Its
 live set is ``WIDTH`` lanes wide; a lane that reaches its centre is refilled
 from the queue of pending radicands, and the set is compacted only once the
-queue is empty.  The palindrome and terminal facts hold by construction of
-the mirrored period, and the bound fact is "largest walked quotient <= a0".
+queue is empty.  Once the queue is empty and no more than ``TAIL`` lanes are
+live, the walk hands them to a scalar loop in Python ints: a numpy round
+costs about 15-20 us of call overhead however few lanes it carries, and a
+narrow window's rounds would otherwise last as long as its longest half
+period.  The palindrome and terminal facts hold by construction of the
+mirrored period, and the bound fact is "largest walked quotient <= a0".
 
 ``two_squares_range`` is a segmented factor sieve over the window, built on
 the criterion: d > 1 is a sum of two coprime positive squares iff 4 does not
@@ -50,6 +54,12 @@ KERNEL_D_LIMIT = 10**12
 
 # Lanes in the live set of the half walk.
 WIDTH = 16384
+
+# Live lanes at or below which the half walk, its queue empty, finishes each
+# lane in Python ints: about 0.3 us per quotient against 15-20 us per
+# numpy round, so the break-even is near 50 lanes.  Timed at 0, 16, 32, 64,
+# 96, 128, 192 and 256 (see CHANGES.md).
+TAIL = 64
 
 BACKENDS = ("numpy", "python")
 
@@ -91,6 +101,12 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     first P_{k+1} == P_k gives ell = 2k with centre a_k, the first
     Q_{k+1} == Q_k gives ell = 2k + 1, and Q_{k+1} == 1 before either raises
     InternalConsistencyError.
+
+    A numpy round costs about 15-20 us of call overhead however few lanes are
+    live, and the rounds last as long as the longest half period left.
+    So once the queue is empty and at most ``TAIL`` lanes are live, each of
+    them is finished on its own by ``_finish``, in Python ints, at well
+    under a microsecond per quotient.
     """
     lane = queue[:WIDTH].copy()
     pending = queue[lane.size :]
@@ -101,24 +117,22 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     top = np.zeros_like(Q)
     start = np.zeros_like(Q)
     step = 0
-    while lane.size:
+    while pending.size or lane.size > TAIL:
         a = (R + P) // Q
         np.maximum(top, a, out=top)
         P_next = a * Q - P
         Q_next = Q_prev + a * (P - P_next)
         step += 1
         stop = np.flatnonzero((P_next == P) | (Q_next == Q) | (Q_next == 1))
-        even = P_next[stop] == P[stop]
-        odd = ~even & (Q_next[stop] == Q[stop])
-        P, Q, Q_prev = P_next, Q_next, Q
+        P_last, P, Q, Q_prev = P, P_next, Q_next, Q
         if not stop.size:
             continue
         at = lane[stop]
+        even = P[stop] == P_last[stop]
+        odd = ~even & (Q[stop] == Q_prev[stop])
         if not np.all(even | odd):
             i = at[np.argmin(even | odd)]
-            raise InternalConsistencyError(
-                f"period of sqrt({r[i] * r[i] + q1[i]}) ended without a centre"
-            )
+            raise _missed_centre(r[i] * r[i] + q1[i])
         ell[at] = 2 * (step - start[stop]) + odd
         center[at] = np.where(even, a[stop], -1)
         flags[at[top[stop] <= R[stop]]] |= F_BOUND
@@ -139,6 +153,40 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
             lane, R, P, Q, Q_prev, top, start = (
                 x[keep] for x in (lane, R, P, Q, Q_prev, top, start)
             )
+    _finish(q1, (lane, R, P, Q, Q_prev, top, start), step, ell, center, flags)
+
+
+def _finish(q1, live, step, ell, center, flags) -> None:
+    """Walk each lane of ``_half_walk`` to its centre, one at a time.
+
+    ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start)
+    after round ``step``.  Each lane goes on from its own state, with the
+    same stops as the numpy rounds.
+    """
+    for i, R, P, Q, Q_prev, top, start in zip(*(x.tolist() for x in live)):
+        k = step - start
+        while True:
+            a = (R + P) // Q
+            if a > top:
+                top = a
+            P_next = a * Q - P
+            Q_next = Q_prev + a * (P - P_next)
+            k += 1
+            if P_next == P:
+                ell[i], center[i] = 2 * k, a
+                break
+            if Q_next == Q:
+                ell[i], center[i] = 2 * k + 1, -1
+                break
+            if Q_next == 1:
+                raise _missed_centre(R * R + int(q1[i]))
+            P, Q, Q_prev = P_next, Q_next, Q
+        if top <= R:
+            flags[i] |= F_BOUND
+
+
+def _missed_centre(d) -> InternalConsistencyError:
+    return InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
 
 
 def sweep_range(lo: int, hi: int):
@@ -199,6 +247,7 @@ __all__ = [
     "F_OVERFLOW",
     "KERNEL_D_LIMIT",
     "WIDTH",
+    "TAIL",
     "backend_name",
     "sweep_range",
     "two_squares_range",

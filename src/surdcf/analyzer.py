@@ -18,9 +18,12 @@ periods, is that check (``test_matches_per_d_oracle``).
 A range splits into up to 4 * jobs chunks.  On the numpy kernel it splits
 into no more than ceil(width / _kernels.WIDTH), so that a chunk fills the
 kernel's live set where the range can: a chunk narrower than the live set
-never refills its lanes, and pays its longest half period in rounds.  The
-python backend, and ranges past the kernels' int64 gate, keep the plain
-split.
+never refills its lanes, and runs its numpy rounds with ever fewer lanes
+until no more than ``_kernels.TAIL`` are live, which the kernel finishes in
+scalar code.  The python backend, and ranges past the kernels' int64 gate,
+keep the plain split.  ``period_stats`` maps the same chunks, but builds only
+their sweep columns (ell and the square flags make its histogram): no
+two-squares column and no claim.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -235,7 +238,7 @@ def _write_rows(columns: dict[str, np.ndarray], out) -> None:
 
 
 def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
-    """The fact columns (ell, a0, center, flags, twosq) of [lo, hi), exactly.
+    """The sweep columns (ell, a0, center, flags) of [lo, hi), exactly.
 
     They hold Python ints (object dtype): a0 fits in int64 far beyond the
     kernels' gate, but a0 * a0 would wrap.
@@ -243,18 +246,25 @@ def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
     rows = []
     for d in range(lo, hi):
         if is_square(d):
-            rows.append((0, isqrt(d), -1, _kernels.F_SQUARE, False))
+            rows.append((0, isqrt(d), -1, _kernels.F_SQUARE))
         else:
             cf = expand_sqrt(d)
             center, pal, term, bound = period_facts(cf)
             flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
-            rows.append((cf.length, cf.a0, center, flags, sum_two_coprime_squares(d)))
+            rows.append((cf.length, cf.a0, center, flags))
     return [np.array(col, dtype=object) for col in zip(*rows)]
 
 
-def _kernel_columns(lo: int, hi: int) -> list[np.ndarray]:
-    """The same columns from the sweep kernels."""
-    return [*_kernels.sweep_range(lo, hi), _kernels.two_squares_range(lo, hi)]
+def _is_exact(hi: int, backend: str) -> bool:
+    """A chunk below ``hi`` takes the exact columns: on the python backend,
+    and past the kernels' int64 gate."""
+    return backend == "python" or hi > _kernels.KERNEL_D_LIMIT
+
+
+def _histogram(ell: np.ndarray, live: np.ndarray) -> dict[int, int]:
+    """Period length -> count over the rows where ``live`` holds."""
+    lengths, counts = np.unique(ell[live], return_counts=True)
+    return dict(zip(lengths.tolist(), counts.tolist()))
 
 
 def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
@@ -267,8 +277,7 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     live = (flags & _kernels.F_SQUARE) == 0
     report.tested = int(np.count_nonzero(live))
     report.skipped = hi - lo - report.tested
-    lengths, counts = np.unique(ell[live], return_counts=True)
-    report.histogram = dict(zip(lengths.tolist(), counts.tolist()))
+    report.histogram = _histogram(ell, live)
 
     def claim(cid, tested, failed, **cols):
         # A detail is a chunk-wide column, or a function of the failing rows.
@@ -322,9 +331,26 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
 
 
 def _claims_chunk(args) -> StructReport:
+    """One chunk's report: its sweep columns, its two-squares column, the fold."""
     lo, hi, backend = args
-    exact = backend == "python" or hi > _kernels.KERNEL_D_LIMIT
-    return _fold(lo, hi, *(_exact_columns if exact else _kernel_columns)(lo, hi))
+    if _is_exact(hi, backend):
+        cols = _exact_columns(lo, hi)
+        twosq = np.array(
+            [not (f & _kernels.F_SQUARE) and sum_two_coprime_squares(d)
+             for d, f in zip(range(lo, hi), cols[3].tolist())],
+            dtype=object,
+        )
+    else:
+        cols = _kernels.sweep_range(lo, hi)
+        twosq = _kernels.two_squares_range(lo, hi)
+    return _fold(lo, hi, *cols, twosq)
+
+
+def _histogram_chunk(args) -> dict[int, int]:
+    """One chunk's period-length histogram, from its ell and square flags only."""
+    lo, hi, backend = args
+    ell, _, _, flags = (_exact_columns if _is_exact(hi, backend) else _kernels.sweep_range)(lo, hi)
+    return _histogram(ell, (flags & _kernels.F_SQUARE) == 0)
 
 
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):
@@ -348,16 +374,19 @@ def check_claims(
     depend on the parallelism degree.  ``backend`` is numpy or python (see
     ``_kernels.backend_name``); any other name raises ValueError.
     """
+    parts = _map_chunks(_claims_chunk, d_min, d_max, jobs, backend)
+    return _merge(StructReport(d_min, d_max), parts)
+
+
+def _map_chunks(fn, d_min: int, d_max: int, jobs: int, backend: str | None) -> list:
+    """``fn`` over the chunks of [d_min, d_max], in range order, on up to ``jobs`` processes."""
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
-    backend = _kernels.backend_name(backend)
-    chunks = _chunks(d_min, d_max, jobs, backend)
+    chunks = _chunks(d_min, d_max, jobs, _kernels.backend_name(backend))
     if jobs <= 1 or len(chunks) == 1:
-        parts = [_claims_chunk(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-            parts = list(pool.map(_claims_chunk, chunks))
-    return _merge(StructReport(d_min, d_max), parts)
+        return [fn(chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _merge(report: StructReport, parts: list[StructReport]) -> StructReport:
@@ -386,9 +415,16 @@ def _merge(report: StructReport, parts: list[StructReport]) -> StructReport:
 def period_stats(
     d_min: int, d_max: int, jobs: int = 1, backend: str | None = None
 ) -> dict[int, int]:
-    """Histogram of period lengths over the range (squares skipped)."""
-    report = check_claims(d_min, d_max, jobs=jobs, backend=backend)
-    return dict(sorted(report.histogram.items()))
+    """Histogram of period lengths over the range (squares skipped).
+
+    The chunks and backends of ``check_claims``, but only the sweep columns
+    are built: no two-squares test and no claim.
+    """
+    total: dict[int, int] = {}
+    for part in _map_chunks(_histogram_chunk, d_min, d_max, jobs, backend):
+        for k, v in part.items():
+            total[k] = total.get(k, 0) + v
+    return dict(sorted(total.items()))
 
 
 __all__ = [

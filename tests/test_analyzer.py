@@ -375,3 +375,31 @@ class TestPeriodStats:
 
     def test_single_square_range(self):
         assert period_stats(4, 4) == {}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("backend, d_max", [("numpy", 40_000), ("python", 3000)])
+    def test_matches_check_claims_histogram(self, backend, d_max, jobs):
+        # Several chunks on either backend at jobs 2.
+        assert len(analyzer._chunks(2, d_max, jobs, backend)) > jobs
+        want = check_claims(2, d_max, jobs=jobs, backend=backend).histogram
+        got = period_stats(2, d_max, jobs=jobs, backend=backend)
+        assert got == want
+        assert list(got) == sorted(want)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_builds_no_two_squares_or_claims(self, monkeypatch, backend):
+        want = period_stats(2, 3000, backend=backend)
+
+        def forbidden(*args):
+            raise AssertionError("period_stats built more than the sweep columns")
+
+        monkeypatch.setattr(analyzer, "sum_two_coprime_squares", forbidden)
+        monkeypatch.setattr(analyzer, "_fold", forbidden)
+        monkeypatch.setattr(_kernels, "two_squares_range", forbidden)
+        assert period_stats(2, 3000, backend=backend) == want
+        with pytest.raises(AssertionError, match="more than the sweep"):
+            check_claims(2, 3000, backend=backend)
+
+    def test_bad_range(self):
+        with pytest.raises(DomainError):
+            period_stats(5, 4)

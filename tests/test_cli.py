@@ -15,6 +15,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # stdout sha256 of `analyze --from 2 --to 100000`; the CI workflow checks the
 # same digest on a real pipe.
 ANALYZE_1E5_SHA256 = "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee652425736f0a9b"
+# stdout sha256 of `analyze --from 50000000 --to 50000999`, one numpy chunk
+# whose longest period is 18,624 quotients; CI checks it on a pipe too.
+ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc227d689b"
 
 
 def run(capsys, *argv):
@@ -223,6 +226,14 @@ class TestAnalyze:
         assert hashlib.sha256(data).hexdigest() == (
             "d3a354c355f3edb0a22d67142dc35d0c4fde366e048b5c7c96c42c458f9493c7"
         )
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_long_period_window_pinned(self, capsys, kernel):
+        # The numpy kernel finishes its last lanes in the scalar loop here.
+        code, out, _ = run(capsys, "analyze", "--from", "50000000", "--to", "50000999",
+                           "--kernel", kernel)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_5E7_SHA256
 
     def test_closed_pipe_exits_quietly(self):
         # The reader leaves after 100 bytes: the report breaks off mid-stream.

@@ -16,15 +16,25 @@ def engine_row(d):
     return cf.length, cf.a0, center, flags
 
 
-def check_against_engine(lo, hi):
-    ell, a0, center, flags = _kernels.sweep_range(lo, hi)
-    assert ell.size == a0.size == center.size == flags.size == hi - lo
-    for i, d in enumerate(range(lo, hi)):
-        if is_square(d):
-            want = (0, isqrt(d), -1, _kernels.F_SQUARE)
-        else:
-            want = engine_row(d)
-        assert (ell[i], a0[i], center[i], int(flags[i])) == want, f"d={d}"
+# TAIL values every sweep is checked at: numpy rounds to the end, the
+# default, and the scalar finish as soon as the queue is empty (no live set
+# is wider).
+TAILS = (0, _kernels.TAIL, 1 << 62)
+
+
+def check_against_engine(monkeypatch, lo, hi):
+    """Sweep [lo, hi) at each of TAILS; each must match the engine row by row."""
+    want = [
+        (0, isqrt(d), -1, _kernels.F_SQUARE) if is_square(d) else engine_row(d)
+        for d in range(lo, hi)
+    ]
+    for tail in TAILS:
+        monkeypatch.setattr(_kernels, "TAIL", tail)
+        ell, a0, center, flags = _kernels.sweep_range(lo, hi)
+        assert ell.size == a0.size == center.size == flags.size == hi - lo
+        got = zip(ell.tolist(), a0.tolist(), center.tolist(), flags.tolist())
+        for d, row, w in zip(range(lo, hi), got, want):
+            assert row == w, f"d={d}, TAIL={tail}"
     return ell
 
 
@@ -40,13 +50,13 @@ def check_against_engine(lo, hi):
 def test_sweep_matches_engine(monkeypatch, lo, hi, width):
     if width is not None:
         monkeypatch.setattr(_kernels, "WIDTH", width)
-    check_against_engine(lo, hi)
+    check_against_engine(monkeypatch, lo, hi)
 
 
-def test_sweep_long_periods_match_engine():
+def test_sweep_long_periods_match_engine(monkeypatch):
     # 32 periods here are longer than 8192 quotients, up to 18,624: the
     # lanes walk half of each.
-    ell = check_against_engine(5 * 10**7, 5 * 10**7 + 1000)
+    ell = check_against_engine(monkeypatch, 5 * 10**7, 5 * 10**7 + 1000)
     assert int(ell.max()) == 18_624
     assert int(np.count_nonzero(ell > 8192)) == 32
 
@@ -66,12 +76,12 @@ def test_refill_with_queue_short_of_width(monkeypatch, short):
     width = len(queue) - short
     assert sum(expand_sqrt(d).length in (2, 3) for d in queue[:width]) > short
     monkeypatch.setattr(_kernels, "WIDTH", width)
-    check_against_engine(lo, hi)
+    check_against_engine(monkeypatch, lo, hi)
 
 
 def test_refill_one_lane(monkeypatch):
     monkeypatch.setattr(_kernels, "WIDTH", 1)
-    check_against_engine(2, 600)
+    check_against_engine(monkeypatch, 2, 600)
 
 
 def test_refill_in_any_queue_order(monkeypatch):
@@ -82,23 +92,55 @@ def test_refill_in_any_queue_order(monkeypatch):
         _kernels, "_half_walk", lambda r, q1, queue, *cols: walk(r, q1, queue[::-1], *cols)
     )
     monkeypatch.setattr(_kernels, "WIDTH", 3)
-    check_against_engine(2, 600)
+    check_against_engine(monkeypatch, 2, 600)
 
 
 @pytest.mark.parametrize(
     "lo, hi", [(4, 6), (25, 27), (5, 5)], ids=["4-5", "25-26", "empty"]
 )
-def test_no_lane_to_walk(lo, hi):
+def test_no_lane_to_walk(monkeypatch, lo, hi):
     # Squares and d = a0^2 + 1 only, or nothing: filled before the walk.
     assert walked(lo, hi) == []
-    check_against_engine(lo, hi)
+    check_against_engine(monkeypatch, lo, hi)
 
 
-def test_centre_missed_raises():
-    # A lane faked with a0 = 1 for d = 5 meets Q == 1 before a centre.
-    ell, center, flags = np.zeros(1, np.int64), np.full(1, -1, np.int64), np.zeros(1, np.uint8)
-    with pytest.raises(InternalConsistencyError, match="without a centre"):
-        _kernels._half_walk(np.array([1]), np.array([4]), np.array([0]), ell, center, flags)
+def test_centre_missed_raises(monkeypatch):
+    # A lane faked with a0 = 1 for d = 5 meets Q == 1 before a centre, in
+    # the numpy rounds (TAIL 0) and in the scalar finish.
+    for tail in TAILS:
+        monkeypatch.setattr(_kernels, "TAIL", tail)
+        ell, center, flags = np.zeros(1, np.int64), np.full(1, -1, np.int64), np.zeros(1, np.uint8)
+        with pytest.raises(InternalConsistencyError, match=r"sqrt\(5\) ended without a centre"):
+            _kernels._half_walk(np.array([1]), np.array([4]), np.array([0]), ell, center, flags)
+
+
+def test_scalar_finish_after_numpy_rounds(monkeypatch):
+    # At the default TAIL a narrow window with long periods runs numpy
+    # rounds until no more than TAIL lanes are live, then hands them to the
+    # scalar finish, well before its longest half period.
+    calls = []
+    finish = _kernels._finish
+
+    def spy(q1, live, step, *cols):
+        calls.append((q1, live, step))
+        finish(q1, live, step, *cols)
+
+    monkeypatch.setattr(_kernels, "_finish", spy)
+    lo = 5 * 10**7
+    ell, _, center, flags = _kernels.sweep_range(lo, lo + 1000)
+    ((q1, live, step),) = calls
+    lane, R, P, Q, Q_prev, top, start = live
+    assert 0 < lane.size <= _kernels.TAIL
+    assert 0 < step < int(ell.max()) // 2
+    # Each lane is handed over with the largest quotient it walked ...
+    for i, t, s in zip(lane.tolist(), top.tolist(), start.tolist()):
+        assert t == max(expand_sqrt(lo + i).period[: step - s])
+    # ... and the finish keeps it: one above a0 leaves F_BOUND clear.
+    cols = np.zeros_like(ell), np.full_like(center, -1), np.zeros_like(flags)
+    finish(q1, (lane, R, P, Q, Q_prev, R + 1, start), step, *cols)
+    assert np.array_equal(cols[0][lane], ell[lane])
+    assert np.array_equal(cols[1][lane], center[lane])
+    assert not np.any(cols[2][lane] & _kernels.F_BOUND)
 
 
 def _has_big_3mod4_cofactor(lo, hi):

@@ -27,12 +27,25 @@ def test_matrix_covers_requires_python_floor():
     assert floor in job["strategy"]["matrix"]["python-version"]
 
 
-def test_ci_checks_pinned_analyze_digest_on_a_pipe():
-    from test_cli import ANALYZE_1E5_SHA256
-
+def digest_check(command):
+    """The run of the one CI step that pipes ``command`` into ``sha256sum -c``."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     runs = [step.get("run", "") for step in job["steps"]]
-    (check,) = [run for run in runs if "sha256sum -c" in run]
-    assert "python -m surdcf.cli analyze --from 2 --to 100000 |" in check
+    (check,) = [run for run in runs if "sha256sum -c" in run and f"{command} |" in run]
+    assert "set -o pipefail" in check
+    return check
+
+
+def test_ci_checks_pinned_analyze_digest_on_a_pipe():
+    from test_cli import ANALYZE_1E5_SHA256
+
+    check = digest_check("python -m surdcf.cli analyze --from 2 --to 100000")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
+
+
+def test_ci_checks_long_period_digest_on_a_pipe():
+    from test_cli import ANALYZE_5E7_SHA256
+
+    check = digest_check("python -m surdcf.cli analyze --from 50000000 --to 50000999")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_5E7_SHA256]
