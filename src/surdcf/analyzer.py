@@ -23,7 +23,9 @@ until no more than ``_kernels.TAIL`` are live, which the kernel finishes in
 scalar code.  The python backend, and ranges past the kernels' int64 gate,
 keep the plain split.  ``period_stats`` maps the same chunks, but builds only
 their sweep columns (ell and the square flags make its histogram): no
-two-squares column and no claim.
+two-squares column and no claim.  The chunks run through the package's one
+fan-out, ``_fanout.fan_out``: in-process at jobs 1 or for a single chunk,
+otherwise in one pool of min(jobs, chunks) processes.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -42,12 +44,11 @@ from the columns, a block of rows at a time; its bytes are those of
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _fanout, _kernels
 from .engine import expand_sqrt, period_facts
 from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
 
@@ -379,14 +380,11 @@ def check_claims(
 
 
 def _map_chunks(fn, d_min: int, d_max: int, jobs: int, backend: str | None) -> list:
-    """``fn`` over the chunks of [d_min, d_max], in range order, on up to ``jobs`` processes."""
+    """``fn`` over the chunks of [d_min, d_max], in range order, through ``_fanout``."""
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
     chunks = _chunks(d_min, d_max, jobs, _kernels.backend_name(backend))
-    if jobs <= 1 or len(chunks) == 1:
-        return [fn(chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        return list(pool.map(fn, chunks))
+    return list(_fanout.fan_out(fn, chunks, jobs))
 
 
 def _merge(report: StructReport, parts: list[StructReport]) -> StructReport:

@@ -33,8 +33,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(obj, fmt: str, text_fn=None):
-    if fmt == "text" and text_fn is not None:
+def _emit(obj, fmt: str, text_fn):
+    """One record: ``text_fn(obj)`` under --format text, else sorted-key JSON."""
+    if fmt == "text":
         print(text_fn(obj))
     else:
         print(json.dumps(obj, sort_keys=True))
@@ -130,8 +131,7 @@ def cmd_verify_families(args) -> int:
         fams = [by_id[fid] for fid in args.id]
     budget = _budget_from_args(args)
     all_ok = True
-    for fam in fams:
-        report = families.verify_family(fam, budget=budget, jobs=args.jobs)
+    for fam, report in zip(fams, families.verify_all(fams, budget=budget, jobs=args.jobs)):
         if report.failures and not fam.is_erratum:
             all_ok = False
         obj = report.to_dict()
@@ -186,12 +186,14 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = analyzer.check_claims(args.d_from, args.d_to, jobs=args.jobs, backend=backend)
     if args.format == "csv":
         print("length,count")
-        for k, v in sorted(report.histogram.items()):
+        hist = analyzer.period_stats(args.d_from, args.d_to, jobs=args.jobs, backend=backend)
+        for k, v in hist.items():
             print(f"{k},{v}")
-    elif args.format == "text":
+        return EXIT_OK
+    report = analyzer.check_claims(args.d_from, args.d_to, jobs=args.jobs, backend=backend)
+    if args.format == "text":
         print(f"range [{report.d_min}, {report.d_max}]: {report.tested} tested, {report.skipped} squares skipped")
         for cid in analyzer.CLAIM_IDS:
             c = report.claim(cid)
@@ -220,8 +222,8 @@ def cmd_sequences(args) -> int:
     return EXIT_OK
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+def _add_format(p, choices=("json", "csv", "text")):
+    p.add_argument("--format", choices=choices, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=10**6)
-    _add_format(p)
+    _add_format(p, ("json", "text"))
     p.set_defaults(fn=cmd_surd)
 
     p = sub.add_parser("convergents", help="convergents of a quotient word")
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--registry", default=None, help="registry file override (also SURDCF_REGISTRY)")
-    _add_format(p)
+    _add_format(p, ("json", "text"))
     p.set_defaults(fn=cmd_verify_families)
 
     p = sub.add_parser("mine", help="derive families from palindrome patterns")
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("--max-entry", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
-    _add_format(p)
+    _add_format(p, ("json", "text"))
     p.set_defaults(fn=cmd_mine)
 
     p = sub.add_parser("analyze", help="structure claims over a d range")

@@ -8,20 +8,26 @@ errata stay diffs against data, never code edits.
 Ladder families (a repeated block whose coefficients come from an integer
 sequence) carry a generator name; the generator turns the integer parameters
 (k, and m where applicable) into concrete polynomials in n before evaluation.
+
+The verifier compares each member against the expansion engine.
+``verify_all`` runs a whole list of families through the package's one
+process fan-out, ``_fanout.fan_out``: each family is one task, or ``jobs``
+contiguous chunks from 64 assignments on, and a run with ``jobs`` > 1 opens
+one pool for all of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import sequences
+from . import _fanout, sequences
 from .engine import PeriodicCF, expand_sqrt, is_primitive_word
 from .exact import DomainError, is_square
 
@@ -450,6 +456,38 @@ def _verify_chunk(args) -> VerifyReport:
     return report
 
 
+def _split(assignments: list, jobs: int) -> list[list]:
+    """One chunk, or ``jobs`` contiguous chunks from 64 assignments on."""
+    if jobs <= 1 or len(assignments) < 64:
+        return [assignments]
+    size = (len(assignments) + jobs - 1) // jobs
+    return [assignments[i : i + size] for i in range(0, len(assignments), size)]
+
+
+def _verify(
+    fams: Sequence[FamilyDescriptor], budget: Mapping[str, int] | None, jobs: int
+) -> Iterator[VerifyReport]:
+    """The reports of ``fams``, in order, from one fan-out of all their chunks.
+
+    Every family's chunks go through ``_fanout.fan_out`` as one task list.
+    The parts merge in assignment order, grouped by the family's position
+    in ``fams`` rather than its id, so a family listed twice reports twice.
+    """
+    owners, tasks = [], []
+    for pos, fam in enumerate(fams):
+        for chunk in _split(_assignments(fam, budget), jobs):
+            owners.append(pos)
+            tasks.append((fam, chunk))
+    parts = zip(owners, _fanout.fan_out(_verify_chunk, tasks, jobs))
+    for _, group in itertools.groupby(parts, key=lambda owned: owned[0]):
+        (_, report), *rest = group
+        for _, part in rest:
+            report.tested += part.tested
+            report.skipped += part.skipped
+            report.failures.extend(part.failures)
+        yield report
+
+
 def verify_family(
     fam: FamilyDescriptor,
     budget: Mapping[str, int] | None = None,
@@ -459,22 +497,11 @@ def verify_family(
 
     ``budget`` maps parameter names to inclusive maxima; unbounded n defaults
     to its first 101 values.  Comparison is term for term; mismatches are
-    recorded verbatim.  Chunk results merge in assignment order, so the
-    report is independent of ``jobs``.
+    recorded verbatim.  From 64 assignments on, ``jobs`` > 1 splits them
+    into ``jobs`` chunks for ``_fanout.fan_out``; chunk results merge in
+    assignment order, so the report is independent of ``jobs``.
     """
-    assignments = _assignments(fam, budget)
-    if jobs <= 1 or len(assignments) < 64:
-        return _verify_chunk((fam, assignments))
-    size = (len(assignments) + jobs - 1) // jobs
-    chunks = [
-        (fam, assignments[i : i + size]) for i in range(0, len(assignments), size)
-    ]
-    report = VerifyReport(fam.id)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        for part in pool.map(_verify_chunk, chunks):
-            report.tested += part.tested
-            report.skipped += part.skipped
-            report.failures.extend(part.failures)
+    (report,) = _verify([fam], budget, jobs)
     return report
 
 
@@ -483,9 +510,20 @@ def verify_all(
     budget: Mapping[str, int] | None = None,
     jobs: int = 1,
     path: str | None = None,
-) -> list[VerifyReport]:
+) -> Iterator[VerifyReport]:
+    """``verify_family`` over each family (default the registry), yielding in order.
+
+    At jobs 1 the families run one after another, each building its
+    assignments only when its turn comes.  Otherwise the chunks of every
+    family go through one fan-out, so a run opens one pool however many
+    families it verifies; each report is yielded once its parts are in.
+    """
     fams = list(families) if families is not None else registry(path)
-    return [verify_family(f, budget=budget, jobs=jobs) for f in fams]
+    if jobs <= 1:
+        for fam in fams:
+            yield verify_family(fam, budget)
+    else:
+        yield from _verify(fams, budget, jobs)
 
 
 __all__ = [

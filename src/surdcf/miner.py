@@ -7,15 +7,17 @@ progression of admissible heads and the matching affine b.  Each family's
 first instances are then checked by the realisation identity
 (``convergents.realizes``), not by expanding them: by the uniqueness of
 infinite continued fractions the identity is equivalent to the expansion,
-and the tests keep the engine as its oracle.
+and the tests keep the engine as its oracle.  ``mine_sweep`` sends its
+palindromes through the package's one process fan-out, ``_fanout.fan_out``,
+in contiguous slices.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import _fanout
 from .convergents import palindrome_matrix, realizes, word_matrix
 from .exact import DomainError, solve_linear_congruence
 
@@ -118,21 +120,26 @@ def _palindromes(max_len: int, max_entry: int):
 def mine_sweep(max_len: int, max_entry: int, jobs: int = 1) -> list[MinedFamily]:
     """Mine every palindrome up to the given bounds, in deterministic order.
 
-    Enumeration is by length then lexicographic over the determining half,
-    and results merge in enumeration order, so the output is stable whatever
-    ``jobs`` is.  Cost grows like max_entry^(max_len/2).
+    Enumeration is by length then lexicographic over the determining half.
+    The palindromes go out in contiguous slices through ``_fanout.fan_out``
+    and the results merge in enumeration order, so the output is stable
+    whatever ``jobs`` is.  Cost grows like max_entry^(max_len/2).
     """
     if max_len < 0 or (max_len > 0 and max_entry < 1):
         raise DomainError("bad sweep bounds")
     pals = list(_palindromes(max_len, max_entry))
     if jobs <= 1 or len(pals) < 8:
-        return _mine_slice(pals)
-    # Up to 4 * jobs contiguous slices: one task per palindrome would pay a
-    # pickle round trip for each, which costs more than mining it.
-    size = -(-len(pals) // min(4 * jobs, len(pals)))
-    slices = [pals[i : i + size] for i in range(0, len(pals), size)]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-        return [fam for part in pool.map(_mine_slice, slices) for fam in part]
+        slices = [pals]
+    else:
+        # Up to 4 * jobs contiguous slices: one task per palindrome would pay
+        # a pickle round trip for each, which costs more than mining it.
+        size = -(-len(pals) // min(4 * jobs, len(pals)))
+        slices = [pals[i : i + size] for i in range(0, len(pals), size)]
+    parts = _fanout.fan_out(_mine_slice, slices, jobs)
+    found = next(parts)
+    for part in parts:
+        found.extend(part)
+    return found
 
 
 def _mine_slice(pals: list[tuple[int, ...]]) -> list[MinedFamily]:

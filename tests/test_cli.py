@@ -18,6 +18,9 @@ ANALYZE_1E5_SHA256 = "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee65242573
 # stdout sha256 of `analyze --from 50000000 --to 50000999`, one numpy chunk
 # whose longest period is 18,624 quotients; CI checks it on a pipe too.
 ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc227d689b"
+# stdout sha256 of `verify-families` over the whole registry (121 families,
+# 25,789,730 bytes); CI checks it on a pipe at --jobs 2.
+VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
 
 
 def run(capsys, *argv):
@@ -110,6 +113,26 @@ class TestVerifyFamilies:
         assert len(lines) == 2
         assert [json.loads(l)["id"] for l in lines] == ["euler-l1", "rep2-k1"]
 
+    def test_repeated_id_reports_each_time(self, capsys):
+        # At --jobs 2 every family's chunks share one pool; parts merge by
+        # the family's place on the command line, not by its id.
+        code, out, _ = run(capsys, "verify-families", "--id", "euler-l1", "--id", "euler-l1",
+                           "--id", "rep2-k1", "--jobs", "2")
+        assert code == 0
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [r["id"] for r in recs] == ["euler-l1", "euler-l1", "rep2-k1"]
+        assert recs[0] == recs[1]
+        _, single, _ = run(capsys, "verify-families", "--id", "euler-l1")
+        assert json.loads(single) == recs[0]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_registry_output_pinned(self, capsys, jobs):
+        code, out, _ = run(capsys, "verify-families", "--jobs", jobs)
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 25_789_730
+        assert hashlib.sha256(data).hexdigest() == VERIFY_REGISTRY_SHA256
+
     def test_long_period_errata_output_pinned(self, capsys):
         # The two erratum families whose failure records print the longest
         # actual periods (up to 271,170 quotients): every one of them comes
@@ -199,6 +222,22 @@ class TestAnalyze:
         assert code == 0
         assert out.splitlines()[0] == "length,count"
         assert "1,4" in out.splitlines()
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_csv_is_json_histogram(self, capsys, monkeypatch, kernel):
+        # The histogram comes from period_stats: no claim is checked.
+        _, out, _ = run(capsys, "analyze", "--from", "2", "--to", "3000", "--kernel", kernel)
+        hist = {int(k): v for k, v in json.loads(out)["histogram"].items()}
+        want = "length,count\n" + "".join(f"{k},{v}\n" for k, v in sorted(hist.items()))
+
+        def no_claims(*args, **kwargs):
+            raise AssertionError("check_claims called")
+
+        monkeypatch.setattr(analyzer, "check_claims", no_claims)
+        code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "3000", "--kernel", kernel,
+                           "--format", "csv")
+        assert code == 0
+        assert out == want
 
     def test_jobs_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "analyze", "--from", "2", "--to", "3000")
@@ -304,6 +343,21 @@ class TestSequences:
     def test_unknown_name(self, capsys):
         code, _, _ = run(capsys, "sequences", "--name", "mystery")
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("surd", "--p", "0", "--q", "1", "--d", "2"),
+        ("verify-families", "--id", "euler-l1"),
+        ("mine", "--pattern", "2,2"),
+    ],
+    ids=["surd", "verify-families", "mine"],
+)
+def test_csv_refused_where_not_written(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 1 and out == ""
+    assert "invalid choice: 'csv'" in err
 
 
 def test_no_subcommand_is_usage_error(capsys):

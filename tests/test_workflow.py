@@ -49,3 +49,10 @@ def test_ci_checks_long_period_digest_on_a_pipe():
 
     check = digest_check("python -m surdcf.cli analyze --from 50000000 --to 50000999")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_5E7_SHA256]
+
+
+def test_ci_checks_registry_digest_through_the_pool():
+    from test_cli import VERIFY_REGISTRY_SHA256
+
+    check = digest_check("python -m surdcf.cli verify-families --jobs 2")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_SHA256]
