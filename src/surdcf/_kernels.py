@@ -13,8 +13,7 @@ Backend selection, via ``SURDCF_KERNEL`` or ``analyze --kernel``:
 Any other value is an error.  Both backends fill the same fact columns
 (ell, a0, center, flags, twosq), and ``analyzer`` folds them into a report in
 one place.  Tests pin the kernels against ``engine.period_facts``, so reports
-are byte-identical whichever backend runs; ``perfbench/run.py`` compares
-their speed.
+are byte-identical whichever backend runs.
 
 ``sweep_range`` is a half-walk kernel.  Like ``engine.expand_sqrt`` it walks
 each sqrt(d) only to the centre of its period and logs no quotient.  Its

@@ -9,11 +9,8 @@ Ladder families (a repeated block whose coefficients come from an integer
 sequence) carry a generator name; the generator turns the integer parameters
 (k, and m where applicable) into concrete polynomials in n before evaluation.
 
-The verifier compares each member against the expansion engine.
-``verify_all`` runs a whole list of families through the package's one
-process fan-out, ``_fanout.fan_out``: each family is one task, or ``jobs``
-contiguous chunks from 64 assignments on, and a run with ``jobs`` > 1 opens
-one pool for all of them.
+The verifier compares each member against the expansion engine, one
+member after another in the calling process.
 """
 
 from __future__ import annotations
@@ -25,9 +22,9 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
-from . import _fanout, sequences
+from . import sequences
 from .engine import PeriodicCF, expand_sqrt, is_primitive_word
 from .exact import DomainError, is_square
 
@@ -62,13 +59,6 @@ class PolyExpr:
 
     def __repr__(self) -> str:
         return f"PolyExpr({self.source!r})"
-
-    def __getstate__(self):
-        return self.source
-
-    def __setstate__(self, source):
-        self.source = source
-        self._ast = _parse(source)
 
 
 @lru_cache(maxsize=4096)
@@ -273,8 +263,35 @@ class FamilyDescriptor:
         return [p.name for p in self.params]
 
 
-def _descriptor_from_record(rec: dict) -> FamilyDescriptor:
-    params = tuple(ParamSpec(name, lo, hi) for name, lo, hi in rec["params"])
+def _param_spec(triple) -> ParamSpec:
+    """A ``[name, lo, hi]`` triple, hi an integer or null."""
+    if not (
+        isinstance(triple, list)
+        and len(triple) == 3
+        and isinstance(triple[0], str)
+        and type(triple[1]) is int
+        and (triple[2] is None or type(triple[2]) is int)
+    ):
+        raise DomainError(f"params entry {triple!r} is not [name, lo, hi or null]")
+    return ParamSpec(*triple)
+
+
+def _descriptor_from_record(rec) -> FamilyDescriptor:
+    if not isinstance(rec, dict):
+        raise DomainError("record is not a JSON object")
+    for key in ("id", "params"):
+        if key not in rec:
+            raise DomainError(f"record has no {key!r}")
+    if not isinstance(rec["params"], list):
+        raise DomainError(f"params {rec['params']!r} is not a list")
+    params = tuple(_param_spec(triple) for triple in rec["params"])
+    if rec.get("generator"):
+        if rec["generator"] not in GENERATORS:
+            raise DomainError(f"unknown generator {rec['generator']!r}")
+    else:
+        for key in ("a_expr", "b_expr", "pattern"):
+            if not rec.get(key):
+                raise DomainError(f"record has no generator and no {key!r}")
     expr = lambda key: PolyExpr(rec[key]) if rec.get(key) else None
     pattern = tuple(PolyExpr(s) for s in rec["pattern"]) if rec.get("pattern") else None
     return FamilyDescriptor(
@@ -299,7 +316,11 @@ def registry(path: str | None = None) -> list[FamilyDescriptor]:
     """All registry families, in file order.
 
     Resolution order for the data file: explicit path argument, the
-    SURDCF_REGISTRY environment variable, then the packaged registry.
+    SURDCF_REGISTRY environment variable, then the packaged registry.  A
+    record that is not valid JSON, not an object, lacks ``id`` or ``params``,
+    has a malformed params triple, names an unknown generator or has neither
+    a generator nor all of ``a_expr``, ``b_expr`` and ``pattern`` raises
+    DomainError naming its 1-based line.
     """
     path = path or os.environ.get(REGISTRY_ENV) or None
     if path:
@@ -308,11 +329,14 @@ def registry(path: str | None = None) -> list[FamilyDescriptor]:
     else:
         text = resources.files(__package__).joinpath(_REGISTRY_RESOURCE).read_text("utf-8")
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        out.append(_descriptor_from_record(json.loads(line)))
+        try:
+            out.append(_descriptor_from_record(json.loads(line)))
+        except (json.JSONDecodeError, DomainError) as exc:
+            raise DomainError(f"registry line {lineno}: {exc}") from None
     ids = [f.id for f in out]
     if len(ids) != len(set(ids)):
         raise DomainError("duplicate family ids in registry")
@@ -424,19 +448,27 @@ def _param_values(fam: FamilyDescriptor, p: ParamSpec, budget: Mapping[str, int]
     return range(p.lo, hi + 1)
 
 
-def _assignments(fam: FamilyDescriptor, budget: Mapping[str, int] | None):
+def _assignments(
+    fam: FamilyDescriptor, budget: Mapping[str, int] | None
+) -> Iterator[dict[str, int]]:
+    """Every budgeted assignment, the first parameter varying slowest."""
     names = fam.free_params()
     ranges = [_param_values(fam, p, budget) for p in fam.params]
-    out = [{}]
-    for name, rng in zip(names, ranges):
-        out = [dict(asgn, **{name: v}) for asgn in out for v in rng]
-    return out
+    for values in itertools.product(*ranges):
+        yield dict(zip(names, values))
 
 
-def _verify_chunk(args) -> VerifyReport:
-    fam, chunk = args
+def verify_family(
+    fam: FamilyDescriptor, budget: Mapping[str, int] | None = None
+) -> VerifyReport:
+    """Compare every budgeted family member against the expansion engine.
+
+    ``budget`` maps parameter names to inclusive maxima; unbounded n defaults
+    to its first 101 values.  Comparison is term for term; mismatches are
+    recorded verbatim, in assignment order.
+    """
     report = VerifyReport(fam.id)
-    for assignment in chunk:
+    for assignment in _assignments(fam, budget):
         try:
             d, expected = instantiate(fam, assignment)
         except FamilyValidityError:
@@ -456,76 +488,6 @@ def _verify_chunk(args) -> VerifyReport:
     return report
 
 
-def _split(assignments: list, jobs: int) -> list[list]:
-    """One chunk, or ``jobs`` contiguous chunks from 64 assignments on."""
-    if jobs <= 1 or len(assignments) < 64:
-        return [assignments]
-    size = (len(assignments) + jobs - 1) // jobs
-    return [assignments[i : i + size] for i in range(0, len(assignments), size)]
-
-
-def _verify(
-    fams: Sequence[FamilyDescriptor], budget: Mapping[str, int] | None, jobs: int
-) -> Iterator[VerifyReport]:
-    """The reports of ``fams``, in order, from one fan-out of all their chunks.
-
-    Every family's chunks go through ``_fanout.fan_out`` as one task list.
-    The parts merge in assignment order, grouped by the family's position
-    in ``fams`` rather than its id, so a family listed twice reports twice.
-    """
-    owners, tasks = [], []
-    for pos, fam in enumerate(fams):
-        for chunk in _split(_assignments(fam, budget), jobs):
-            owners.append(pos)
-            tasks.append((fam, chunk))
-    parts = zip(owners, _fanout.fan_out(_verify_chunk, tasks, jobs))
-    for _, group in itertools.groupby(parts, key=lambda owned: owned[0]):
-        (_, report), *rest = group
-        for _, part in rest:
-            report.tested += part.tested
-            report.skipped += part.skipped
-            report.failures.extend(part.failures)
-        yield report
-
-
-def verify_family(
-    fam: FamilyDescriptor,
-    budget: Mapping[str, int] | None = None,
-    jobs: int = 1,
-) -> VerifyReport:
-    """Compare every budgeted family member against the expansion engine.
-
-    ``budget`` maps parameter names to inclusive maxima; unbounded n defaults
-    to its first 101 values.  Comparison is term for term; mismatches are
-    recorded verbatim.  From 64 assignments on, ``jobs`` > 1 splits them
-    into ``jobs`` chunks for ``_fanout.fan_out``; chunk results merge in
-    assignment order, so the report is independent of ``jobs``.
-    """
-    (report,) = _verify([fam], budget, jobs)
-    return report
-
-
-def verify_all(
-    families: Iterable[FamilyDescriptor] | None = None,
-    budget: Mapping[str, int] | None = None,
-    jobs: int = 1,
-    path: str | None = None,
-) -> Iterator[VerifyReport]:
-    """``verify_family`` over each family (default the registry), yielding in order.
-
-    At jobs 1 the families run one after another, each building its
-    assignments only when its turn comes.  Otherwise the chunks of every
-    family go through one fan-out, so a run opens one pool however many
-    families it verifies; each report is yielded once its parts are in.
-    """
-    fams = list(families) if families is not None else registry(path)
-    if jobs <= 1:
-        for fam in fams:
-            yield verify_family(fam, budget)
-    else:
-        yield from _verify(fams, budget, jobs)
-
-
 __all__ = [
     "PolyExpr",
     "ParamSpec",
@@ -537,6 +499,5 @@ __all__ = [
     "family_by_id",
     "instantiate",
     "verify_family",
-    "verify_all",
     "REGISTRY_ENV",
 ]

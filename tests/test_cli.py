@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from surdcf import analyzer
+from surdcf import analyzer, families
 from surdcf.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,8 +19,11 @@ ANALYZE_1E5_SHA256 = "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee65242573
 # whose longest period is 18,624 quotients; CI checks it on a pipe too.
 ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc227d689b"
 # stdout sha256 of `verify-families` over the whole registry (121 families,
-# 25,789,730 bytes); CI checks it on a pipe at --jobs 2.
+# 25,789,730 bytes); CI checks it on a pipe too.
 VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
+# stdout sha256 of `mine --sweep --max-len 10 --max-entry 8` (8,481,992
+# bytes); CI checks it on a pipe at --jobs 2, through the process pool.
+MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
 
 
 def run(capsys, *argv):
@@ -114,10 +117,8 @@ class TestVerifyFamilies:
         assert [json.loads(l)["id"] for l in lines] == ["euler-l1", "rep2-k1"]
 
     def test_repeated_id_reports_each_time(self, capsys):
-        # At --jobs 2 every family's chunks share one pool; parts merge by
-        # the family's place on the command line, not by its id.
         code, out, _ = run(capsys, "verify-families", "--id", "euler-l1", "--id", "euler-l1",
-                           "--id", "rep2-k1", "--jobs", "2")
+                           "--id", "rep2-k1")
         assert code == 0
         recs = [json.loads(line) for line in out.splitlines()]
         assert [r["id"] for r in recs] == ["euler-l1", "euler-l1", "rep2-k1"]
@@ -125,9 +126,37 @@ class TestVerifyFamilies:
         _, single, _ = run(capsys, "verify-families", "--id", "euler-l1")
         assert json.loads(single) == recs[0]
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_registry_output_pinned(self, capsys, jobs):
-        code, out, _ = run(capsys, "verify-families", "--jobs", jobs)
+    def test_verify_family_once_per_id_in_order(self, capsys, monkeypatch):
+        # The CLI goes through the module's verify_family, and that through
+        # the module's expand_sqrt once per tested member.
+        calls, expanded = [], []
+        real_verify, real_expand = families.verify_family, families.expand_sqrt
+
+        def counted_verify(fam, budget=None):
+            calls.append(fam.id)
+            return real_verify(fam, budget)
+
+        def counted_expand(d):
+            expanded.append(d)
+            return real_expand(d)
+
+        monkeypatch.setattr(families, "verify_family", counted_verify)
+        monkeypatch.setattr(families, "expand_sqrt", counted_expand)
+        ids = ["euler-l1", "rep2-k1", "euler-l1"]
+        code, out, _ = run(capsys, "verify-families", *[arg for fid in ids for arg in ("--id", fid)],
+                           "--n-max", "5")
+        assert code == 0
+        assert calls == ids
+        assert len(expanded) == sum(json.loads(line)["tested"] for line in out.splitlines())
+
+    @pytest.mark.parametrize("flag", [("--jobs", "2"), ("--all",)], ids=["jobs", "all"])
+    def test_removed_options_are_usage_errors(self, capsys, flag):
+        code, out, err = run(capsys, "verify-families", *flag)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_registry_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify-families")
         assert code == 0
         data = out.encode()
         assert len(data) == 25_789_730
@@ -144,6 +173,55 @@ class TestVerifyFamilies:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "937cd7b85044c796374cb869f05d86bd07f151696d8fe6ccc3eda6e672c575a6"
         )
+
+
+EULER_RECORD = {"id": "euler-l1", "params": [["n", 1, None]], "a_expr": "n", "b_expr": "1",
+                "pattern": ["2*a"]}
+
+
+def run_process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "surdcf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def write_registry(tmp_path, *records):
+    path = tmp_path / "registry.jsonl"
+    lines = ["# header comment"] + [json.dumps(rec) for rec in records]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestRegistryErrors:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([1, 2], "record is not a JSON object"),
+            ({k: v for k, v in EULER_RECORD.items() if k != "id"}, "record has no 'id'"),
+            ({k: v for k, v in EULER_RECORD.items() if k != "params"}, "record has no 'params'"),
+            (dict(EULER_RECORD, id="x", params=[["n", 1]]), "params entry ['n', 1] is not"),
+            ({"id": "x", "generator": "nope", "params": [["k", 1, None]]},
+             "unknown generator 'nope'"),
+            ({k: v for k, v in EULER_RECORD.items() if k != "pattern"},
+             "record has no generator and no 'pattern'"),
+        ],
+        ids=["not-object", "no-id", "no-params", "bad-triple", "unknown-generator", "no-pattern"],
+    )
+    def test_bad_record_names_its_line(self, tmp_path, bad, message):
+        proc = run_process("verify-families", "--n-max", "3",
+                           "--registry", write_registry(tmp_path, EULER_RECORD, bad))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"verify-families: registry line 3: {message}")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_unbound_variable_stops_after_written_records(self, tmp_path):
+        unbound = dict(EULER_RECORD, id="unbound", a_expr="n+x")
+        proc = run_process("verify-families", "--n-max", "3",
+                           "--registry", write_registry(tmp_path, EULER_RECORD, unbound))
+        assert proc.returncode == 1
+        assert [json.loads(line)["id"] for line in proc.stdout.splitlines()] == ["euler-l1"]
+        assert proc.stderr == "verify-families: unbound: unbound variable 'x'\n"
 
 
 class TestMine:
@@ -193,9 +271,7 @@ class TestMine:
         assert code == 0
         data = out.encode()
         assert len(data) == 8_481_992
-        assert hashlib.sha256(data).hexdigest() == (
-            "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
-        )
+        assert hashlib.sha256(data).hexdigest() == MINE_SWEEP_SHA256
 
 
 class TestAnalyze:

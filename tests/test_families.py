@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from surdcf import _kernels, families
+from surdcf import _kernels
 from surdcf.convergents import palindrome_b
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
@@ -127,35 +127,6 @@ class TestVerify:
         assert good.corrects == printed
         good_report = verify_family(good, budget={"n": 8, "m": 3})
         assert good_report.status == "verified" and not good_report.failures
-
-    def test_jobs_deterministic(self):
-        fam = family_by_id("perron-l3")
-        seq = verify_family(fam, budget={"m": 3, "n": 40})
-        par = verify_family(fam, budget={"m": 3, "n": 40}, jobs=4)
-        assert seq.to_dict() == par.to_dict()
-
-    def test_verify_all_serial_is_lazy_and_per_family(self, monkeypatch):
-        # At jobs 1 each family's assignments are built when its turn comes,
-        # and each report comes from the module's verify_family.
-        calls = []
-        real_assignments, real_verify = families._assignments, families.verify_family
-
-        def counted_assignments(fam, budget):
-            calls.append(("assignments", fam.id))
-            return real_assignments(fam, budget)
-
-        def counted_verify(fam, budget=None, jobs=1):
-            calls.append(("verify", fam.id))
-            return real_verify(fam, budget, jobs)
-
-        monkeypatch.setattr(families, "_assignments", counted_assignments)
-        monkeypatch.setattr(families, "verify_family", counted_verify)
-        fams = [family_by_id(fid) for fid in ("euler-l1", "rep2-k1", "euler-l1")]
-        reports = families.verify_all(fams, budget={"n": 5})
-        first = next(reports)
-        assert calls == [("verify", "euler-l1"), ("assignments", "euler-l1")]
-        assert [first.family_id] + [r.family_id for r in reports] == [f.id for f in fams]
-        assert [c for c in calls if c[0] == "verify"] == [("verify", f.id) for f in fams]
 
     def test_generator_records_match_explicit_ones(self):
         pairs = [

@@ -2,12 +2,17 @@
 
 A recording stand-in for ProcessPoolExecutor is patched into ``_fanout``,
 the package's one fan-out: it notes ``max_workers`` and the task count and
-maps serially, so no process is started.
+maps serially, so no process is started.  The analyzer's range chunks and
+the miner's palindrome slices go through it; the family verifier runs
+in-process and opens no pool.
 """
+
+import json
 
 import pytest
 
-from surdcf import _fanout, analyzer, families, miner
+from surdcf import _fanout, analyzer, miner
+from surdcf.cli import main
 
 
 class RecordingPool:
@@ -31,11 +36,6 @@ def check_claims_dict(jobs):
     return analyzer.check_claims(2, 10, jobs=jobs, backend="python").to_dict()
 
 
-def verify_family_dict(jobs):
-    fam = families.family_by_id("perron-l3")
-    return families.verify_family(fam, budget={"m": 3, "n": 40}, jobs=jobs).to_dict()
-
-
 def mine_sweep_list(jobs):
     return miner.mine_sweep(3, 2, jobs=jobs)
 
@@ -53,12 +53,10 @@ def recording_pool(monkeypatch):
     [
         # 9 radicands make 9 chunks
         (check_claims_dict, 9),
-        # 3 * 40 assignments in chunks of ceil(120 / 64) = 2
-        (verify_family_dict, 60),
         # the empty word and 8 palindromes of length 1..3 over entries 1..2
         (mine_sweep_list, 9),
     ],
-    ids=["check_claims", "verify_family", "mine_sweep"],
+    ids=["check_claims", "mine_sweep"],
 )
 def test_pool_capped_at_task_count(recording_pool, call, tasks):
     assert call(64) == call(1)
@@ -73,14 +71,15 @@ def test_mine_sweep_maps_contiguous_slices(recording_pool):
     assert len(recording_pool.tasks) == 1 and 1 < recording_pool.tasks[0] <= 8
 
 
-def test_verify_all_opens_one_pool(recording_pool):
-    # Three families of at least 64 assignments (3 * 70, 70, 3 * 70) make
-    # two chunks apiece at jobs 2, and all six go through a single pool.
-    fams = [families.family_by_id(fid) for fid in ("perron-l3", "euler-l1", "perron-l3")]
-    budget = {"m": 3, "n": 70}
-    par = [r.to_dict() for r in families.verify_all(fams, budget=budget, jobs=2)]
-    assert recording_pool.sizes == [2]
-    assert recording_pool.tasks == [6]
-    seq = [families.verify_family(f, budget=budget).to_dict() for f in fams]
-    assert par == seq
-    assert recording_pool.sizes == [2]
+class RaisingPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a process pool was opened")
+
+
+def test_verify_families_opens_no_pool(capsys, monkeypatch):
+    # The verifier runs in-process; even a family of 3 * 70 assignments
+    # never reaches the fan-out.
+    monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RaisingPool)
+    argv = ["verify-families", "--id", "perron-l3", "--id", "euler-l1", "--m-max", "3", "--n-max", "70"]
+    assert main(argv) == 0
+    assert [json.loads(line)["tested"] for line in capsys.readouterr().out.splitlines()] == [210, 70]

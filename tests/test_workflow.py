@@ -51,8 +51,15 @@ def test_ci_checks_long_period_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_5E7_SHA256]
 
 
-def test_ci_checks_registry_digest_through_the_pool():
+def test_ci_checks_registry_digest_on_a_pipe():
     from test_cli import VERIFY_REGISTRY_SHA256
 
-    check = digest_check("python -m surdcf.cli verify-families --jobs 2")
+    check = digest_check("python -m surdcf.cli verify-families")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_SHA256]
+
+
+def test_ci_checks_mine_sweep_digest_through_the_pool():
+    from test_cli import MINE_SWEEP_SHA256
+
+    check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8 --jobs 2")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
