@@ -4,8 +4,8 @@
 order.  It runs in-process at ``jobs <= 1`` or for a single task; otherwise
 all the tasks go through one pool of ``min(jobs, len(tasks))`` worker
 processes.  Callers decide how their work splits into tasks (the analyzer's
-range chunks, the miner's palindrome slices) and merge the results in order,
-so their output does not depend on ``jobs``.
+range chunks, the miner's spans of its sweep order) and merge the results
+in order, so their output does not depend on ``jobs``.
 """
 
 from __future__ import annotations

@@ -155,14 +155,14 @@ def cmd_mine(args) -> int:
         except DomainError as exc:
             print(f"mine: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        for fam in found:
-            if args.format == "text":
+        if args.format == "text":
+            for fam in found:
                 print(
                     f"[{','.join(map(str, fam.palindrome))}]: a = {fam.a_modulus}*c+{fam.a_residue}, "
                     f"b = {fam.b_expr()}, c >= {fam.min_c}"
                 )
-            else:
-                print(json.dumps(fam.to_dict(), sort_keys=True))
+        else:
+            miner.write_jsonl(found, sys.stdout)
         return EXIT_OK
     if args.pattern is None:
         print("mine: need --pattern or --sweep", file=sys.stderr)

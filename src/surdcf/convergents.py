@@ -4,15 +4,22 @@ A quotient word a_0..a_n corresponds to the matrix product of [[a_k,1],[1,0]],
 whose columns are the last two convergent pairs.  Reconstruction runs that
 correspondence backwards: from [a0; period] to the exact quadratic surd the
 expansion denotes.
+
+Each step matrix is symmetric, so a reversed word has the transposed matrix,
+and a palindrome u + reverse(v) (u = v, or v followed by the centre) has
+W(u)·W(v)ᵀ.  ``palindrome_matrix`` and ``palindromes`` build palindrome
+matrices that way from the determining half alone; ``palindromes`` walks the
+halves depth first, extending each by one quotient with the recurrence step.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
 from .mat2 import IDENTITY, Mat2
@@ -54,19 +61,25 @@ def _check_word(word: Sequence[int]) -> None:
         raise DomainError("quotients after the first must be >= 1")
 
 
-def _recurrence(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1.
+def _extend(state: tuple[int, int, int, int], a: int) -> tuple[int, int, int, int]:
+    """The state (p_k, p_{k-1}, q_k, q_{k-1}) one quotient a further on.
 
-    Seeds p(-2) = 0, p(-1) = 1, q(-2) = 1, q(-1) = 0 and steps
-    p_k = a_k*p_{k-1} + p_{k-2}, likewise q.  This is the one implementation
-    of the convergent recurrence; it accepts any integer quotients.
+    p_k = a*p_{k-1} + p_{k-2}, likewise q: this is the one implementation of
+    the convergent recurrence, and it accepts any integer quotient.  A state
+    holds the entries m11, m12, m21, m22 of the word matrix so far, and the
+    empty word's state is that of IDENTITY: p(-1) = 1, p(-2) = 0, q(-1) = 0,
+    q(-2) = 1.
     """
-    p0, p1 = 0, 1
-    q0, q1 = 1, 0
+    p1, p0, q1, q0 = state
+    return a * p1 + p0, p1, a * q1 + q0, q1
+
+
+def _recurrence(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1."""
+    state = astuple(IDENTITY)
     for a in word:
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        yield p1, p0, q1, q0
+        state = _extend(state, a)
+        yield state
 
 
 def convergents_of_word(word: Sequence[int]) -> list[Convergent]:
@@ -143,22 +156,65 @@ def surd_from_periodic_cf(a0: int, period: Sequence[int]) -> QuadSolution:
     return QuadSolution(a2, a1, a0c, D, P, Q)
 
 
-def palindrome_matrix(
-    palindrome: Sequence[int], matrix_of: Callable[[Sequence[int]], Mat2]
-) -> Mat2:
+def _reflect(head: tuple[int, int, int, int], half: tuple[int, int, int, int]) -> Mat2:
+    """W(u)·W(v)ᵀ from the states of u and v: the word matrix of u + reverse(v)."""
+    P1, P0, Q1, Q0 = head
+    p1, p0, q1, q0 = half
+    return Mat2(P1 * p1 + P0 * p0, P1 * q1 + P0 * q0, Q1 * p1 + Q0 * p0, Q1 * q1 + Q0 * q0)
+
+
+def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
     """Word matrix of a palindrome with entries >= 1; the empty one is IDENTITY.
 
-    ``matrix_of`` is the caller's ``word_matrix``, passed so that the call
-    goes through the caller's binding of it (perfbench's tracer wraps the
-    miner's).  Raises DomainError for a word that is not a palindrome or has
-    an entry below 1.
+    Built from the determining half h by the reflection identity: W(h)·W(h)ᵀ
+    for h + reverse(h), W(hc)·W(h)ᵀ for h + [c] + reverse(h).  Raises
+    DomainError for a word that is not a palindrome or has an entry below 1.
     """
     pal = list(palindrome)
     if pal != pal[::-1]:
         raise DomainError("word is not a palindrome")
     if any(a < 1 for a in pal):
         raise DomainError("palindrome entries must be >= 1")
-    return matrix_of(pal) if pal else IDENTITY
+    mid = len(pal) // 2
+    half = reduce(_extend, pal[:mid], astuple(IDENTITY))
+    return _reflect(_extend(half, pal[mid]) if len(pal) % 2 else half, half)
+
+
+def palindromes(
+    length: int, max_entry: int, first: int = 1, last: int | None = None
+) -> Iterator[tuple[tuple[int, ...], Mat2]]:
+    """(palindrome, word matrix) for each palindrome of ``length`` over 1..max_entry.
+
+    Only palindromes whose first entry lies in first..last (default
+    max_entry) come out; the empty word, at length 0, always does.  The order
+    is lexicographic over the determining half, the first ceil(length/2)
+    entries.  The halves are walked depth first, each extended by one
+    quotient with ``_extend``, and each matrix comes from its half's state
+    as in ``palindrome_matrix``; no word is re-scanned and no list of
+    palindromes or halves is held.
+    """
+    leads = range(first, (max_entry if last is None else last) + 1)
+    return _walk((), astuple(IDENTITY), length // 2, length % 2, leads, range(1, max_entry + 1))
+
+
+def _walk(half, state, depth, odd, leads, entries):
+    """The palindromes under ``half`` (with state ``state``) that still need
+    ``depth`` more quotients of their half, and a centre if ``odd``; the next
+    quotient is drawn from ``leads``, every later one from ``entries``."""
+    if depth > 1 or (depth and odd):
+        for a in leads:
+            yield from _walk(half + (a,), _extend(state, a), depth - 1, odd, entries, entries)
+    elif odd:
+        tail = half[::-1]
+        for c in leads:
+            yield half + (c,) + tail, _reflect(_extend(state, c), state)
+    elif depth:
+        tail = half[::-1]
+        for a in leads:
+            full = _extend(state, a)
+            yield half + (a, a) + tail, _reflect(full, full)
+    else:
+        yield (), _reflect(state, state)
 
 
 def realizes(m: Mat2, max_entry: int, a: int, b: int) -> bool:
@@ -186,7 +242,7 @@ def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
     entry exceeds a0 (``realizes``).  The empty palindrome is legal (identity
     matrix, b = 1).
     """
-    m = palindrome_matrix(palindrome, word_matrix)
+    m = palindrome_matrix(palindrome)
     if not m.is_symmetric:
         raise DomainError("palindrome produced an asymmetric matrix")
     return Fraction(2 * a0 * m.m12 + m.m22, m.m11)
@@ -199,6 +255,7 @@ __all__ = [
     "word_matrix",
     "surd_from_periodic_cf",
     "palindrome_matrix",
+    "palindromes",
     "palindrome_b",
     "realizes",
 ]

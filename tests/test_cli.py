@@ -22,7 +22,8 @@ ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc22
 # 25,789,730 bytes); CI checks it on a pipe too.
 VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
 # stdout sha256 of `mine --sweep --max-len 10 --max-entry 8` (8,481,992
-# bytes); CI checks it on a pipe at --jobs 2, through the process pool.
+# bytes); CI checks it on a pipe at --jobs 1 and at --jobs 2, through the
+# process pool.
 MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
 
 
@@ -266,12 +267,37 @@ class TestMine:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bench_size_sweep_output_pinned(self, capsys, jobs):
         # The mine-sweep benchmark's command, 74,897 palindromes; at --jobs 2
-        # it runs through the pool's contiguous slices.
+        # it runs through the pool, a span of the palindrome order per task.
         code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "10", "--max-entry", "8", "--jobs", jobs)
         assert code == 0
         data = out.encode()
         assert len(data) == 8_481_992
         assert hashlib.sha256(data).hexdigest() == MINE_SWEEP_SHA256
+
+    def test_text_sweep_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6", "--format", "text")
+        assert code == 0
+        assert len(out.splitlines()) == 1441
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1b718023a126e9af3cc5bcc680335e2a592561261c08e7aac28786be9931c5a9"
+        )
+
+    def test_closed_pipe_exits_quietly(self):
+        # The reader leaves after 100 bytes, while the families are still
+        # being written.  stdout is block-buffered, as under a shell.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "surdcf.cli", "mine", "--sweep", "--max-len", "10",
+             "--max-entry", "8"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(100).startswith(b'{"a_modulus": 1, "a_residue": 0, "b_expr": "1", ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
 
 
 class TestAnalyze:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from surdcf.convergents import (
     convergents_of_word,
     palindrome_b,
+    palindrome_matrix,
+    palindromes,
     realizes,
     surd_from_periodic_cf,
     word_matrix,
@@ -91,6 +93,8 @@ class TestWordMatrix:
 
 
 def _palindromes(max_len, max_entry):
+    """Reference order of the miner's sweep: by length, then lexicographic
+    over the determining half (the first ceil(length/2) entries)."""
     import itertools
     yield ()
     for length in range(1, max_len + 1):
@@ -178,7 +182,53 @@ class TestPalindromeB:
             assert palindrome_b(cf.interior(), cf.a0) == d - cf.a0 * cf.a0
 
 
-palindromes = st.builds(
+def matrix_of(pal):
+    return word_matrix(pal) if pal else IDENTITY
+
+
+class TestPalindromeMatrices:
+    # Each palindrome's matrix comes from its determining half by the
+    # reflection identity; word_matrix over the whole word is the oracle.
+    @pytest.mark.parametrize(
+        "max_len, max_entry, count",
+        [(10, 8, 74_897), (9, 3, 484), (1, 5, 6)],
+        ids=["bench-sweep", "9-3", "1-5"],
+    )
+    def test_walk_matches_word_matrix_in_sweep_order(self, max_len, max_entry, count):
+        n = 0
+        walked = (item for length in range(max_len + 1) for item in palindromes(length, max_entry))
+        for (pal, m), want in zip(walked, _palindromes(max_len, max_entry), strict=True):
+            assert pal == want
+            assert m == matrix_of(pal), pal
+            n += 1
+        assert n == count
+
+    @pytest.mark.parametrize("max_len, max_entry", [(9, 3), (1, 5)])
+    def test_palindrome_matrix_matches_word_matrix(self, max_len, max_entry):
+        lengths = set()
+        for pal in _palindromes(max_len, max_entry):
+            assert palindrome_matrix(pal) == matrix_of(pal), pal
+            lengths.add(len(pal) % 2)
+        assert lengths == {0, 1}
+
+    def test_empty_word(self):
+        assert palindrome_matrix([]) == IDENTITY
+        # Length 0 has no leading entry, so a lead range does not drop it.
+        for first, last in [(1, None), (2, 2)]:
+            assert list(palindromes(0, 3, first, last)) == [((), IDENTITY)]
+
+    def test_length_one(self):
+        assert list(palindromes(1, 4)) == [((c,), Mat2(c, 1, 1, 0)) for c in range(1, 5)]
+        assert palindrome_matrix([7]) == word_matrix([7])
+
+    @pytest.mark.parametrize("first, last", [(1, 1), (2, 3), (3, 3), (1, 3)])
+    def test_lead_range(self, first, last):
+        for length in range(1, 7):
+            want = [(p, m) for p, m in palindromes(length, 3) if first <= p[0] <= last]
+            assert list(palindromes(length, 3, first, last)) == want
+
+
+palindrome_words = st.builds(
     lambda half, odd: tuple(half + half[::-1][odd:]),
     st.lists(st.integers(1, 9), max_size=4),
     st.integers(0, 1),
@@ -197,7 +247,7 @@ class TestRealizes:
     # The engine is the oracle for the identity: at the nearest integer b
     # to (2aB + C)/A, and one either side of it.
     @settings(max_examples=400, deadline=None)
-    @given(palindromes, st.integers(1, 60))
+    @given(palindrome_words, st.integers(1, 60))
     @example((), 1)              # sqrt(2) = [1; 2]
     @example((2, 2), 6)          # sqrt(41) = [6; 2, 2, 12]
     @example((4,), 2)            # b = 1 and the identity hold, but 4 > a

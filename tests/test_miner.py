@@ -1,9 +1,14 @@
-import pytest
+import io
+import json
 
+import pytest
+from test_convergents import _palindromes as reference_palindromes
+
+from surdcf import miner
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
-from surdcf.miner import mine, mine_sweep
+from surdcf.miner import MinedFamily, mine, mine_sweep, write_jsonl
 
 
 def assert_family_verifies(fam, upto=50):
@@ -86,6 +91,22 @@ class TestMineSweep:
         for fam in mine_sweep(3, 3):
             assert_family_verifies(fam, upto=20)
 
+    def test_order_matches_reference_enumerator(self):
+        # By length, then lexicographic over the determining half; each
+        # family is the one mine() derives from the whole word.
+        want = [fam for fam in map(mine, reference_palindromes(7, 6)) if fam is not None]
+        assert mine_sweep(7, 6) == want
+
+    @pytest.mark.parametrize(
+        "max_len, max_entry, jobs",
+        [(0, 3, 2), (1, 5, 2), (6, 3, 2), (7, 6, 2), (7, 6, 3), (3, 2, 64), (9, 3, 4)],
+    )
+    def test_spans_tile_the_order(self, max_len, max_entry, jobs):
+        spans = miner._spans(max_len, max_entry, jobs)
+        assert 1 <= len(spans) <= 4 * jobs
+        got = [fam for span in spans for fam in miner._mine_span(span)]
+        assert got == [fam for fam in map(mine, reference_palindromes(max_len, max_entry)) if fam]
+
     def test_engine_confirms_every_family_far_out(self):
         # The engine is the oracle for the realisation identity that mine
         # checks: at the five checked instances, and a million heads on.
@@ -96,6 +117,56 @@ class TestMineSweep:
                 a, b = fam.a_of(c), fam.b_of(c)
                 cf = expand_sqrt(a * a + b)
                 assert cf.a0 == a and cf.period == (*fam.palindrome, 2 * a), (fam, c)
+
+
+def reference_jsonl(fams):
+    return "".join(json.dumps(f.to_dict(), sort_keys=True) + "\n" for f in fams)
+
+
+class BlockCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+class TestWriteJsonl:
+    HAND_BUILT = [
+        MinedFamily((), 0, 1, 0, 1, 1, 5),               # the empty palindrome
+        MinedFamily((4,), 0, 2, 1, 0, 2, 5),              # a 1-tuple prints as (4,)
+        MinedFamily((1, 2, 1), 3, 7, 0, 12, 0, 5),        # b_slope == 0
+        MinedFamily((2, 2), 1, 5, 4, 0, 1, 5),            # b_const == 0
+        # Not minable (b_const = (2B res + C)/A >= 0), but the fields allow it.
+        MinedFamily((1, 1, 1), 2, 3, 2, -17, 9, 3),
+    ]
+
+    def test_sweep_bytes(self):
+        fams = mine_sweep(7, 6)
+        out = io.StringIO()
+        write_jsonl(fams, out)
+        assert out.getvalue() == reference_jsonl(fams)
+
+    def test_hand_built(self):
+        out = io.StringIO()
+        write_jsonl(self.HAND_BUILT, out)
+        assert out.getvalue() == reference_jsonl(self.HAND_BUILT)
+        assert '"b_expr": "2*c-17"' in out.getvalue()
+
+    @pytest.mark.parametrize("block, writes", [(1, 5), (3, 2), (5, 1), (4096, 1)])
+    def test_rows_written_in_blocks(self, monkeypatch, block, writes):
+        monkeypatch.setattr(miner, "WRITE_BLOCK", block)
+        out = BlockCounter()
+        write_jsonl(iter(self.HAND_BUILT), out)
+        assert out.getvalue() == reference_jsonl(self.HAND_BUILT)
+        assert out.writes == writes
+
+    def test_no_families_writes_nothing(self):
+        out = BlockCounter()
+        write_jsonl([], out)
+        assert out.getvalue() == "" and out.writes == 0
 
 
 class TestRegistryConsistency:

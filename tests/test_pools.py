@@ -3,8 +3,8 @@
 A recording stand-in for ProcessPoolExecutor is patched into ``_fanout``,
 the package's one fan-out: it notes ``max_workers`` and the task count and
 maps serially, so no process is started.  The analyzer's range chunks and
-the miner's palindrome slices go through it; the family verifier runs
-in-process and opens no pool.
+the miner's spans of its palindrome order go through it; the family
+verifier runs in-process and opens no pool.
 """
 
 import json
@@ -53,8 +53,9 @@ def recording_pool(monkeypatch):
     [
         # 9 radicands make 9 chunks
         (check_claims_dict, 9),
-        # the empty word and 8 palindromes of length 1..3 over entries 1..2
-        (mine_sweep_list, 9),
+        # 9 palindromes in 7 units (the empty word; lengths 1..3 by leading
+        # entry 1..2), grouped into 6 spans of about equal palindrome count
+        (mine_sweep_list, 6),
     ],
     ids=["check_claims", "mine_sweep"],
 )
@@ -65,7 +66,7 @@ def test_pool_capped_at_task_count(recording_pool, call, tasks):
 
 def test_mine_sweep_maps_contiguous_slices(recording_pool):
     # 79 palindromes of length <= 6 over entries 1..3 go out as at most
-    # 4 * jobs tasks, not one task per palindrome.
+    # 4 * jobs spans, not one task per palindrome.
     assert miner.mine_sweep(6, 3, jobs=2) == miner.mine_sweep(6, 3)
     assert recording_pool.sizes == [2]
     assert len(recording_pool.tasks) == 1 and 1 < recording_pool.tasks[0] <= 8

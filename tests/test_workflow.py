@@ -63,3 +63,10 @@ def test_ci_checks_mine_sweep_digest_through_the_pool():
 
     check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8 --jobs 2")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
+
+
+def test_ci_checks_mine_sweep_digest_in_process():
+    from test_cli import MINE_SWEEP_SHA256
+
+    check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
