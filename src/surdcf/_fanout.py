@@ -3,9 +3,9 @@
 ``fan_out(fn, tasks, jobs)`` yields ``fn(task)`` for each task, in task
 order.  It runs in-process at ``jobs <= 1`` or for a single task; otherwise
 all the tasks go through one pool of ``min(jobs, len(tasks))`` worker
-processes.  Callers decide how their work splits into tasks (the analyzer's
-range chunks, the miner's spans of its sweep order) and merge the results
-in order, so their output does not depend on ``jobs``.
+processes.  Its one caller, the analyzer, splits its range into chunks and
+merges their results in order, so its output does not depend on ``jobs``.
+The family verifier and the miner run in the calling process.
 """
 
 from __future__ import annotations

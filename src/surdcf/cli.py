@@ -151,7 +151,7 @@ def cmd_verify_families(args) -> int:
 def cmd_mine(args) -> int:
     if args.sweep:
         try:
-            found = miner.mine_sweep(args.max_len, args.max_entry, jobs=args.jobs)
+            found = miner.mine_sweep(args.max_len, args.max_entry)
         except DomainError as exc:
             print(f"mine: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("--max-entry", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     _add_format(p, ("json", "text"))
     p.set_defaults(fn=cmd_mine)
 

@@ -180,37 +180,32 @@ def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
     return _reflect(_extend(half, pal[mid]) if len(pal) % 2 else half, half)
 
 
-def palindromes(
-    length: int, max_entry: int, first: int = 1, last: int | None = None
-) -> Iterator[tuple[tuple[int, ...], Mat2]]:
+def palindromes(length: int, max_entry: int) -> Iterator[tuple[tuple[int, ...], Mat2]]:
     """(palindrome, word matrix) for each palindrome of ``length`` over 1..max_entry.
 
-    Only palindromes whose first entry lies in first..last (default
-    max_entry) come out; the empty word, at length 0, always does.  The order
-    is lexicographic over the determining half, the first ceil(length/2)
-    entries.  The halves are walked depth first, each extended by one
-    quotient with ``_extend``, and each matrix comes from its half's state
-    as in ``palindrome_matrix``; no word is re-scanned and no list of
-    palindromes or halves is held.
+    The order is lexicographic over the determining half, the first
+    ceil(length/2) entries; length 0 gives the empty word alone.  The halves
+    are walked depth first, each extended by one quotient with ``_extend``,
+    and each matrix comes from its half's state as in ``palindrome_matrix``;
+    no word is re-scanned and no list of palindromes or halves is held.
     """
-    leads = range(first, (max_entry if last is None else last) + 1)
-    return _walk((), astuple(IDENTITY), length // 2, length % 2, leads, range(1, max_entry + 1))
+    return _walk((), astuple(IDENTITY), length // 2, length % 2, range(1, max_entry + 1))
 
 
-def _walk(half, state, depth, odd, leads, entries):
+def _walk(half, state, depth, odd, entries):
     """The palindromes under ``half`` (with state ``state``) that still need
-    ``depth`` more quotients of their half, and a centre if ``odd``; the next
-    quotient is drawn from ``leads``, every later one from ``entries``."""
+    ``depth`` more quotients of their half, and a centre if ``odd``, each
+    quotient drawn from ``entries``."""
     if depth > 1 or (depth and odd):
-        for a in leads:
-            yield from _walk(half + (a,), _extend(state, a), depth - 1, odd, entries, entries)
+        for a in entries:
+            yield from _walk(half + (a,), _extend(state, a), depth - 1, odd, entries)
     elif odd:
         tail = half[::-1]
-        for c in leads:
+        for c in entries:
             yield half + (c,) + tail, _reflect(_extend(state, c), state)
     elif depth:
         tail = half[::-1]
-        for a in leads:
+        for a in entries:
             full = _extend(state, a)
             yield half + (a, a) + tail, _reflect(full, full)
     else:

@@ -11,10 +11,8 @@ and the tests keep the engine as its oracle.
 
 ``mine_sweep`` takes each palindrome and its word matrix from
 ``convergents.palindromes``, which derives the matrix from the determining
-half's, so no word is scanned whole.  Its work goes through the package's one
-process fan-out, ``_fanout.fan_out``, as spans of the sweep order that each
-task enumerates itself.  ``write_jsonl`` writes the families as JSON Lines, a
-block of rows at a time.
+half's, so no word is scanned whole; it runs in the calling process.
+``write_jsonl`` writes the families as JSON Lines, a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import _fanout
 from .analyzer import WRITE_BLOCK
 from .convergents import palindrome_matrix, palindromes, realizes
 from .exact import DomainError, solve_linear_congruence
@@ -118,61 +115,17 @@ def _family(pal: tuple[int, ...], m: Mat2) -> MinedFamily | None:
     return MinedFamily(pal, res, mod, b_slope, b_const, c, ACCEPT_INSTANCES)
 
 
-def mine_sweep(max_len: int, max_entry: int, jobs: int = 1) -> list[MinedFamily]:
+def mine_sweep(max_len: int, max_entry: int) -> list[MinedFamily]:
     """Mine every palindrome up to the given bounds, in deterministic order.
 
     Enumeration is by length, then lexicographic over the determining half
-    (``convergents.palindromes``).  The work goes out through
-    ``_fanout.fan_out`` as spans of that order, and the results merge in task
-    order, so the output is the same whatever ``jobs`` is.  Cost grows like
-    max_entry^(max_len/2).
+    (``convergents.palindromes``).  Cost grows like max_entry^(max_len/2).
     """
     if max_len < 0 or (max_len > 0 and max_entry < 1):
         raise DomainError("bad sweep bounds")
-    parts = _fanout.fan_out(_mine_span, _spans(max_len, max_entry, jobs), jobs)
-    found = next(parts)
-    for part in parts:
-        found.extend(part)
-    return found
-
-
-def _spans(max_len: int, max_entry: int, jobs: int) -> list[tuple]:
-    """Tasks (max_entry, first, last): the palindromes from (length, leading
-    entry) ``first`` to ``last`` inclusive, in enumeration order.
-
-    One task at jobs <= 1.  Otherwise up to 4 * jobs tasks of about equal
-    palindrome counts: one task per palindrome would pay a pickle round trip
-    for each, which costs more than mining it.  Each worker enumerates its
-    own span, so only these small tuples are pickled.
-    """
-    if jobs <= 1:
-        return [(max_entry, (0, 1), (max_len, max_entry))]
-    # Length 0 is one unit (the empty word); length n >= 1 has one unit per
-    # leading entry, each of max_entry^(ceil(n/2) - 1) palindromes.
-    units = [(0, 1)] + [(n, a) for n in range(1, max_len + 1) for a in range(1, max_entry + 1)]
-    sizes = [max_entry ** ((n + 1) // 2 - 1) if n else 1 for n, _ in units]
-    count = min(4 * jobs, len(units))
-    total = sum(sizes)
-    tasks = []
-    done = 0
-    for unit, size in zip(units, sizes):
-        # The unit goes to the task its middle palindrome's position falls in.
-        task = (2 * done + size) * count // (2 * total)
-        if not tasks or task != tasks[-1][0]:
-            tasks.append([task, unit, unit])
-        tasks[-1][2] = unit
-        done += size
-    return [(max_entry, first, last) for _, first, last in tasks]
-
-
-def _mine_span(task: tuple) -> list[MinedFamily]:
-    """The families of one ``_spans`` task, in sweep order."""
-    max_entry, (n0, a0), (n1, a1) = task
     found = []
-    for n in range(n0, n1 + 1):
-        first = a0 if n == n0 else 1
-        last = a1 if n == n1 else max_entry
-        for pal, m in palindromes(n, max_entry, first, last):
+    for n in range(max_len + 1):
+        for pal, m in palindromes(n, max_entry):
             fam = _family(pal, m)
             if fam is not None:
                 found.append(fam)

@@ -22,8 +22,7 @@ ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc22
 # 25,789,730 bytes); CI checks it on a pipe too.
 VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
 # stdout sha256 of `mine --sweep --max-len 10 --max-entry 8` (8,481,992
-# bytes); CI checks it on a pipe at --jobs 1 and at --jobs 2, through the
-# process pool.
+# bytes); CI checks it on a pipe too.
 MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
 
 
@@ -150,9 +149,13 @@ class TestVerifyFamilies:
         assert calls == ids
         assert len(expanded) == sum(json.loads(line)["tested"] for line in out.splitlines())
 
-    @pytest.mark.parametrize("flag", [("--jobs", "2"), ("--all",)], ids=["jobs", "all"])
-    def test_removed_options_are_usage_errors(self, capsys, flag):
-        code, out, err = run(capsys, "verify-families", *flag)
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify-families", "--jobs", "2"), ("verify-families", "--all"), ("mine", "--sweep", "--jobs", "2")],
+        ids=["jobs", "all", "mine-jobs"],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err
 
@@ -255,20 +258,17 @@ class TestMine:
         assert code == 1 and out == ""
         assert err == "mine: bad sweep bounds\n"
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_output_pinned(self, capsys, jobs):
-        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6", "--jobs", jobs)
+    def test_sweep_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6")
         assert code == 0
         assert len(out.splitlines()) == 1441
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e5fb68478594b192d0257d91a9037452bb35ab673189c573282df08463648225"
         )
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_bench_size_sweep_output_pinned(self, capsys, jobs):
-        # The mine-sweep benchmark's command, 74,897 palindromes; at --jobs 2
-        # it runs through the pool, a span of the palindrome order per task.
-        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "10", "--max-entry", "8", "--jobs", jobs)
+    def test_bench_size_sweep_output_pinned(self, capsys):
+        # The mine-sweep benchmark's command, 74,897 palindromes.
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "10", "--max-entry", "8")
         assert code == 0
         data = out.encode()
         assert len(data) == 8_481_992

@@ -213,19 +213,11 @@ class TestPalindromeMatrices:
 
     def test_empty_word(self):
         assert palindrome_matrix([]) == IDENTITY
-        # Length 0 has no leading entry, so a lead range does not drop it.
-        for first, last in [(1, None), (2, 2)]:
-            assert list(palindromes(0, 3, first, last)) == [((), IDENTITY)]
+        assert list(palindromes(0, 3)) == [((), IDENTITY)]
 
     def test_length_one(self):
         assert list(palindromes(1, 4)) == [((c,), Mat2(c, 1, 1, 0)) for c in range(1, 5)]
         assert palindrome_matrix([7]) == word_matrix([7])
-
-    @pytest.mark.parametrize("first, last", [(1, 1), (2, 3), (3, 3), (1, 3)])
-    def test_lead_range(self, first, last):
-        for length in range(1, 7):
-            want = [(p, m) for p, m in palindromes(length, 3) if first <= p[0] <= last]
-            assert list(palindromes(length, 3, first, last)) == want
 
 
 palindrome_words = st.builds(

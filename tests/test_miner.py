@@ -84,9 +84,6 @@ class TestMineSweep:
         assert pals == sorted(pals, key=lambda p: (len(p), p))
         assert pals[0] == ()
 
-    def test_jobs_identical_output(self):
-        assert mine_sweep(3, 2, jobs=4) == mine_sweep(3, 2)
-
     def test_sweep_families_verify(self):
         for fam in mine_sweep(3, 3):
             assert_family_verifies(fam, upto=20)
@@ -97,15 +94,10 @@ class TestMineSweep:
         want = [fam for fam in map(mine, reference_palindromes(7, 6)) if fam is not None]
         assert mine_sweep(7, 6) == want
 
-    @pytest.mark.parametrize(
-        "max_len, max_entry, jobs",
-        [(0, 3, 2), (1, 5, 2), (6, 3, 2), (7, 6, 2), (7, 6, 3), (3, 2, 64), (9, 3, 4)],
-    )
-    def test_spans_tile_the_order(self, max_len, max_entry, jobs):
-        spans = miner._spans(max_len, max_entry, jobs)
-        assert 1 <= len(spans) <= 4 * jobs
-        got = [fam for span in spans for fam in miner._mine_span(span)]
-        assert got == [fam for fam in map(mine, reference_palindromes(max_len, max_entry)) if fam]
+    @pytest.mark.parametrize("max_len, max_entry", [(0, 3), (1, 5), (6, 3), (3, 2), (9, 3)])
+    def test_bounds_match_reference_enumerator(self, max_len, max_entry):
+        want = [fam for fam in map(mine, reference_palindromes(max_len, max_entry)) if fam is not None]
+        assert mine_sweep(max_len, max_entry) == want
 
     def test_engine_confirms_every_family_far_out(self):
         # The engine is the oracle for the realisation identity that mine

@@ -1,17 +1,16 @@
 """Process pools are sized by the work they get, not by --jobs alone.
 
 A recording stand-in for ProcessPoolExecutor is patched into ``_fanout``,
-the package's one fan-out: it notes ``max_workers`` and the task count and
-maps serially, so no process is started.  The analyzer's range chunks and
-the miner's spans of its palindrome order go through it; the family
-verifier runs in-process and opens no pool.
+the package's one fan-out: it notes ``max_workers`` and maps serially, so
+no process is started.  The analyzer's range chunks go through it; the
+family verifier and the miner run in-process and open no pool.
 """
 
 import json
 
 import pytest
 
-from surdcf import _fanout, analyzer, miner
+from surdcf import _fanout, analyzer
 from surdcf.cli import main
 
 
@@ -26,8 +25,6 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
-        items = list(items)
-        self.tasks.append(len(items))
         return map(fn, items)
 
 
@@ -36,14 +33,9 @@ def check_claims_dict(jobs):
     return analyzer.check_claims(2, 10, jobs=jobs, backend="python").to_dict()
 
 
-def mine_sweep_list(jobs):
-    return miner.mine_sweep(3, 2, jobs=jobs)
-
-
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
-    monkeypatch.setattr(RecordingPool, "tasks", [], raising=False)
     monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool
 
@@ -53,23 +45,12 @@ def recording_pool(monkeypatch):
     [
         # 9 radicands make 9 chunks
         (check_claims_dict, 9),
-        # 9 palindromes in 7 units (the empty word; lengths 1..3 by leading
-        # entry 1..2), grouped into 6 spans of about equal palindrome count
-        (mine_sweep_list, 6),
     ],
-    ids=["check_claims", "mine_sweep"],
+    ids=["check_claims"],
 )
 def test_pool_capped_at_task_count(recording_pool, call, tasks):
     assert call(64) == call(1)
     assert recording_pool.sizes == [tasks]
-
-
-def test_mine_sweep_maps_contiguous_slices(recording_pool):
-    # 79 palindromes of length <= 6 over entries 1..3 go out as at most
-    # 4 * jobs spans, not one task per palindrome.
-    assert miner.mine_sweep(6, 3, jobs=2) == miner.mine_sweep(6, 3)
-    assert recording_pool.sizes == [2]
-    assert len(recording_pool.tasks) == 1 and 1 < recording_pool.tasks[0] <= 8
 
 
 class RaisingPool:
@@ -77,10 +58,18 @@ class RaisingPool:
         raise AssertionError("a process pool was opened")
 
 
-def test_verify_families_opens_no_pool(capsys, monkeypatch):
-    # The verifier runs in-process; even a family of 3 * 70 assignments
-    # never reaches the fan-out.
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        # even a family of 3 * 70 assignments never reaches the fan-out
+        (["verify-families", "--id", "perron-l3", "--id", "euler-l1", "--m-max", "3", "--n-max", "70"],
+         "tested", [210, 70]),
+        # the 57 families of the 79 palindromes of length <= 6 over 1..3
+        (["mine", "--sweep", "--max-len", "6", "--max-entry", "3"], "verified_instances", [5] * 57),
+    ],
+    ids=["verify-families", "mine-sweep"],
+)
+def test_in_process_commands_open_no_pool(capsys, monkeypatch, argv, key, want):
     monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RaisingPool)
-    argv = ["verify-families", "--id", "perron-l3", "--id", "euler-l1", "--m-max", "3", "--n-max", "70"]
     assert main(argv) == 0
-    assert [json.loads(line)["tested"] for line in capsys.readouterr().out.splitlines()] == [210, 70]
+    assert [json.loads(line)[key] for line in capsys.readouterr().out.splitlines()] == want

@@ -58,11 +58,16 @@ def test_ci_checks_registry_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_SHA256]
 
 
-def test_ci_checks_mine_sweep_digest_through_the_pool():
-    from test_cli import MINE_SWEEP_SHA256
+def test_ci_checks_analyze_digest_through_the_pool():
+    from test_cli import ANALYZE_1E5_SHA256
 
-    check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8 --jobs 2")
-    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
+    from surdcf import _kernels, analyzer
+
+    # The one real-process pool check: 2..10^5 splits into several chunks on
+    # the default kernel, so --jobs 2 runs them in a pool of two.
+    assert len(analyzer._chunks(2, 100_000, 2, _kernels.backend_name(None))) >= 2
+    check = digest_check("python -m surdcf.cli analyze --from 2 --to 100000 --jobs 2")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
 
 
 def test_ci_checks_mine_sweep_digest_in_process():
