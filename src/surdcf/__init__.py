@@ -4,11 +4,10 @@ Core pieces: an exact expansion engine for sqrt(d) and general surds, the
 convergent/matrix toolkit, a registry of parameterized expansion families
 with a brute-force verifier, a palindrome-pattern miner, and a structure
 harness for range sweeps (vectorised numpy kernels by default, or the exact
-engine with SURDCF_KERNEL=python).
+engine with ``analyze --kernel python``).
 """
 
 from .exact import (
-    CongruenceSolution,
     DomainError,
     InternalConsistencyError,
     Rat,

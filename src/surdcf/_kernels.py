@@ -5,7 +5,7 @@ because range sweeps (structure checks over every d up to 1e5 and beyond) are
 dominated by a tiny machine-word inner loop.  Values are gated well inside
 int64 range before a kernel is allowed to run.
 
-Backend selection, via ``SURDCF_KERNEL`` or ``analyze --kernel``:
+Backend selection, via ``analyze --kernel``:
 
     numpy   - the kernels below (default)
     python  - the exact engine, one radicand at a time
@@ -33,7 +33,6 @@ divide d and every odd prime factor of d is 1 (mod 4).
 
 from __future__ import annotations
 
-import os
 from math import isqrt
 
 import numpy as np
@@ -64,11 +63,11 @@ BACKENDS = ("numpy", "python")
 
 
 def backend_name(choice: str | None = None) -> str:
-    """The sweep backend to run: ``choice``, else ``SURDCF_KERNEL``, else numpy.
+    """The sweep backend to run: ``choice``, else numpy.
 
     Raises ValueError for any name other than numpy or python.
     """
-    name = choice or os.environ.get("SURDCF_KERNEL", "").strip().lower() or "numpy"
+    name = choice or "numpy"
     if name not in BACKENDS:
         raise ValueError(f"unknown sweep backend {name!r}: want numpy|python")
     return name

@@ -15,17 +15,18 @@ hold by construction in either; no source path checks them against a walked
 word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
 periods, is that check (``test_matches_per_d_oracle``).
 
-A range splits into up to 4 * jobs chunks.  On the numpy kernel it splits
-into no more than ceil(width / _kernels.WIDTH), so that a chunk fills the
-kernel's live set where the range can: a chunk narrower than the live set
-never refills its lanes, and runs its numpy rounds with ever fewer lanes
-until no more than ``_kernels.TAIL`` are live, which the kernel finishes in
-scalar code.  The python backend, and ranges past the kernels' int64 gate,
-keep the plain split.  ``period_stats`` maps the same chunks, but builds only
-their sweep columns (ell and the square flags make its histogram): no
-two-squares column and no claim.  The chunks run through the package's one
-fan-out, ``_fanout.fan_out``: in-process at jobs 1 or for a single chunk,
-otherwise in one pool of min(jobs, chunks) processes.
+``jobs`` is capped at the CPU count, and a range splits into up to 4 * jobs
+chunks.  On the numpy kernel it splits into no more than
+ceil(width / _kernels.WIDTH), so that a chunk fills the kernel's live set
+where the range can: a chunk narrower than the live set never refills its
+lanes, and runs its numpy rounds with ever fewer lanes until no more than
+``_kernels.TAIL`` are live, which the kernel finishes in scalar code.  The
+python backend, and ranges past the kernels' int64 gate, keep the plain
+split.  ``period_stats`` maps the same chunks, but builds only their sweep
+columns (ell and the square flags make its histogram): no two-squares column
+and no claim.  The chunks run through the package's one fan-out,
+``_fanout.fan_out``: in-process at jobs 1 or for a single chunk, otherwise
+in one pool of min(jobs, chunks) processes.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -44,6 +45,7 @@ from the columns, a block of rows at a time; its bytes are those of
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -380,9 +382,11 @@ def check_claims(
 
 
 def _map_chunks(fn, d_min: int, d_max: int, jobs: int, backend: str | None) -> list:
-    """``fn`` over the chunks of [d_min, d_max], in range order, through ``_fanout``."""
+    """``fn`` over the chunks of [d_min, d_max], in range order, through ``_fanout``,
+    on no more processes than there are CPUs."""
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
+    jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunks(d_min, d_max, jobs, _kernels.backend_name(backend))
     return list(_fanout.fan_out(fn, chunks, jobs))
 

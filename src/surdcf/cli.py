@@ -186,11 +186,7 @@ def cmd_analyze(args) -> int:
     if args.d_from < 1 or args.d_to < args.d_from:
         print("analyze: need 1 <= --from <= --to", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        backend = _kernels.backend_name(args.kernel)
-    except ValueError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    backend = _kernels.backend_name(args.kernel)
     if args.format == "csv":
         print("length,count")
         hist = analyzer.period_stats(args.d_from, args.d_to, jobs=args.jobs, backend=backend)

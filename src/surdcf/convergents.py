@@ -10,6 +10,8 @@ and a palindrome u + reverse(v) (u = v, or v followed by the centre) has
 W(u)·W(v)ᵀ.  ``palindrome_matrix`` and ``palindromes`` build palindrome
 matrices that way from the determining half alone; ``palindromes`` walks the
 halves depth first, extending each by one quotient with the recurrence step.
+A palindrome's matrix [[A, B], [B, C]] is symmetric, so ``palindromes`` and
+``realizes`` carry it as the plain triple (A, B, C).
 """
 
 from __future__ import annotations
@@ -156,11 +158,13 @@ def surd_from_periodic_cf(a0: int, period: Sequence[int]) -> QuadSolution:
     return QuadSolution(a2, a1, a0c, D, P, Q)
 
 
-def _reflect(head: tuple[int, int, int, int], half: tuple[int, int, int, int]) -> Mat2:
-    """W(u)·W(v)ᵀ from the states of u and v: the word matrix of u + reverse(v)."""
+def _reflect(head: tuple[int, int, int, int], half: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """(A, B, C) of W(u)·W(v)ᵀ = [[A, B], [B, C]] from the states of u and v:
+    the word matrix of the palindrome u + reverse(v), whose lower left entry
+    is B and is not computed."""
     P1, P0, Q1, Q0 = head
     p1, p0, q1, q0 = half
-    return Mat2(P1 * p1 + P0 * p0, P1 * q1 + P0 * q0, Q1 * p1 + Q0 * p0, Q1 * q1 + Q0 * q0)
+    return P1 * p1 + P0 * p0, P1 * q1 + P0 * q0, Q1 * q1 + Q0 * q0
 
 
 def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
@@ -177,16 +181,18 @@ def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
         raise DomainError("palindrome entries must be >= 1")
     mid = len(pal) // 2
     half = reduce(_extend, pal[:mid], astuple(IDENTITY))
-    return _reflect(_extend(half, pal[mid]) if len(pal) % 2 else half, half)
+    A, B, C = _reflect(_extend(half, pal[mid]) if len(pal) % 2 else half, half)
+    return Mat2(A, B, B, C)
 
 
-def palindromes(length: int, max_entry: int) -> Iterator[tuple[tuple[int, ...], Mat2]]:
-    """(palindrome, word matrix) for each palindrome of ``length`` over 1..max_entry.
+def palindromes(length: int, max_entry: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int]]]:
+    """(palindrome, (A, B, C)) for each palindrome of ``length`` over 1..max_entry.
 
+    (A, B, C) are the entries of the palindrome's word matrix [[A, B], [B, C]].
     The order is lexicographic over the determining half, the first
     ceil(length/2) entries; length 0 gives the empty word alone.  The halves
     are walked depth first, each extended by one quotient with ``_extend``,
-    and each matrix comes from its half's state as in ``palindrome_matrix``;
+    and each triple comes from its half's state as in ``palindrome_matrix``;
     no word is re-scanned and no list of palindromes or halves is held.
     """
     return _walk((), astuple(IDENTITY), length // 2, length % 2, range(1, max_entry + 1))
@@ -212,20 +218,22 @@ def _walk(half, state, depth, odd, entries):
         yield (), _reflect(state, state)
 
 
-def realizes(m: Mat2, max_entry: int, a: int, b: int) -> bool:
-    """True iff sqrt(a^2 + b) = [a; w, 2a] for the palindrome w with matrix m.
+def realizes(abc: tuple[int, int, int], max_entry: int, a: int, b: int) -> bool:
+    """True iff sqrt(a^2 + b) = [a; w, 2a] for the palindrome w with matrix ``abc``.
 
-    ``m`` = [[A, B], [B, C]] is the symmetric word matrix of w (entries >= 1,
-    see ``palindrome_matrix``) and ``max_entry`` its largest entry, 0 for the
-    empty word.  The identity is b*A == 2*a*B + C, with every entry of w at
-    most a and 1 <= b <= 2a.  Then a = isqrt(a^2 + b), a^2 + b is not a
-    square, and [a; w, 2a, w, 2a, ...] has all quotients >= 1 and is fixed by
-    the same quadratic as sqrt(a^2 + b); infinite continued fractions are
-    unique (Friesen, Proc. AMS 103, 1988), so they are equal.  The period is
-    exactly (w, 2a), not a repetition of a shorter word, because 2a exceeds
-    every entry of w.
+    ``abc`` = (A, B, C) holds the entries of the symmetric word matrix
+    [[A, B], [B, C]] of w (entries >= 1, see ``palindrome_matrix``) and
+    ``max_entry`` is w's largest entry, 0 for the empty word.  The identity
+    is b*A == 2*a*B + C, with every entry of w at most a and 1 <= b <= 2a.
+    Then a = isqrt(a^2 + b), a^2 + b is not a square, and
+    [a; w, 2a, w, 2a, ...] has all quotients >= 1 and is fixed by the same
+    quadratic as sqrt(a^2 + b); infinite continued fractions are unique
+    (Friesen, Proc. AMS 103, 1988), so they are equal.  The period is exactly
+    (w, 2a), not a repetition of a shorter word, because 2a exceeds every
+    entry of w.
     """
-    return max_entry <= a and 1 <= b <= 2 * a and b * m.m11 == 2 * a * m.m12 + m.m22
+    A, B, C = abc
+    return max_entry <= a and 1 <= b <= 2 * a and b * A == 2 * a * B + C
 
 
 def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
@@ -238,8 +246,6 @@ def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
     matrix, b = 1).
     """
     m = palindrome_matrix(palindrome)
-    if not m.is_symmetric:
-        raise DomainError("palindrome produced an asymmetric matrix")
     return Fraction(2 * a0 * m.m12 + m.m22, m.m11)
 
 

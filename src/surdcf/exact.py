@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -115,33 +114,21 @@ def pollard_brent(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
-class CongruenceSolution:
-    """Least nonnegative solution of a linear congruence, if one exists.
-
-    When ``solvable``, every solution of the original congruence is
-    ``residue + t*modulus`` for integer t, with 0 <= residue < modulus.
-    """
-
-    solvable: bool
-    residue: int = 0
-    modulus: int = 0
-
-
-def solve_linear_congruence(c1: int, c0: int, mod: int) -> CongruenceSolution:
-    """Solve c1*x + c0 == 0 (mod mod) for x.
+def solve_linear_congruence(c1: int, c0: int, mod: int) -> tuple[int, int] | None:
+    """Solve c1*x + c0 == 0 (mod mod) for x: ``(residue, modulus)``, or None.
 
     Solvable iff g = gcd(c1, mod) divides c0; the solution is unique modulo
-    m2 = mod // g, and is -(c0/g) times the inverse of c1/g modulo m2.
+    m2 = mod // g, and is -(c0/g) times the inverse of c1/g modulo m2.  Every
+    solution is then ``residue + t*modulus`` for integer t, with
+    0 <= residue < modulus = m2.
     """
     if mod <= 0:
         raise DomainError(f"modulus must be positive, got {mod}")
     g = gcd(c1, mod)
     if c0 % g != 0:
-        return CongruenceSolution(False)
+        return None
     m2 = mod // g
-    x = (-c0 // g) * pow(c1 // g, -1, m2) % m2
-    return CongruenceSolution(True, x, m2)
+    return (-c0 // g) * pow(c1 // g, -1, m2) % m2, m2
 
 
 def rat(num: int, den: int = 1) -> Rat:
@@ -160,7 +147,6 @@ __all__ = [
     "pollard_brent",
     "PRIME_TEST_LIMIT",
     "gcd",
-    "CongruenceSolution",
     "solve_linear_congruence",
     "DomainError",
     "ResourceLimitError",

@@ -31,17 +31,6 @@ class Mat2:
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    @property
-    def is_unimodular(self) -> bool:
-        return self.det() in (1, -1)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.m12 == self.m21
-
-    def rows(self) -> list[list[int]]:
-        return [[self.m11, self.m12], [self.m21, self.m22]]
-
 
 IDENTITY = Mat2(1, 0, 0, 1)
 

@@ -3,13 +3,14 @@
 Given a palindrome w, the symmetric word matrix [[A, B], [B, C]] makes
 b = (2aB + C)/A, so [a; w, 2a] is realized by sqrt(a^2 + b) only when
 2B a + C == 0 (mod A).  Solving that congruence yields the arithmetic
-progression of admissible heads and the matching affine b.  Each family's
+progression of admissible heads and the matching affine b.  The matrix is
+carried as the triple (A, B, C); no matrix object is built.  Each family's
 first instances are then checked by the realisation identity
 (``convergents.realizes``), not by expanding them: by the uniqueness of
 infinite continued fractions the identity is equivalent to the expansion,
 and the tests keep the engine as its oracle.
 
-``mine_sweep`` takes each palindrome and its word matrix from
+``mine_sweep`` takes each palindrome and its triple from
 ``convergents.palindromes``, which derives the matrix from the determining
 half's, so no word is scanned whole; it runs in the calling process.
 ``write_jsonl`` writes the families as JSON Lines, a block of rows at a time.
@@ -24,7 +25,6 @@ from typing import Iterable
 from .analyzer import WRITE_BLOCK
 from .convergents import palindrome_matrix, palindromes, realizes
 from .exact import DomainError, solve_linear_congruence
-from .mat2 import Mat2
 
 ACCEPT_INSTANCES = 5
 
@@ -89,28 +89,30 @@ def mine(palindrome: list[int] | tuple[int, ...]) -> MinedFamily | None:
     monotonicity in ``MinedFamily`` none of them can fail once min_c holds.
     """
     pal = tuple(palindrome)
-    return _family(pal, palindrome_matrix(pal))
+    m = palindrome_matrix(pal)
+    return _family(pal, (m.m11, m.m12, m.m22))
 
 
-def _family(pal: tuple[int, ...], m: Mat2) -> MinedFamily | None:
-    """``mine`` for a palindrome whose word matrix ``m`` is already known."""
-    A, B, C = m.m11, m.m12, m.m22
+def _family(pal: tuple[int, ...], abc: tuple[int, int, int]) -> MinedFamily | None:
+    """``mine`` for a palindrome whose word matrix [[A, B], [B, C]] is known,
+    given as ``abc`` = (A, B, C)."""
+    A, B, C = abc
     sol = solve_linear_congruence(2 * B, C, A)
-    if not sol.solvable:
+    if sol is None:
         return None
-    res, mod = sol.residue, sol.modulus
+    res, mod = sol
     b_slope = 2 * B * mod // A
     b_const = (2 * B * res + C) // A
     max_entry = max(pal, default=0)
     limit = 4 * (A + max_entry + abs(b_const)) + 16
     c = 0
-    while not realizes(m, max_entry, mod * c + res, b_slope * c + b_const):
+    while not realizes(abc, max_entry, mod * c + res, b_slope * c + b_const):
         c += 1
         if c > limit:
             return None
     # min_c = c is checked; the loop checks the other instances.
     for k in range(c + 1, c + ACCEPT_INSTANCES):
-        if not realizes(m, max_entry, mod * k + res, b_slope * k + b_const):
+        if not realizes(abc, max_entry, mod * k + res, b_slope * k + b_const):
             return None
     return MinedFamily(pal, res, mod, b_slope, b_const, c, ACCEPT_INSTANCES)
 
@@ -125,8 +127,8 @@ def mine_sweep(max_len: int, max_entry: int) -> list[MinedFamily]:
         raise DomainError("bad sweep bounds")
     found = []
     for n in range(max_len + 1):
-        for pal, m in palindromes(n, max_entry):
-            fam = _family(pal, m)
+        for pal, abc in palindromes(n, max_entry):
+            fam = _family(pal, abc)
             if fam is not None:
                 found.append(fam)
     return found

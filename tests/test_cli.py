@@ -422,11 +422,18 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "20", "--kernel", "jit")
         assert code == 1 and out == ""
 
-    def test_unknown_kernel_env_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("SURDCF_KERNEL", "jit")
-        code, out, err = run(capsys, "analyze", "--from", "2", "--to", "20")
-        assert code == 1 and out == ""
-        assert "numpy|python" in err
+    def test_kernel_env_is_ignored(self, capsys, monkeypatch):
+        # --kernel alone picks the backend; the default is numpy whatever the
+        # environment holds.
+        _, want, _ = run(capsys, "analyze", "--from", "2", "--to", "3000")
+
+        def exact_columns(lo, hi):
+            raise AssertionError("the python backend ran")
+
+        monkeypatch.setattr(analyzer, "_exact_columns", exact_columns)
+        for value in ("python", "jit"):
+            monkeypatch.setenv("SURDCF_KERNEL", value)
+            assert run(capsys, "analyze", "--from", "2", "--to", "3000") == (0, want, "")
 
 
 class TestSequences:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from surdcf.convergents import word_matrix
 from surdcf.exact import (
-    CongruenceSolution,
     PRIME_TEST_LIMIT,
     DomainError,
     is_prime,
@@ -31,13 +30,12 @@ palindromes = st.builds(
 def assert_congruence_definition(c1, c0, mod):
     sol = solve_linear_congruence(c1, c0, mod)
     g = math.gcd(c1, mod)
-    assert sol.solvable == (c0 % g == 0)
-    if sol.solvable:
-        assert sol.modulus == mod // g
-        assert 0 <= sol.residue < sol.modulus
-        assert (c1 * sol.residue + c0) % mod == 0
-    else:
-        assert sol == CongruenceSolution(False)
+    assert (sol is not None) == (c0 % g == 0)
+    if sol is not None:
+        residue, modulus = sol
+        assert modulus == mod // g
+        assert 0 <= residue < modulus
+        assert (c1 * residue + c0) % mod == 0
 
 
 def brute_congruence(c1, c0, mod):
@@ -154,10 +152,10 @@ class TestLinearCongruence:
     def test_examples(self):
         # frozen from the brute-force oracle below
         assert brute_congruence(4, 1, 5) == [1]
-        assert solve_linear_congruence(4, 1, 5) == CongruenceSolution(True, 1, 5)
+        assert solve_linear_congruence(4, 1, 5) == (1, 5)
         assert brute_congruence(2, 1, 2) == []
-        assert solve_linear_congruence(2, 1, 2) == CongruenceSolution(False)
-        assert solve_linear_congruence(1, 0, 7) == CongruenceSolution(True, 0, 7)
+        assert solve_linear_congruence(2, 1, 2) is None
+        assert solve_linear_congruence(1, 0, 7) == (0, 7)
 
     def test_bad_modulus(self):
         with pytest.raises(DomainError):
@@ -167,14 +165,15 @@ class TestLinearCongruence:
     def test_against_brute_force(self, c1, c0, mod):
         sol = solve_linear_congruence(c1, c0, mod)
         hits = brute_congruence(c1, c0, mod)
-        assert sol.solvable == bool(hits)
-        if sol.solvable:
-            assert 0 <= sol.residue < sol.modulus
-            assert sol.residue == hits[0]
-            assert mod % sol.modulus == 0
+        assert (sol is not None) == bool(hits)
+        if sol is not None:
+            residue, modulus = sol
+            assert 0 <= residue < modulus
+            assert residue == hits[0]
+            assert mod % modulus == 0
             # the solution set is exactly the arithmetic progression
-            assert hits == list(range(sol.residue, mod, sol.modulus))
-            for x in (sol.residue, sol.residue + sol.modulus):
+            assert hits == list(range(residue, mod, modulus))
+            for x in (residue, residue + modulus):
                 assert (c1 * x + c0) % mod == 0
 
     @given(palindromes, st.integers(-2, 2))
@@ -194,24 +193,24 @@ class TestLinearCongruence:
 
     def test_unit_modulus(self):
         for c1, c0 in [(0, 0), (3, -7), (-5, 2), (2**70, 2**65 + 1)]:
-            assert solve_linear_congruence(c1, c0, 1) == CongruenceSolution(True, 0, 1)
+            assert solve_linear_congruence(c1, c0, 1) == (0, 1)
 
     def test_zero_coefficient(self):
-        assert solve_linear_congruence(0, 6, 3) == CongruenceSolution(True, 0, 1)
-        assert solve_linear_congruence(0, 0, 7) == CongruenceSolution(True, 0, 1)
-        assert solve_linear_congruence(0, 5, 3) == CongruenceSolution(False)
+        assert solve_linear_congruence(0, 6, 3) == (0, 1)
+        assert solve_linear_congruence(0, 0, 7) == (0, 1)
+        assert solve_linear_congruence(0, 5, 3) is None
 
     def test_negative_coefficient(self):
         assert brute_congruence(-4, 1, 5) == [4]
-        assert solve_linear_congruence(-4, 1, 5) == CongruenceSolution(True, 4, 5)
+        assert solve_linear_congruence(-4, 1, 5) == (4, 5)
         assert brute_congruence(-6, 4, 10) == [4, 9]
-        assert solve_linear_congruence(-6, 4, 10) == CongruenceSolution(True, 4, 5)
+        assert solve_linear_congruence(-6, 4, 10) == (4, 5)
 
     def test_coefficient_multiple_of_modulus(self):
-        assert solve_linear_congruence(10, 5, 5) == CongruenceSolution(True, 0, 1)
-        assert solve_linear_congruence(-15, 0, 5) == CongruenceSolution(True, 0, 1)
-        assert solve_linear_congruence(10, 3, 5) == CongruenceSolution(False)
-        assert solve_linear_congruence(12, 4, 6) == CongruenceSolution(False)
+        assert solve_linear_congruence(10, 5, 5) == (0, 1)
+        assert solve_linear_congruence(-15, 0, 5) == (0, 1)
+        assert solve_linear_congruence(10, 3, 5) is None
+        assert solve_linear_congruence(12, 4, 6) is None
 
 
 class TestRat:

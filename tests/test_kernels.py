@@ -170,18 +170,12 @@ def test_two_squares_sieve_matches_brute_force(lo, hi):
         assert bool(mask[i]) == want, f"d={d}"
 
 
-def test_backend_env_override(monkeypatch):
-    monkeypatch.setenv("SURDCF_KERNEL", "numpy")
-    assert _kernels.backend_name() == "numpy"
-    monkeypatch.setenv("SURDCF_KERNEL", "python")
-    assert _kernels.backend_name() == "python"
-    monkeypatch.delenv("SURDCF_KERNEL")
+def test_backend_name():
     assert _kernels.backend_name() == "numpy"
     assert _kernels.backend_name("python") == "python"
     for bad in ("jit", "nump"):
-        monkeypatch.setenv("SURDCF_KERNEL", bad)
         with pytest.raises(ValueError, match=r"numpy\|python"):
-            _kernels.backend_name()
+            _kernels.backend_name(bad)
 
 
 def test_range_gates():

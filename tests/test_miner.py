@@ -4,7 +4,7 @@ import json
 import pytest
 from test_convergents import _palindromes as reference_palindromes
 
-from surdcf import miner
+from surdcf import convergents, miner
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
@@ -98,6 +98,17 @@ class TestMineSweep:
     def test_bounds_match_reference_enumerator(self, max_len, max_entry):
         want = [fam for fam in map(mine, reference_palindromes(max_len, max_entry)) if fam is not None]
         assert mine_sweep(max_len, max_entry) == want
+
+    def test_sweep_builds_no_matrix_object(self, monkeypatch):
+        # The sweep carries each palindrome's matrix [[A, B], [B, C]] as the
+        # triple (A, B, C); mine() builds its Mat2 before the patch.
+        want = [fam for fam in map(mine, reference_palindromes(6, 3)) if fam is not None]
+
+        def no_mat2(*entries):
+            raise AssertionError("a Mat2 was built")
+
+        monkeypatch.setattr(convergents, "Mat2", no_mat2)
+        assert mine_sweep(6, 3) == want
 
     def test_engine_confirms_every_family_far_out(self):
         # The engine is the oracle for the realisation identity that mine

@@ -1,9 +1,11 @@
-"""Process pools are sized by the work they get, not by --jobs alone.
+"""Process pools are sized by the work they get and the CPU count, not by
+--jobs alone.
 
 A recording stand-in for ProcessPoolExecutor is patched into ``_fanout``,
 the package's one fan-out: it notes ``max_workers`` and maps serially, so
-no process is started.  The analyzer's range chunks go through it; the
-family verifier and the miner run in-process and open no pool.
+no process is started.  The analyzer's range chunks go through it, and the
+CPU count that caps them is patched too; the family verifier and the miner
+run in-process and open no pool.
 """
 
 import json
@@ -40,6 +42,10 @@ def recording_pool(monkeypatch):
     return RecordingPool
 
 
+def patch_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(analyzer.os, "cpu_count", lambda: cpus)
+
+
 @pytest.mark.parametrize(
     "call, tasks",
     [
@@ -48,9 +54,26 @@ def recording_pool(monkeypatch):
     ],
     ids=["check_claims"],
 )
-def test_pool_capped_at_task_count(recording_pool, call, tasks):
+def test_pool_capped_at_task_count(recording_pool, monkeypatch, call, tasks):
+    patch_cpu_count(monkeypatch, 64)
     assert call(64) == call(1)
     assert recording_pool.sizes == [tasks]
+
+
+@pytest.mark.parametrize(
+    "cpus, sizes",
+    [
+        # jobs 64 becomes 2: 8 chunks of the 9 radicands, in a pool of 2
+        (2, [2]),
+        # an unknown CPU count counts as one CPU, so the chunks run in-process
+        (None, []),
+    ],
+    ids=["2-cpus", "unknown"],
+)
+def test_pool_capped_at_cpu_count(recording_pool, monkeypatch, cpus, sizes):
+    patch_cpu_count(monkeypatch, cpus)
+    assert check_claims_dict(64) == check_claims_dict(1)
+    assert recording_pool.sizes == sizes
 
 
 class RaisingPool:
