@@ -18,12 +18,17 @@ are byte-identical whichever backend runs.
 ``sweep_range`` is a half-walk kernel.  Like ``engine.expand_sqrt`` it walks
 each sqrt(d) only to the centre of its period and logs no quotient.  Its
 live set is ``WIDTH`` lanes wide; a lane that reaches its centre is refilled
-from the queue of pending radicands, and the set is compacted only once the
-queue is empty.  Once the queue is empty and no more than ``TAIL`` lanes are
-live, the walk hands them to a scalar loop in Python ints: a numpy round
-costs about 15-20 us of call overhead however few lanes it carries, and a
-narrow window's rounds would otherwise last as long as its longest half
-period.  The palindrome and terminal facts hold by construction of the
+from the queue of pending radicands, one numpy round at a time, and the set
+is compacted only once the queue is empty.  From then on the live set
+drains in blocks of rounds: a block steps every live lane a few rounds at
+once, with one ufunc call per operation and row, and then finds each lane's
+first stop in one scan of the block.  A numpy call costs about a
+microsecond however few lanes it carries, so a narrow set pays five calls
+per round in a block, where a round on its own pays about twenty.  A lane
+walks at most a block's length past its centre; ``_block_rounds`` keeps
+that under 1/16 of the rounds it walked before.  Once no more than
+``TAIL`` lanes are live, the walk hands them to a scalar loop in Python
+ints.  The palindrome and terminal facts hold by construction of the
 mirrored period, and the bound fact is "largest walked quotient <= a0".
 
 ``two_squares_range`` is a segmented factor sieve over the window, built on
@@ -54,10 +59,9 @@ KERNEL_D_LIMIT = 10**12
 WIDTH = 16384
 
 # Live lanes at or below which the half walk, its queue empty, finishes each
-# lane in Python ints: about 0.3 us per quotient against 15-20 us per
-# numpy round, so the break-even is near 50 lanes.  Timed at 0, 16, 32, 64,
-# 96, 128, 192 and 256 (see CHANGES.md).
-TAIL = 64
+# lane in Python ints, at about 0.3 us per quotient.  Timed against the
+# blocked drain at 0, 16, 32, 48, 64 and 128 (see CHANGES.md).
+TAIL = 32
 
 BACKENDS = ("numpy", "python")
 
@@ -100,11 +104,12 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     Q_{k+1} == Q_k gives ell = 2k + 1, and Q_{k+1} == 1 before either raises
     InternalConsistencyError.
 
-    A numpy round costs about 15-20 us of call overhead however few lanes are
-    live, and the rounds last as long as the longest half period left.
-    So once the queue is empty and at most ``TAIL`` lanes are live, each of
-    them is finished on its own by ``_finish``, in Python ints, at well
-    under a microsecond per quotient.
+    While the queue holds radicands, the walk goes one round at a time and
+    refills each finished lane at once.  Once it is empty, the live lanes
+    step ``_block_rounds`` rounds at a time, through ``_block`` wherever
+    that is more than one, and the lanes that stopped are dropped.  Once at
+    most ``TAIL`` lanes are live, each of them is finished on its own by
+    ``_finish``, in Python ints.
     """
     lane = queue[:WIDTH].copy()
     pending = queue[lane.size :]
@@ -114,8 +119,17 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     Q_prev = np.ones_like(Q)
     top = np.zeros_like(Q)
     start = np.zeros_like(Q)
-    step = 0
+    step = loaded = 0
     while pending.size or lane.size > TAIL:
+        # No live lane started after round ``loaded``, the last refill.
+        rounds = 1 if pending.size else _block_rounds(step - loaded, lane.size)
+        if rounds > 1:
+            live = lane, R, P, Q, Q_prev, top, start
+            lane, R, P, Q, Q_prev, top, start = _block(
+                r, q1, live, step, rounds, ell, center, flags
+            )
+            step += rounds
+            continue
         a = (R + P) // Q
         np.maximum(top, a, out=top)
         P_next = a * Q - P
@@ -125,15 +139,10 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
         P_last, P, Q, Q_prev = P, P_next, Q_next, Q
         if not stop.size:
             continue
-        at = lane[stop]
         even = P[stop] == P_last[stop]
         odd = ~even & (Q[stop] == Q_prev[stop])
-        if not np.all(even | odd):
-            i = at[np.argmin(even | odd)]
-            raise _missed_centre(r[i] * r[i] + q1[i])
-        ell[at] = 2 * (step - start[stop]) + odd
-        center[at] = np.where(even, a[stop], -1)
-        flags[at[top[stop] <= R[stop]]] |= F_BOUND
+        _record(r, q1, lane[stop], even, odd, step - start[stop], a[stop],
+                top[stop] <= R[stop], ell, center, flags)
         # Refill the finished slots from the queue; once it is empty, drop
         # the slots left over.
         fill, stop = stop[: pending.size], stop[pending.size :]
@@ -144,7 +153,7 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
             Q[fill] = q1[new]
             Q_prev[fill] = 1
             top[fill] = 0
-            start[fill] = step
+            start[fill] = loaded = step
         if stop.size:
             keep = np.ones(lane.size, bool)
             keep[stop] = False
@@ -152,6 +161,79 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
                 x[keep] for x in (lane, R, P, Q, Q_prev, top, start)
             )
     _finish(q1, (lane, R, P, Q, Q_prev, top, start), step, ell, center, flags)
+
+
+def _block_rounds(walked: int, live: int) -> int:
+    """Rounds in the next block of the drain.
+
+    ``walked`` is at most the fewest rounds any of the ``live`` lanes has
+    walked.  A lane walks at most a block's length past its centre, so a
+    block of at most walked // 16 rounds keeps that extra work under 1/16 of
+    the rounds the lane walked before it.  A block holds at most ``WIDTH``
+    lane-rounds, so its rows take no more memory than one live set; a full
+    live set steps one round at a time.
+    """
+    return max(1, min(walked // 16, WIDTH // live))
+
+
+def _block(r, q1, live, step, rounds, ell, center, flags):
+    """Step the lanes of ``_half_walk`` ``rounds`` rounds past round ``step``.
+
+    ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start).
+    A block keeps U = R - P in place of P: since R + P_k = a_k Q_k + U_{k+1},
+    one divmod gives both a_k and U_{k+1}, and Q_{k+1} = Q_{k-1} +
+    a_k (U_{k+1} - U_k).  Row j of the block holds every lane's quotient and
+    next U and Q at round step + j + 1.  A lane's first row with a stop ends
+    its walk: ell, centre and F_BOUND come from that row and the rows before
+    it.  The rows past it go on with the expansion, which never meets
+    Q == 0 since d is not a square, and are ignored.  Returns the arrays of
+    the lanes that did not stop.
+    """
+    lane, R, P, Q, Q_prev, top, start = live
+    R2 = 2 * R
+    a = np.empty((rounds, lane.size), np.int64)
+    U = np.empty((rounds + 1, lane.size), np.int64)
+    Qs = np.empty((rounds + 2, lane.size), np.int64)
+    U_k, Q_p, Q_k = U[0], Qs[0], Qs[1]
+    np.subtract(R, P, out=U_k)
+    Q_p[:], Q_k[:] = Q_prev, Q
+    for a_k, U_n, Q_n in zip(a, U[1:], Qs[2:]):
+        np.subtract(R2, U_k, out=a_k)
+        np.divmod(a_k, Q_k, out=(a_k, U_n))
+        np.subtract(U_n, U_k, out=Q_n)
+        np.multiply(Q_n, a_k, out=Q_n)
+        np.add(Q_n, Q_p, out=Q_n)
+        U_k, Q_p, Q_k = U_n, Q_k, Q_n
+    even = U[1:] == U[:-1]
+    odd = Qs[2:] == Qs[1:-1]
+    hit = even | odd | (Qs[2:] == 1)
+    done = hit.any(axis=0)
+    stop = np.flatnonzero(done)
+    row = hit[:, stop].argmax(axis=0)
+    peak = a.max(axis=0)
+    peak[stop] = np.where(np.arange(rounds)[:, None] <= row, a[:, stop], 0).max(axis=0)
+    np.maximum(top, peak, out=top)
+    even = even[row, stop]
+    odd = ~even & odd[row, stop]
+    _record(r, q1, lane[stop], even, odd, step + 1 + row - start[stop], a[row, stop],
+            top[stop] <= R[stop], ell, center, flags)
+    keep = ~done
+    R = R[keep]
+    return (lane[keep], R, R - U[rounds][keep], Qs[rounds + 1][keep],
+            Qs[rounds][keep], top[keep], start[keep])
+
+
+def _record(r, q1, at, even, odd, k, a, bound, ell, center, flags) -> None:
+    """Write the facts of the lanes of radicand positions ``at`` that stopped
+    after k quotients, the last a: at P_{k+1} == P_k where ``even``, at
+    Q_{k+1} == Q_k where ``odd``.  A lane with neither stopped at
+    Q_{k+1} == 1, which raises.  ``bound`` is where F_BOUND holds."""
+    if not np.all(even | odd):
+        i = at[np.argmin(even | odd)]
+        raise _missed_centre(r[i] * r[i] + q1[i])
+    ell[at] = 2 * k + odd
+    center[at] = np.where(even, a, -1)
+    flags[at[bound]] |= F_BOUND
 
 
 def _finish(q1, live, step, ell, center, flags) -> None:

@@ -15,18 +15,18 @@ hold by construction in either; no source path checks them against a walked
 word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
 periods, is that check (``test_matches_per_d_oracle``).
 
-``jobs`` is capped at the CPU count, and a range splits into up to 4 * jobs
-chunks.  On the numpy kernel it splits into no more than
-ceil(width / _kernels.WIDTH), so that a chunk fills the kernel's live set
-where the range can: a chunk narrower than the live set never refills its
-lanes, and runs its numpy rounds with ever fewer lanes until no more than
-``_kernels.TAIL`` are live, which the kernel finishes in scalar code.  The
-python backend, and ranges past the kernels' int64 gate, keep the plain
-split.  ``period_stats`` maps the same chunks, but builds only their sweep
-columns (ell and the square flags make its histogram): no two-squares column
-and no claim.  The chunks run through the package's one fan-out,
-``_fanout.fan_out``: in-process at jobs 1 or for a single chunk, otherwise
-in one pool of min(jobs, chunks) processes.
+``jobs`` must be at least 1 and is capped at the CPU count, and a range
+splits into up to 4 * jobs chunks.  On the numpy kernel it splits into no
+more than ceil(width / _kernels.WIDTH), so that a chunk fills the kernel's
+live set where the range can: a chunk narrower than the live set never
+refills its lanes, and drains from its first round, in blocks of rounds
+over ever fewer lanes, until no more than ``_kernels.TAIL`` are live, which
+the kernel finishes in scalar code.  The python backend, and ranges past
+the kernels' int64 gate, keep the plain split.  ``period_stats`` maps the
+same chunks, but builds only their sweep columns (ell and the square flags
+make its histogram): no two-squares column and no claim.  The chunks run
+through the package's one fan-out, ``_fanout.fan_out``: in-process at jobs 1
+or for a single chunk, otherwise in one pool of min(jobs, chunks) processes.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -374,8 +374,9 @@ def check_claims(
 
     Parity claims use the canonical split d = a^2 + b with a = isqrt(d).
     Deterministic: chunk results merge in range order, so output does not
-    depend on the parallelism degree.  ``backend`` is numpy or python (see
-    ``_kernels.backend_name``); any other name raises ValueError.
+    depend on the parallelism degree.  ``jobs`` below 1 raises DomainError.
+    ``backend`` is numpy or python (see ``_kernels.backend_name``); any other
+    name raises ValueError.
     """
     parts = _map_chunks(_claims_chunk, d_min, d_max, jobs, backend)
     return _merge(StructReport(d_min, d_max), parts)
@@ -386,6 +387,8 @@ def _map_chunks(fn, d_min: int, d_max: int, jobs: int, backend: str | None) -> l
     on no more processes than there are CPUs."""
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
+    if jobs < 1:
+        raise DomainError("want jobs >= 1")
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunks(d_min, d_max, jobs, _kernels.backend_name(backend))
     return list(_fanout.fan_out(fn, chunks, jobs))

@@ -186,6 +186,9 @@ def cmd_analyze(args) -> int:
     if args.d_from < 1 or args.d_to < args.d_from:
         print("analyze: need 1 <= --from <= --to", file=sys.stderr)
         return EXIT_USAGE
+    if args.jobs < 1:
+        print("analyze: need --jobs >= 1", file=sys.stderr)
+        return EXIT_USAGE
     backend = _kernels.backend_name(args.kernel)
     if args.format == "csv":
         print("length,count")

@@ -282,6 +282,11 @@ class TestCheckClaims:
         with pytest.raises(DomainError):
             check_claims(5, 4)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(DomainError, match="jobs >= 1"):
+            check_claims(2, 20, jobs=jobs)
+
 
 class TestWriteJson:
     @settings(max_examples=40, deadline=None)
@@ -403,3 +408,8 @@ class TestPeriodStats:
     def test_bad_range(self):
         with pytest.raises(DomainError):
             period_stats(5, 4)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(DomainError, match="jobs >= 1"):
+            period_stats(2, 20, jobs=jobs)

@@ -18,6 +18,10 @@ ANALYZE_1E5_SHA256 = "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee65242573
 # stdout sha256 of `analyze --from 50000000 --to 50000999`, one numpy chunk
 # whose longest period is 18,624 quotients; CI checks it on a pipe too.
 ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc227d689b"
+# stdout sha256 of `analyze --from 1000000000 --to 1000000199`, one numpy
+# chunk whose longest period is 59,879 quotients, so the drain's blocks
+# reach their longest there; CI checks it on a pipe too.
+ANALYZE_1E9_SHA256 = "352490f7a5aee4d6a6e624474af36e993a203e8354d73b1f4919130d99b69c43"
 # stdout sha256 of `verify-families` over the whole registry (121 families,
 # 25,789,730 bytes); CI checks it on a pipe too.
 VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
@@ -375,6 +379,21 @@ class TestAnalyze:
                            "--kernel", kernel)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_5E7_SHA256
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_deep_window_pinned(self, capsys, kernel):
+        code, out, _ = run(capsys, "analyze", "--from", "1000000000", "--to", "1000000199",
+                           "--kernel", kernel)
+        assert code == 0
+        assert max(map(int, json.loads(out)["histogram"])) == 59_879
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_1E9_SHA256
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs, fmt):
+        code, out, err = run(capsys, "analyze", "--from", "2", "--to", "20", "--jobs", jobs,
+                             "--format", fmt)
+        assert (code, out, err) == (1, "", "analyze: need --jobs >= 1\n")
 
     def test_closed_pipe_exits_quietly(self):
         # The reader leaves after 100 bytes: the report breaks off mid-stream.

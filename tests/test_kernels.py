@@ -16,26 +16,63 @@ def engine_row(d):
     return cf.length, cf.a0, center, flags
 
 
+def engine_rows(lo, hi):
+    return [
+        (0, isqrt(d), -1, _kernels.F_SQUARE) if is_square(d) else engine_row(d)
+        for d in range(lo, hi)
+    ]
+
+
+def sweep_rows(lo, hi):
+    ell, a0, center, flags = _kernels.sweep_range(lo, hi)
+    assert ell.size == a0.size == center.size == flags.size == hi - lo
+    return list(zip(ell.tolist(), a0.tolist(), center.tolist(), flags.tolist()))
+
+
 # TAIL values every sweep is checked at: numpy rounds to the end, the
 # default, and the scalar finish as soon as the queue is empty (no live set
 # is wider).
 TAILS = (0, _kernels.TAIL, 1 << 62)
 
+# Rounds in every block of the drain under ``forced_blocks``.
+FORCED = 13
+
+
+def forced_blocks(walked, live):
+    """Blocks of FORCED rounds from the first round the queue is empty."""
+    return FORCED
+
+
+# Block rules every sweep is checked under: the default, which steps one
+# round at a time until every live lane has walked 32 rounds, and FORCED.
+BLOCK_RULES = (_kernels._block_rounds, forced_blocks)
+
 
 def check_against_engine(monkeypatch, lo, hi):
-    """Sweep [lo, hi) at each of TAILS; each must match the engine row by row."""
-    want = [
-        (0, isqrt(d), -1, _kernels.F_SQUARE) if is_square(d) else engine_row(d)
-        for d in range(lo, hi)
-    ]
+    """Sweep [lo, hi) at each of TAILS and BLOCK_RULES; each must match the
+    engine row by row."""
+    want = engine_rows(lo, hi)
     for tail in TAILS:
-        monkeypatch.setattr(_kernels, "TAIL", tail)
-        ell, a0, center, flags = _kernels.sweep_range(lo, hi)
-        assert ell.size == a0.size == center.size == flags.size == hi - lo
-        got = zip(ell.tolist(), a0.tolist(), center.tolist(), flags.tolist())
-        for d, row, w in zip(range(lo, hi), got, want):
-            assert row == w, f"d={d}, TAIL={tail}"
-    return ell
+        for rule in BLOCK_RULES:
+            monkeypatch.setattr(_kernels, "TAIL", tail)
+            monkeypatch.setattr(_kernels, "_block_rounds", rule)
+            got = sweep_rows(lo, hi)
+            for d, row, w in zip(range(lo, hi), got, want):
+                assert row == w, f"d={d}, TAIL={tail}, blocks={rule.__name__}"
+    return np.array([row[0] for row in got])
+
+
+def spy_blocks(monkeypatch):
+    """Record (step, rounds, lane, start) of every block the drain runs."""
+    calls = []
+    block = _kernels._block
+
+    def spy(r, q1, live, step, rounds, *cols):
+        calls.append((step, rounds, live[0].copy(), live[6].copy()))
+        return block(r, q1, live, step, rounds, *cols)
+
+    monkeypatch.setattr(_kernels, "_block", spy)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -104,14 +141,76 @@ def test_no_lane_to_walk(monkeypatch, lo, hi):
     check_against_engine(monkeypatch, lo, hi)
 
 
+@pytest.mark.filterwarnings("error")
 def test_centre_missed_raises(monkeypatch):
-    # A lane faked with a0 = 1 for d = 5 meets Q == 1 before a centre, in
-    # the numpy rounds (TAIL 0) and in the scalar finish.
-    for tail in TAILS:
-        monkeypatch.setattr(_kernels, "TAIL", tail)
-        ell, center, flags = np.zeros(1, np.int64), np.full(1, -1, np.int64), np.zeros(1, np.uint8)
-        with pytest.raises(InternalConsistencyError, match=r"sqrt\(5\) ended without a centre"):
-            _kernels._half_walk(np.array([1]), np.array([4]), np.array([0]), ell, center, flags)
+    # A lane faked with a wrong a0 meets Q == 1 before a centre, at its k-th
+    # quotient: in numpy rounds (TAIL 0), in the k-th row of a forced block,
+    # and in the scalar finish.  The block's rows past the stop go on with
+    # no numpy warning.
+    blocks = spy_blocks(monkeypatch)
+    for d, a0, k in ((5, 1, 1), (11, 5, 5)):
+        assert k < FORCED
+        message = rf"sqrt\({d}\) ended without a centre"
+        for tail in TAILS:
+            for rule in BLOCK_RULES:
+                monkeypatch.setattr(_kernels, "TAIL", tail)
+                monkeypatch.setattr(_kernels, "_block_rounds", rule)
+                blocks.clear()
+                cols = np.zeros(1, np.int64), np.full(1, -1, np.int64), np.zeros(1, np.uint8)
+                with pytest.raises(InternalConsistencyError, match=message):
+                    _kernels._half_walk(np.array([a0]), np.array([d - a0 * a0]), np.array([0]),
+                                        *cols)
+                if tail == 0 and rule is forced_blocks:
+                    assert [(step, rounds) for step, rounds, _, _ in blocks] == [(0, FORCED)]
+
+
+def test_blocks_stop_at_every_row_offset(monkeypatch):
+    # Forced blocks from the first round, with no refill: a lane of [2, 4000)
+    # stops at round ell // 2, in row ell // 2 - 1 - step of the block that
+    # starts after round step.  Each row sees both even and odd periods.
+    lo, hi = 2, 4000
+    monkeypatch.setattr(_kernels, "TAIL", 0)
+    monkeypatch.setattr(_kernels, "_block_rounds", forced_blocks)
+    blocks = spy_blocks(monkeypatch)
+    assert sweep_rows(lo, hi) == engine_rows(lo, hi)
+    ell = np.array([expand_sqrt(d).length if not is_square(d) else 0 for d in range(lo, hi)])
+    seen = set()
+    for step, rounds, lane, start in blocks:
+        assert rounds == FORCED and not start.any()
+        row = ell[lane] // 2 - 1 - step
+        assert row.min() >= 0
+        here = row < rounds
+        seen |= set(zip(row[here].tolist(), (ell[lane][here] % 2).tolist()))
+    assert seen == {(j, parity) for j in range(FORCED) for parity in (0, 1)}
+
+
+def test_block_walks_past_short_period(monkeypatch):
+    # sqrt(11) = [3; 3, 6]: the lane stops in the first row of a forced
+    # block, whose later rows walk the terminal 2 * a0 = 6 > a0 and on into
+    # the next period.  Only the rows up to the stop count toward F_BOUND.
+    assert expand_sqrt(11).period == (3, 6)
+    monkeypatch.setattr(_kernels, "TAIL", 0)
+    monkeypatch.setattr(_kernels, "_block_rounds", forced_blocks)
+    blocks = spy_blocks(monkeypatch)
+    assert sweep_rows(11, 12) == [engine_row(11)]
+    assert engine_row(11)[3] & _kernels.F_BOUND
+    assert [(step, rounds) for step, rounds, _, _ in blocks] == [(0, FORCED)]
+
+
+def test_drain_runs_blocks(monkeypatch):
+    # The default rule on a narrow window of long periods: once every live
+    # lane has walked 32 rounds the drain steps in blocks, each at most 1/16
+    # of the rounds every live lane has walked and at most WIDTH lane-rounds.
+    blocks = spy_blocks(monkeypatch)
+    lo = 5 * 10**7
+    _kernels.sweep_range(lo, lo + 1000)
+    assert max(rounds for _, rounds, _, _ in blocks) > 1
+    for step, rounds, lane, start in blocks:
+        assert 1 < rounds <= (step - int(start.max())) // 16
+        assert rounds * lane.size <= _kernels.WIDTH
+        assert lane.size > _kernels.TAIL
+    assert _kernels._block_rounds(31, 1) == 1
+    assert _kernels._block_rounds(10**6, _kernels.WIDTH) == 1
 
 
 def test_scalar_finish_after_numpy_rounds(monkeypatch):

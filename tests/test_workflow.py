@@ -51,6 +51,13 @@ def test_ci_checks_long_period_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_5E7_SHA256]
 
 
+def test_ci_checks_deep_window_digest_on_a_pipe():
+    from test_cli import ANALYZE_1E9_SHA256
+
+    check = digest_check("python -m surdcf.cli analyze --from 1000000000 --to 1000000199")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E9_SHA256]
+
+
 def test_ci_checks_registry_digest_on_a_pipe():
     from test_cli import VERIFY_REGISTRY_SHA256
 
