@@ -66,7 +66,7 @@ from .families import (
     registry,
     verify_family,
 )
-from .miner import MinedFamily, mine, mine_sweep
+from .miner import MinedFamilies, MinedFamily, mine, mine_sweep
 from .analyzer import StructReport, check_claims, period_stats, sum_two_coprime_squares
 
 __version__ = "0.1.0"

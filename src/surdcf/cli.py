@@ -262,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_families)
 
     p = sub.add_parser("mine", help="derive families from palindrome patterns")
-    p.add_argument("--pattern", default=None, help="comma-separated palindrome, e.g. 2,2")
-    p.add_argument("--sweep", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--pattern", default=None, help="comma-separated palindrome, e.g. 2,2")
+    mode.add_argument("--sweep", action="store_true")
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("--max-entry", type=int, default=3)
     _add_format(p, ("json", "text"))

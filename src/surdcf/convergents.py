@@ -23,6 +23,8 @@ from functools import reduce
 from math import gcd
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .exact import DomainError, RationalValueError, is_square, isqrt
 from .mat2 import IDENTITY, Mat2
 
@@ -167,55 +169,84 @@ def _reflect(head: tuple[int, int, int, int], half: tuple[int, int, int, int]) -
     return P1 * p1 + P0 * p0, P1 * q1 + P0 * q0, Q1 * q1 + Q0 * q0
 
 
-def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
-    """Word matrix of a palindrome with entries >= 1; the empty one is IDENTITY.
+def palindrome_half(palindrome: Sequence[int]) -> tuple[int, ...]:
+    """The determining half of a palindrome, its first ceil(length/2) entries.
 
-    Built from the determining half h by the reflection identity: W(h)·W(h)ᵀ
-    for h + reverse(h), W(hc)·W(h)ᵀ for h + [c] + reverse(h).  Raises
-    DomainError for a word that is not a palindrome or has an entry below 1.
+    Raises DomainError for a word that is not a palindrome or has an entry
+    below 1.
     """
-    pal = list(palindrome)
+    pal = tuple(palindrome)
     if pal != pal[::-1]:
         raise DomainError("word is not a palindrome")
     if any(a < 1 for a in pal):
         raise DomainError("palindrome entries must be >= 1")
-    mid = len(pal) // 2
-    half = reduce(_extend, pal[:mid], astuple(IDENTITY))
-    A, B, C = _reflect(_extend(half, pal[mid]) if len(pal) % 2 else half, half)
-    return Mat2(A, B, B, C)
+    return pal[: (len(pal) + 1) // 2]
 
 
-def palindromes(length: int, max_entry: int) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int]]]:
-    """(palindrome, (A, B, C)) for each palindrome of ``length`` over 1..max_entry.
+def palindrome_triples(halves: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) columns of the palindromes of ``length`` whose determining
+    halves are the rows of ``halves``, in the dtype of ``halves``.
 
-    (A, B, C) are the entries of the palindrome's word matrix [[A, B], [B, C]].
-    The order is lexicographic over the determining half, the first
-    ceil(length/2) entries; length 0 gives the empty word alone.  The halves
-    are walked depth first, each extended by one quotient with ``_extend``,
-    and each triple comes from its half's state as in ``palindrome_matrix``;
-    no word is re-scanned and no list of palindromes or halves is held.
+    By the reflection identity a palindrome h + reverse(h) has the word
+    matrix W(h)·W(h)ᵀ, and h + [c] + reverse(h) has W(hc)·W(h)ᵀ: the state
+    of the half is carried down the columns with ``_extend`` and reflected
+    with ``_reflect``.  The empty half's state is that of IDENTITY.
     """
-    return _walk((), astuple(IDENTITY), length // 2, length % 2, range(1, max_entry + 1))
+    h, odd = divmod(length, 2)
+    one, zero = np.ones(len(halves), halves.dtype), np.zeros(len(halves), halves.dtype)
+    half = reduce(_extend, halves[:, :h].T, (one, zero, zero, one))
+    return _reflect(_extend(half, halves[:, h]) if odd else half, half)
 
 
-def _walk(half, state, depth, odd, entries):
-    """The palindromes under ``half`` (with state ``state``) that still need
-    ``depth`` more quotients of their half, and a centre if ``odd``, each
-    quotient drawn from ``entries``."""
-    if depth > 1 or (depth and odd):
-        for a in entries:
-            yield from _walk(half + (a,), _extend(state, a), depth - 1, odd, entries)
-    elif odd:
-        tail = half[::-1]
-        for c in entries:
-            yield half + (c,) + tail, _reflect(_extend(state, c), state)
-    elif depth:
-        tail = half[::-1]
-        for a in entries:
-            full = _extend(state, a)
-            yield half + (a, a) + tail, _reflect(full, full)
-    else:
-        yield (), _reflect(state, state)
+def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
+    """Word matrix of a palindrome with entries >= 1; the empty one is IDENTITY.
+
+    The one-row case of ``palindrome_triples``, on Python ints.  Raises
+    DomainError as ``palindrome_half`` does.
+    """
+    half = palindrome_half(palindrome)
+    A, B, C = palindrome_triples(np.array([half], dtype=object), len(palindrome))
+    return Mat2(A[0], B[0], B[0], C[0])
+
+
+# Rows per block of ``palindromes``.  It bounds the memory a block's columns
+# and their temporaries take, whatever the sweep's size: length 16 at entry 8
+# alone holds 8^8 palindromes.
+BLOCK_ROWS = 1 << 13
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def palindromes(length: int, max_entry: int) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(halves, (A, B, C)) per block of the palindromes of ``length`` over 1..max_entry.
+
+    ``halves`` holds one determining half per row, the first ceil(length/2)
+    entries, and (A, B, C) are the columns of the rows' word matrices
+    [[A, B], [B, C]] (``palindrome_triples``).  The rows run lexicographic
+    over the halves, block after block, and a block holds the next
+    BLOCK_ROWS halves or the rest; length 0 gives the empty word alone.
+
+    The columns are int64 when twice the square of the largest A of the
+    length, that of the all-max_entry word, fits in int64: A grows with every
+    entry, and B, C and every entry of a half's state are at most A, so the
+    triple, and any product of two of its entries doubled, is then exact.
+    Otherwise they hold Python ints (``dtype=object``).
+    """
+    k = (length + 1) // 2
+    widest = palindrome_triples(np.full((1, k), max_entry, dtype=object), length)[0][0]
+    fits = 2 * widest * widest <= INT64_MAX
+    count = max_entry**k
+    for lo in range(0, count, BLOCK_ROWS):
+        # The halves numbered lo.. are their numbers' base-max_entry digits, plus 1.
+        rest = np.arange(lo, min(lo + BLOCK_ROWS, count))
+        digits = []
+        for _ in range(k):
+            rest, digit = np.divmod(rest, max_entry)
+            digits.append(digit + 1)
+        halves = np.array(digits[::-1], dtype=np.int64).reshape(k, len(rest)).T
+        if not fits:
+            halves = halves.astype(object)
+        yield halves, palindrome_triples(halves, length)
 
 
 def realizes(abc: tuple[int, int, int], max_entry: int, a: int, b: int) -> bool:
@@ -231,9 +262,12 @@ def realizes(abc: tuple[int, int, int], max_entry: int, a: int, b: int) -> bool:
     (Friesen, Proc. AMS 103, 1988), so they are equal.  The period is exactly
     (w, 2a), not a repetition of a shorter word, because 2a exceeds every
     entry of w.
+
+    The tests are joined with ``&``, so every argument may as well be a
+    column: the result is then a boolean column, row by row.
     """
     A, B, C = abc
-    return max_entry <= a and 1 <= b <= 2 * a and b * A == 2 * a * B + C
+    return (max_entry <= a) & (1 <= b) & (b <= 2 * a) & (b * A == 2 * a * B + C)
 
 
 def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
@@ -255,7 +289,9 @@ __all__ = [
     "convergents_of_word",
     "word_matrix",
     "surd_from_periodic_cf",
+    "palindrome_half",
     "palindrome_matrix",
+    "palindrome_triples",
     "palindromes",
     "palindrome_b",
     "realizes",

@@ -6,6 +6,9 @@ with the schoolbook floor/reciprocal loop, at two precisions, and only trusts
 the common stable prefix.  ``sqrt_full_walk`` is the (P, Q) walk itself, run
 over the whole period with no use of its symmetry, and
 ``brute_two_coprime_squares`` searches for the two squares directly.
+``reference_mine`` is the miner's rule for one palindrome, run scalar: the
+whole word's matrix, the head congruence by gcd and a modular inverse, then
+the search for the first head one c at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from math import floor, gcd, isqrt
 
 import pytest
 
+from surdcf.convergents import realizes, word_matrix
 from surdcf.engine import expand_sqrt
+from surdcf.miner import ACCEPT_INSTANCES, MinedFamily
 
 
 def rational_cf_prefix(x: Fraction, terms: int) -> list[int]:
@@ -85,6 +90,37 @@ def brute_two_coprime_squares(d: int) -> bool:
             return True
         b += 1
     return False
+
+
+def reference_mine(palindrome) -> MinedFamily | None:
+    """The family ``miner.mine`` derives from a palindrome, or None, by the
+    scalar rule: solve 2B*a + C == 0 (mod A), take b_slope and b_const, try
+    c = 0, 1, ... up to limit = 4*(A + max entry + |b_const|) + 16 for the
+    first head that ``realizes``, then check the next four heads."""
+    pal = tuple(palindrome)
+    if pal:
+        m = word_matrix(pal)
+        A, B, C = m.m11, m.m12, m.m22
+    else:
+        A, B, C = 1, 0, 1
+    g = gcd(2 * B, A)
+    if C % g:
+        return None
+    mod = A // g
+    res = (-C // g) * pow(2 * B // g, -1, mod) % mod
+    b_slope = 2 * B * mod // A
+    b_const = (2 * B * res + C) // A
+    top = max(pal, default=0)
+    limit = 4 * (A + top + abs(b_const)) + 16
+    c = 0
+    while not realizes((A, B, C), top, mod * c + res, b_slope * c + b_const):
+        c += 1
+        if c > limit:
+            return None
+    for k in range(c + 1, c + ACCEPT_INSTANCES):
+        if not realizes((A, B, C), top, mod * k + res, b_slope * k + b_const):
+            return None
+    return MinedFamily(pal, res, mod, b_slope, b_const, c, ACCEPT_INSTANCES)
 
 
 @pytest.fixture(scope="session")

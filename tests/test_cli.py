@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from surdcf import analyzer, families
+from surdcf import analyzer, convergents, families, miner
 from surdcf.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,6 +29,13 @@ VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e
 # stdout sha256 of `mine --sweep --max-len 10 --max-entry 8` (8,481,992
 # bytes); CI checks it on a pipe too.
 MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
+# stdout sha256 of `mine --sweep --max-len 26 --max-entry 2` (24,574 lines,
+# 4,892,910 bytes), where lengths 25 and 26 run on Python ints; CI checks
+# it on a pipe too.
+MINE_SWEEP_26_2_SHA256 = "e812190432623b241dbc278bb91186b4a226f918d792c8611646f1ac82b7a837"
+# stdout sha256 of `mine --sweep --max-len 7 --max-entry 6`, JSON and text.
+MINE_7_6_SHA256 = "e5fb68478594b192d0257d91a9037452bb35ab673189c573282df08463648225"
+MINE_7_6_TEXT_SHA256 = "1b718023a126e9af3cc5bcc680335e2a592561261c08e7aac28786be9931c5a9"
 
 
 def run(capsys, *argv):
@@ -266,9 +274,7 @@ class TestMine:
         code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6")
         assert code == 0
         assert len(out.splitlines()) == 1441
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "e5fb68478594b192d0257d91a9037452bb35ab673189c573282df08463648225"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == MINE_7_6_SHA256
 
     def test_bench_size_sweep_output_pinned(self, capsys):
         # The mine-sweep benchmark's command, 74,897 palindromes.
@@ -282,9 +288,63 @@ class TestMine:
         code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6", "--format", "text")
         assert code == 0
         assert len(out.splitlines()) == 1441
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "1b718023a126e9af3cc5bcc680335e2a592561261c08e7aac28786be9931c5a9"
+        assert hashlib.sha256(out.encode()).hexdigest() == MINE_7_6_TEXT_SHA256
+
+    def test_long_sweep_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "26", "--max-entry", "2")
+        assert code == 0
+        data = out.encode()
+        assert (len(out.splitlines()), len(data)) == (24_574, 4_892_910)
+        assert hashlib.sha256(data).hexdigest() == MINE_SWEEP_26_2_SHA256
+
+    def test_sweep_on_python_ints_pinned(self, capsys, monkeypatch):
+        # With the int64 bound at 0 every block runs on Python ints.
+        dtypes = set()
+        mine_block = miner._mine_block
+
+        def spy(halves, length, abc):
+            dtypes.update(col.dtype for col in (halves, *abc))
+            return mine_block(halves, length, abc)
+
+        monkeypatch.setattr(convergents, "INT64_MAX", 0)
+        monkeypatch.setattr(miner, "_mine_block", spy)
+        for fmt, digest in [("json", MINE_7_6_SHA256), ("text", MINE_7_6_TEXT_SHA256)]:
+            code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6", "--format", fmt)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert dtypes == {np.dtype(object)}
+
+    def test_sweep_in_small_blocks_pinned(self, capsys, monkeypatch):
+        sizes = []
+        mine_block = miner._mine_block
+
+        def spy(halves, length, abc):
+            sizes.append(len(halves))
+            return mine_block(halves, length, abc)
+
+        monkeypatch.setattr(convergents, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(miner, "_mine_block", spy)
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MINE_7_6_SHA256
+        assert max(sizes) == 64 and sum(sizes) == 1 + 2 * (6 + 6**2 + 6**3) + 6**4
+
+    def test_big_pattern_pinned(self, capsys):
+        code, out, _ = run(capsys, "mine", "--pattern", "1000000000000,1000000000000")
+        assert code == 0
+        assert out == (
+            '{"a_modulus": 1000000000000000000000001, "a_residue": 500000000000, '
+            '"b_expr": "2000000000000*c+1", "min_c": 1, "palindrome": [1000000000000, 1000000000000], '
+            '"verified_instances": 5}\n'
         )
+
+    @pytest.mark.parametrize("order", ["pattern-first", "sweep-first"])
+    def test_pattern_with_sweep_is_usage_error(self, capsys, order):
+        pattern, sweep = ["--pattern", "2,2"], ["--sweep", "--max-len", "0"]
+        argv = pattern + sweep if order == "pattern-first" else sweep + pattern
+        code, out, err = run(capsys, "mine", *argv)
+        assert code == 1 and out == ""
+        assert "not allowed with argument" in err
 
     def test_closed_pipe_exits_quietly(self):
         # The reader leaves after 100 bytes, while the families are still

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from surdcf import convergents
 from surdcf.convergents import (
     convergents_of_word,
     palindrome_b,
     palindrome_matrix,
+    palindrome_triples,
     palindromes,
     realizes,
     surd_from_periodic_cf,
@@ -187,10 +191,17 @@ def matrix_of(pal):
     return word_matrix(pal) if pal else IDENTITY
 
 
+def palindrome_rows(length, max_entry):
+    """(palindrome, (A, B, C)) per row of the blocks ``palindromes`` yields."""
+    for halves, abc in palindromes(length, max_entry):
+        for half, *triple in zip(halves.tolist(), *(col.tolist() for col in abc), strict=True):
+            yield tuple(half + half[: length // 2][::-1]), tuple(triple)
+
+
 class TestPalindromeMatrices:
     # Each palindrome's matrix comes from its determining half by the
     # reflection identity; word_matrix over the whole word is the oracle.
-    # The walk yields the matrix [[A, B], [B, C]] as the triple (A, B, C).
+    # The blocks carry the matrix [[A, B], [B, C]] as the columns (A, B, C).
     @pytest.mark.parametrize(
         "max_len, max_entry, count",
         [(10, 8, 74_897), (9, 3, 484), (1, 5, 6)],
@@ -198,7 +209,7 @@ class TestPalindromeMatrices:
     )
     def test_walk_matches_word_matrix_in_sweep_order(self, max_len, max_entry, count):
         n = 0
-        walked = (item for length in range(max_len + 1) for item in palindromes(length, max_entry))
+        walked = (item for length in range(max_len + 1) for item in palindrome_rows(length, max_entry))
         for (pal, abc), want in zip(walked, _palindromes(max_len, max_entry), strict=True):
             assert pal == want
             m = matrix_of(pal)
@@ -217,11 +228,40 @@ class TestPalindromeMatrices:
 
     def test_empty_word(self):
         assert palindrome_matrix([]) == IDENTITY
-        assert list(palindromes(0, 3)) == [((), (1, 0, 1))]
+        assert list(palindrome_rows(0, 3)) == [((), (1, 0, 1))]
 
     def test_length_one(self):
-        assert list(palindromes(1, 4)) == [((c,), (c, 1, 0)) for c in range(1, 5)]
+        assert list(palindrome_rows(1, 4)) == [((c,), (c, 1, 0)) for c in range(1, 5)]
         assert palindrome_matrix([7]) == word_matrix([7])
+
+    @pytest.mark.parametrize("cap", [1, 7, 64])
+    def test_blocks_hold_at_most_the_row_cap(self, monkeypatch, cap):
+        # Splitting into blocks changes neither the rows nor their order.
+        want = [list(palindrome_rows(length, 6)) for length in range(8)]
+        monkeypatch.setattr(convergents, "BLOCK_ROWS", cap)
+        for length in range(8):
+            sizes = [len(halves) for halves, _ in palindromes(length, 6)]
+            assert max(sizes) <= cap and sum(sizes) == 6 ** ((length + 1) // 2)
+            assert list(palindrome_rows(length, 6)) == want[length]
+
+    @pytest.mark.parametrize(
+        "length, max_entry, dtype",
+        [(24, 2, np.int64), (25, 2, object), (10, 8, np.int64), (11, 8, object), (0, 1, np.int64)],
+    )
+    def test_columns_are_int64_only_under_the_bound(self, length, max_entry, dtype):
+        # int64 exactly when 2*A^2 of the all-max_entry word fits in int64.
+        widest = palindrome_matrix((max_entry,) * length).m11
+        assert (2 * widest**2 <= np.iinfo(np.int64).max) == (dtype is np.int64)
+        halves, abc = next(palindromes(length, max_entry))
+        assert halves.dtype == dtype and all(col.dtype == dtype for col in abc)
+        assert all(type(v) is int for v in abc[0].tolist())
+
+    def test_python_int_columns_match_int64(self):
+        for length in range(9):
+            for halves, abc in palindromes(length, 4):
+                wide = palindrome_triples(halves.astype(object), length)
+                assert all(col.dtype == object for col in wide)
+                assert [col.tolist() for col in wide] == [col.tolist() for col in abc]
 
 
 palindrome_words = st.builds(
@@ -255,3 +295,16 @@ class TestRealizes:
         b0 = round(Fraction(2 * a * m.m12 + m.m22, m.m11))
         for b in (b0 - 1, b0, b0 + 1):
             assert realizes(abc, max(pal, default=0), a, b) == engine_realizes(pal, a, b), (pal, a, b)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_columns_agree_with_scalars(self, dtype):
+        rows = [(pal, a, b) for pal in _palindromes(5, 3) for a in range(1, 8) for b in range(0, 16)]
+        triples = [(m.m11, m.m12, m.m22) for m in (matrix_of(pal) for pal, _, _ in rows)]
+        A, B, C, top, a, b = (
+            np.array(col, dtype=dtype)
+            for col in zip(*((*t, max(pal, default=0), a, b) for t, (pal, a, b) in zip(triples, rows)))
+        )
+        got = realizes((A, B, C), top, a, b)
+        assert got.dtype == bool
+        want = [realizes(t, max(pal, default=0), a, b) for t, (pal, a, b) in zip(triples, rows)]
+        assert got.tolist() == want and any(want)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from surdcf.exact import (
     pollard_brent,
     rat,
     solve_linear_congruence,
+    solve_linear_congruences,
 )
 
 
@@ -211,6 +213,61 @@ class TestLinearCongruence:
         assert solve_linear_congruence(-15, 0, 5) == (0, 1)
         assert solve_linear_congruence(10, 3, 5) is None
         assert solve_linear_congruence(12, 4, 6) is None
+
+
+# Every (c1, c0, mod) that TestLinearCongruence names.
+CONGRUENCE_CASES = [
+    (4, 1, 5), (2, 1, 2), (1, 0, 7),
+    (0, 0, 1), (3, -7, 1), (-5, 2, 1), (2**70, 2**65 + 1, 1),
+    (0, 6, 3), (0, 0, 7), (0, 5, 3),
+    (-4, 1, 5), (-6, 4, 10),
+    (10, 5, 5), (-15, 0, 5), (10, 3, 5), (12, 4, 6),
+]
+
+
+def column_solutions(c1, c0, mod, dtype):
+    """``solve_linear_congruences`` on columns of ``dtype``, as one
+    ``solve_linear_congruence`` answer per row."""
+    ok, residue, modulus = solve_linear_congruences(*(np.array(col, dtype=dtype) for col in (c1, c0, mod)))
+    assert ok.dtype == bool
+    return [(r, m) if o else None for o, r, m in zip(ok.tolist(), residue.tolist(), modulus.tolist())]
+
+
+class TestLinearCongruenceColumns:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_named_cases(self, dtype):
+        cases = [case for case in CONGRUENCE_CASES if dtype is object or max(map(abs, case)) < 2**62]
+        want = [solve_linear_congruence(*case) for case in cases]
+        assert column_solutions(*zip(*cases), dtype) == want
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_against_brute_force_grid(self, dtype):
+        grid = [(c1, c0, mod) for c1 in range(-12, 13) for c0 in range(-12, 13) for mod in range(1, 31)]
+        got = column_solutions(*zip(*grid), dtype)
+        for (c1, c0, mod), sol in zip(grid, got):
+            hits = brute_congruence(c1, c0, mod)
+            assert sol == ((hits[0], mod // math.gcd(c1, mod)) if hits else None), (c1, c0, mod)
+
+    def test_python_int_columns_at_miner_sizes(self):
+        rows = []
+        for pal in [(50,) * 30, (1, 2, 1) * 7, (9, 8, 9), (3,) * 20]:
+            m = word_matrix(pal)
+            rows += [(2 * m.m12, m.m22 + shift, m.m11) for shift in (-1, 0, 1)]
+            rows += [(-m.m12, m.m22 + shift, m.m11) for shift in (-1, 0, 1)]
+        got = column_solutions(*zip(*rows), object)
+        assert any(got) and not all(got)
+        for (c1, c0, mod), sol in zip(rows, got):
+            g = math.gcd(c1, mod)
+            assert (sol is not None) == (c0 % g == 0)
+            if sol is not None:
+                residue, modulus = sol
+                assert modulus == mod // g and 0 <= residue < modulus
+                assert (c1 * residue + c0) % mod == 0
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_bad_modulus(self, dtype):
+        with pytest.raises(DomainError):
+            solve_linear_congruences(*(np.array(col, dtype=dtype) for col in ([1, 1], [1, 1], [3, 0])))
 
 
 class TestRat:

@@ -1,14 +1,35 @@
+import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
+from conftest import reference_mine
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_convergents import _palindromes as reference_palindromes
 
 from surdcf import convergents, miner
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
-from surdcf.miner import MinedFamily, mine, mine_sweep, write_jsonl
+from surdcf.miner import MinedFamilies, MinedFamily, mine, mine_sweep, write_jsonl
+
+# The (max_len, max_entry) sweeps the tests run against the scalar reference.
+SWEEP_CASES = [(7, 6), (0, 3), (1, 5), (6, 3), (3, 2), (9, 3)]
+
+
+def reference_sweep(max_len, max_entry):
+    return [fam for fam in map(reference_mine, reference_palindromes(max_len, max_entry)) if fam is not None]
+
+
+# Palindromes with entries up to 10**12, whose word matrices run far past
+# int64, mixed with small entries.
+big_palindromes = st.builds(
+    lambda half, odd: tuple(half + half[::-1][odd:]),
+    st.lists(st.one_of(st.integers(1, 9), st.integers(1, 10**12)), max_size=5),
+    st.integers(0, 1),
+)
 
 
 def assert_family_verifies(fam, upto=50):
@@ -60,10 +81,23 @@ class TestMine:
         for m in range(1, 7):
             assert mine([1, 2, 2 * m, 2 * m, 2, 1]) is None
 
+    @pytest.mark.parametrize("max_len, max_entry", SWEEP_CASES)
+    def test_matches_reference_on_every_swept_palindrome(self, max_len, max_entry):
+        for pal in reference_palindromes(max_len, max_entry):
+            assert mine(pal) == reference_mine(pal), pal
+
+    @settings(max_examples=150, deadline=None)
+    @given(big_palindromes)
+    @example((10**12, 10**12))
+    @example((10**12,))
+    @example((1, 1))
+    def test_matches_reference_on_big_entries(self, pal):
+        assert mine(pal) == reference_mine(pal)
+
 
 class TestMineSweep:
     def test_len0(self):
-        fams = mine_sweep(0, 3)
+        fams = list(mine_sweep(0, 3))
         assert len(fams) == 1 and fams[0].palindrome == ()
 
     def test_len2_includes_22(self):
@@ -90,25 +124,42 @@ class TestMineSweep:
 
     def test_order_matches_reference_enumerator(self):
         # By length, then lexicographic over the determining half; each
-        # family is the one mine() derives from the whole word.
-        want = [fam for fam in map(mine, reference_palindromes(7, 6)) if fam is not None]
-        assert mine_sweep(7, 6) == want
+        # family is the one the scalar reference derives from the whole word.
+        want = reference_sweep(7, 6)
+        assert len(want) == 1441
+        assert list(mine_sweep(7, 6)) == want
 
-    @pytest.mark.parametrize("max_len, max_entry", [(0, 3), (1, 5), (6, 3), (3, 2), (9, 3)])
+    @pytest.mark.parametrize("max_len, max_entry", SWEEP_CASES[1:])
     def test_bounds_match_reference_enumerator(self, max_len, max_entry):
-        want = [fam for fam in map(mine, reference_palindromes(max_len, max_entry)) if fam is not None]
-        assert mine_sweep(max_len, max_entry) == want
+        assert list(mine_sweep(max_len, max_entry)) == reference_sweep(max_len, max_entry)
 
     def test_sweep_builds_no_matrix_object(self, monkeypatch):
-        # The sweep carries each palindrome's matrix [[A, B], [B, C]] as the
-        # triple (A, B, C); mine() builds its Mat2 before the patch.
-        want = [fam for fam in map(mine, reference_palindromes(6, 3)) if fam is not None]
+        # The sweep carries the palindromes' matrices [[A, B], [B, C]] as the
+        # columns (A, B, C); the reference builds its Mat2s before the patch.
+        want = reference_sweep(6, 3)
 
         def no_mat2(*entries):
             raise AssertionError("a Mat2 was built")
 
         monkeypatch.setattr(convergents, "Mat2", no_mat2)
-        assert mine_sweep(6, 3) == want
+        assert list(mine_sweep(6, 3)) == want
+
+    def test_heads_past_the_int64_bound_run_on_python_ints(self, monkeypatch):
+        # Lowering the bound that each row's int64 heads must stay under
+        # sends the later heads of many rows to Python ints while the rest
+        # stay on int64; the families do not change.
+        want = reference_sweep(7, 6)
+        dtypes = set()
+
+        def spy(abc, top, a, b):
+            dtypes.add(abc[0].dtype)
+            return realizes(abc, top, a, b)
+
+        realizes = miner.realizes
+        monkeypatch.setattr(miner, "realizes", spy)
+        monkeypatch.setattr(miner, "INT64_MAX", 10**10)
+        assert list(mine_sweep(7, 6)) == want
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
     def test_engine_confirms_every_family_far_out(self):
         # The engine is the oracle for the realisation identity that mine
@@ -120,6 +171,13 @@ class TestMineSweep:
                 a, b = fam.a_of(c), fam.b_of(c)
                 cf = expand_sqrt(a * a + b)
                 assert cf.a0 == a and cf.period == (*fam.palindrome, 2 * a), (fam, c)
+
+
+def columns_of(fams):
+    """The families as ``MinedFamilies`` columns."""
+    cols = [[getattr(fam, field.name) for fam in fams] for field in dataclasses.fields(MinedFamilies)]
+    cols[0] = [list(pal) for pal in cols[0]]
+    return MinedFamilies(*cols)
 
 
 def reference_jsonl(fams):
@@ -154,7 +212,7 @@ class TestWriteJsonl:
 
     def test_hand_built(self):
         out = io.StringIO()
-        write_jsonl(self.HAND_BUILT, out)
+        write_jsonl(columns_of(self.HAND_BUILT), out)
         assert out.getvalue() == reference_jsonl(self.HAND_BUILT)
         assert '"b_expr": "2*c-17"' in out.getvalue()
 
@@ -162,13 +220,13 @@ class TestWriteJsonl:
     def test_rows_written_in_blocks(self, monkeypatch, block, writes):
         monkeypatch.setattr(miner, "WRITE_BLOCK", block)
         out = BlockCounter()
-        write_jsonl(iter(self.HAND_BUILT), out)
+        write_jsonl(columns_of(self.HAND_BUILT), out)
         assert out.getvalue() == reference_jsonl(self.HAND_BUILT)
         assert out.writes == writes
 
     def test_no_families_writes_nothing(self):
         out = BlockCounter()
-        write_jsonl([], out)
+        write_jsonl(columns_of([]), out)
         assert out.getvalue() == "" and out.writes == 0
 
 

@@ -82,3 +82,10 @@ def test_ci_checks_mine_sweep_digest_in_process():
 
     check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
+
+
+def test_ci_checks_long_mine_sweep_digest():
+    from test_cli import MINE_SWEEP_26_2_SHA256
+
+    check = digest_check("python -m surdcf.cli mine --sweep --max-len 26 --max-entry 2")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_26_2_SHA256]
