@@ -3,7 +3,8 @@
 Coefficients are stored against ascending powers of (2x), which keeps every
 coefficient an integer.  U satisfies U(n+1) = 2x U(n) - U(n-1); the cousin U'
 flips the recurrence sign to U'(n+1) = 2x U'(n) + U'(n-1), so its coefficients
-are the absolute values of U's.
+are the absolute values of U's.  One loop, ``_cheb``, runs both recurrences
+and takes the sign as its argument.
 
 The classical det=+1 matrix-power identity is exposed as `cheb_mat_pow`.  For
 the quotient matrix [[2m+1,1],[1,0]] - determinant -1, where that identity
@@ -68,28 +69,25 @@ def _combine(p: Poly, q: Poly, sign: int) -> Poly:
     return Poly(tuple(cs))
 
 
+def _cheb(n: int, sign: int, name: str) -> Poly:
+    # The one loop of both recurrences, P(n+1) = 2x P(n) + sign*P(n-1), from
+    # P(-1) = 0 and P(0) = 1.
+    if n < 0:
+        raise DomainError(f"{name} wants n >= 0")
+    prev, cur = ZERO, ONE
+    for _ in range(n):
+        prev, cur = cur, _combine(_shift(cur), prev, sign)
+    return cur
+
+
 def cheb_u(n: int) -> Poly:
     """U_n from the recurrence U(n+1) = 2x U(n) - U(n-1); U_0 = 1, U_1 = 2x."""
-    if n < 0:
-        raise DomainError("cheb_u wants n >= 0")
-    prev, cur = ONE, Poly((0, 1))
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, _combine(_shift(cur), prev, -1)
-    return cur
+    return _cheb(n, -1, "cheb_u")
 
 
 def cheb_u_prime(n: int) -> Poly:
     """The all-positive cousin: U'(n+1) = 2x U'(n) + U'(n-1), same seeds."""
-    if n < 0:
-        raise DomainError("cheb_u_prime wants n >= 0")
-    prev, cur = ONE, Poly((0, 1))
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, _combine(_shift(cur), prev, +1)
-    return cur
+    return _cheb(n, +1, "cheb_u_prime")
 
 
 def eval_poly(p: Poly, x: Rat | int) -> Fraction:

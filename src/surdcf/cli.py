@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
+# `mine --sweep` bounds when --max-len or --max-entry is not given.
+_SWEEP_DEFAULT = 3
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -149,9 +152,10 @@ def cmd_verify_families(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    bounds = (args.max_len, args.max_entry)
     if args.sweep:
         try:
-            found = miner.mine_sweep(args.max_len, args.max_entry)
+            found = miner.mine_sweep(*(_SWEEP_DEFAULT if b is None else b for b in bounds))
         except DomainError as exc:
             print(f"mine: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -164,6 +168,9 @@ def cmd_mine(args) -> int:
         else:
             miner.write_jsonl(found, sys.stdout)
         return EXIT_OK
+    if bounds != (None, None):
+        print("mine: --max-len and --max-entry need --sweep", file=sys.stderr)
+        return EXIT_USAGE
     if args.pattern is None:
         print("mine: need --pattern or --sweep", file=sys.stderr)
         return EXIT_USAGE
@@ -265,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--pattern", default=None, help="comma-separated palindrome, e.g. 2,2")
     mode.add_argument("--sweep", action="store_true")
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-entry", type=int, default=3)
+    p.add_argument("--max-len", type=int, default=None, help=f"with --sweep (default {_SWEEP_DEFAULT})")
+    p.add_argument("--max-entry", type=int, default=None, help=f"with --sweep (default {_SWEEP_DEFAULT})")
     _add_format(p, ("json", "text"))
     p.set_defaults(fn=cmd_mine)
 

@@ -17,7 +17,7 @@ A palindrome's matrix [[A, B], [B, C]] is symmetric, so ``palindromes`` and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
-from .mat2 import IDENTITY, Mat2
+from .mat2 import Mat2
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,9 @@ def _extend(state: tuple[int, int, int, int], a: int) -> tuple[int, int, int, in
 
 
 def _recurrence(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1."""
-    state = astuple(IDENTITY)
+    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1,
+    from the empty word's state (1, 0, 0, 1), that of IDENTITY."""
+    state = (1, 0, 0, 1)
     for a in word:
         state = _extend(state, a)
         yield state

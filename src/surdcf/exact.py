@@ -174,6 +174,19 @@ def _inverses(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return inv % m
 
 
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square and multiply, for any associative ``*``
+    with identity ``one``: the one power loop of ``mat2.mat_pow`` and
+    ``sequences.QuadRingElem.power``."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
 def rat(num: int, den: int = 1) -> Rat:
     """Exact rational; den must be nonzero."""
     if den == 0:

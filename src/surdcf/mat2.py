@@ -1,5 +1,6 @@
 """Exact 2x2 integer matrices, fast powers, and closed-form power generators.
 
+``mat_pow`` runs the package's one square-and-multiply loop, ``exact._power``.
 The three named generators (`pell_power`, `sqrt3_power`, `odd_quotient_power`)
 rebuild matrix powers out of the linear-recurrence sequences instead of
 multiplying matrices, so each one cross-validates `mat_pow` independently.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import DomainError
+from .exact import DomainError, _power
 from . import sequences
 
 
@@ -44,14 +45,7 @@ def mat_pow(m: Mat2, n: int) -> Mat2:
     """n-th power by binary exponentiation; mat_pow(m, 0) is the identity."""
     if n < 0:
         raise DomainError(f"matrix power wants n >= 0, got {n}")
-    result = IDENTITY
-    base = m
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result
+    return _power(m, n, IDENTITY)
 
 
 def pell_power(k: int) -> Mat2:

@@ -1,5 +1,12 @@
 """Second-order linear recurrences and the named sequence families.
 
+Each recurrence fact has one loop.  ``_terms`` runs every constant-coefficient
+recurrence u(n+1) = a*u(n) + b*u(n-1): the named ladders are ``LinRecSpec``
+seeds evaluated by it.  ``_convergent_pairs`` builds the word of
+[a0; block repeating] and runs it through the convergent recurrence,
+``convergents._recurrence``.  Powers in Z[sqrt(D)] use the square-and-multiply
+loop ``exact._power``.
+
 Closed forms are evaluated in the ring Z[sqrt(D)] with an explicit power-of-two
 denominator, so "closed form equals recurrence" is a hard integer equality,
 never a float comparison.
@@ -8,10 +15,12 @@ never a float comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
+from typing import Iterator
 
 # Looked up at call time: convergents imports mat2, which imports this module.
 from . import convergents
-from .exact import DomainError, InternalConsistencyError
+from .exact import DomainError, InternalConsistencyError, _power
 
 
 @dataclass(frozen=True)
@@ -33,7 +42,7 @@ FIBONACCI = LinRecSpec(1, 1, 0, 1)
 
 @dataclass(frozen=True)
 class QuadRingElem:
-    """(s + t*sqrt(D)) / den with integer s, t and den > 0.
+    """s + t*sqrt(D) with integer s and t.
 
     D is fixed per computation and may be any nonzero integer (negative D
     works the same way; sqrt(D) stays symbolic).
@@ -42,7 +51,6 @@ class QuadRingElem:
     s: int
     t: int
     D: int
-    den: int = 1
 
     def __mul__(self, other: "QuadRingElem") -> "QuadRingElem":
         if self.D != other.D:
@@ -51,23 +59,12 @@ class QuadRingElem:
             self.s * other.s + self.t * other.t * self.D,
             self.s * other.t + self.t * other.s,
             self.D,
-            self.den * other.den,
         )
-
-    def conjugate(self) -> "QuadRingElem":
-        return QuadRingElem(self.s, -self.t, self.D, self.den)
 
     def power(self, n: int) -> "QuadRingElem":
         if n < 0:
             raise DomainError("quadratic ring power wants n >= 0")
-        result = QuadRingElem(1, 0, self.D, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, QuadRingElem(1, 0, self.D))
 
 
 def quad_power(s: int, t: int, D: int, n: int) -> tuple[int, int]:
@@ -76,14 +73,19 @@ def quad_power(s: int, t: int, D: int, n: int) -> tuple[int, int]:
     return e.s, e.t
 
 
+def _terms(spec: LinRecSpec) -> Iterator[int]:
+    # u(0), u(1), ...: the one loop of the constant-coefficient recurrence.
+    u0, u1 = spec.u0, spec.u1
+    while True:
+        yield u0
+        u0, u1 = u1, spec.a * u1 + spec.b * u0
+
+
 def linrec_nth(spec: LinRecSpec, n: int) -> int:
     """u(n) by direct iteration (exact, linear time)."""
     if n < 0:
         raise DomainError("sequence index must be >= 0")
-    u0, u1 = spec.u0, spec.u1
-    for _ in range(n):
-        u0, u1 = u1, spec.a * u1 + spec.b * u0
-    return u0
+    return next(islice(_terms(spec), n, None))
 
 
 def binet_nth(spec: LinRecSpec, n: int) -> int:
@@ -110,11 +112,18 @@ def binet_nth(spec: LinRecSpec, n: int) -> int:
     return q
 
 
-def _pair_iter(a_rec, b_rec, p0, p1, q0, q1, k):
-    for _ in range(k):
-        p0, p1 = p1, a_rec * p1 + b_rec * p0
-        q0, q1 = q1, a_rec * q1 + b_rec * q0
-    return p0, q0
+def _convergent_pairs(a0: int, block: tuple[int, ...], length: int) -> list[tuple[int, int]]:
+    """(p_j, q_j), j = -1..length-1, of [a0; block repeating]: the seed
+    (p_-1, q_-1) = (1, 0), then the convergents of the first ``length``
+    quotients, by the convergent recurrence."""
+    word = list(islice(chain((a0,), cycle(block)), length))
+    return [(1, 0), *((p, q) for p, _, q, _ in convergents._recurrence(word))]
+
+
+# The seeds (numerators, denominators) of the ladders that ``_terms`` runs.
+_PELL = LinRecSpec(2, 1, 1, 1), LinRecSpec(2, 1, 0, 1)
+_AB = LinRecSpec(4, -1, 1, 3), LinRecSpec(4, -1, 0, 1)
+_TRIPLE113 = LinRecSpec(8, 1, -1, 1), LinRecSpec(8, 1, 4, 0)
 
 
 def pell_pair(k: int) -> tuple[int, int]:
@@ -125,16 +134,7 @@ def pell_pair(k: int) -> tuple[int, int]:
     """
     if k < 0:
         raise DomainError("pell_pair wants k >= 0")
-    return _pair_iter(2, 1, 1, 1, 0, 1, k)
-
-
-def _sqrt3_word(count):
-    # sqrt(3) = [1; 1, 2 repeating]
-    word = [1]
-    while len(word) < count:
-        word.append(1)
-        word.append(2)
-    return word[:count]
+    return tuple(linrec_nth(spec, k) for spec in _PELL)
 
 
 def sqrt3_pair(k: int) -> tuple[int, int]:
@@ -144,13 +144,15 @@ def sqrt3_pair(k: int) -> tuple[int, int]:
     """
     if k < 0:
         raise DomainError("sqrt3_pair wants k >= 0")
-    c = convergents.convergents_of_word(_sqrt3_word(k + 2))[k + 1]
-    return c.p, c.q
+    # sqrt(3) = [1; 1, 2 repeating]; c_(k+1) follows the seed and c_0.
+    return _convergent_pairs(1, (1, 2), k + 2)[k + 2]
 
 
 def sqrt3_denominators(up_to: int) -> list[int]:
     """Classical sqrt(3) convergent denominators q_0..q_up_to (q_0 = 1)."""
-    return [c.q for c in convergents.convergents_of_word(_sqrt3_word(up_to + 1))]
+    if up_to < 0:
+        raise DomainError("sqrt3_denominators wants up_to >= 0")
+    return [q for _, q in _convergent_pairs(1, (1, 2), up_to + 1)[1:]]
 
 
 def ab_pair(k: int) -> tuple[int, int]:
@@ -160,25 +162,21 @@ def ab_pair(k: int) -> tuple[int, int]:
     """
     if k < 1:
         raise DomainError("ab_pair wants k >= 1")
-    return _pair_iter(4, -1, 1, 3, 0, 1, k)
+    return tuple(linrec_nth(spec, k) for spec in _AB)
 
 
 def triple113_pair(k: int) -> tuple[int, int]:
     """(p_k, q_k) with x(k) = 8 x(k-1) + x(k-2); p: -1,1,7,57,...  q: 4,0,4,32,..."""
     if k < 0:
         raise DomainError("triple113_pair wants k >= 0")
-    return _pair_iter(8, 1, -1, 1, 4, 0, k + 1)
+    return tuple(linrec_nth(spec, k + 1) for spec in _TRIPLE113)
 
 
 def odd_quotient_seq(m: int, up_to: int) -> list[int]:
     """u_0..u_up_to for u(n+1) = (2m+1) u(n) + u(n-1), u0 = 0, u1 = 1."""
     if m < 0:
         raise DomainError("odd quotient sequence wants m >= 0")
-    a = 2 * m + 1
-    u = [0, 1]
-    while len(u) <= up_to:
-        u.append(a * u[-1] + u[-2])
-    return u[: up_to + 1]
+    return list(islice(_terms(LinRecSpec(2 * m + 1, 1, 0, 1)), max(up_to + 1, 0)))
 
 
 def odd_multiplier(m: int) -> int:
@@ -195,17 +193,9 @@ def even_quotient_pairs(m: int, up_to: int) -> list[tuple[int, int]]:
     Index convention: p_1/q_1 = 2m/1 is the first convergent; seeds
     p_0 = 1, q_0 = 0.  Even steps multiply by m, odd steps by 4m.
     """
-    if m < 1:
-        raise DomainError("even quotient sequence wants m >= 1")
-    p = [1, 2 * m]
-    q = [0, 1]
-    j = 2
-    while len(p) <= up_to:
-        mult = m if j % 2 == 0 else 4 * m
-        p.append(mult * p[-1] + p[-2])
-        q.append(mult * q[-1] + q[-2])
-        j += 1
-    return list(zip(p[: up_to + 1], q[: up_to + 1]))
+    if m < 1 or up_to < 0:
+        raise DomainError("even quotient sequence wants m >= 1, up_to >= 0")
+    return _convergent_pairs(2 * m, (m, 4 * m), up_to)
 
 
 def interleaved_even_pair(m: int, k: int) -> tuple[int, int]:
@@ -217,13 +207,9 @@ def interleaved_even_pair(m: int, k: int) -> tuple[int, int]:
 
 def pair_m2m_denominators(m: int, up_to: int) -> list[int]:
     """Classical denominators q_0..q_up_to of sqrt(m^2 + 2) = [m; m, 2m ...]."""
-    if m < 1:
-        raise DomainError("pair_m2m_denominators wants m >= 1")
-    word = [m]
-    while len(word) <= up_to:
-        word.append(m)
-        word.append(2 * m)
-    return [c.q for c in convergents.convergents_of_word(word[: up_to + 1])]
+    if m < 1 or up_to < 0:
+        raise DomainError("pair_m2m_denominators wants m >= 1, up_to >= 0")
+    return [q for _, q in _convergent_pairs(m, (m, 2 * m), up_to + 1)[1:]]
 
 
 # Named single-value sequences exposed for CSV export.
@@ -245,15 +231,16 @@ def named_sequence(name: str, count: int, m: int | None = None) -> list[tuple[in
     if count < 0:
         raise DomainError("count must be >= 0")
     if name in NAMED_SEQUENCES:
+        if m is not None:
+            raise DomainError(f"sequence {name!r} takes no m")
         fn = NAMED_SEQUENCES[name]
         return [(k, fn(k)) for k in range(count)]
+    m = 1 if m is None else m
     if name == "odd-u":
-        mm = 1 if m is None else m
-        seq = odd_quotient_seq(mm, max(count - 1, 0))
+        seq = odd_quotient_seq(m, max(count - 1, 0))
         return list(enumerate(seq[:count]))
     if name in ("even-p", "even-q"):
-        mm = 1 if m is None else m
-        pairs = even_quotient_pairs(mm, max(count - 1, 0))
+        pairs = even_quotient_pairs(m, max(count - 1, 0))
         idx = 0 if name == "even-p" else 1
         return [(k, pairs[k][idx]) for k in range(count)]
     raise DomainError(f"unknown sequence name {name!r}")

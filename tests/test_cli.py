@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surdcf import analyzer, convergents, families, miner
+from surdcf import analyzer, convergents, families, miner, sequences
 from surdcf.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +33,16 @@ MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43f
 # 4,892,910 bytes), where lengths 25 and 26 run on Python ints; CI checks
 # it on a pipe too.
 MINE_SWEEP_26_2_SHA256 = "e812190432623b241dbc278bb91186b4a226f918d792c8611646f1ac82b7a837"
+# stdout sha256 of the 18 commands `sequences --name N --count 60 --format
+# csv`, concatenated: N over SEQUENCES_PINNED, then odd-u, even-p and even-q,
+# each at --m 1, 2 and 3 (1,098 lines, 22,638 bytes); CI checks it on a pipe
+# too.
+SEQUENCES_SHA256 = "b4252e2522c8891da8c90aa728448d61cf0cc043736e871ec8c9222c3271c06d"
+SEQUENCES_PINNED = [
+    "ab-a", "ab-b", "fibonacci", "pell-p", "pell-q",
+    "sqrt3-p", "sqrt3-q", "triple113-p", "triple113-q",
+]
+SEQUENCES_WITH_M = ["odd-u", "even-p", "even-q"]
 # stdout sha256 of `mine --sweep --max-len 7 --max-entry 6`, JSON and text.
 MINE_7_6_SHA256 = "e5fb68478594b192d0257d91a9037452bb35ab673189c573282df08463648225"
 MINE_7_6_TEXT_SHA256 = "1b718023a126e9af3cc5bcc680335e2a592561261c08e7aac28786be9931c5a9"
@@ -338,6 +348,22 @@ class TestMine:
             '"verified_instances": 5}\n'
         )
 
+    def test_sweep_bounds_default_to_three(self, capsys):
+        _, want, _ = run(capsys, "mine", "--sweep", "--max-len", "3", "--max-entry", "3")
+        assert run(capsys, "mine", "--sweep") == (0, want, "")
+        assert run(capsys, "mine", "--sweep", "--max-len", "3") == (0, want, "")
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [("--max-len", "9"), ("--max-entry", "0"), ("--max-len", "9", "--max-entry", "0")],
+        ids=["max-len", "max-entry", "both"],
+    )
+    @pytest.mark.parametrize("pattern", [("--pattern", "2,2"), ()], ids=["pattern", "no-pattern"])
+    def test_sweep_bounds_without_sweep_are_usage_errors(self, capsys, bounds, pattern):
+        code, out, err = run(capsys, "mine", *pattern, *bounds)
+        assert (code, out) == (1, "")
+        assert err == "mine: --max-len and --max-entry need --sweep\n"
+
     @pytest.mark.parametrize("order", ["pattern-first", "sweep-first"])
     def test_pattern_with_sweep_is_usage_error(self, capsys, order):
         pattern, sweep = ["--pattern", "2,2"], ["--sweep", "--max-len", "0"]
@@ -531,6 +557,44 @@ class TestSequences:
     def test_unknown_name(self, capsys):
         code, _, _ = run(capsys, "sequences", "--name", "mystery")
         assert code == 1
+
+    def test_output_pinned(self, capsys):
+        # The names are listed, not taken from NAMED_SEQUENCES, so that a
+        # name that drops out of the table fails here.
+        assert sorted(sequences.NAMED_SEQUENCES) == SEQUENCES_PINNED
+        runs = [("--name", name) for name in SEQUENCES_PINNED]
+        runs += [("--name", name, "--m", m) for name in SEQUENCES_WITH_M for m in ("1", "2", "3")]
+        out = ""
+        for argv in runs:
+            code, chunk, err = run(capsys, "sequences", *argv, "--count", "60", "--format", "csv")
+            assert (code, err) == (0, "")
+            out += chunk
+        data = out.encode()
+        assert (len(out.splitlines()), len(data)) == (1_098, 22_638)
+        assert hashlib.sha256(data).hexdigest() == SEQUENCES_SHA256
+
+    @pytest.mark.parametrize(
+        "name, count, want",
+        [
+            ("odd-u", "0", []), ("odd-u", "1", ["0,0"]),
+            ("even-p", "0", []), ("even-p", "1", ["0,1"]),
+        ],
+    )
+    def test_zero_and_one_count(self, capsys, name, count, want):
+        code, out, _ = run(capsys, "sequences", "--name", name, "--count", count, "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["index,value", *want]
+
+    @pytest.mark.parametrize("name", SEQUENCES_PINNED)
+    def test_m_without_use_is_usage_error(self, capsys, name):
+        code, out, err = run(capsys, "sequences", "--name", name, "--count", "3", "--m", "7")
+        assert (code, out) == (1, "")
+        assert err == f"sequences: sequence {name!r} takes no m\n"
+
+    @pytest.mark.parametrize("name", SEQUENCES_WITH_M)
+    def test_m_defaults_to_one(self, capsys, name):
+        _, want, _ = run(capsys, "sequences", "--name", name, "--count", "8", "--m", "1")
+        assert run(capsys, "sequences", "--name", name, "--count", "8") == (0, want, "")
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,19 @@ from surdcf.sequences import (
 ODD3 = LinRecSpec(3, 1, 0, 1)
 
 
+def even_quotient_oracle(m, up_to):
+    """(p_j, q_j), j = 0..up_to, of [2m; m, 4m ...] by the alternating
+    multiplier, written out apart from the convergent recurrence:
+    p_0 = 1, q_0 = 0, p_1/q_1 = 2m/1, then even steps multiply by m and
+    odd steps by 4m."""
+    p, q = [1, 2 * m], [0, 1]
+    for j in range(2, up_to + 1):
+        mult = m if j % 2 == 0 else 4 * m
+        p.append(mult * p[-1] + p[-2])
+        q.append(mult * q[-1] + q[-2])
+    return list(zip(p, q))[: up_to + 1]
+
+
 class TestLinRec:
     def test_examples(self):
         assert linrec_nth(FIBONACCI, 10) == 55
@@ -138,10 +151,24 @@ class TestEvenQuotient:
 
     def test_matches_word_convergents(self):
         for m in (1, 2, 3, 4):
-            word = [2 * m] + [m, 4 * m] * 10
-            conv = convergents_of_word(word)
+            pairs = even_quotient_oracle(m, 16)
+            assert even_quotient_pairs(m, 16) == pairs
             for k in range(15):
-                assert interleaved_even_pair(m, k) == (conv[k].p, conv[k].q)
+                assert interleaved_even_pair(m, k) == pairs[k + 1]
+
+    def test_empty_word_and_zero_count(self):
+        for m in (1, 2, 3):
+            assert even_quotient_pairs(m, 0) == [(1, 0)]
+            assert even_quotient_pairs(m, 1) == [(1, 0), (2 * m, 1)]
+            assert odd_quotient_seq(m, 0) == [0]
+            assert pair_m2m_denominators(m, 0) == [1]
+        assert sqrt3_denominators(0) == [1]
+
+    def test_negative_index_rejected(self):
+        for call in (lambda: even_quotient_pairs(1, -1), lambda: sqrt3_denominators(-1),
+                     lambda: pair_m2m_denominators(1, -1)):
+            with pytest.raises(DomainError):
+                call()
 
     def test_even_power_matrix(self):
         # [[p2,8q2],[q2,p2]]^k pattern for the doubled-step matrix at m=1
@@ -191,6 +218,11 @@ class TestNamedSequences:
     def test_unknown_name(self):
         with pytest.raises(DomainError):
             named_sequence("nope", 3)
+
+    def test_m_only_where_read(self):
+        with pytest.raises(DomainError, match="takes no m"):
+            named_sequence("pell-p", 3, m=7)
+        assert named_sequence("odd-u", 4) == named_sequence("odd-u", 4, m=1)
 
 
 def test_pair_m2m_denominators_match_known_values():

@@ -27,12 +27,17 @@ def test_matrix_covers_requires_python_floor():
     assert floor in job["strategy"]["matrix"]["python-version"]
 
 
-def digest_check(command):
-    """The run of the one CI step that pipes ``command`` into ``sha256sum -c``."""
+def digest_checks():
+    """The runs of the CI steps that pipe into ``sha256sum -c``."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
     runs = [step.get("run", "") for step in job["steps"]]
-    (check,) = [run for run in runs if "sha256sum -c" in run and f"{command} |" in run]
+    return [run for run in runs if "sha256sum -c" in run]
+
+
+def digest_check(command):
+    """The run of the one CI step that pipes ``command`` into ``sha256sum -c``."""
+    (check,) = [run for run in digest_checks() if f"{command} |" in run]
     assert "set -o pipefail" in check
     return check
 
@@ -82,6 +87,19 @@ def test_ci_checks_mine_sweep_digest_in_process():
 
     check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
+
+
+def test_ci_checks_sequences_digest():
+    from test_cli import SEQUENCES_PINNED, SEQUENCES_SHA256, SEQUENCES_WITH_M
+
+    # The step pipes a group of commands, so no one command precedes the pipe.
+    (check,) = [run for run in digest_checks() if "python -m surdcf.cli sequences" in run]
+    assert "set -o pipefail" in check
+    # The step's loops run the same 18 commands as the pinned test, in order.
+    loops = re.findall(r"^\s*for \w+ in (.*); do$", check, re.M)
+    assert [loop.split() for loop in loops] == [SEQUENCES_PINNED, SEQUENCES_WITH_M, ["1", "2", "3"]]
+    assert "--count 60 --format csv" in check
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [SEQUENCES_SHA256]
 
 
 def test_ci_checks_long_mine_sweep_digest():
