@@ -10,7 +10,11 @@ sequence) carry a generator name; the generator turns the integer parameters
 (k, and m where applicable) into concrete polynomials in n before evaluation.
 
 The verifier compares each member against the expansion engine, one
-member after another in the calling process.
+member after another in the calling process.  ``write_record`` streams a
+family's JSON record, writing each failure as soon as the engine has
+expanded it, so its memory is bounded by the longest failing member rather
+than by the sum over the family; ``verify_family`` collects the same
+failures into a ``VerifyReport``.
 """
 
 from __future__ import annotations
@@ -357,18 +361,23 @@ def family_by_id(fid: str, path: str | None = None) -> FamilyDescriptor:
 def _resolve(fam: FamilyDescriptor, assignment: Mapping[str, int]):
     """Concrete (head, a, b, pattern) expressions for one assignment."""
     if fam.generator:
-        gen, wanted = GENERATORS[fam.generator]
-        args = []
-        for name in wanted:
-            if name in fam.bind:
-                args.append(fam.bind[name])
-            else:
-                args.append(assignment[name])
-        a_s, b_s, pat_s = gen(*args)
-        a_e, b_e = PolyExpr(a_s), PolyExpr(b_s)
-        return a_e, a_e, b_e, tuple(PolyExpr(s) for s in pat_s)
+        _, wanted = GENERATORS[fam.generator]
+        args = tuple(fam.bind[name] if name in fam.bind else assignment[name] for name in wanted)
+        return _ladder(fam.generator, args)
     head = fam.head_expr or fam.a_expr
     return head, fam.a_expr, fam.b_expr, fam.pattern
+
+
+@lru_cache(maxsize=256)
+def _ladder(generator: str, args: tuple[int, ...]):
+    """The (head, a, b, pattern) expressions of one ladder generator call.
+
+    Cached because every n of a ladder family shares them: the packaged
+    registry makes 72 distinct calls for its 11,110 ladder members.
+    """
+    a_s, b_s, pat_s = GENERATORS[generator][0](*args)
+    a_e, b_e = PolyExpr(a_s), PolyExpr(b_s)
+    return a_e, a_e, b_e, tuple(PolyExpr(s) for s in pat_s)
 
 
 def instantiate(
@@ -417,7 +426,7 @@ class VerifyReport:
 
     @property
     def status(self) -> str:
-        return "verified" if not self.failures else "erratum"
+        return status_of(len(self.failures))
 
     def to_dict(self) -> dict:
         return {
@@ -427,6 +436,11 @@ class VerifyReport:
             "failures": self.failures,
             "status": self.status,
         }
+
+
+def status_of(failures: int) -> str:
+    """A family's status from its failure count."""
+    return "verified" if not failures else "erratum"
 
 
 _FALLBACK_HI = {"n": None, "m": 5, "k": 6}
@@ -458,6 +472,33 @@ def _assignments(
         yield dict(zip(names, values))
 
 
+def iter_failures(
+    fam: FamilyDescriptor, budget: Mapping[str, int] | None, report: VerifyReport
+) -> Iterator[dict]:
+    """Yield the record of each failing member, in assignment order.
+
+    The one member loop: each budgeted assignment is instantiated, expanded
+    by the engine and compared term for term.  ``report.tested`` and
+    ``report.skipped`` count the members as the loop reaches them; the
+    failures go only to the caller.
+    """
+    for assignment in _assignments(fam, budget):
+        try:
+            d, expected = instantiate(fam, assignment)
+        except FamilyValidityError:
+            report.skipped += 1
+            continue
+        actual = expand_sqrt(d)
+        report.tested += 1
+        if actual.a0 != expected.a0 or actual.period != expected.period:
+            yield {
+                "params": dict(assignment),
+                "d": d,
+                "expected": {"a0": expected.a0, "period": list(expected.period)},
+                "actual": {"a0": actual.a0, "period": list(actual.period)},
+            }
+
+
 def verify_family(
     fam: FamilyDescriptor, budget: Mapping[str, int] | None = None
 ) -> VerifyReport:
@@ -468,24 +509,34 @@ def verify_family(
     recorded verbatim, in assignment order.
     """
     report = VerifyReport(fam.id)
-    for assignment in _assignments(fam, budget):
-        try:
-            d, expected = instantiate(fam, assignment)
-        except FamilyValidityError:
-            report.skipped += 1
-            continue
-        actual = expand_sqrt(d)
-        report.tested += 1
-        if actual.a0 != expected.a0 or actual.period != expected.period:
-            report.failures.append(
-                {
-                    "params": dict(assignment),
-                    "d": d,
-                    "expected": {"a0": expected.a0, "period": list(expected.period)},
-                    "actual": {"a0": actual.a0, "period": list(actual.period)},
-                }
-            )
+    report.failures.extend(iter_failures(fam, budget, report))
     return report
+
+
+def write_record(fam: FamilyDescriptor, budget: Mapping[str, int] | None, out) -> int:
+    """Write the family's JSON line to the text stream ``out``; return its failure count.
+
+    The bytes are ``json.dumps({**verify_family(fam, budget).to_dict(),
+    "registry_status": fam.status}, sort_keys=True) + "\\n"``.  Sorted,
+    ``failures`` is the first key, and every key after it is known once the
+    member loop ends, so each failure is written as soon as the engine has
+    expanded it and none is kept.  Nothing is written before the first
+    failure.  An unbound variable raises DomainError at the first member
+    that reaches the expression holding it, and every tested member reaches
+    them all, so the error comes before any write and leaves no partial line.
+    """
+    counts = VerifyReport(fam.id)
+    failures = 0
+    for failure in iter_failures(fam, budget, counts):
+        out.write(", " if failures else '{"failures": [')
+        out.write(json.dumps(failure, sort_keys=True))
+        failures += 1
+    rest = {"id": fam.id, "registry_status": fam.status, "skipped": counts.skipped,
+            "status": status_of(failures), "tested": counts.tested}
+    if not failures:
+        out.write('{"failures": [')
+    out.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
+    return failures
 
 
 __all__ = [
@@ -499,5 +550,8 @@ __all__ = [
     "family_by_id",
     "instantiate",
     "verify_family",
+    "iter_failures",
+    "status_of",
+    "write_record",
     "REGISTRY_ENV",
 ]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -26,6 +27,9 @@ ANALYZE_1E9_SHA256 = "352490f7a5aee4d6a6e624474af36e993a203e8354d73b1f4919130d99
 # stdout sha256 of `verify-families` over the whole registry (121 families,
 # 25,789,730 bytes); CI checks it on a pipe too.
 VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
+# stdout sha256 of `verify-families --format text` over the whole registry
+# (121 lines).
+VERIFY_REGISTRY_TEXT_SHA256 = "81f2e51588cf8073d4ab6ef60699d691077346382228dbbef386f83ad472fb93"
 # stdout sha256 of `mine --sweep --max-len 10 --max-entry 8` (8,481,992
 # bytes); CI checks it on a pipe too.
 MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
@@ -148,21 +152,21 @@ class TestVerifyFamilies:
         _, single, _ = run(capsys, "verify-families", "--id", "euler-l1")
         assert json.loads(single) == recs[0]
 
-    def test_verify_family_once_per_id_in_order(self, capsys, monkeypatch):
-        # The CLI goes through the module's verify_family, and that through
+    def test_write_record_once_per_id_in_order(self, capsys, monkeypatch):
+        # The CLI goes through the module's write_record, and that through
         # the module's expand_sqrt once per tested member.
         calls, expanded = [], []
-        real_verify, real_expand = families.verify_family, families.expand_sqrt
+        real_write, real_expand = families.write_record, families.expand_sqrt
 
-        def counted_verify(fam, budget=None):
+        def counted_write(fam, budget, out):
             calls.append(fam.id)
-            return real_verify(fam, budget)
+            return real_write(fam, budget, out)
 
         def counted_expand(d):
             expanded.append(d)
             return real_expand(d)
 
-        monkeypatch.setattr(families, "verify_family", counted_verify)
+        monkeypatch.setattr(families, "write_record", counted_write)
         monkeypatch.setattr(families, "expand_sqrt", counted_expand)
         ids = ["euler-l1", "rep2-k1", "euler-l1"]
         code, out, _ = run(capsys, "verify-families", *[arg for fid in ids for arg in ("--id", fid)],
@@ -170,6 +174,43 @@ class TestVerifyFamilies:
         assert code == 0
         assert calls == ids
         assert len(expanded) == sum(json.loads(line)["tested"] for line in out.splitlines())
+
+    def test_each_failure_is_written_before_the_next_expansion(self, monkeypatch):
+        # At n <= 6, six of the seven members of l9-d-printed fail.  Each
+        # failure is on stdout by the time the engine expands the next member.
+        written, expanded = io.StringIO(), []
+        real_expand = families.expand_sqrt
+
+        def counted_expand(d):
+            expanded.append((d, written.getvalue()))
+            return real_expand(d)
+
+        monkeypatch.setattr(families, "expand_sqrt", counted_expand)
+        monkeypatch.setattr(sys, "stdout", written)
+        code = main(["verify-families", "--id", "l9-d-printed", "--n-max", "6"])
+        monkeypatch.undo()
+        assert code == 0
+        (rec,) = [json.loads(line) for line in written.getvalue().splitlines()]
+        assert rec["tested"] == len(expanded) == 7 and len(rec["failures"]) == 6
+        # stdout as the engine starts on the member after member j.
+        seen_by = [stdout for _, stdout in expanded[1:]] + [written.getvalue()]
+        expanded_ds = [d for d, _ in expanded]
+        for failure in rec["failures"]:
+            j = expanded_ds.index(failure["d"])
+            assert json.dumps(failure, sort_keys=True) in seen_by[j]
+
+    @pytest.mark.parametrize("option", ["--n-max", "--m-max", "--k-max"])
+    def test_negative_budget_is_usage_error(self, capsys, option):
+        code, out, err = run(capsys, "verify-families", "--id", "euler-l1", "--id", "rep2-k1",
+                             option, "-5")
+        assert (code, out) == (1, "")
+        assert err == f"verify-families: need {option} >= 0\n"
+
+    def test_zero_budget_is_legal(self, capsys):
+        # l6-c1 starts n at 0, so --n-max 0 tests one member.
+        code, out, _ = run(capsys, "verify-families", "--id", "l6-c1", "--n-max", "0")
+        assert code == 0
+        assert json.loads(out)["tested"] == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -187,6 +228,12 @@ class TestVerifyFamilies:
         data = out.encode()
         assert len(data) == 25_789_730
         assert hashlib.sha256(data).hexdigest() == VERIFY_REGISTRY_SHA256
+
+    def test_registry_text_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify-families", "--format", "text")
+        assert code == 0
+        assert len(out.splitlines()) == 121
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REGISTRY_TEXT_SHA256
 
     def test_long_period_errata_output_pinned(self, capsys):
         # The two erratum families whose failure records print the longest
@@ -248,6 +295,29 @@ class TestRegistryErrors:
         assert proc.returncode == 1
         assert [json.loads(line)["id"] for line in proc.stdout.splitlines()] == ["euler-l1"]
         assert proc.stderr == "verify-families: unbound: unbound variable 'x'\n"
+
+    def test_failing_family_not_marked_erratum_exits_two(self, capsys, tmp_path):
+        wrong = dict(EULER_RECORD, id="wrong", pattern=["a"])
+        code, out, _ = run(capsys, "verify-families", "--n-max", "3",
+                           "--registry", write_registry(tmp_path, wrong, EULER_RECORD))
+        assert code == 2
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r["status"], len(r["failures"])) for r in recs] == [
+            ("wrong", "erratum", 3), ("euler-l1", "verified", 0)]
+
+    def test_late_unbound_variable_leaves_no_partial_line(self, tmp_path):
+        # The pattern holds x, first evaluated at n = 3 after a < 1 skips
+        # n = 0, 1, 2; the erratum before it streams its failures first.
+        wrong = dict(EULER_RECORD, id="wrong", pattern=["a"], status="erratum")
+        late = dict(EULER_RECORD, id="late", params=[["n", 0, None]], a_expr="n-2",
+                    pattern=["x", "2*a"])
+        proc = run_process("verify-families", "--n-max", "5",
+                           "--registry", write_registry(tmp_path, EULER_RECORD, wrong, late))
+        assert proc.returncode == 1
+        recs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert proc.stdout.endswith("\n")
+        assert [(r["id"], len(r["failures"])) for r in recs] == [("euler-l1", 0), ("wrong", 5)]
+        assert proc.stderr == "verify-families: late: unbound variable 'x'\n"
 
 
 class TestMine:

@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from surdcf import _kernels
+from surdcf import _kernels, families
 from surdcf.convergents import palindrome_b
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
@@ -15,6 +16,7 @@ from surdcf.families import (
     instantiate,
     registry,
     verify_family,
+    write_record,
 )
 
 ERRATUM_PAIRS = [
@@ -170,6 +172,38 @@ class TestVerify:
                 except FamilyValidityError:
                     continue
                 assert palindrome_b(cf.interior(), cf.a0) == d - cf.a0 * cf.a0
+
+
+class TestWriteRecord:
+    @pytest.mark.parametrize("fam", registry(), ids=lambda fam: fam.id)
+    def test_streamed_line_is_the_report_line(self, fam):
+        budget = {"n": 4, "m": 2, "k": 2}
+        out = io.StringIO()
+        report = verify_family(fam, budget)
+        assert write_record(fam, budget, out) == len(report.failures)
+        assert out.getvalue() == json.dumps(
+            {**report.to_dict(), "registry_status": fam.status}, sort_keys=True) + "\n"
+        # Every erratum fails at this budget, so the failure rows are covered.
+        assert report.failures or not fam.is_erratum
+
+
+def test_ladder_generator_runs_once_per_argument(monkeypatch):
+    # Every n of a ladder family shares one generator call per (m, k).
+    calls = []
+    gen, wanted = families.GENERATORS["pair-m2m"]
+
+    def counted(*args):
+        calls.append(args)
+        return gen(*args)
+
+    monkeypatch.setitem(families.GENERATORS, "pair-m2m", (counted, wanted))
+    families._ladder.cache_clear()
+    try:
+        report = verify_family(family_by_id("pair-m2m-ladder"), {"n": 6, "m": 2, "k": 3})
+    finally:
+        families._ladder.cache_clear()
+    assert report.tested == 6 * 2 * 3 and report.status == "verified"
+    assert sorted(calls) == [(m, k) for m in (1, 2) for k in (1, 2, 3)]
 
 
 def test_length_two_completeness():

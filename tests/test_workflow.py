@@ -107,3 +107,15 @@ def test_ci_checks_long_mine_sweep_digest():
 
     check = digest_check("python -m surdcf.cli mine --sweep --max-len 26 --max-entry 2")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_26_2_SHA256]
+
+
+def test_ci_caps_registry_peak_memory():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (check,) = [step["run"] for step in job["steps"] if "RUSAGE_CHILDREN" in step.get("run", "")]
+    # The whole registry runs as a child with stdout discarded, and the step
+    # fails when the child's ru_maxrss (KiB on Linux) passes 90 MB.
+    assert '[sys.executable, "-m", "surdcf.cli", "verify-families"]' in check
+    assert "stdout=subprocess.DEVNULL, check=True" in check
+    assert "ru_maxrss / 1024" in check
+    assert "sys.exit(peak_mb > 90)" in check
