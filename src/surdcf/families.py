@@ -3,7 +3,9 @@
 A family is a recipe: integer polynomials for a and b (d = a^2 + b) plus a
 period template whose entries are polynomials over the parameters and the
 evaluated head ``a``.  The registry ships as a line-delimited data file so
-errata stay diffs against data, never code edits.
+errata stay diffs against data, never code edits.  Each expression is read
+by Python's own parser, checked against a small grammar and compiled once
+(``PolyExpr``); every record is checked whole when the registry loads.
 
 Ladder families (a repeated block whose coefficients come from an integer
 sequence) carry a generator name; the generator turns the integer parameters
@@ -19,10 +21,12 @@ failures into a ``VerifyReport``.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -41,22 +45,32 @@ class FamilyValidityError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Tiny integer polynomial expressions: "2*m^2*n + m", "a-1", "2*(45*n+14)".
+# Integer polynomial expressions: "2*m^2*n + m", "a-1", "2*(45*n+14)".
+# Python's own parser reads them once ``^`` is spelled ``**``.  The source
+# text and every node of the tree are checked first, so the grammar is
+# decimal integers, [a-z]+ names, + - *, ^ with a literal exponent,
+# parentheses and unary minus, under Python's precedence (-n^2 is -(n^2)).
 
-_TOKENS = re.compile(r"\s*(?:(\d+)|([a-z]+)|(\^|[-+*()]))")
+_SOURCE = re.compile(r"[\sa-z0-9+*^()-]*", re.ASCII)
+_NODES = (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Pow,
+          ast.UnaryOp, ast.USub, ast.Name, ast.Load, ast.Constant)
+_NO_BUILTINS = {"__builtins__": {}}
 
 
 class PolyExpr:
-    """Parsed integer expression over named integer variables."""
+    """Integer expression over named integer variables, compiled once."""
 
-    __slots__ = ("source", "_ast")
+    __slots__ = ("source", "_code")
 
     def __init__(self, source: str):
         self.source = source
-        self._ast = _parse(source)
+        self._code = _compile(source)
 
     def eval(self, env: Mapping[str, int]) -> int:
-        return _eval_ast(self._ast, env)
+        try:
+            return eval(self._code, _NO_BUILTINS, env)
+        except NameError as exc:
+            raise DomainError(f"unbound variable {exc.name!r}") from None
 
     def __str__(self) -> str:
         return self.source
@@ -66,99 +80,30 @@ class PolyExpr:
 
 
 @lru_cache(maxsize=4096)
-def _parse(source: str):
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKENS.match(source, pos)
-        if not m or m.end() == pos:
-            raise DomainError(f"bad expression {source!r} at offset {pos}")
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("var", m.group(2)))
-        else:
-            tokens.append((m.group(3), None))
-    tokens.append(("end", None))
-
-    idx = 0
-
-    def peek():
-        return tokens[idx][0]
-
-    def take(kind=None):
-        nonlocal idx
-        tok = tokens[idx]
-        if kind is not None and tok[0] != kind:
-            raise DomainError(f"bad expression {source!r}: expected {kind}, got {tok[0]}")
-        idx += 1
-        return tok
-
-    def atom():
-        kind = peek()
-        if kind == "int":
-            return ("int", take()[1])
-        if kind == "var":
-            return ("var", take()[1])
-        if kind == "(":
-            take()
-            node = expr()
-            take(")")
-            return node
-        if kind == "-":
-            take()
-            return ("neg", atom())
-        raise DomainError(f"bad expression {source!r}: unexpected {kind}")
-
-    def factor():
-        node = atom()
-        if peek() == "^":
-            take()
-            exp = take("int")[1]
-            node = ("pow", node, exp)
-        return node
-
-    def term():
-        node = factor()
-        while peek() == "*":
-            take()
-            node = ("mul", node, factor())
-        return node
-
-    def expr():
-        node = term()
-        while peek() in ("+", "-"):
-            op = take()[0]
-            rhs = term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    node = expr()
-    take("end")
-    return node
-
-
-def _eval_ast(node, env):
-    op = node[0]
-    if op == "int":
-        return node[1]
-    if op == "var":
+def _compile(source: str):
+    """The code object of ``source``, checked against the grammar above."""
+    text = source.strip().replace("^", "**")
+    if "**" not in source and _SOURCE.fullmatch(text):
         try:
-            return env[node[1]]
-        except KeyError:
-            raise DomainError(f"unbound variable {node[1]!r}") from None
-    if op == "neg":
-        return -_eval_ast(node[1], env)
-    if op == "pow":
-        return _eval_ast(node[1], env) ** node[2]
-    a = _eval_ast(node[1], env)
-    b = _eval_ast(node[2], env)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    return a * b
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tree = ast.parse(text, mode="eval")
+            if all(_allowed(node, text) for node in ast.walk(tree)):
+                return compile(tree, "<expr>", "eval")
+        except (SyntaxError, RecursionError):
+            pass
+    raise DomainError(f"bad expression {source!r}")
+
+
+def _allowed(node: ast.AST, text: str) -> bool:
+    # The text matched _SOURCE, so isalpha means [a-z]+ and isdigit [0-9]+.
+    if isinstance(node, ast.Name):
+        return node.id.isalpha()
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and ast.get_source_segment(text, node).isdigit()
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return isinstance(node.right, ast.Constant)
+    return isinstance(node, _NODES)
 
 
 def _affine(slope: int, const: int, var: str = "n") -> str:
@@ -280,6 +225,20 @@ def _param_spec(triple) -> ParamSpec:
     return ParamSpec(*triple)
 
 
+def _int_map(rec, key: str) -> dict:
+    """The record's ``bind`` or ``budget``: an object of integers, empty if absent."""
+    value = rec.get(key, {})
+    if not (isinstance(value, dict) and all(type(v) is int for v in value.values())):
+        raise DomainError(f"{key} {value!r} is not an object of integers")
+    return value
+
+
+def _expr(value) -> PolyExpr:
+    if not isinstance(value, str):
+        raise DomainError(f"expression {value!r} is not a string")
+    return PolyExpr(value)
+
+
 def _descriptor_from_record(rec) -> FamilyDescriptor:
     if not isinstance(rec, dict):
         raise DomainError("record is not a JSON object")
@@ -289,15 +248,25 @@ def _descriptor_from_record(rec) -> FamilyDescriptor:
     if not isinstance(rec["params"], list):
         raise DomainError(f"params {rec['params']!r} is not a list")
     params = tuple(_param_spec(triple) for triple in rec["params"])
-    if rec.get("generator"):
-        if rec["generator"] not in GENERATORS:
-            raise DomainError(f"unknown generator {rec['generator']!r}")
+    names = [p.name for p in params]
+    if len(set(names)) < len(names):
+        raise DomainError(f"params {rec['params']!r} repeat a name")
+    bind, budget = _int_map(rec, "bind"), _int_map(rec, "budget")
+    generator = rec.get("generator")
+    if generator:
+        if generator not in GENERATORS:
+            raise DomainError(f"unknown generator {generator!r}")
+        for name in GENERATORS[generator][1]:
+            if name not in names and name not in bind:
+                raise DomainError(f"generator {generator!r} takes {name!r}, in neither params nor bind")
     else:
         for key in ("a_expr", "b_expr", "pattern"):
             if not rec.get(key):
                 raise DomainError(f"record has no generator and no {key!r}")
-    expr = lambda key: PolyExpr(rec[key]) if rec.get(key) else None
-    pattern = tuple(PolyExpr(s) for s in rec["pattern"]) if rec.get("pattern") else None
+    if rec.get("pattern") and not isinstance(rec["pattern"], list):
+        raise DomainError(f"pattern {rec['pattern']!r} is not a list")
+    expr = lambda key: _expr(rec[key]) if rec.get(key) else None
+    pattern = tuple(map(_expr, rec["pattern"])) if rec.get("pattern") else None
     return FamilyDescriptor(
         id=rec["id"],
         citation=rec.get("citation", ""),
@@ -306,13 +275,13 @@ def _descriptor_from_record(rec) -> FamilyDescriptor:
         b_expr=expr("b_expr"),
         pattern=pattern,
         head_expr=expr("head_expr"),
-        generator=rec.get("generator"),
-        bind=rec.get("bind", {}),
+        generator=generator,
+        bind=bind,
         status=rec.get("status", "ok"),
         corrected_by=rec.get("corrected_by"),
         corrects=rec.get("corrects"),
         note=rec.get("note"),
-        budget=rec.get("budget", {}),
+        budget=budget,
     )
 
 
@@ -321,10 +290,13 @@ def registry(path: str | None = None) -> list[FamilyDescriptor]:
 
     Resolution order for the data file: explicit path argument, the
     SURDCF_REGISTRY environment variable, then the packaged registry.  A
-    record that is not valid JSON, not an object, lacks ``id`` or ``params``,
-    has a malformed params triple, names an unknown generator or has neither
-    a generator nor all of ``a_expr``, ``b_expr`` and ``pattern`` raises
-    DomainError naming its 1-based line.
+    record raises DomainError naming its 1-based line if it is not valid
+    JSON or not an object, lacks ``id`` or ``params``, has a malformed
+    params triple or a repeated param name, has a ``bind`` or ``budget``
+    that is not an object of integers, names an unknown generator or one
+    whose arguments are in neither ``params`` nor ``bind``, has neither a
+    generator nor all of ``a_expr``, ``b_expr`` and ``pattern``, or holds
+    an expression that is not a string in the grammar of ``PolyExpr``.
     """
     path = path or os.environ.get(REGISTRY_ENV) or None
     if path:

@@ -278,8 +278,25 @@ class TestRegistryErrors:
              "unknown generator 'nope'"),
             ({k: v for k, v in EULER_RECORD.items() if k != "pattern"},
              "record has no generator and no 'pattern'"),
+            ({"id": "g", "generator": "pair-m2m", "params": [["k", 1, None], ["n", 1, None]]},
+             "generator 'pair-m2m' takes 'm', in neither params nor bind"),
+            (dict(EULER_RECORD, id="x", budget={"n": "x"}),
+             "budget {'n': 'x'} is not an object of integers"),
+            ({"id": "x", "generator": "rep2", "params": [["n", 1, None]], "bind": {"k": "2"}},
+             "bind {'k': '2'} is not an object of integers"),
+            ({"id": "x", "generator": "rep2", "params": [["n", 1, None]], "bind": [2]},
+             "bind [2] is not an object of integers"),
+            (dict(EULER_RECORD, id="x", params=[["n", 1, None], ["n", 1, 2]]),
+             "params [['n', 1, None], ['n', 1, 2]] repeat a name"),
+            (dict(EULER_RECORD, id="x", a_expr=5), "expression 5 is not a string"),
+            (dict(EULER_RECORD, id="x", pattern="2*a"), "pattern '2*a' is not a list"),
+            # The parser warns about "1if" before it yields a tree, and the
+            # warning must not reach stderr as a second line.
+            (dict(EULER_RECORD, id="x", a_expr="1if n else 2"), "bad expression '1if n else 2'"),
         ],
-        ids=["not-object", "no-id", "no-params", "bad-triple", "unknown-generator", "no-pattern"],
+        ids=["not-object", "no-id", "no-params", "bad-triple", "unknown-generator", "no-pattern",
+             "generator-argument", "budget-value", "bind-value", "bind-list", "repeated-param",
+             "expression-type", "pattern-type", "expression-grammar"],
     )
     def test_bad_record_names_its_line(self, tmp_path, bad, message):
         proc = run_process("verify-families", "--n-max", "3",

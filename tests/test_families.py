@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surdcf import _kernels, families
 from surdcf.convergents import palindrome_b
@@ -28,6 +30,49 @@ ERRATUM_PAIRS = [
 ]
 
 
+# Values for the variables of generated expressions.
+GRAMMAR_ENV = {"a": 7, "m": 3, "n": 5}
+
+
+def _binop(parts):
+    """Join two (source, value, precedence) trees, parenthesised only where needed."""
+    (ls, lv, lp), op, (rs, rv, rp), spaced = parts
+    prec = 1 if op in "+-" else 2
+    ls = ls if lp >= prec else f"({ls})"
+    rs = rs if rp > prec else f"({rs})"
+    value = lv + rv if op == "+" else lv - rv if op == "-" else lv * rv
+    return (f"{ls} {op} {rs}" if spaced else f"{ls}{op}{rs}"), value, prec
+
+
+def _neg(tree):
+    source, value, prec = tree
+    return "-" + (source if prec >= 3 else f"({source})"), -value, 3
+
+
+def _pow(parts):
+    (source, value, prec), exp, wrapped = parts
+    exp = exp if abs(value).bit_length() <= 32 else 1  # keep the values small
+    base = source if prec > 4 else f"({source})"
+    return f"{base}^({exp})" if wrapped else f"{base}^{exp}", value**exp, 4
+
+
+# Trees over the grammar, printed to source with Python's precedence:
+# + - (1) < * (2) < unary minus (3) < ^ (4) < atoms (5).
+GRAMMAR_TREES = st.recursive(
+    st.one_of(
+        st.integers(0, 99).map(lambda v: (str(v), v, 5)),
+        st.sampled_from(sorted(GRAMMAR_ENV)).map(lambda k: (k, GRAMMAR_ENV[k], 5)),
+    ),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children, st.booleans()).map(_binop),
+        children.map(_neg),
+        st.tuples(children, st.integers(0, 3), st.booleans()).map(_pow),
+    ),
+    max_leaves=12,
+)
+
+
+@pytest.mark.filterwarnings("error")
 class TestPolyExpr:
     def test_eval(self):
         assert PolyExpr("2*m^2*n+m").eval({"m": 3, "n": 4}) == 75
@@ -41,8 +86,47 @@ class TestPolyExpr:
                 PolyExpr(bad)
 
     def test_unbound_variable(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unbound variable 'm'"):
             PolyExpr("n+m").eval({"n": 1})
+
+    @pytest.mark.parametrize(
+        "source, value",
+        [
+            ("-n^2", -25),  # ^ binds tighter than unary minus: -(n^2)
+            (" n+1 ", 6),  # blanks around the expression
+            ("n^(2)", 25),  # a parenthesised exponent is still a literal
+            ("(n\n+1)", 6),  # a newline inside parentheses
+            ("(n^2)^3", 15625),
+            ("2 * (m - n) ^ 2 - a", 1),
+            ("0", 0),
+        ],
+    )
+    def test_grammar_accepts(self, source, value):
+        assert PolyExpr(source).eval({"n": 5, "m": 3, "a": 7}) == value
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["007", "2**3", "n\n+1", "0x10", "1_0", "2j", "1e3", "n^2^3", "n^m", "n^-1", "n^(1+1)", "+n",
+         "", "N", "\uff4e", "n)+(m", "-" * 3000 + "n"],
+    )
+    def test_grammar_rejects(self, bad):
+        with pytest.raises(DomainError, match="bad expression"):
+            PolyExpr(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["__import__('os')", "n.real", "abs(n)", "n[0]", "lambda n: n", "n/2", "n//2", "n%2",
+         "True", "n1", "not n", "n and m", "n if m else a", "n<m", "1if n else 2"],
+    )
+    def test_python_beyond_the_grammar_is_rejected_when_built(self, bad):
+        with pytest.raises(DomainError, match="bad expression"):
+            PolyExpr(bad)
+
+    @given(GRAMMAR_TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_printed_tree_evaluates_to_its_value(self, tree):
+        source, value, _ = tree
+        assert PolyExpr(source).eval(GRAMMAR_ENV) == value
 
 
 class TestRegistry:

@@ -70,6 +70,14 @@ def test_ci_checks_registry_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_SHA256]
 
 
+def test_ci_checks_registry_text_digest_with_warnings_as_errors():
+    from test_cli import VERIFY_REGISTRY_TEXT_SHA256
+
+    # Under -W error a warning from the expression parser fails the step.
+    check = digest_check("python -W error -m surdcf.cli verify-families --format text")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_TEXT_SHA256]
+
+
 def test_ci_checks_analyze_digest_through_the_pool():
     from test_cli import ANALYZE_1E5_SHA256
 
