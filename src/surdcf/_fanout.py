@@ -4,7 +4,8 @@
 order.  It runs in-process at ``jobs <= 1`` or for a single task; otherwise
 all the tasks go through one pool of ``min(jobs, len(tasks))`` worker
 processes.  Its one caller, the analyzer, splits its range into chunks and
-merges their results in order, so its output does not depend on ``jobs``.
+merges their results in order, so its output does not depend on ``jobs``;
+a range too small to pay for a pool is one chunk, and runs in-process.
 The family verifier and the miner run in the calling process.
 """
 

@@ -15,18 +15,22 @@ hold by construction in either; no source path checks them against a walked
 word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
 periods, is that check (``test_matches_per_d_oracle``).
 
-``jobs`` must be at least 1 and is capped at the CPU count, and a range
-splits into up to 4 * jobs chunks.  On the numpy kernel it splits into no
-more than ceil(width / _kernels.WIDTH), so that a chunk fills the kernel's
-live set where the range can: a chunk narrower than the live set never
-refills its lanes, and drains from its first round, in blocks of rounds
-over ever fewer lanes, until no more than ``_kernels.TAIL`` are live, which
-the kernel finishes in scalar code.  The python backend, and ranges past
-the kernels' int64 gate, keep the plain split.  ``period_stats`` maps the
-same chunks, but builds only their sweep columns (ell and the square flags
-make its histogram): no two-squares column and no claim.  The chunks run
-through the package's one fan-out, ``_fanout.fan_out``: in-process at jobs 1
-or for a single chunk, otherwise in one pool of min(jobs, chunks) processes.
+``jobs`` must be at least 1 and is capped at the CPU count.  On the numpy
+kernel ``_chunks`` plans a range by its estimated work.  A range too small
+to pay for a pool gets one worker, and one worker gets the fewest equal
+widths that ``CHUNK_MAX`` allows: one chunk, up to that width.  A pool of
+up to ``jobs`` workers gets as many times more chunks, cut at equal shares
+of the work and no wider.  ``CHUNK_MAX`` bounds the columns a chunk holds.
+A chunk wider than the kernel's live set refills its lanes as they reach
+their centres; each chunk drains once, in blocks of rounds over ever fewer
+lanes, until no more than ``_kernels.TAIL`` are live, which the kernel
+finishes in scalar code.  The python backend, and ranges past the kernels'
+int64 gate, split into up to 4 * jobs equal widths.  ``period_stats`` maps
+the same chunks, but builds only their sweep columns (ell and the square
+flags make its histogram): no two-squares column and no claim.  The chunks
+run through the package's one fan-out, ``_fanout.fan_out``: in-process at
+jobs 1 or for a single chunk, otherwise in one pool of min(jobs, chunks)
+processes.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -356,15 +360,66 @@ def _histogram_chunk(args) -> dict[int, int]:
     return _histogram(ell, (flags & _kernels.F_SQUARE) == 0)
 
 
+# Estimated work (W, see ``_chunks``) that each pool worker must get before
+# a pool pays.  Opening a pool of two, mapping two no-op tasks and shutting
+# it down takes about 7.5 ms.  ``cli.main`` running ``analyze --jobs 2``
+# in-process, one chunk against two equal-work chunks in a pool of two,
+# medians of 15 alternating runs (2 CPUs, Python 3.11, numpy 2.4):
+#
+#     range          W       one chunk   two chunks   one faster
+#     5e7..+999      7.1e6   40 ms       48 ms        12 of 15
+#     2..50000       1.1e7   49 ms       57 ms        15 of 15
+#     2..100000      3.2e7   118 ms      122 ms       7 of 15
+#     1e7..+19999    6.3e7   150 ms      109 ms       0 of 15
+#
+# Two workers pay from about W = 3e7, so 2^24 (1.7e7) for each.
+POOL_MIN_WORK = 1 << 24
+
+# The widest chunk on the numpy kernel, in radicands: 16 live sets.  It
+# bounds the columns that one chunk builds and holds at once.  Chunks are
+# not cut much narrower than they must be, because each chunk drains its
+# lanes once: below 1e8 one 262,144-wide chunk swept in 4.4 s, and the same
+# radicands in 8,948-wide chunks took 7.9 s; ``check_claims(2, 10**6)``
+# took 1.68 s in 4 chunks and 1.93 s in 8 (medians of 10, in-process).
+# The widest chunk sets the peak memory of a run in-process: 2..10^6 peaked
+# at 85.1 MB with chunks up to 2^17 wide, 89.0 MB up to 250,000 and
+# 91.9 MB up to 2^18.
+CHUNK_MAX = 16 * _kernels.WIDTH
+
+
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):
+    """The (lo, hi, backend) tasks of [d_min, d_max], contiguous and in order.
+
+    On the numpy kernel the plan follows the estimated work.  A period of
+    sqrt(d) is about sqrt(d) quotients long, so [d_min, d_max] costs about
+    the sum of sqrt(d), which W = span * isqrt(d_max) bounds from above.
+    ``min(jobs, W // POOL_MIN_WORK)`` workers share it, at least one: a
+    range too small to pay for a pool is one chunk, run in-process.  The
+    widest chunk is ``size``: the range cut into the fewest equal widths
+    that ``CHUNK_MAX`` allows.  One worker gets those chunks, the fewest,
+    since each chunk drains its lanes once.  A pool of w workers gets w times
+    as many, cut at equal shares of the sum, where d^(3/2) is equally
+    spaced, so that its workers' last chunks end close together (equal
+    widths would load the upper chunks more); the lowest chunks, where an
+    equal share would be wider than ``size``, are cut at ``size`` and the
+    rest is shared again.  The python backend and ranges past the kernels'
+    gate split into up to 4 * jobs equal widths.
+    """
     span = d_max - d_min + 1
-    kernel = backend == "numpy" and d_max < _kernels.KERNEL_D_LIMIT
-    n = max(1, min(jobs * 4, -(-span // _kernels.WIDTH) if kernel else span))
-    size = (span + n - 1) // n
-    return [
-        (lo, min(lo + size, d_max + 1), backend)
-        for lo in range(d_min, d_max + 1, size)
-    ]
+    if backend != "numpy" or d_max >= _kernels.KERNEL_D_LIMIT:
+        n = min(jobs * 4, span)
+        size = -(-span // n)
+        return [(lo, min(lo + size, d_max + 1), backend) for lo in range(d_min, d_max + 1, size)]
+    workers = max(1, min(jobs, span * isqrt(d_max) // POOL_MIN_WORK))
+    fewest = -(-span // CHUNK_MAX)
+    size = -(-span // fewest)
+    cuts, top = [d_min], (d_max + 1) ** 1.5
+    for k in range(workers * fewest, 1, -1):
+        # The lowest of k equal-work chunks of the rest, or size.
+        low = cuts[-1] ** 1.5
+        cuts.append(min(cuts[-1] + size, round((low + (top - low) / k) ** (2 / 3))))
+    cuts.append(d_max + 1)
+    return [(lo, hi, backend) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def check_claims(
@@ -384,7 +439,7 @@ def check_claims(
 
 def _map_chunks(fn, d_min: int, d_max: int, jobs: int, backend: str | None) -> list:
     """``fn`` over the chunks of [d_min, d_max], in range order, through ``_fanout``,
-    on no more processes than there are CPUs."""
+    on no more processes than there are CPUs (or in-process, for one chunk)."""
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
     if jobs < 1:

@@ -213,7 +213,7 @@ class FamilyDescriptor:
 
 
 def _param_spec(triple) -> ParamSpec:
-    """A ``[name, lo, hi]`` triple, hi an integer or null."""
+    """A ``[name, lo, hi]`` triple, hi an integer at least lo, or null."""
     if not (
         isinstance(triple, list)
         and len(triple) == 3
@@ -222,6 +222,8 @@ def _param_spec(triple) -> ParamSpec:
         and (triple[2] is None or type(triple[2]) is int)
     ):
         raise DomainError(f"params entry {triple!r} is not [name, lo, hi or null]")
+    if triple[2] is not None and triple[2] < triple[1]:
+        raise DomainError(f"params entry {triple!r} admits no value: hi < lo")
     return ParamSpec(*triple)
 
 

@@ -268,15 +268,61 @@ class TestCheckClaims:
         assert one == four
 
     def test_chunk_floor(self):
-        width = _kernels.WIDTH
-        # numpy: no more chunks than live sets cover the range
+        # numpy: one in-process chunk until the work pays for a pool
         assert len(analyzer._chunks(2, 1001, 1, "numpy")) == 1
-        assert len(analyzer._chunks(1, 3 * width, 8, "numpy")) == 3
-        assert len(analyzer._chunks(1, 100 * width, 2, "numpy")) == 8
+        assert len(analyzer._chunks(2, 50_001, 2, "numpy")) == 1
+        assert len(analyzer._chunks(2, 100_000, 2, "numpy")) == 1
+        # two workers' equal shares: the lower one is the wider
+        (lo, mid, _), (_, hi, _) = analyzer._chunks(10**7, 10**7 + 19_999, 2, "numpy")
+        assert (lo, hi) == (10**7, 10**7 + 20_000) and mid - lo > hi - mid
+        # past CHUNK_MAX, the fewest chunks under it for each worker
+        assert len(analyzer._chunks(2, 10**6, 1, "numpy")) == 4
+        assert len(analyzer._chunks(2, 10**6, 2, "numpy")) == 8
+        assert len(analyzer._chunks(2, 300_000, 2, "numpy")) == 4
         # python, and past the kernels' gate: up to 4 * jobs chunks
         assert len(analyzer._chunks(2, 1001, 1, "python")) == 4
         limit = _kernels.KERNEL_D_LIMIT
         assert len(analyzer._chunks(limit, limit + 999, 1, "numpy")) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d_min=st.one_of(st.integers(1, 10**6), st.integers(1, _kernels.KERNEL_D_LIMIT - 1)),
+        span=st.one_of(st.integers(1, 10**3), st.integers(1, 10**6), st.integers(1, 10**9)),
+        jobs=st.integers(1, 64),
+    )
+    def test_chunk_plan(self, d_min, span, jobs):
+        d_max = min(d_min + span, _kernels.KERNEL_D_LIMIT) - 1
+        span = d_max - d_min + 1
+        chunks = analyzer._chunks(d_min, d_max, jobs, "numpy")
+        # contiguous, in order, nonempty, covering exactly [d_min, d_max]
+        assert chunks[0][0] == d_min and chunks[-1][1] == d_max + 1
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert all(lo < hi and backend == "numpy" for lo, hi, backend in chunks)
+        widths = [hi - lo for lo, hi, _ in chunks]
+        # no wider than the fewest equal widths under the cap
+        fewest = -(-span // analyzer.CHUNK_MAX)
+        size = -(-span // fewest)
+        assert max(widths) <= size <= analyzer.CHUNK_MAX
+        # a worker's share for each of at most jobs workers, and one
+        # in-process chunk below two workers' POOL_MIN_WORK
+        work = span * exact.isqrt(d_max)
+        workers = max(1, min(jobs, work // analyzer.POOL_MIN_WORK))
+        assert len(chunks) == workers * fewest and workers <= jobs
+        if work < 2 * analyzer.POOL_MIN_WORK:
+            assert len(chunks) == 1
+        # the chunks narrower than size share the sum of sqrt(d) equally,
+        # within a radicand's rounding; the ones cut at size, lowest, hold less
+        shares = [hi**1.5 - lo**1.5 for lo, hi, _ in chunks]
+        free = [w for w, x in zip(shares, widths) if x < size]
+        tol = 3 * (d_max + 1) ** 0.5 + 1e-9 * max(shares)
+        assert max(free, default=0) - min(free, default=0) <= tol
+        assert all(w <= min(free, default=w) + tol for w in shares)
+
+    def test_chunk_cap_bounds_a_wide_range(self):
+        # Only the plan: 2..10^8 is computed nowhere.
+        chunks = analyzer._chunks(2, 10**8, 1, "numpy")
+        assert max(hi - lo for lo, hi, _ in chunks) <= analyzer.CHUNK_MAX
+        assert chunks[0][0] == 2 and chunks[-1][1] == 10**8 + 1
 
     def test_bad_range(self):
         with pytest.raises(DomainError):
@@ -383,8 +429,10 @@ class TestPeriodStats:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("backend, d_max", [("numpy", 40_000), ("python", 3000)])
-    def test_matches_check_claims_histogram(self, backend, d_max, jobs):
-        # Several chunks on either backend at jobs 2.
+    def test_matches_check_claims_histogram(self, monkeypatch, backend, d_max, jobs):
+        # Several chunks on either backend at jobs 2.  On numpy 2..40000 is
+        # one in-process chunk under the full CHUNK_MAX, so it is lowered.
+        monkeypatch.setattr(analyzer, "CHUNK_MAX", 8192)
         assert len(analyzer._chunks(2, d_max, jobs, backend)) > jobs
         want = check_claims(2, d_max, jobs=jobs, backend=backend).histogram
         got = period_stats(2, d_max, jobs=jobs, backend=backend)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surdcf import analyzer, convergents, families, miner, sequences
+from surdcf import _kernels, analyzer, convergents, families, miner, sequences
 from surdcf.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -17,6 +17,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # stdout sha256 of `analyze --from 2 --to 100000`; the CI workflow checks the
 # same digest on a real pipe.
 ANALYZE_1E5_SHA256 = "34ec7dd67c1145b54363a8228128c41bfda1e8920743c737ee652425736f0a9b"
+# stdout sha256 of `analyze --from 2 --to 1000000`, 35,721,081 bytes
+ANALYZE_1E6_SHA256 = "d3a354c355f3edb0a22d67142dc35d0c4fde366e048b5c7c96c42c458f9493c7"
 # stdout sha256 of `analyze --from 50000000 --to 50000999`, one numpy chunk
 # whose longest period is 18,624 quotients; CI checks it on a pipe too.
 ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc227d689b"
@@ -288,6 +290,10 @@ class TestRegistryErrors:
              "bind [2] is not an object of integers"),
             (dict(EULER_RECORD, id="x", params=[["n", 1, None], ["n", 1, 2]]),
              "params [['n', 1, None], ['n', 1, 2]] repeat a name"),
+            # A family that admits no member would read as verified with
+            # nothing tested.
+            (dict(EULER_RECORD, id="x", params=[["n", 5, 1]]),
+             "params entry ['n', 5, 1] admits no value: hi < lo"),
             (dict(EULER_RECORD, id="x", a_expr=5), "expression 5 is not a string"),
             (dict(EULER_RECORD, id="x", pattern="2*a"), "pattern '2*a' is not a list"),
             # The parser warns about "1if" before it yields a tree, and the
@@ -296,7 +302,7 @@ class TestRegistryErrors:
         ],
         ids=["not-object", "no-id", "no-params", "bad-triple", "unknown-generator", "no-pattern",
              "generator-argument", "budget-value", "bind-value", "bind-list", "repeated-param",
-             "expression-type", "pattern-type", "expression-grammar"],
+             "empty-param-range", "expression-type", "pattern-type", "expression-grammar"],
     )
     def test_bad_record_names_its_line(self, tmp_path, bad, message):
         proc = run_process("verify-families", "--n-max", "3",
@@ -525,9 +531,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_output_pinned(self, capsys, jobs):
-        # 2..10^5 is several kernel live sets wide, so it splits into chunks
-        # and --jobs 2 runs them in a pool.
-        assert len(analyzer._chunks(2, 100_000, int(jobs), "numpy")) >= 2
+        # 2..10^5 is too little work to pay for a pool: one in-process chunk.
+        assert len(analyzer._chunks(2, 100_000, int(jobs), "numpy")) == 1
         code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "100000",
                            "--kernel", "numpy", "--jobs", jobs)
         assert code == 0
@@ -536,14 +541,14 @@ class TestAnalyze:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_million_output_pinned(self, capsys, jobs):
         # 556,014 center-lt-parity rows alone: the writer crosses thousands
-        # of block edges.
+        # of block edges.  2..10^6 is several kernel live sets wide, so it
+        # splits into chunks and --jobs 2 runs them in a pool.
+        assert len(analyzer._chunks(2, 1_000_000, int(jobs), _kernels.backend_name(None))) >= 2
         code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "1000000", "--jobs", jobs)
         assert code == 0
         data = out.encode()
         assert len(data) == 35_721_081
-        assert hashlib.sha256(data).hexdigest() == (
-            "d3a354c355f3edb0a22d67142dc35d0c4fde366e048b5c7c96c42c458f9493c7"
-        )
+        assert hashlib.sha256(data).hexdigest() == ANALYZE_1E6_SHA256
 
     @pytest.mark.parametrize("kernel", ["numpy", "python"])
     def test_long_period_window_pinned(self, capsys, kernel):

@@ -79,13 +79,24 @@ def test_ci_checks_registry_text_digest_with_warnings_as_errors():
 
 
 def test_ci_checks_analyze_digest_through_the_pool():
+    from test_cli import ANALYZE_1E6_SHA256
+
+    from surdcf import _kernels, analyzer
+
+    # The one real-process pool check: 2..10^6 splits into several chunks on
+    # the default kernel, so --jobs 2 runs them in a pool of two.
+    assert len(analyzer._chunks(2, 1_000_000, 2, _kernels.backend_name(None))) >= 2
+    check = digest_check("python -m surdcf.cli analyze --from 2 --to 1000000 --jobs 2")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E6_SHA256]
+
+
+def test_ci_checks_analyze_digest_at_jobs_2_in_process():
     from test_cli import ANALYZE_1E5_SHA256
 
     from surdcf import _kernels, analyzer
 
-    # The one real-process pool check: 2..10^5 splits into several chunks on
-    # the default kernel, so --jobs 2 runs them in a pool of two.
-    assert len(analyzer._chunks(2, 100_000, 2, _kernels.backend_name(None))) >= 2
+    # 2..10^5 is one chunk at --jobs 2, so the step runs it in-process.
+    assert len(analyzer._chunks(2, 100_000, 2, _kernels.backend_name(None))) == 1
     check = digest_check("python -m surdcf.cli analyze --from 2 --to 100000 --jobs 2")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
 
