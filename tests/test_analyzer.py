@@ -316,7 +316,8 @@ class TestCheckClaims:
         free = [w for w, x in zip(shares, widths) if x < size]
         tol = 3 * (d_max + 1) ** 0.5 + 1e-9 * max(shares)
         assert max(free, default=0) - min(free, default=0) <= tol
-        assert all(w <= min(free, default=w) + tol for w in shares)
+        least = min(free, default=float("inf"))
+        assert all(w <= least + tol for w in shares)
 
     def test_chunk_cap_bounds_a_wide_range(self):
         # Only the plan: 2..10^8 is computed nowhere.
