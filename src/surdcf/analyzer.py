@@ -16,21 +16,20 @@ word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
 periods, is that check (``test_matches_per_d_oracle``).
 
 ``jobs`` must be at least 1 and is capped at the CPU count.  On the numpy
-kernel ``_chunks`` plans a range by its estimated work.  A range too small
-to pay for a pool gets one worker, and one worker gets the fewest equal
-widths that ``CHUNK_MAX`` allows: one chunk, up to that width.  A pool of
-up to ``jobs`` workers gets as many times more chunks, cut at equal shares
-of the work and no wider.  ``CHUNK_MAX`` bounds the columns a chunk holds.
-A chunk wider than the kernel's live set refills its lanes as they reach
-their centres; each chunk drains once, in blocks of rounds over ever fewer
-lanes, until no more than ``_kernels.TAIL`` are live, which the kernel
-finishes in scalar code.  The python backend, and ranges past the kernels'
-int64 gate, split into up to 4 * jobs equal widths.  ``period_stats`` maps
-the same chunks, but builds only their sweep columns (ell and the square
-flags make its histogram): no two-squares column and no claim.  The chunks
-run through the package's one fan-out, ``_fanout.fan_out``: in-process at
-jobs 1 or for a single chunk, otherwise in one pool of min(jobs, chunks)
-processes.
+kernel ``_chunks`` sizes a range's pool by its estimated work: a range too
+small to pay for a pool gets one worker.  The range splits into equal
+widths, the fewest that ``CHUNK_MAX`` allows, times the workers; a range
+narrower than that cap and too small for a pool is one chunk, run
+in-process.  ``CHUNK_MAX`` bounds the columns a chunk holds.  A chunk wider
+than the kernel's live set refills its lanes as they reach their centres;
+each chunk drains once, in blocks of rounds over ever fewer lanes, until no
+more than ``_kernels.TAIL`` are live, which the kernel finishes in scalar
+code.  The python backend, and ranges past the kernels' int64 gate, split
+into up to 4 * jobs equal widths.  ``period_stats`` maps the same chunks,
+but builds only their sweep columns (ell and the square flags make its
+histogram): no two-squares column and no claim.  The chunks run through the
+package's one fan-out, ``_fanout.fan_out``: in-process at jobs 1 or for a
+single chunk, otherwise in one pool of min(jobs, chunks) processes.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -363,16 +362,19 @@ def _histogram_chunk(args) -> dict[int, int]:
 # Estimated work (W, see ``_chunks``) that each pool worker must get before
 # a pool pays.  Opening a pool of two, mapping two no-op tasks and shutting
 # it down takes about 7.5 ms.  ``cli.main`` running ``analyze --jobs 2``
-# in-process, one chunk against two equal-work chunks in a pool of two,
+# in-process, one chunk against two equal-width chunks in a pool of two,
 # medians of 15 alternating runs (2 CPUs, Python 3.11, numpy 2.4):
 #
 #     range          W       one chunk   two chunks   one faster
-#     5e7..+999      7.1e6   40 ms       48 ms        12 of 15
-#     2..50000       1.1e7   49 ms       57 ms        15 of 15
-#     2..100000      3.2e7   118 ms      122 ms       7 of 15
-#     1e7..+19999    6.3e7   150 ms      109 ms       0 of 15
+#     5e7..+999      7.1e6   87 ms       89 ms        12 of 15
+#     2..50000       1.1e7   90 ms       101 ms       15 of 15
+#     2..100000      3.2e7   179 ms      163 ms       7 of 15
+#     1e7..+19999    6.3e7   284 ms      216 ms       0 of 15
 #
-# Two workers pay from about W = 3e7, so 2^24 (1.7e7) for each.
+# Two workers pay from about W = 3e7, so 2^24 (1.7e7) for each.  Only a
+# pool of two on 2 CPUs was measured: that each further worker pays at
+# another 2^24 is an extrapolation, unverified for larger pools, whose
+# start-up and shut-down cost grows with their size.
 POOL_MIN_WORK = 1 << 24
 
 # The widest chunk on the numpy kernel, in radicands: 16 live sets.  It
@@ -388,38 +390,25 @@ CHUNK_MAX = 16 * _kernels.WIDTH
 
 
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):
-    """The (lo, hi, backend) tasks of [d_min, d_max], contiguous and in order.
+    """The (lo, hi, backend) tasks of [d_min, d_max]: equal widths, in order.
 
-    On the numpy kernel the plan follows the estimated work.  A period of
+    On the numpy kernel the count follows the estimated work.  A period of
     sqrt(d) is about sqrt(d) quotients long, so [d_min, d_max] costs about
     the sum of sqrt(d), which W = span * isqrt(d_max) bounds from above.
     ``min(jobs, W // POOL_MIN_WORK)`` workers share it, at least one: a
-    range too small to pay for a pool is one chunk, run in-process.  The
-    widest chunk is ``size``: the range cut into the fewest equal widths
-    that ``CHUNK_MAX`` allows.  One worker gets those chunks, the fewest,
-    since each chunk drains its lanes once.  A pool of w workers gets w times
-    as many, cut at equal shares of the sum, where d^(3/2) is equally
-    spaced, so that its workers' last chunks end close together (equal
-    widths would load the upper chunks more); the lowest chunks, where an
-    equal share would be wider than ``size``, are cut at ``size`` and the
-    rest is shared again.  The python backend and ranges past the kernels'
-    gate split into up to 4 * jobs equal widths.
+    range too small to pay for a pool is one chunk, run in-process.  Each
+    worker gets the fewest equal widths that ``CHUNK_MAX`` allows, since
+    each chunk drains its lanes once.  The python backend and ranges past
+    the kernels' gate split into up to 4 * jobs equal widths.
     """
     span = d_max - d_min + 1
     if backend != "numpy" or d_max >= _kernels.KERNEL_D_LIMIT:
         n = min(jobs * 4, span)
-        size = -(-span // n)
-        return [(lo, min(lo + size, d_max + 1), backend) for lo in range(d_min, d_max + 1, size)]
-    workers = max(1, min(jobs, span * isqrt(d_max) // POOL_MIN_WORK))
-    fewest = -(-span // CHUNK_MAX)
-    size = -(-span // fewest)
-    cuts, top = [d_min], (d_max + 1) ** 1.5
-    for k in range(workers * fewest, 1, -1):
-        # The lowest of k equal-work chunks of the rest, or size.
-        low = cuts[-1] ** 1.5
-        cuts.append(min(cuts[-1] + size, round((low + (top - low) / k) ** (2 / 3))))
-    cuts.append(d_max + 1)
-    return [(lo, hi, backend) for lo, hi in zip(cuts, cuts[1:])]
+    else:
+        workers = max(1, min(jobs, span * isqrt(d_max) // POOL_MIN_WORK))
+        n = workers * -(-span // CHUNK_MAX)
+    size = -(-span // n)
+    return [(lo, min(lo + size, d_max + 1), backend) for lo in range(d_min, d_max + 1, size)]
 
 
 def check_claims(

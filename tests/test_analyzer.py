@@ -272,9 +272,9 @@ class TestCheckClaims:
         assert len(analyzer._chunks(2, 1001, 1, "numpy")) == 1
         assert len(analyzer._chunks(2, 50_001, 2, "numpy")) == 1
         assert len(analyzer._chunks(2, 100_000, 2, "numpy")) == 1
-        # two workers' equal shares: the lower one is the wider
+        # a pool of two: two equal halves
         (lo, mid, _), (_, hi, _) = analyzer._chunks(10**7, 10**7 + 19_999, 2, "numpy")
-        assert (lo, hi) == (10**7, 10**7 + 20_000) and mid - lo > hi - mid
+        assert (lo, mid, hi) == (10**7, 10**7 + 10_000, 10**7 + 20_000)
         # past CHUNK_MAX, the fewest chunks under it for each worker
         assert len(analyzer._chunks(2, 10**6, 1, "numpy")) == 4
         assert len(analyzer._chunks(2, 10**6, 2, "numpy")) == 8
@@ -298,26 +298,18 @@ class TestCheckClaims:
         assert chunks[0][0] == d_min and chunks[-1][1] == d_max + 1
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
         assert all(lo < hi and backend == "numpy" for lo, hi, backend in chunks)
+        # equal widths but the last, none wider than CHUNK_MAX
         widths = [hi - lo for lo, hi, _ in chunks]
-        # no wider than the fewest equal widths under the cap
+        assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
+        assert widths[0] <= analyzer.CHUNK_MAX
+        # the fewest widths under the cap for each of at most jobs workers,
+        # and one in-process chunk below two workers' POOL_MIN_WORK
         fewest = -(-span // analyzer.CHUNK_MAX)
-        size = -(-span // fewest)
-        assert max(widths) <= size <= analyzer.CHUNK_MAX
-        # a worker's share for each of at most jobs workers, and one
-        # in-process chunk below two workers' POOL_MIN_WORK
         work = span * exact.isqrt(d_max)
         workers = max(1, min(jobs, work // analyzer.POOL_MIN_WORK))
-        assert len(chunks) == workers * fewest and workers <= jobs
+        assert fewest <= len(chunks) <= workers * fewest and workers <= jobs
         if work < 2 * analyzer.POOL_MIN_WORK:
             assert len(chunks) == 1
-        # the chunks narrower than size share the sum of sqrt(d) equally,
-        # within a radicand's rounding; the ones cut at size, lowest, hold less
-        shares = [hi**1.5 - lo**1.5 for lo, hi, _ in chunks]
-        free = [w for w, x in zip(shares, widths) if x < size]
-        tol = 3 * (d_max + 1) ** 0.5 + 1e-9 * max(shares)
-        assert max(free, default=0) - min(free, default=0) <= tol
-        least = min(free, default=float("inf"))
-        assert all(w <= least + tol for w in shares)
 
     def test_chunk_cap_bounds_a_wide_range(self):
         # Only the plan: 2..10^8 is computed nowhere.
