@@ -15,17 +15,17 @@ hold by construction in either; no source path checks them against a walked
 word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
 periods, is that check (``test_matches_per_d_oracle``).
 
-``jobs`` must be at least 1 and is capped at the CPU count.  On the numpy
-kernel ``_chunks`` sizes a range's pool by its estimated work: a range too
-small to pay for a pool gets one worker.  The range splits into equal
-widths, the fewest that ``CHUNK_MAX`` allows, times the workers; a range
-narrower than that cap and too small for a pool is one chunk, run
-in-process.  ``CHUNK_MAX`` bounds the columns a chunk holds.  A chunk wider
-than the kernel's live set refills its lanes as they reach their centres;
-each chunk drains once, in blocks of rounds over ever fewer lanes, until no
-more than ``_kernels.TAIL`` are live, which the kernel finishes in scalar
-code.  The python backend, and ranges past the kernels' int64 gate, split
-into up to 4 * jobs equal widths.  ``period_stats`` maps the same chunks,
+``jobs`` must be at least 1 and is capped at the CPU count.  ``_chunks``
+sizes a range's pool by its estimated work, against the measured crossover
+of the engine that fills its columns (the numpy kernel, or the exact
+engine): a range too small to pay for a pool gets one worker.  The range
+splits into equal widths, the fewest that ``CHUNK_MAX`` allows, times the
+workers; a range narrower than that cap and too small for a pool is one
+chunk, run in-process.  ``CHUNK_MAX`` bounds the columns a chunk holds.  A
+kernel chunk wider than the kernel's live set refills its lanes as they
+reach their centres; each chunk drains once, in blocks of rounds over ever
+fewer lanes, until no more than ``_kernels.TAIL`` are live, which the
+kernel finishes in scalar code.  ``period_stats`` maps the same chunks,
 but builds only their sweep columns (ell and the square flags make its
 histogram): no two-squares column and no claim.  The chunks run through the
 package's one fan-out, ``_fanout.fan_out``: in-process at jobs 1 or for a
@@ -41,7 +41,8 @@ failing rows: a ``d`` array and the claim's detail columns at those rows.
 ``check_claims`` concatenates each claim's columns once, in range order, and
 no dict is built per row until a caller reads
 ``ClaimResult.counterexamples``.  ``write_json`` writes the report's JSON
-from the columns, a block of rows at a time; its bytes are those of
+from the columns, a block of rows at a time, through the package's one row
+formatter, ``_jsontext``; its bytes are those of
 ``json.dumps(report.to_dict(), sort_keys=True)``.
 """
 
@@ -53,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fanout, _kernels
+from . import _fanout, _jsontext, _kernels
 from .engine import expand_sqrt, period_facts
 from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
 
@@ -200,7 +201,7 @@ class StructReport:
         }
 
 
-# Counterexample rows that write_json formats per write.
+# Rows that write_json and miner.write_jsonl format per write.
 WRITE_BLOCK = 4096
 
 
@@ -210,37 +211,20 @@ def write_json(report: StructReport, out) -> None:
     The same bytes, built from the columns: keys sorted in every object,
     histogram keys as strings (so "10" sorts before "2"), booleans as
     true/false and period words as JSON lists.  Counterexample rows are
-    formatted and written WRITE_BLOCK at a time, so the whole report never
-    exists as one string.
+    formatted by ``_jsontext`` and written WRITE_BLOCK at a time, so the
+    whole report never exists as one string.
     """
     out.write('{"claims": [')
     for n, cid in enumerate(CLAIM_IDS):
         c = report.claims[cid]
         out.write(', {"counterexamples": [' if n else '{"counterexamples": [')
-        _write_rows(c.columns, out)
+        _jsontext.write_rows(out, c.count, WRITE_BLOCK,
+                             lambda rows: {k: col[rows] for k, col in c.columns.items()}, sep=", ")
         out.write(f'], "id": {json.dumps(c.id)}, "status": "{c.status}", "tested": {c.tested}}}')
     hist = sorted((str(k), v) for k, v in report.histogram.items())
     out.write('], "histogram": {' + ", ".join(f'"{k}": {v}' for k, v in hist) + "}")
     out.write(f', "range": [{report.d_min}, {report.d_max}]'
               f', "skipped": {report.skipped}, "tested": {report.tested}}}')
-
-
-def _write_rows(columns: dict[str, np.ndarray], out) -> None:
-    """The rows of one claim's columns as comma-separated JSON objects.
-
-    Values are ints, bools or lists of ints; ``str`` of an int or of a list
-    of ints is already its JSON, so only the bool columns are mapped.
-    """
-    names = sorted(columns)
-    template = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in names) + "}"
-    cols = [columns[k] for k in names]
-    for start in range(0, len(cols[0]) if cols else 0, WRITE_BLOCK):
-        block = [
-            np.where(b, "true", "false").tolist() if b.dtype == bool else b.tolist()
-            for b in (col[start:start + WRITE_BLOCK] for col in cols)
-        ]
-        rows = ", ".join(map(template.__mod__, zip(*block)))
-        out.write(", " + rows if start else rows)
 
 
 def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
@@ -360,8 +344,9 @@ def _histogram_chunk(args) -> dict[int, int]:
 
 
 # Estimated work (W, see ``_chunks``) that each pool worker must get before
-# a pool pays.  Opening a pool of two, mapping two no-op tasks and shutting
-# it down takes about 7.5 ms.  ``cli.main`` running ``analyze --jobs 2``
+# a pool pays, on the numpy kernel.  Opening a pool of two, mapping two
+# no-op tasks and shutting it down takes about 7.5 ms.
+# ``cli.main`` running ``analyze --jobs 2``
 # in-process, one chunk against two equal-width chunks in a pool of two,
 # medians of 15 alternating runs (2 CPUs, Python 3.11, numpy 2.4):
 #
@@ -388,25 +373,41 @@ POOL_MIN_WORK = 1 << 24
 # 91.9 MB up to 2^18.
 CHUNK_MAX = 16 * _kernels.WIDTH
 
+# POOL_MIN_WORK for the exact engine (the python backend, and ranges past
+# the kernels' gate), which spends far more per quotient than the kernel.
+# ``cli.main`` running ``analyze --kernel python --jobs 2`` in-process, one
+# chunk against two equal-width chunks in a pool of two, medians of 11
+# alternating runs (2 CPUs, Python 3.11, numpy 2.4):
+#
+#     range          W       one chunk   two chunks   one faster
+#     2..3000        1.6e5   45.6 ms     45.9 ms      7 of 11
+#     2..6000        4.6e5   101.0 ms    69.3 ms      1 of 11
+#     1e6..+499      5.0e5   45.4 ms     50.5 ms      4 of 11
+#     5e7..+99       7.1e5   61.7 ms     52.8 ms      0 of 11
+#     1e6..+999      1.0e6   111.6 ms    84.1 ms      3 of 11
+#
+# Two workers pay from about W = 3e5, so 2^17 (1.3e5) for each; larger
+# pools are extrapolated, as for POOL_MIN_WORK.
+EXACT_POOL_MIN_WORK = 1 << 17
+
 
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):
     """The (lo, hi, backend) tasks of [d_min, d_max]: equal widths, in order.
 
-    On the numpy kernel the count follows the estimated work.  A period of
-    sqrt(d) is about sqrt(d) quotients long, so [d_min, d_max] costs about
-    the sum of sqrt(d), which W = span * isqrt(d_max) bounds from above.
-    ``min(jobs, W // POOL_MIN_WORK)`` workers share it, at least one: a
-    range too small to pay for a pool is one chunk, run in-process.  Each
-    worker gets the fewest equal widths that ``CHUNK_MAX`` allows, since
-    each chunk drains its lanes once.  The python backend and ranges past
-    the kernels' gate split into up to 4 * jobs equal widths.
+    The count follows the estimated work.  A period of sqrt(d) is about
+    sqrt(d) quotients long, so [d_min, d_max] costs about the sum of
+    sqrt(d), which W = span * isqrt(d_max) bounds from above.
+    ``min(jobs, W // min_work)`` workers share it, at least one, where
+    min_work is ``POOL_MIN_WORK`` on the numpy kernel and
+    ``EXACT_POOL_MIN_WORK`` on the exact engine (the python backend, and
+    ranges past the kernels' gate): a range too small to pay for a pool is
+    one chunk, run in-process.  Each worker gets the fewest equal widths
+    that ``CHUNK_MAX`` allows, since each kernel chunk drains its lanes once.
     """
     span = d_max - d_min + 1
-    if backend != "numpy" or d_max >= _kernels.KERNEL_D_LIMIT:
-        n = min(jobs * 4, span)
-    else:
-        workers = max(1, min(jobs, span * isqrt(d_max) // POOL_MIN_WORK))
-        n = workers * -(-span // CHUNK_MAX)
+    min_work = EXACT_POOL_MIN_WORK if _is_exact(d_max + 1, backend) else POOL_MIN_WORK
+    workers = max(1, min(jobs, span * isqrt(d_max) // min_work))
+    n = min(span, workers * -(-span // CHUNK_MAX))
     size = -(-span // n)
     return [(lo, min(lo + size, d_max + 1), backend) for lo in range(d_min, d_max + 1, size)]
 

@@ -163,10 +163,10 @@ def cmd_mine(args) -> int:
             print(f"mine: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if args.format == "text":
-            for fam in found:
+            for fam, b_expr in zip(found, found.b_exprs()):
                 print(
                     f"[{','.join(map(str, fam.palindrome))}]: a = {fam.a_modulus}*c+{fam.a_residue}, "
-                    f"b = {fam.b_expr()}, c >= {fam.min_c}"
+                    f"b = {b_expr}, c >= {fam.min_c}"
                 )
         else:
             miner.write_jsonl(found, sys.stdout)

@@ -19,18 +19,21 @@ wraps (see ``palindromes`` and ``_mine_block``), and Python ints
 (``dtype=object``) elsewhere, through the same code.
 
 ``mine_sweep`` runs in the calling process and returns the families as
-columns (``MinedFamilies``); ``write_jsonl`` writes them as JSON Lines, a
-block of rows at a time.
+columns (``MinedFamilies``): arrays, with no Python object per family.
+``write_jsonl`` writes them as JSON Lines through the package's one row
+formatter, ``_jsontext``, a block of rows at a time.  The ``b_expr`` text
+is built by ``_b_expr`` over a column, for the JSON rows and for
+``MinedFamilies.b_exprs``; ``MinedFamily.b_expr`` is its one-row case.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from . import _jsontext
 from .analyzer import WRITE_BLOCK
 from .convergents import INT64_MAX, palindrome_half, palindrome_triples, palindromes, realizes
 from .exact import DomainError, solve_linear_congruences
@@ -38,15 +41,17 @@ from .exact import DomainError, solve_linear_congruences
 ACCEPT_INSTANCES = 5
 
 
-def _b_expr(slope: int, const: int) -> str:
-    """b = slope*c + const as text: ``4*c+1``, ``2*c-17``, ``3*c`` or ``1``."""
-    if slope == 0:
-        return str(const)
-    if const > 0:
-        return f"{slope}*c+{const}"
-    if const < 0:
-        return f"{slope}*c-{-const}"
-    return f"{slope}*c"
+def _b_expr(slope: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """b = slope*c + const as text, per row: ``4*c+1``, ``2*c-17``, ``3*c``
+    or ``1``, as an ``S`` column of NUL-padded cells (``_jsontext``)."""
+    c_term = slope != 0
+    slope_digits, const_digits = _jsontext.digits(slope), _jsontext.digits(const)
+    slope_digits[~c_term] = 0
+    const_digits[c_term & (const == 0)] = 0
+    times_c = np.where(c_term[:, None], np.frombuffer(b"*c", np.uint8), 0).astype(np.uint8)
+    plus = np.where(c_term & (const > 0), ord("+"), 0).astype(np.uint8)
+    cells = _jsontext.join([slope_digits, times_c, plus[:, None], const_digits])
+    return cells.view(f"S{cells.shape[1]}")[:, 0]
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ class MinedFamily:
         return a * a + self.b_of(c)
 
     def b_expr(self) -> str:
-        return _b_expr(self.b_slope, self.b_const)
+        return _jsontext.text(_b_expr(np.array([self.b_slope]), np.array([self.b_const])))
 
     def to_dict(self) -> dict:
         return {
@@ -97,29 +102,55 @@ class MinedFamily:
 class MinedFamilies:
     """The fields of ``MinedFamily`` as columns, one row per family.
 
-    Each column is a list of Python ints, and ``palindrome`` a list of lists.
-    Iterating yields the rows as ``MinedFamily`` objects.
+    Each column is a 1-D array of ints (int64, or ``object`` holding Python
+    ints), and ``palindrome`` a 2-D array with one palindrome per row,
+    0-padded on the right (its entries are at least 1).  Lists are taken
+    too, and made arrays.  Iterating yields the rows as ``MinedFamily``
+    objects.
     """
 
-    palindrome: list[list[int]]
-    a_residue: list[int]
-    a_modulus: list[int]
-    b_slope: list[int]
-    b_const: list[int]
-    min_c: list[int]
-    verified_instances: list[int]
+    palindrome: np.ndarray
+    a_residue: np.ndarray
+    a_modulus: np.ndarray
+    b_slope: np.ndarray
+    b_const: np.ndarray
+    min_c: np.ndarray
+    verified_instances: np.ndarray
+
+    def __post_init__(self):
+        pal = self.palindrome
+        self.palindrome = pal if isinstance(pal, np.ndarray) else _jsontext.pad(pal).values
+        for name, col in list(vars(self).items())[1:]:
+            setattr(self, name, col if isinstance(col, np.ndarray) else _jsontext.ints(col))
 
     def __len__(self) -> int:
         return len(self.palindrome)
 
-    def __iter__(self) -> Iterator[MinedFamily]:
-        for pal, *fields in zip(self.palindrome, self.a_residue, self.a_modulus, self.b_slope,
-                                self.b_const, self.min_c, self.verified_instances):
-            yield MinedFamily(tuple(pal), *fields)
+    def _int_columns(self) -> list[np.ndarray]:
+        """Every column but ``palindrome``, in field order."""
+        return list(vars(self).values())[1:]
 
-    def extend(self, other: MinedFamilies) -> None:
-        for col, more in zip(vars(self).values(), vars(other).values()):
-            col.extend(more)
+    def b_exprs(self) -> list[str]:
+        """``MinedFamily.b_expr`` of every row, from the columns at once."""
+        return [b.replace(b"\0", b"").decode() for b in _b_expr(self.b_slope, self.b_const).tolist()]
+
+    def __iter__(self) -> Iterator[MinedFamily]:
+        lengths = np.count_nonzero(self.palindrome, axis=1).tolist()
+        for pal, n, *fields in zip(self.palindrome.tolist(), lengths,
+                                   *(col.tolist() for col in self._int_columns())):
+            yield MinedFamily(tuple(pal[:n]), *fields)
+
+    @classmethod
+    def concat(cls, parts: list[MinedFamilies], width: int) -> MinedFamilies:
+        """The rows of ``parts`` in order, palindromes padded to ``width``."""
+        pal = np.zeros((sum(map(len, parts)), width),
+                       np.result_type(np.int64, *(p.palindrome for p in parts)))
+        row = 0
+        for p in parts:
+            pal[row:row + len(p), :p.palindrome.shape[1]] = p.palindrome
+            row += len(p)
+        rest = (np.concatenate(cols) for cols in zip(*(p._int_columns() for p in parts)))
+        return cls(pal, *rest)
 
 
 def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarray, np.ndarray]) -> MinedFamilies:
@@ -186,9 +217,9 @@ def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarr
     halves = halves[rows[found]]
     words = np.hstack([halves, halves[:, : length // 2][:, ::-1]])
     return MinedFamilies(
-        words.tolist(),
-        *(col[found].tolist() for col in (res, mod, slope, const, min_c)),
-        [ACCEPT_INSTANCES] * len(found),
+        words,
+        *(col[found] for col in (res, mod, slope, const, min_c)),
+        np.full(len(found), ACCEPT_INSTANCES),
     )
 
 
@@ -216,31 +247,31 @@ def mine_sweep(max_len: int, max_entry: int) -> MinedFamilies:
     """
     if max_len < 0 or (max_len > 0 and max_entry < 1):
         raise DomainError("bad sweep bounds")
-    found = MinedFamilies([], [], [], [], [], [], [])
-    for n in range(max_len + 1):
-        for halves, abc in palindromes(n, max_entry):
-            found.extend(_mine_block(halves, n, abc))
-    return found
+    blocks = [_mine_block(halves, n, abc)
+              for n in range(max_len + 1) for halves, abc in palindromes(n, max_entry)]
+    return MinedFamilies.concat(blocks, max_len)
 
 
 def write_jsonl(families: MinedFamilies, out) -> None:
     """Write ``json.dumps(fam.to_dict(), sort_keys=True) + "\\n"`` per family to ``out``.
 
-    The same bytes, formatted from the columns: keys in sorted order, the
-    palindrome as a JSON list (a Python list of ints prints as one) and
-    ``b_expr`` as a string (it holds only digits, ``*``, ``c``, ``+`` and
-    ``-``, so nothing needs escaping).  Rows are joined and written
-    ``analyzer.WRITE_BLOCK`` at a time.
+    The same bytes, formatted from the columns by ``_jsontext``,
+    ``WRITE_BLOCK`` rows per write: the palindromes as lists of their own
+    lengths and ``b_expr`` as a string (it holds only digits, ``*``, ``c``,
+    ``+`` and ``-``, so nothing needs escaping).
     """
-    rows = (
-        f'{{"a_modulus": {m}, "a_residue": {r}, "b_expr": "{_b_expr(s, k)}", '
-        f'"min_c": {c}, "palindrome": {p}, "verified_instances": {v}}}\n'
-        for p, r, m, s, k, c, v in zip(families.palindrome, families.a_residue, families.a_modulus,
-                                       families.b_slope, families.b_const, families.min_c,
-                                       families.verified_instances)
-    )
-    while block := "".join(itertools.islice(rows, WRITE_BLOCK)):
-        out.write(block)
+    def columns_of(rows: slice) -> dict:
+        pal = families.palindrome[rows]
+        return {
+            "a_modulus": families.a_modulus[rows],
+            "a_residue": families.a_residue[rows],
+            "b_expr": _b_expr(families.b_slope[rows], families.b_const[rows]),
+            "min_c": families.min_c[rows],
+            "palindrome": _jsontext.Ragged(pal, np.count_nonzero(pal, axis=1)),
+            "verified_instances": families.verified_instances[rows],
+        }
+
+    _jsontext.write_rows(out, len(families), WRITE_BLOCK, columns_of, end="\n")
 
 
 __all__ = ["MinedFamily", "MinedFamilies", "mine", "mine_sweep", "write_jsonl", "ACCEPT_INSTANCES"]

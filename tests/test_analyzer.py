@@ -279,36 +279,41 @@ class TestCheckClaims:
         assert len(analyzer._chunks(2, 10**6, 1, "numpy")) == 4
         assert len(analyzer._chunks(2, 10**6, 2, "numpy")) == 8
         assert len(analyzer._chunks(2, 300_000, 2, "numpy")) == 4
-        # python, and past the kernels' gate: up to 4 * jobs chunks
-        assert len(analyzer._chunks(2, 1001, 1, "python")) == 4
+        # python, and past the kernels' gate: the exact engine's own threshold
+        assert len(analyzer._chunks(2, 1001, 2, "python")) == 1
+        assert len(analyzer._chunks(2, 3000, 2, "python")) == 1
+        assert len(analyzer._chunks(2, 6000, 2, "python")) == 2
         limit = _kernels.KERNEL_D_LIMIT
-        assert len(analyzer._chunks(limit, limit + 999, 1, "numpy")) == 4
+        assert len(analyzer._chunks(limit, limit + 999, 1, "numpy")) == 1
+        assert len(analyzer._chunks(limit, limit + 999, 2, "numpy")) == 2
 
     @settings(max_examples=300, deadline=None)
     @given(
         d_min=st.one_of(st.integers(1, 10**6), st.integers(1, _kernels.KERNEL_D_LIMIT - 1)),
         span=st.one_of(st.integers(1, 10**3), st.integers(1, 10**6), st.integers(1, 10**9)),
         jobs=st.integers(1, 64),
+        backend=st.sampled_from(["numpy", "python"]),
     )
-    def test_chunk_plan(self, d_min, span, jobs):
+    def test_chunk_plan(self, d_min, span, jobs, backend):
         d_max = min(d_min + span, _kernels.KERNEL_D_LIMIT) - 1
         span = d_max - d_min + 1
-        chunks = analyzer._chunks(d_min, d_max, jobs, "numpy")
+        chunks = analyzer._chunks(d_min, d_max, jobs, backend)
         # contiguous, in order, nonempty, covering exactly [d_min, d_max]
         assert chunks[0][0] == d_min and chunks[-1][1] == d_max + 1
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert all(lo < hi and backend == "numpy" for lo, hi, backend in chunks)
+        assert all(lo < hi and b == backend for lo, hi, b in chunks)
         # equal widths but the last, none wider than CHUNK_MAX
         widths = [hi - lo for lo, hi, _ in chunks]
         assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
         assert widths[0] <= analyzer.CHUNK_MAX
         # the fewest widths under the cap for each of at most jobs workers,
-        # and one in-process chunk below two workers' POOL_MIN_WORK
+        # and one in-process chunk below two workers' threshold of the engine
+        min_work = analyzer.POOL_MIN_WORK if backend == "numpy" else analyzer.EXACT_POOL_MIN_WORK
         fewest = -(-span // analyzer.CHUNK_MAX)
         work = span * exact.isqrt(d_max)
-        workers = max(1, min(jobs, work // analyzer.POOL_MIN_WORK))
+        workers = max(1, min(jobs, work // min_work))
         assert fewest <= len(chunks) <= workers * fewest and workers <= jobs
-        if work < 2 * analyzer.POOL_MIN_WORK:
+        if work < 2 * min_work:
             assert len(chunks) == 1
 
     def test_chunk_cap_bounds_a_wide_range(self):
@@ -423,9 +428,9 @@ class TestPeriodStats:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("backend, d_max", [("numpy", 40_000), ("python", 3000)])
     def test_matches_check_claims_histogram(self, monkeypatch, backend, d_max, jobs):
-        # Several chunks on either backend at jobs 2.  On numpy 2..40000 is
-        # one in-process chunk under the full CHUNK_MAX, so it is lowered.
-        monkeypatch.setattr(analyzer, "CHUNK_MAX", 8192)
+        # Several chunks on either backend at jobs 2.  Either range is one
+        # in-process chunk under the full CHUNK_MAX, so it is lowered.
+        monkeypatch.setattr(analyzer, "CHUNK_MAX", 8192 if backend == "numpy" else 1024)
         assert len(analyzer._chunks(2, d_max, jobs, backend)) > jobs
         want = check_claims(2, d_max, jobs=jobs, backend=backend).histogram
         got = period_stats(2, d_max, jobs=jobs, backend=backend)

@@ -1,0 +1,137 @@
+"""The row writer's text is that of ``json.dumps(row, sort_keys=True)``, byte for byte."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from surdcf import _jsontext
+from surdcf._jsontext import Ragged, digits, rows, write_rows
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+int64s = st.one_of(st.integers(-99, 99), st.integers(INT64_MIN, INT64_MAX),
+                   st.sampled_from([0, -1, INT64_MIN, INT64_MAX, INT64_MIN + 1, 10**18]))
+# Python ints on both sides of int64, held in object columns.
+bigs = st.one_of(int64s, st.integers(-(2**130), 2**130),
+                 st.sampled_from([2**63, -(2**63) - 1, 2**64, 10**40]))
+entries = st.integers(1, 10**12)
+
+
+def reference(table, sep="", end=""):
+    return "".join(sep + json.dumps(row, sort_keys=True) + end for row in table)
+
+
+def int_column(values, dtype):
+    return np.array(values, dtype=dtype) if values else np.zeros(0, np.int64)
+
+
+def list_column(lists):
+    """An ``object`` column of lists, as the analyzer's period words."""
+    col = np.empty(len(lists), dtype=object)
+    for i, x in enumerate(lists):
+        col[i] = x
+    return col
+
+
+@st.composite
+def tables(draw):
+    """Columns of every kind the writer takes, and the same rows as dicts."""
+    n = draw(st.integers(0, 12))
+    small = draw(st.lists(int64s, min_size=n, max_size=n))
+    big = draw(st.lists(bigs, min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    words = draw(st.lists(st.text("0123456789*c+-", max_size=9), min_size=n, max_size=n))
+    ragged = draw(st.lists(st.lists(bigs, max_size=5), min_size=n, max_size=n))
+    # Palindromes of mixed lengths in one block, 0-padded as in the miner.
+    pals = draw(st.lists(st.lists(entries, max_size=6), min_size=n, max_size=n))
+    padded = _jsontext.pad(pals)
+    columns = {
+        "small": int_column(small, np.int64),
+        "big": np.array(big, dtype=object),
+        "flag": np.array(flags, dtype=bool),
+        "word": np.array([w.encode() for w in words], dtype="S") if n else np.zeros(0, "S1"),
+        "period": list_column(ragged),
+        "pal": Ragged(padded.values, np.count_nonzero(padded.values, axis=1)),
+    }
+    table = [
+        dict(small=s, big=b, flag=f, word=w, period=r, pal=p)
+        for s, b, f, w, r, p in zip(small, big, flags, words, ragged, pals)
+    ]
+    return columns, table
+
+
+class BlockCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.sampled_from([("", "\n"), (", ", "")]))
+def test_rows_match_json_dumps(table, seps):
+    columns, want = table
+    sep, end = seps
+    if want:
+        assert rows(columns, sep, end) == reference(want, sep, end)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables(), st.integers(1, 5), st.sampled_from([("", "\n"), (", ", "")]))
+def test_write_rows_in_blocks(table, block, seps):
+    columns, want = table
+    sep, end = seps
+    out = BlockCounter()
+    write_rows(out, len(want), block, lambda s: {k: Ragged(*(c[s] for c in v)) if isinstance(v, Ragged)
+                                                 else v[s] for k, v in columns.items()}, sep, end)
+    # Rows joined by sep, the first with none.
+    assert out.getvalue() == reference(want, sep, end)[len(sep) if want else 0:]
+    assert out.writes == -(-len(want) // block)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(int64s, max_size=20))
+@example(values=[0])
+@example(values=[INT64_MIN, INT64_MAX, -1, 0, 1, -10, 10])
+def test_digits_of_int64(dtype, values):
+    cells = digits(int_column(values, dtype))
+    assert [_jsontext.text(row) for row in cells] == [str(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(bigs, max_size=20))
+@example(values=[2**63, -(2**63) - 1, 0])
+def test_digits_past_int64(values):
+    cells = digits(np.array(values, dtype=object))
+    assert [_jsontext.text(row) for row in cells] == [str(v) for v in values]
+
+
+def test_digits_are_right_aligned_and_nul_padded():
+    # The sign keeps a column of its own; no leading zero survives.
+    cells = digits(np.array([5, -120, 0, 30]))
+    assert cells.tolist() == [
+        [0, 0, 0, ord("5")],
+        [ord("-"), ord("1"), ord("2"), ord("0")],
+        [0, 0, 0, ord("0")],
+        [0, 0, ord("3"), ord("0")],
+    ]
+
+
+def test_empty_block_writes_nothing():
+    out = BlockCounter()
+    write_rows(out, 0, 4096, lambda s: pytest.fail("no rows to format"))
+    assert out.getvalue() == "" and out.writes == 0
+
+
+def test_empty_lists():
+    period = list_column([[], [], []])
+    pal = Ragged(np.zeros((3, 2), np.int64), np.zeros(3, np.int64))
+    assert rows({"p": period, "q": pal}) == '{"p": [], "q": []}' * 3

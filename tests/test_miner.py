@@ -230,6 +230,31 @@ class TestWriteJsonl:
         assert out.getvalue() == "" and out.writes == 0
 
 
+def reference_b_expr(slope, const):
+    """The b_expr rule, one family at a time."""
+    if slope == 0:
+        return str(const)
+    if const > 0:
+        return f"{slope}*c+{const}"
+    if const < 0:
+        return f"{slope}*c-{-const}"
+    return f"{slope}*c"
+
+
+class TestBExpr:
+    coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1),
+                             st.integers(-(2**80), 2**80))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(coefficients, coefficients), max_size=8))
+    @example([(0, 0), (0, -7), (3, 0), (4, 1), (2, -17), (-5, -(2**63)), (2**70, 2**63)])
+    def test_columns_and_rows_match_the_scalar_rule(self, pairs):
+        fams = [MinedFamily((1,), 0, 1, slope, const, 1, 5) for slope, const in pairs]
+        want = [reference_b_expr(slope, const) for slope, const in pairs]
+        assert columns_of(fams).b_exprs() == want
+        assert [fam.b_expr() for fam in fams] == want
+
+
 class TestRegistryConsistency:
     # each registry family with a constant palindrome and fixed m must have
     # its instances contained in the mined family's instance set

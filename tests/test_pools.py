@@ -31,7 +31,8 @@ class RecordingPool:
 
 
 def check_claims_dict(jobs):
-    # The python backend: the numpy kernel does not split a range this narrow.
+    # The python backend, on a range far too small to pay for a pool unless
+    # ``cheap_pools`` lowers the work a worker must get.
     return analyzer.check_claims(2, 10, jobs=jobs, backend="python").to_dict()
 
 
@@ -40,6 +41,12 @@ def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
     monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool
+
+
+@pytest.fixture
+def cheap_pools(monkeypatch):
+    """Every radicand's work pays for a worker of its own."""
+    monkeypatch.setattr(analyzer, "EXACT_POOL_MIN_WORK", 1)
 
 
 def patch_cpu_count(monkeypatch, cpus):
@@ -54,7 +61,7 @@ def patch_cpu_count(monkeypatch, cpus):
     ],
     ids=["check_claims"],
 )
-def test_pool_capped_at_task_count(recording_pool, monkeypatch, call, tasks):
+def test_pool_capped_at_task_count(recording_pool, cheap_pools, monkeypatch, call, tasks):
     patch_cpu_count(monkeypatch, 64)
     assert call(64) == call(1)
     assert recording_pool.sizes == [tasks]
@@ -63,17 +70,25 @@ def test_pool_capped_at_task_count(recording_pool, monkeypatch, call, tasks):
 @pytest.mark.parametrize(
     "cpus, sizes",
     [
-        # jobs 64 becomes 2: 8 chunks of the 9 radicands, in a pool of 2
+        # jobs 64 becomes 2: 2 chunks of the 9 radicands, in a pool of 2
         (2, [2]),
         # an unknown CPU count counts as one CPU, so the chunks run in-process
         (None, []),
     ],
     ids=["2-cpus", "unknown"],
 )
-def test_pool_capped_at_cpu_count(recording_pool, monkeypatch, cpus, sizes):
+def test_pool_capped_at_cpu_count(recording_pool, cheap_pools, monkeypatch, cpus, sizes):
     patch_cpu_count(monkeypatch, cpus)
     assert check_claims_dict(64) == check_claims_dict(1)
     assert recording_pool.sizes == sizes
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_small_range_opens_no_pool(recording_pool, monkeypatch, backend):
+    # 2..10 at jobs 64 on 64 CPUs is one chunk, run in-process, on either engine.
+    patch_cpu_count(monkeypatch, 64)
+    report = analyzer.check_claims(2, 10, jobs=64, backend=backend)
+    assert report.tested == 7 and recording_pool.sizes == []
 
 
 class RaisingPool:

@@ -128,13 +128,31 @@ def test_ci_checks_long_mine_sweep_digest():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_26_2_SHA256]
 
 
-def test_ci_caps_registry_peak_memory():
+def memory_cap(argv):
+    """The run of the one CI step that caps the peak RSS of ``argv``."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     (job,) = workflow["jobs"].values()
-    (check,) = [step["run"] for step in job["steps"] if "RUSAGE_CHILDREN" in step.get("run", "")]
-    # The whole registry runs as a child with stdout discarded, and the step
-    # fails when the child's ru_maxrss (KiB on Linux) passes 90 MB.
-    assert '[sys.executable, "-m", "surdcf.cli", "verify-families"]' in check
+    command = ", ".join(f'"{arg}"' for arg in ["surdcf.cli", *argv])
+    (check,) = [step["run"] for step in job["steps"]
+                if "RUSAGE_CHILDREN" in step.get("run", "") and f'"-m", {command}]' in step["run"]]
+    # The command runs as a child with stdout discarded, and the step fails
+    # when the child's ru_maxrss (KiB on Linux) passes the cap.
     assert "stdout=subprocess.DEVNULL, check=True" in check
     assert "ru_maxrss / 1024" in check
-    assert "sys.exit(peak_mb > 90)" in check
+    return check
+
+
+def test_ci_caps_registry_peak_memory():
+    assert "sys.exit(peak_mb > 90)" in memory_cap(["verify-families"])
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["mine", "--sweep", "--max-len", "10", "--max-entry", "8"], 70),
+        (["analyze", "--from", "2", "--to", "1000000", "--jobs", "1"], 135),
+    ],
+    ids=["mine-sweep", "analyze-1e6"],
+)
+def test_ci_caps_peak_memory(argv, cap):
+    assert f"sys.exit(peak_mb > {cap})" in memory_cap(argv)
