@@ -2,8 +2,8 @@
 
 The exact big-integer engine stays the source of truth; these kernels exist
 because range sweeps (structure checks over every d up to 1e5 and beyond) are
-dominated by a tiny machine-word inner loop.  Values are gated well inside
-int64 range before a kernel is allowed to run.
+dominated by a tiny machine-word inner loop.  A range is gated by
+``KERNEL_D_LIMIT`` before a kernel is allowed to run.
 
 Backend selection, via ``analyze --kernel``:
 
@@ -17,19 +17,34 @@ are byte-identical whichever backend runs.
 
 ``sweep_range`` is a half-walk kernel.  Like ``engine.expand_sqrt`` it walks
 each sqrt(d) only to the centre of its period and logs no quotient.  Its
-live set is ``WIDTH`` lanes wide; a lane that reaches its centre is refilled
-from the queue of pending radicands, one numpy round at a time, and the set
-is compacted only once the queue is empty.  From then on the live set
+live set is ``WIDTH`` lanes wide, every lane value held in float32 (see
+below); a lane that reaches its centre is refilled from the queue of
+pending radicands, one numpy round at a time, and the set is compacted only
+once the queue is empty.  From then on the live set
 drains in blocks of rounds: a block steps every live lane a few rounds at
 once, with one ufunc call per operation and row, and then finds each lane's
 first stop in one scan of the block.  A numpy call costs about a
-microsecond however few lanes it carries, so a narrow set pays five calls
+microsecond however few lanes it carries, so a narrow set pays eight calls
 per round in a block, where a round on its own pays about twenty.  A lane
 walks at most a block's length past its centre; ``_block_rounds`` keeps
 that under 1/16 of the rounds it walked before.  Once no more than
 ``TAIL`` lanes are live, the walk hands them to a scalar loop in Python
 ints.  The palindrome and terminal facts hold by construction of the
 mirrored period, and the bound fact is "largest walked quotient <= a0".
+
+The lanes are float32, and their arithmetic is exact under the gate.  Every
+lane value is an integer of magnitude at most 2R + 1, where R = isqrt(d) <=
+isqrt(KERNEL_D_LIMIT): 0 < P_k <= R and 0 < Q_k <= 2R + 1 for k >= 1, and
+the numerator R + P_k, the product a_k Q_k <= R + P_k and the product
+a_k (P_k - P_{k+1}) = Q_{k+1} - Q_{k-1} are no larger, in every row past a
+stop too, since the expansion just goes on there.  Under the gate 2R + 1 <=
+2,000,001 < 2^24, so float32 holds every such integer, and every sum,
+difference and product of two of them is exact.  The one inexact operation
+is the division, and its floor is exact: for integers 0 <= x < 2^24 and
+y >= 1, fl(x / y) errs from x / y by at most (x / y) 2^-24 < 1 / y, while an
+x / y below an integer n lies at least 1 / y below it, so
+floor(fl(x / y)) = floor(x / y) = x // y.  d itself, up to 2^40, is never
+formed in float32: only the int64 a0 and q1 columns hold it.
 
 ``two_squares_range`` is a segmented factor sieve over the window, built on
 the criterion: d > 1 is a sum of two coprime positive squares iff 4 does not
@@ -52,8 +67,14 @@ F_BOUND = 8
 # Reserved and never set; readers of the flags may still test it.
 F_OVERFLOW = 16
 
-# Kernels use int64 intermediates up to d itself; keep a wide safety margin.
+# The sweep holds its lanes in float32, which is exact while every lane
+# value, at most 2 isqrt(d) + 1, stays below 2^24 (see the module docstring):
+# up to d of about 7e13.  The gate keeps a wide margin below that, and
+# ``_isqrt_vec`` floors exactly far beyond it.
 KERNEL_D_LIMIT = 10**12
+
+# The dtype of every lane value of the half walk.
+LANE = np.float32
 
 # Lanes in the live set of the half walk.
 WIDTH = 16384
@@ -85,11 +106,15 @@ def _check_range(lo: int, hi: int) -> None:
 
 
 def _isqrt_vec(d: np.ndarray) -> np.ndarray:
-    r = np.sqrt(d.astype(np.float64)).astype(np.int64)
-    for _ in range(2):
-        r = np.where((r + 1) * (r + 1) <= d, r + 1, r)
-        r = np.where(r * r > d, r - 1, r)
-    return r
+    """isqrt of each d.  Exact for 0 <= d < 2^52: the correctly rounded
+    sqrt(m^2 - 1) = m - 1/(2m) - ... stays below m while 1/(2m) exceeds half
+    an ulp of m, about m 2^-53, and sqrt is monotone."""
+    return np.sqrt(d.astype(np.float64)).astype(np.int64)
+
+
+def _quotient(x, y, out=None):
+    """floor(x / y) of float32 lanes, exact for 0 <= x < 2^24 and y >= 1."""
+    return np.floor(np.divide(x, y, out=out), out=out)
 
 
 def _half_walk(r, q1, queue, ell, center, flags) -> None:
@@ -97,7 +122,8 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
 
     Sets ell and center there, and F_BOUND where it holds.  A lane holds
     (P + sqrt(d)) / Q after k quotients, the previous Q, its largest
-    quotient ``top`` and the round ``start`` it was loaded in.  Q steps by
+    quotient ``top`` and the round ``start`` it was loaded in, all ``LANE``
+    but ``start``, which is int64 like ``lane``.  Q steps by
     Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), from Q_0 = 1, P_1 = a0 and
     Q_1 = d - a0^2.  The stops are those of ``engine.expand_sqrt``: the
     first P_{k+1} == P_k gives ell = 2k with centre a_k, the first
@@ -113,12 +139,12 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     """
     lane = queue[:WIDTH].copy()
     pending = queue[lane.size :]
-    R = r[lane]
+    R = r[lane].astype(LANE)
     P = R.copy()
-    Q = q1[lane]
+    Q = q1[lane].astype(LANE)
     Q_prev = np.ones_like(Q)
     top = np.zeros_like(Q)
-    start = np.zeros_like(Q)
+    start = np.zeros(lane.size, np.int64)
     step = loaded = 0
     while pending.size or lane.size > TAIL:
         # No live lane started after round ``loaded``, the last refill.
@@ -130,7 +156,7 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
             )
             step += rounds
             continue
-        a = (R + P) // Q
+        a = _quotient(R + P, Q)
         np.maximum(top, a, out=top)
         P_next = a * Q - P
         Q_next = Q_prev + a * (P - P_next)
@@ -180,26 +206,29 @@ def _block(r, q1, live, step, rounds, ell, center, flags):
     """Step the lanes of ``_half_walk`` ``rounds`` rounds past round ``step``.
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start).
-    A block keeps U = R - P in place of P: since R + P_k = a_k Q_k + U_{k+1},
-    one divmod gives both a_k and U_{k+1}, and Q_{k+1} = Q_{k-1} +
-    a_k (U_{k+1} - U_k).  Row j of the block holds every lane's quotient and
-    next U and Q at round step + j + 1.  A lane's first row with a stop ends
-    its walk: ell, centre and F_BOUND come from that row and the rows before
-    it.  The rows past it go on with the expansion, which never meets
-    Q == 0 since d is not a square, and are ignored.  Returns the arrays of
-    the lanes that did not stop.
+    A block keeps U = R - P in place of P: since R + P_k = 2R - U_k =
+    a_k Q_k + U_{k+1}, a_k = floor((2R - U_k) / Q_k), U_{k+1} =
+    (2R - U_k) - a_k Q_k and Q_{k+1} = Q_{k-1} + a_k (U_{k+1} - U_k).
+    Row j of the block holds every lane's quotient and next U and Q at
+    round step + j + 1.  A lane's first row with a stop ends its walk: ell,
+    centre and F_BOUND come from that row and the rows before it.  The rows
+    past it go on with the expansion, which never meets Q == 0 since d is
+    not a square, and are ignored.  Returns the arrays of the lanes that did
+    not stop.
     """
     lane, R, P, Q, Q_prev, top, start = live
     R2 = 2 * R
-    a = np.empty((rounds, lane.size), np.int64)
-    U = np.empty((rounds + 1, lane.size), np.int64)
-    Qs = np.empty((rounds + 2, lane.size), np.int64)
+    a = np.empty((rounds, lane.size), LANE)
+    U = np.empty((rounds + 1, lane.size), LANE)
+    Qs = np.empty((rounds + 2, lane.size), LANE)
     U_k, Q_p, Q_k = U[0], Qs[0], Qs[1]
     np.subtract(R, P, out=U_k)
     Q_p[:], Q_k[:] = Q_prev, Q
     for a_k, U_n, Q_n in zip(a, U[1:], Qs[2:]):
-        np.subtract(R2, U_k, out=a_k)
-        np.divmod(a_k, Q_k, out=(a_k, U_n))
+        np.subtract(R2, U_k, out=U_n)
+        _quotient(U_n, Q_k, out=a_k)
+        np.multiply(a_k, Q_k, out=Q_n)
+        np.subtract(U_n, Q_n, out=U_n)
         np.subtract(U_n, U_k, out=Q_n)
         np.multiply(Q_n, a_k, out=Q_n)
         np.add(Q_n, Q_p, out=Q_n)
@@ -240,10 +269,10 @@ def _finish(q1, live, step, ell, center, flags) -> None:
     """Walk each lane of ``_half_walk`` to its centre, one at a time.
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start)
-    after round ``step``.  Each lane goes on from its own state, with the
-    same stops as the numpy rounds.
+    after round ``step``.  Each lane goes on from its own state, in Python
+    ints, with the same stops as the numpy rounds.
     """
-    for i, R, P, Q, Q_prev, top, start in zip(*(x.tolist() for x in live)):
+    for i, R, P, Q, Q_prev, top, start in zip(*(x.astype(np.int64).tolist() for x in live)):
         k = step - start
         while True:
             a = (R + P) // Q
@@ -326,6 +355,7 @@ __all__ = [
     "F_BOUND",
     "F_OVERFLOW",
     "KERNEL_D_LIMIT",
+    "LANE",
     "WIDTH",
     "TAIL",
     "backend_name",

@@ -300,8 +300,8 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     # the printed converse is checked separately and does have exceptions
     # (the smallest is d = 34 = 3^2 + 5^2 with period length 4).
     twosq = live & twosq.astype(bool)
-    odd = live & (ell % 2 == 1)
-    even = live & (ell % 2 == 0)
+    odd = live & (ell & 1 == 1)
+    even = live & (ell & 1 == 0)
     claim(CLAIM_TWOSQ, odd, ~twosq, ell=ell, two_squares=twosq)
     claim(CLAIM_TWOSQ_CONVERSE, twosq, even, ell=ell, two_squares=twosq)
 
@@ -309,12 +309,12 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     b = d - a0 * a0
     detail = dict(center=center, a0=a0, b=b, ell=ell)
     claim(CLAIM_CLASS, even & (center > a0), True, **detail)
-    claim(CLAIM_CENTER_EQ, even & (center == a0), b % 4 != 2, **detail)
+    claim(CLAIM_CENTER_EQ, even & (center == a0), b & 3 != 2, **detail)
     # The parity claim for this class is stated for periods longer than 4.
-    eqm1_ok = ((a0 % 2 == 1) & (b % 4 == 1)) | ((a0 % 2 == 0) & (b % 4 == 3))
+    eqm1_ok = ((a0 & 1 == 1) & (b & 3 == 1)) | ((a0 & 1 == 0) & (b & 3 == 3))
     claim(CLAIM_CENTER_EQM1, even & (center == a0 - 1) & (ell > 4), ~eqm1_ok, **detail)
-    lt_ok = ((center % 2 == 1) & (a0 % 2 == 0) & (b % 2 == 0)) | (
-        (center % 2 == 0) & (a0 % 2 == 1) & (b % 2 == 1)
+    lt_ok = ((center & 1 == 1) & (a0 & 1 == 0) & (b & 1 == 0)) | (
+        (center & 1 == 0) & (a0 & 1 == 1) & (b & 1 == 1)
     )
     claim(CLAIM_CENTER_LT, even & (center < a0 - 1), ~lt_ok, **detail)
     return report

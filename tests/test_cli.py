@@ -26,6 +26,10 @@ ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc22
 # chunk whose longest period is 59,879 quotients, so the drain's blocks
 # reach their longest there; CI checks it on a pipe too.
 ANALYZE_1E9_SHA256 = "352490f7a5aee4d6a6e624474af36e993a203e8354d73b1f4919130d99b69c43"
+# stdout sha256 of `analyze --from 999999999984 --to 999999999999`, the last
+# 16 radicands under the kernels' gate, on either backend; CI checks it on a
+# pipe too.
+ANALYZE_GATE_SHA256 = "34ae5854c2419e93f435a12fe61c8b0aa4bc687fe263f6348cf8105f3976c100"
 # stdout sha256 of `verify-families` over the whole registry (121 families,
 # 25,789,730 bytes); CI checks it on a pipe too.
 VERIFY_REGISTRY_SHA256 = "67ffc41c95a56dc12ced7194ec3e259a23d9dcafc42b6e7c2b914e4b797fb8b9"
@@ -565,6 +569,15 @@ class TestAnalyze:
         assert code == 0
         assert max(map(int, json.loads(out)["histogram"])) == 59_879
         assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_1E9_SHA256
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_gate_window_pinned(self, capsys, kernel):
+        # The widest lane values the numpy kernel takes: a0 = 999,999.
+        code, out, _ = run(capsys, "analyze", "--from", "999999999984", "--to", "999999999999",
+                           "--kernel", kernel)
+        assert code == 0
+        assert max(map(int, json.loads(out)["histogram"])) == 1_103_497
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_GATE_SHA256
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

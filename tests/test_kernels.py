@@ -98,6 +98,55 @@ def test_sweep_long_periods_match_engine(monkeypatch):
     assert int(np.count_nonzero(ell > 8192)) == 32
 
 
+def test_sweep_matches_engine_at_the_gate(monkeypatch):
+    # The widest lane values the gate allows: a0 = 999,999 on [10^12 - 16,
+    # 10^12), with periods from 2 to 1,103,497 quotients.  At the default
+    # TAIL the 16 walked lanes go straight to the scalar finish; at TAIL 8
+    # they run numpy rounds, then blocks, until the 8 short periods stop
+    # (the longest of them after 2,057 rounds), and the 8 long lanes hand
+    # their float32 state over to the scalar finish.
+    lo, hi = 10**12 - 16, 10**12
+    want = engine_rows(lo, hi)
+    blocks = spy_blocks(monkeypatch)
+    for tail, rule in ((_kernels.TAIL, _kernels._block_rounds),
+                       (8, _kernels._block_rounds), (8, forced_blocks)):
+        monkeypatch.setattr(_kernels, "TAIL", tail)
+        monkeypatch.setattr(_kernels, "_block_rounds", rule)
+        blocks.clear()
+        assert sweep_rows(lo, hi) == want, f"TAIL={tail}, blocks={rule.__name__}"
+        assert bool(blocks) == (tail == 8)
+
+
+def test_lane_values_fit_float32_under_the_gate():
+    # Every lane value is an integer of magnitude at most 2 isqrt(d) + 1,
+    # which float32 holds exactly below 2^(nmant + 1).
+    top = 2 * isqrt(_kernels.KERNEL_D_LIMIT) + 1
+    assert top < 2 ** (np.finfo(_kernels.LANE).nmant + 1)
+
+
+def test_float_quotient_is_floor_division_at_the_top_numerators():
+    # floor(fl(x / y)) errs only where x / y lies within x 2^-24 / y below an
+    # integer, and that bound is largest at the largest numerators: the
+    # walk's R + P <= 2R, and up to 2R + 1.  Every divisor up to 2R + 1.
+    R = isqrt(_kernels.KERNEL_D_LIMIT)
+    y = np.arange(1, 2 * R + 2, dtype=np.int64)
+    y32 = y.astype(_kernels.LANE)
+    for x in range(2 * R - 7, 2 * R + 2):
+        got = _kernels._quotient(_kernels.LANE(x), y32)
+        assert got.dtype == _kernels.LANE
+        assert np.array_equal(got, (x // y).astype(_kernels.LANE)), f"x={x}"
+
+
+def test_isqrt_vec_is_exact_to_the_gate():
+    # Each side of every square up to the gate's isqrt; sqrt is monotone, so
+    # every d from m^2 to m^2 + 2m between them floors to m as well.
+    m = np.arange(1, isqrt(_kernels.KERNEL_D_LIMIT) + 1, dtype=np.int64)
+    sq = m * m
+    assert np.array_equal(_kernels._isqrt_vec(sq - 1), m - 1)
+    for d in (sq, sq + 1, sq + 2 * m):
+        assert np.array_equal(_kernels._isqrt_vec(d), m)
+
+
 def walked(lo, hi):
     """The radicands in [lo, hi) that the kernel walks: not squares, ell > 1."""
     return [d for d in range(lo, hi) if d - isqrt(d) ** 2 > 1]

@@ -63,6 +63,19 @@ def test_ci_checks_deep_window_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E9_SHA256]
 
 
+def test_ci_checks_gate_window_digest_on_both_backends():
+    from test_cli import ANALYZE_GATE_SHA256
+
+    # One step loops over both backends, so no one command precedes the pipe,
+    # and a failed check in the first pass ends the step.
+    (check,) = [run for run in digest_checks()
+                if "python -m surdcf.cli analyze --from 999999999984 --to 999999999999" in run]
+    assert "set -e -o pipefail" in check
+    assert re.findall(r"^\s*for kernel in (.*); do$", check, re.M) == ["numpy python"]
+    assert '--kernel "$kernel" |' in check
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_GATE_SHA256]
+
+
 def test_ci_checks_registry_digest_on_a_pipe():
     from test_cli import VERIFY_REGISTRY_SHA256
 
