@@ -43,15 +43,15 @@ class Ragged(NamedTuple):
 
 
 def ints(values) -> np.ndarray:
-    """Python ints as an int64 array where all of them fit, else ``object``.
+    """Python ints (a list, or an ``object`` array) as an int64 array where
+    all of them fit, else ``object``.
 
     (numpy alone would make floats of ints on both sides of 2^63.)
     """
-    col = np.array(values, dtype=object)
     try:
-        return col.astype(np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return col
+        return np.array(values, dtype=object)
 
 
 def digits(col) -> np.ndarray:
@@ -95,6 +95,20 @@ def _lists(values: np.ndarray, lengths: np.ndarray) -> list:
     cells[at >= 0] = 0
     cells[..., w:][at == -1] = 0
     return [b"[", cells.reshape(n, -1), b"]"]
+
+
+def period(a0: int, half: list[int], odd: bool) -> str:
+    """``json.dumps`` of the period that the half walk (a0, half, odd) of
+    sqrt(d) stands for (``engine.half_period``), made from the half.
+
+    The half's digit cells, each with its ``", "``, are made once and laid
+    out forward, then again reversed: from the centre row on for odd ell,
+    which repeats the centre, and from the row before it for even ell.
+    2*a0 closes the list.
+    """
+    cells = digits(ints(half))
+    cells = np.concatenate([cells, np.broadcast_to(_COMMA, (len(half), 2))], axis=1)
+    return f"[{text(np.concatenate([cells, cells[::-1] if odd else cells[-2::-1]]))}{2 * a0}]"
 
 
 def pad(lists: list) -> Ragged:

@@ -15,7 +15,7 @@ Any other value is an error.  Both backends fill the same fact columns
 one place.  Tests pin the kernels against ``engine.period_facts``, so reports
 are byte-identical whichever backend runs.
 
-``sweep_range`` is a half-walk kernel.  Like ``engine.expand_sqrt`` it walks
+``sweep_range`` is a half-walk kernel.  Like ``engine.half_period`` it walks
 each sqrt(d) only to the centre of its period and logs no quotient.  Its
 live set is ``WIDTH`` lanes wide, every lane value held in float32 (see
 below); a lane that reaches its centre is refilled from the queue of
@@ -125,7 +125,7 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     quotient ``top`` and the round ``start`` it was loaded in, all ``LANE``
     but ``start``, which is int64 like ``lane``.  Q steps by
     Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), from Q_0 = 1, P_1 = a0 and
-    Q_1 = d - a0^2.  The stops are those of ``engine.expand_sqrt``: the
+    Q_1 = d - a0^2.  The stops are those of ``engine.half_period``: the
     first P_{k+1} == P_k gives ell = 2k with centre a_k, the first
     Q_{k+1} == Q_k gives ell = 2k + 1, and Q_{k+1} == 1 before either raises
     InternalConsistencyError.

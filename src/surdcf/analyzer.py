@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fanout, _jsontext, _kernels
-from .engine import expand_sqrt, period_facts
+from .engine import expand_sqrt, half_period
 from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
 
 CLAIM_PALINDROME = "palindrome"
@@ -230,18 +230,22 @@ def write_json(report: StructReport, out) -> None:
 def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
     """The sweep columns (ell, a0, center, flags) of [lo, hi), exactly.
 
-    They hold Python ints (object dtype): a0 fits in int64 far beyond the
-    kernels' gate, but a0 * a0 would wrap.
+    Each radicand's are read off its half walk (``engine.half_period``):
+    ell is 2k + odd for a half of k quotients, the centre is the last of
+    them for even ell, and the bound fact is "largest walked quotient <= a0".
+    The palindrome and terminal facts hold by construction of the mirror.
+    The columns hold Python ints (object dtype): a0 fits in int64 far
+    beyond the kernels' gate, but a0 * a0 would wrap.
     """
     rows = []
+    by_construction = _kernels.F_PAL | _kernels.F_TERM
     for d in range(lo, hi):
         if is_square(d):
             rows.append((0, isqrt(d), -1, _kernels.F_SQUARE))
         else:
-            cf = expand_sqrt(d)
-            center, pal, term, bound = period_facts(cf)
-            flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
-            rows.append((cf.length, cf.a0, center, flags))
+            a0, half, odd = half_period(d)
+            bound = _kernels.F_BOUND if max(half, default=0) <= a0 else 0
+            rows.append((2 * len(half) + odd, a0, -1 if odd else half[-1], by_construction | bound))
     return [np.array(col, dtype=object) for col in zip(*rows)]
 
 
@@ -376,19 +380,25 @@ CHUNK_MAX = 16 * _kernels.WIDTH
 # POOL_MIN_WORK for the exact engine (the python backend, and ranges past
 # the kernels' gate), which spends far more per quotient than the kernel.
 # ``cli.main`` running ``analyze --kernel python --jobs 2`` in-process, one
-# chunk against two equal-width chunks in a pool of two, medians of 11
-# alternating runs (2 CPUs, Python 3.11, numpy 2.4):
+# chunk against two equal-width chunks in a pool of two, medians of 31
+# alternating runs (2 CPUs, Python 3.11, numpy 2.4), with the columns read
+# off the half walk:
 #
 #     range          W       one chunk   two chunks   one faster
-#     2..3000        1.6e5   45.6 ms     45.9 ms      7 of 11
-#     2..6000        4.6e5   101.0 ms    69.3 ms      1 of 11
-#     1e6..+499      5.0e5   45.4 ms     50.5 ms      4 of 11
-#     5e7..+99       7.1e5   61.7 ms     52.8 ms      0 of 11
-#     1e6..+999      1.0e6   111.6 ms    84.1 ms      3 of 11
+#     2..3000        1.6e5   18.6 ms     29.2 ms      30 of 31
+#     2..4500        3.0e5   30.7 ms     38.3 ms      27 of 31
+#     2..5200        3.7e5   46.6 ms     46.1 ms      14 of 31
+#     2..6000        4.6e5   38.6 ms     44.6 ms      19 of 31
+#     1e6..+499      5.0e5   28.8 ms     34.0 ms      27 of 31
+#     2..7000        5.8e5   46.3 ms     45.8 ms      14 of 31
+#     5e7..+99       7.1e5   31.1 ms     36.9 ms      16 of 31
+#     1e6..+999      1.0e6   59.5 ms     55.2 ms      13 of 31
 #
-# Two workers pay from about W = 3e5, so 2^17 (1.3e5) for each; larger
-# pools are extrapolated, as for POOL_MIN_WORK.
-EXACT_POOL_MIN_WORK = 1 << 17
+# Two workers pay from about W = 5e5, so 2^18 (2.6e5) for each; larger
+# pools are extrapolated, as for POOL_MIN_WORK.  The host was shared, and
+# medians moved by up to 2x between repeated tables; in each of them one
+# chunk was the faster at W = 3e5 and two were at W = 1e6.
+EXACT_POOL_MIN_WORK = 1 << 18
 
 
 def _chunks(d_min: int, d_max: int, jobs: int, backend: str):

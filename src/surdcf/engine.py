@@ -7,9 +7,12 @@ The square-root case runs the classical (P, Q) step recurrences
     Q_{k+1} = (d - P_{k+1}^2) / Q_k
 
 only as far as the centre of the period: the period is a palindrome followed
-by 2*a0, so the second half is the first half mirrored (see expand_sqrt).
-General surds (P + sqrt(d))/Q detect their cycle by first repetition of the
-(P, Q) state.
+by 2*a0, so the second half is the first half mirrored.  ``half_period`` is
+the one scalar loop that runs them, with the stop rules at the centre and
+the check of every step's remainder.  ``expand_sqrt`` mirrors its half in
+place; the family verifier writes failing periods from the half, and the
+analyzer's exact columns read the period facts off it.  General surds
+(P + sqrt(d))/Q detect their cycle by first repetition of the (P, Q) state.
 """
 
 from __future__ import annotations
@@ -107,31 +110,35 @@ def _check_sqrt_arg(d: int) -> int:
     return a0
 
 
-def expand_sqrt(d: int) -> PeriodicCF:
-    """Full periodic expansion of sqrt(d) for positive non-square d.
+def half_period(d: int) -> tuple[int, list[int], bool]:
+    """The half walk of sqrt(d) for positive non-square d: (a0, half, odd).
 
-    The walk stops at the centre of the period.  For a period of length ell,
-    P_k = P_{ell+1-k} and Q_k = Q_{ell-k} (Perron, Die Lehre von den
-    Kettenbruechen), so the quotients a_1..a_{ell-1} read the same
-    reversed and a_ell = 2*a0.  Stepping from (P_k, Q_k) for k >= 1:
+    ``half`` is a_1..a_k, the quotients up to the centre of the period, and
+    ``odd`` tells whether the centre is repeated: the period has length
+    ell = 2k + odd.  For a period of length ell, P_k = P_{ell+1-k} and
+    Q_k = Q_{ell-k} (Perron, Die Lehre von den Kettenbruechen), so the
+    quotients a_1..a_{ell-1} read the same reversed and a_ell = 2*a0.
+    Stepping from (P_k, Q_k) for k >= 1:
 
     * the first P_{k+1} == P_k means ell = 2k, and the period is
       a_1..a_k, a_{k-1}..a_1, 2*a0;
     * the first Q_{k+1} == Q_k means ell = 2k + 1, and the period is
       a_1..a_k, a_k..a_1, 2*a0.
 
-    Q_1 == 1 (d = a0^2 + 1) is the period (2*a0,).  Every step that runs
-    checks that Q_k divides d - P_{k+1}^2, and reaching Q == 1 before either
-    centre raises InternalConsistencyError instead of walking on.
+    Q_1 == 1 (d = a0^2 + 1) is the period (2*a0,): an empty half with
+    ``odd`` set.  Every step that runs checks that Q_k divides
+    d - P_{k+1}^2, and reaching Q == 1 before either centre raises
+    InternalConsistencyError instead of walking on.
     """
     a0 = _check_sqrt_arg(d)
     P, Q = a0, d - a0 * a0
+    half: list[int] = []
     if Q == 1:
-        return PeriodicCF(d, a0, (2 * a0,))
-    period = []
+        return a0, half, True
+    append = half.append
     while True:
         a = (a0 + P) // Q
-        period.append(a)
+        append(a)
         P1 = a * Q - P
         Q1, rem = divmod(d - P1 * P1, Q)
         if rem:
@@ -139,17 +146,29 @@ def expand_sqrt(d: int) -> PeriodicCF:
         if P1 == P or Q1 == Q or Q1 == 1:
             break
         P, Q = P1, Q1
+    if P1 != P and Q1 != Q:
+        raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
+    return a0, half, P1 != P
+
+
+def mirror(a0: int, half: list[int], odd: bool) -> list[int]:
+    """The whole period that the half walk (a0, half, odd) stands for.
+
+    It is built onto ``half`` in place, which is returned.
+    """
     # Mirror in place from a reverse iterator, which is fixed to the walked
     # half when it is made.  A reversed slice or a tuple grown from a chain
     # raised peak memory by about 16% over repeated long-period calls.
-    if P1 == P:
-        period.extend(islice(reversed(period), 1, None))
-    elif Q1 == Q:
-        period.extend(reversed(period))
-    else:
-        raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
-    period.append(2 * a0)
-    return PeriodicCF(d, a0, tuple(period))
+    half.extend(reversed(half) if odd else islice(reversed(half), 1, None))
+    half.append(2 * a0)
+    return half
+
+
+def expand_sqrt(d: int) -> PeriodicCF:
+    """Full periodic expansion of sqrt(d) for positive non-square d: the
+    half walk (``half_period``), mirrored."""
+    a0, half, odd = half_period(d)
+    return PeriodicCF(d, a0, tuple(mirror(a0, half, odd)))
 
 
 def period_length(d: int) -> int:
@@ -239,8 +258,9 @@ def expand_surd(state: SurdState, max_steps: int = 10**6) -> SurdExpansion:
 def is_primitive_word(word: Sequence[int]) -> bool:
     """True unless the word is a whole number (>1) of copies of a shorter word."""
     n = len(word)
-    for r in range(1, n):
-        if n % r == 0 and all(word[i] == word[i % r] for i in range(n)):
+    for r in range(1, n // 2 + 1):
+        # With r dividing n, shifting by r fixes the word iff it repeats.
+        if n % r == 0 and word[r:] == word[:-r]:
             return False
     return True
 
@@ -253,6 +273,8 @@ __all__ = [
     "SurdExpansion",
     "PeriodFacts",
     "expand_sqrt",
+    "half_period",
+    "mirror",
     "expand_surd",
     "period_length",
     "central_class",

@@ -12,11 +12,13 @@ sequence) carry a generator name; the generator turns the integer parameters
 (k, and m where applicable) into concrete polynomials in n before evaluation.
 
 The verifier compares each member against the expansion engine, one
-member after another in the calling process.  ``write_record`` streams a
-family's JSON record, writing each failure as soon as the engine has
-expanded it, so its memory is bounded by the longest failing member rather
-than by the sum over the family; ``verify_family`` collects the same
-failures into a ``VerifyReport``.
+member after another in the calling process.  The engine walks each member
+only to the centre of its period (``engine.half_period``), and a failure
+keeps that half.  ``write_record`` streams a family's JSON record, writing
+each failure's actual period from its half as soon as the engine has walked
+it, so its memory is bounded by the longest failing member rather than by
+the sum over the family; ``verify_family`` collects the same failures into
+a ``VerifyReport``, each with its whole period.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
-from . import sequences
-from .engine import PeriodicCF, expand_sqrt, is_primitive_word
+from . import _jsontext, sequences
+from .engine import PeriodicCF, half_period, is_primitive_word, mirror
 from .exact import DomainError, is_square
 
 REGISTRY_ENV = "SURDCF_REGISTRY"
@@ -379,9 +381,9 @@ def instantiate(
         raise FamilyValidityError(f"{fam.id}: a={a}, b={b} outside validity")
     env["a"] = head
     word = [e.eval(env) for e in pattern]
-    if any(x < 1 for x in word):
+    if min(word, default=1) < 1:
         raise FamilyValidityError(f"{fam.id}: nonpositive quotient at {assignment}")
-    if any(x > head for x in word[:-1]):
+    if max(word[:-1], default=0) > head:
         raise FamilyValidityError(f"{fam.id}: interior quotient exceeds head at {assignment}")
     if not is_primitive_word(word):
         raise FamilyValidityError(f"{fam.id}: period collapses at {assignment}")
@@ -446,15 +448,37 @@ def _assignments(
         yield dict(zip(names, values))
 
 
+class Failure(NamedTuple):
+    """A failing member: its assignment, radicand and claimed expansion, and
+    the engine's half walk of sqrt(d) (``engine.half_period``)."""
+
+    params: dict[str, int]
+    d: int
+    expected: PeriodicCF
+    a0: int
+    half: list[int]
+    odd: bool
+
+    def to_dict(self) -> dict:
+        """The failure's record, with the whole actual period."""
+        return {
+            "params": dict(self.params),
+            "d": self.d,
+            "expected": {"a0": self.expected.a0, "period": list(self.expected.period)},
+            "actual": {"a0": self.a0, "period": mirror(self.a0, self.half[:], self.odd)},
+        }
+
+
 def iter_failures(
     fam: FamilyDescriptor, budget: Mapping[str, int] | None, report: VerifyReport
-) -> Iterator[dict]:
-    """Yield the record of each failing member, in assignment order.
+) -> Iterator[Failure]:
+    """Yield each failing member, in assignment order.
 
-    The one member loop: each budgeted assignment is instantiated, expanded
-    by the engine and compared term for term.  ``report.tested`` and
-    ``report.skipped`` count the members as the loop reaches them; the
-    failures go only to the caller.
+    The one member loop: each budgeted assignment is instantiated, walked
+    to the centre of its period by the engine and compared term for term
+    with the period that the half stands for.  The half is mirrored only
+    when the lengths agree.  ``report.tested`` and ``report.skipped`` count
+    the members as the loop reaches them; the failures go only to the caller.
     """
     for assignment in _assignments(fam, budget):
         try:
@@ -462,15 +486,12 @@ def iter_failures(
         except FamilyValidityError:
             report.skipped += 1
             continue
-        actual = expand_sqrt(d)
+        a0, half, odd = half_period(d)
         report.tested += 1
-        if actual.a0 != expected.a0 or actual.period != expected.period:
-            yield {
-                "params": dict(assignment),
-                "d": d,
-                "expected": {"a0": expected.a0, "period": list(expected.period)},
-                "actual": {"a0": actual.a0, "period": list(actual.period)},
-            }
+        word = expected.period
+        if (a0 != expected.a0 or len(word) != 2 * len(half) + odd
+                or list(word) != mirror(a0, half[:], odd)):
+            yield Failure(assignment, d, expected, a0, half, odd)
 
 
 def verify_family(
@@ -483,8 +504,16 @@ def verify_family(
     recorded verbatim, in assignment order.
     """
     report = VerifyReport(fam.id)
-    report.failures.extend(iter_failures(fam, budget, report))
+    report.failures.extend(f.to_dict() for f in iter_failures(fam, budget, report))
     return report
+
+
+def _failure_json(f: Failure) -> str:
+    """``json.dumps(f.to_dict(), sort_keys=True)``, with the actual period
+    formatted from the half (``_jsontext.period``)."""
+    expected = json.dumps({"a0": f.expected.a0, "period": list(f.expected.period)})
+    return (f'{{"actual": {{"a0": {f.a0}, "period": {_jsontext.period(f.a0, f.half, f.odd)}}}, '
+            f'"d": {f.d}, "expected": {expected}, "params": {json.dumps(f.params, sort_keys=True)}}}')
 
 
 def write_record(fam: FamilyDescriptor, budget: Mapping[str, int] | None, out) -> int:
@@ -494,16 +523,19 @@ def write_record(fam: FamilyDescriptor, budget: Mapping[str, int] | None, out) -
     "registry_status": fam.status}, sort_keys=True) + "\\n"``.  Sorted,
     ``failures`` is the first key, and every key after it is known once the
     member loop ends, so each failure is written as soon as the engine has
-    expanded it and none is kept.  Nothing is written before the first
-    failure.  An unbound variable raises DomainError at the first member
-    that reaches the expression holding it, and every tested member reaches
-    them all, so the error comes before any write and leaves no partial line.
+    walked it and none is kept.  A failure's actual period is written from
+    the engine's half walk, as the half's digit cells laid out once forward
+    and once mirrored (``_jsontext.period``): no whole period is built in
+    Python ints.  Nothing is written before the first failure.  An unbound
+    variable raises DomainError at the first member that reaches the
+    expression holding it, and every tested member reaches them all, so the
+    error comes before any write and leaves no partial line.
     """
     counts = VerifyReport(fam.id)
     failures = 0
     for failure in iter_failures(fam, budget, counts):
         out.write(", " if failures else '{"failures": [')
-        out.write(json.dumps(failure, sort_keys=True))
+        out.write(_failure_json(failure))
         failures += 1
     rest = {"id": fam.id, "registry_status": fam.status, "skipped": counts.skipped,
             "status": status_of(failures), "tested": counts.tested}
@@ -518,6 +550,7 @@ __all__ = [
     "ParamSpec",
     "FamilyDescriptor",
     "FamilyValidityError",
+    "Failure",
     "VerifyReport",
     "GENERATORS",
     "registry",

@@ -89,26 +89,19 @@ FACT_BITS = {"palindrome": _kernels.F_PAL, "terminal": _kernels.F_TERM, "bound":
 
 
 def break_fact(monkeypatch, backend, fact, ds):
-    """Clear one classical fact at the radicands ``ds`` in the source of ``backend``."""
-    if backend == "numpy":
-        sweep = _kernels.sweep_range
+    """Clear one classical fact at the radicands ``ds`` in the source of
+    ``backend``'s columns: the numpy sweep, or the exact half walks."""
+    owner, name = (_kernels, "sweep_range") if backend == "numpy" else (analyzer, "_exact_columns")
+    source = getattr(owner, name)
 
-        def broken(lo, hi):
-            ell, a0, center, flags = sweep(lo, hi)
-            for d in ds:
-                if lo <= d < hi:
-                    flags[d - lo] ^= FACT_BITS[fact]
-            return ell, a0, center, flags
+    def broken(lo, hi):
+        ell, a0, center, flags = source(lo, hi)
+        for d in ds:
+            if lo <= d < hi:
+                flags[d - lo] ^= FACT_BITS[fact]
+        return ell, a0, center, flags
 
-        monkeypatch.setattr(_kernels, "sweep_range", broken)
-    else:
-        facts = analyzer.period_facts
-
-        def broken(cf):
-            got = facts(cf)
-            return got._replace(**{fact: False}) if cf.d in ds else got
-
-        monkeypatch.setattr(analyzer, "period_facts", broken)
+    monkeypatch.setattr(owner, name, broken)
 
 
 def assert_writer_matches(report):
@@ -282,7 +275,8 @@ class TestCheckClaims:
         # python, and past the kernels' gate: the exact engine's own threshold
         assert len(analyzer._chunks(2, 1001, 2, "python")) == 1
         assert len(analyzer._chunks(2, 3000, 2, "python")) == 1
-        assert len(analyzer._chunks(2, 6000, 2, "python")) == 2
+        assert len(analyzer._chunks(2, 6000, 2, "python")) == 1
+        assert len(analyzer._chunks(2, 7000, 2, "python")) == 2
         limit = _kernels.KERNEL_D_LIMIT
         assert len(analyzer._chunks(limit, limit + 999, 1, "numpy")) == 1
         assert len(analyzer._chunks(limit, limit + 999, 2, "numpy")) == 2

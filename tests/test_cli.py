@@ -160,9 +160,9 @@ class TestVerifyFamilies:
 
     def test_write_record_once_per_id_in_order(self, capsys, monkeypatch):
         # The CLI goes through the module's write_record, and that through
-        # the module's expand_sqrt once per tested member.
+        # the module's half walk once per tested member.
         calls, expanded = [], []
-        real_write, real_expand = families.write_record, families.expand_sqrt
+        real_write, real_expand = families.write_record, families.half_period
 
         def counted_write(fam, budget, out):
             calls.append(fam.id)
@@ -173,7 +173,7 @@ class TestVerifyFamilies:
             return real_expand(d)
 
         monkeypatch.setattr(families, "write_record", counted_write)
-        monkeypatch.setattr(families, "expand_sqrt", counted_expand)
+        monkeypatch.setattr(families, "half_period", counted_expand)
         ids = ["euler-l1", "rep2-k1", "euler-l1"]
         code, out, _ = run(capsys, "verify-families", *[arg for fid in ids for arg in ("--id", fid)],
                            "--n-max", "5")
@@ -183,15 +183,15 @@ class TestVerifyFamilies:
 
     def test_each_failure_is_written_before_the_next_expansion(self, monkeypatch):
         # At n <= 6, six of the seven members of l9-d-printed fail.  Each
-        # failure is on stdout by the time the engine expands the next member.
+        # failure is on stdout by the time the engine walks the next member.
         written, expanded = io.StringIO(), []
-        real_expand = families.expand_sqrt
+        real_expand = families.half_period
 
         def counted_expand(d):
             expanded.append((d, written.getvalue()))
             return real_expand(d)
 
-        monkeypatch.setattr(families, "expand_sqrt", counted_expand)
+        monkeypatch.setattr(families, "half_period", counted_expand)
         monkeypatch.setattr(sys, "stdout", written)
         code = main(["verify-families", "--id", "l9-d-printed", "--n-max", "6"])
         monkeypatch.undo()

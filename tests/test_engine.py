@@ -11,7 +11,9 @@ from surdcf.engine import (
     central_class,
     expand_sqrt,
     expand_surd,
+    half_period,
     is_primitive_word,
+    mirror,
     period_facts,
     period_length,
 )
@@ -44,14 +46,27 @@ class TestExpandSqrt:
         assert expand_sqrt(7).as_list() == [2, 1, 1, 1, 4]
 
 
+def assert_half_walk(d):
+    """The half walk, mirrored, is the whole walked period, and its length
+    is 2k + odd for a half of k quotients."""
+    a0, half, odd = half_period(d)
+    k = len(half)
+    full = sqrt_full_walk(d)
+    assert (a0, tuple(mirror(a0, half, odd))) == full, f"d={d}"
+    assert len(full[1]) == 2 * k + odd
+    return a0, half[:k], odd
+
+
 def assert_full_walk(d):
+    assert_half_walk(d)
     cf = expand_sqrt(d)
     assert (cf.a0, cf.period) == sqrt_full_walk(d), f"d={d}"
     return cf
 
 
 class TestHalfWalk:
-    """expand_sqrt stops at the centre and mirrors; the full walk does not."""
+    """half_period stops at the centre, and it and expand_sqrt mirror; the
+    full walk does not."""
 
     def test_every_small_d(self):
         for d in range(2, 30_001):
@@ -85,11 +100,30 @@ class TestHalfWalk:
         # Steps faked through the module's divmod: a remainder, and a Q == 1
         # that arrives before either centre, must raise rather than walk on.
         monkeypatch.setattr(engine, "divmod", lambda n, q: (2, 1), raising=False)
-        with pytest.raises(InternalConsistencyError, match="remainder"):
-            expand_sqrt(19)
+        for walk in (expand_sqrt, half_period):
+            with pytest.raises(InternalConsistencyError, match="remainder"):
+                walk(19)
         monkeypatch.setattr(engine, "divmod", lambda n, q: (1, 0), raising=False)
-        with pytest.raises(InternalConsistencyError, match="without a centre"):
-            expand_sqrt(19)
+        for walk in (expand_sqrt, half_period):
+            with pytest.raises(InternalConsistencyError, match="without a centre"):
+                walk(19)
+
+
+class TestHalfPeriod:
+    @pytest.mark.parametrize("a", [1, 2, 3, 10**12])
+    def test_period_of_length_one_has_an_empty_half(self, a):
+        assert assert_half_walk(a * a + 1) == (a, [], True)
+
+    def test_even_and_odd_centres(self):
+        # ell 2, 3 and 4: the centre is walked once, twice, once.
+        assert assert_half_walk(3) == (1, [1], False)
+        assert assert_half_walk(41) == (6, [2], True)
+        assert assert_half_walk(7) == (2, [1, 1], False)
+        assert assert_half_walk(13) == (3, [1, 1], True)
+
+    def test_mirror_builds_onto_the_half(self):
+        half = [1, 2]
+        assert mirror(5, half, False) is half and half == [1, 2, 1, 10]
 
 
 class TestStructuralSweep:
@@ -227,6 +261,22 @@ class TestExpandSurd:
             SurdState(0, 0, 2)
         with pytest.raises(DomainError):
             SurdState(0, 1, 9)
+
+
+def primitive_by_definition(word):
+    """No shorter word r, r dividing n, repeats to the whole word."""
+    n = len(word)
+    return not any(n % r == 0 and all(word[i] == word[i % r] for i in range(n)) for r in range(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(1, 3), max_size=12),
+    st.builds(lambda w, k: w * k, st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(1, 5)),
+))
+def test_is_primitive_word_is_the_definition(word):
+    assert is_primitive_word(word) == primitive_by_definition(word)
+    assert is_primitive_word(tuple(word)) == primitive_by_definition(word)
 
 
 def test_is_primitive_word():

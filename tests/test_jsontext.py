@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surdcf import _jsontext
-from surdcf._jsontext import Ragged, digits, rows, write_rows
+from surdcf._jsontext import Ragged, digits, period, rows, write_rows
+from surdcf.engine import expand_sqrt, half_period
+from surdcf.exact import isqrt
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -135,3 +137,32 @@ def test_empty_lists():
     period = list_column([[], [], []])
     pal = Ragged(np.zeros((3, 2), np.int64), np.zeros(3, np.int64))
     assert rows({"p": period, "q": pal}) == '{"p": [], "q": []}' * 3
+
+
+def assert_period_text(d):
+    """The period's text from the half walk is ``json.dumps`` of the whole period."""
+    assert period(*half_period(d)) == json.dumps(list(expand_sqrt(d).period)), f"d={d}"
+
+
+@pytest.mark.parametrize("d", [
+    2, 10**12 + 1,  # d = a0^2 + 1: ell 1, an empty half
+    3, 41, 7,  # ell 2, 3 and 4
+    13, 19, 22,  # longer odd and even periods
+    27, 99, 10**6 + 2 * 10**3,  # 2*a0 wider than every interior cell
+])
+def test_period_of_small_walks(d):
+    assert_period_text(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**7))
+def test_period_of_random_walks(d):
+    if isqrt(d) ** 2 != d:
+        assert_period_text(d)
+
+
+def test_period_of_the_longest_failing_member():
+    from surdcf.families import family_by_id, instantiate
+    d, _ = instantiate(family_by_id("pair-m2m-k2-printed"), {"m": 5, "n": 94})
+    assert expand_sqrt(d).length == 271_170
+    assert_period_text(d)

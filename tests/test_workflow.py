@@ -49,30 +49,38 @@ def test_ci_checks_pinned_analyze_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
 
 
+def both_backends_check(command):
+    """The run of the one CI step that pipes ``command`` into ``sha256sum -c``
+    once on each backend.
+
+    The step loops over both backends, so no one command precedes the pipe,
+    and a failed check in the first pass ends the step.
+    """
+    (check,) = [run for run in digest_checks() if command in run]
+    assert "set -e -o pipefail" in check
+    assert re.findall(r"^\s*for kernel in (.*); do$", check, re.M) == ["numpy python"]
+    assert f'{command} --kernel "$kernel" |' in check
+    return check
+
+
 def test_ci_checks_long_period_digest_on_a_pipe():
     from test_cli import ANALYZE_5E7_SHA256
 
-    check = digest_check("python -m surdcf.cli analyze --from 50000000 --to 50000999")
+    check = both_backends_check("python -m surdcf.cli analyze --from 50000000 --to 50000999")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_5E7_SHA256]
 
 
 def test_ci_checks_deep_window_digest_on_a_pipe():
     from test_cli import ANALYZE_1E9_SHA256
 
-    check = digest_check("python -m surdcf.cli analyze --from 1000000000 --to 1000000199")
+    check = both_backends_check("python -m surdcf.cli analyze --from 1000000000 --to 1000000199")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E9_SHA256]
 
 
 def test_ci_checks_gate_window_digest_on_both_backends():
     from test_cli import ANALYZE_GATE_SHA256
 
-    # One step loops over both backends, so no one command precedes the pipe,
-    # and a failed check in the first pass ends the step.
-    (check,) = [run for run in digest_checks()
-                if "python -m surdcf.cli analyze --from 999999999984 --to 999999999999" in run]
-    assert "set -e -o pipefail" in check
-    assert re.findall(r"^\s*for kernel in (.*); do$", check, re.M) == ["numpy python"]
-    assert '--kernel "$kernel" |' in check
+    check = both_backends_check("python -m surdcf.cli analyze --from 999999999984 --to 999999999999")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_GATE_SHA256]
 
 
