@@ -158,18 +158,20 @@ def cmd_mine(args) -> int:
     bounds = (args.max_len, args.max_entry)
     if args.sweep:
         try:
-            found = miner.mine_sweep(*(_SWEEP_DEFAULT if b is None else b for b in bounds))
+            blocks = miner.sweep_blocks(*(_SWEEP_DEFAULT if b is None else b for b in bounds))
         except DomainError as exc:
             print(f"mine: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if args.format == "text":
-            for fam, b_expr in zip(found, found.b_exprs()):
-                print(
-                    f"[{','.join(map(str, fam.palindrome))}]: a = {fam.a_modulus}*c+{fam.a_residue}, "
-                    f"b = {b_expr}, c >= {fam.min_c}"
-                )
-        else:
-            miner.write_jsonl(found, sys.stdout)
+        # Each block is written as it is mined, so memory holds one block.
+        for found in blocks:
+            if args.format == "text":
+                for fam, b_expr in zip(found, found.b_exprs()):
+                    print(
+                        f"[{','.join(map(str, fam.palindrome))}]: a = {fam.a_modulus}*c+{fam.a_residue}, "
+                        f"b = {b_expr}, c >= {fam.min_c}"
+                    )
+            else:
+                miner.write_jsonl(found, sys.stdout)
         return EXIT_OK
     if bounds != (None, None):
         print("mine: --max-len and --max-entry need --sweep", file=sys.stderr)

@@ -1,21 +1,18 @@
 """Exact integer and rational foundations.
 
 No floating point enters any computation whose result is asserted exact.
-Integers are unbounded Python ints, or numpy columns of them: int64 only
-where the caller has a bound showing that nothing wraps, Python ints
-(``dtype=object``) elsewhere, as in ``solve_linear_congruences``.  Rationals are
-``fractions.Fraction`` (aliased ``Rat``), which already guarantees the
-reduced-form invariant (gcd(num, den) = 1, den > 0) on construction.
+Integers are unbounded Python ints.  Rationals are ``fractions.Fraction``
+(aliased ``Rat``), which already guarantees the reduced-form invariant
+(gcd(num, den) = 1, den > 0) on construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 Rat = Fraction
 
@@ -121,57 +118,21 @@ def pollard_brent(n: int) -> int:
 def solve_linear_congruence(c1: int, c0: int, mod: int) -> tuple[int, int] | None:
     """Solve c1*x + c0 == 0 (mod mod) for x: ``(residue, modulus)``, or None.
 
-    The one-row case of ``solve_linear_congruences``, on Python ints: every
-    solution is ``residue + t*modulus`` for integer t, with
-    0 <= residue < modulus.
+    A solution exists iff g = gcd(c1, mod) divides c0; it is then unique
+    modulo ``modulus`` = mod // g, and is -(c0/g) times the inverse of c1/g
+    modulo it, with 0 <= residue < modulus.  Every solution is
+    ``residue + t*modulus`` for integer t.  The arguments may be any
+    integers, numpy's included; the results are Python ints.  Raises
+    DomainError for mod <= 0.
     """
+    c1, c0, mod = map(operator.index, (c1, c0, mod))
     if mod <= 0:
         raise DomainError(f"modulus must be positive, got {mod}")
-    ok, residue, modulus = solve_linear_congruences(*(np.array([v], dtype=object) for v in (c1, c0, mod)))
-    return (residue[0], modulus[0]) if ok[0] else None
-
-
-def solve_linear_congruences(c1: np.ndarray, c0: np.ndarray, mod: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve c1*x + c0 == 0 (mod mod) row by row: ``(solvable, residue, modulus)``.
-
-    A row is solvable iff g = gcd(c1, mod) divides c0; its solution is then
-    unique modulo m2 = mod // g, and is -(c0/g) times the inverse of c1/g
-    modulo m2, with 0 <= residue < modulus = m2.  Residues of unsolvable rows
-    mean nothing.  The columns are int64 or Python ints (``dtype=object``);
-    on int64 the caller keeps mod**2 below 2**63, since the residue is a
-    product of two factors below m2 reduced modulo m2.
-    """
-    if (mod <= 0).any():
-        raise DomainError(f"modulus must be positive, got {mod[mod <= 0][0]}")
-    g = np.gcd(c1, mod)
-    m2 = mod // g
-    residue = (-c0 // g) % m2 * _inverses(c1 // g % m2, m2) % m2
-    return c0 % g == 0, residue, m2
-
-
-def _inverses(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x**-1 modulo m per row, for 0 <= x < m and gcd(x, m) == 1 (0 where m == 1).
-
-    The extended Euclidean algorithm on columns: r_i == s_i*x (mod m), from
-    (r, s) = (m, 0), (x, 1); a row leaves once its remainder reaches 0, when
-    the one before it is gcd(x, m) = 1.  Every |s_i| is at most m, and every
-    product q*r or q*s at most m, so nothing grows past the inputs.
-    """
-    inv = np.zeros_like(m)
-    rows = np.arange(len(m))
-    r0, r1, s0, s1 = m, x, inv[rows], np.ones_like(m)
-    while rows.size:
-        done = r1 == 0
-        if done.any():
-            inv[rows[done]] = s0[done]
-            live = ~done
-            rows, r0, r1, s0, s1 = rows[live], r0[live], r1[live], s0[live], s1[live]
-            if not rows.size:
-                break
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return inv % m
+    g = gcd(c1, mod)
+    if c0 % g:
+        return None
+    modulus = mod // g
+    return -c0 // g * pow(c1 // g, -1, modulus) % modulus, modulus
 
 
 def _power(base, n: int, one):
@@ -204,7 +165,6 @@ __all__ = [
     "PRIME_TEST_LIMIT",
     "gcd",
     "solve_linear_congruence",
-    "solve_linear_congruences",
     "DomainError",
     "ResourceLimitError",
     "InternalConsistencyError",

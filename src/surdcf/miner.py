@@ -9,21 +9,28 @@ first instances are then checked by the realisation identity
 infinite continued fractions the identity is equivalent to the expansion,
 and the tests keep the engine as its oracle.
 
+The head congruence has a closed form.  W is a product of n matrices
+[[w_i, 1], [1, 0]], so AC - B^2 = (-1)^n: B is a unit modulo A with
+B^-1 = (-1)^(n+1) B, gcd(2B, A) = gcd(2, A), and the solution needs no
+gcd or Euclid loop (``_head_congruence``).  The miner checks the identity
+on every block before it relies on it.
+
 The miner works on columns, a block of palindromes at a time: the blocks
 and their (A, B, C) columns come from ``convergents.palindromes`` (no
-matrix object is built), the congruences are solved by
-``exact.solve_linear_congruences``, and the heads are searched and checked
-with ``realizes`` over the block's rows.  ``mine`` is the one-row case on
-Python ints.  Columns are int64 only where a bound shows that nothing
-wraps (see ``palindromes`` and ``_mine_block``), and Python ints
-(``dtype=object``) elsewhere, through the same code.
+matrix object is built), the congruences are solved in closed form, and
+the heads are searched and checked with ``realizes`` over the block's rows.
+``mine`` is the one-row case on Python ints.  Columns are int64 only where
+a bound shows that nothing wraps (see ``palindromes`` and ``_mine_block``),
+and Python ints (``dtype=object``) elsewhere, through the same code.
 
-``mine_sweep`` runs in the calling process and returns the families as
-columns (``MinedFamilies``): arrays, with no Python object per family.
-``write_jsonl`` writes them as JSON Lines through the package's one row
-formatter, ``_jsontext``, a block of rows at a time.  The ``b_expr`` text
-is built by ``_b_expr`` over a column, for the JSON rows and for
-``MinedFamilies.b_exprs``; ``MinedFamily.b_expr`` is its one-row case.
+``sweep_blocks`` yields the families of a sweep as columns
+(``MinedFamilies``), one block of palindromes at a time, so a caller that
+writes each block as it comes holds one block, whatever the sweep's size;
+``mine_sweep`` concatenates them.  ``write_jsonl`` writes families as JSON
+Lines through the package's one row formatter, ``_jsontext``, a block of
+rows at a time.  The ``b_expr`` text is built by ``_b_expr`` over a column,
+for the JSON rows and for ``MinedFamilies.b_exprs``; ``MinedFamily.b_expr``
+is its one-row case.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 from . import _jsontext
 from .analyzer import WRITE_BLOCK
 from .convergents import INT64_MAX, palindrome_half, palindrome_triples, palindromes, realizes
-from .exact import DomainError, solve_linear_congruences
+from .exact import DomainError, InternalConsistencyError
 
 ACCEPT_INSTANCES = 5
 
@@ -153,6 +160,29 @@ class MinedFamilies:
         return cls(pal, *rest)
 
 
+def _head_congruence(abc: tuple[np.ndarray, np.ndarray, np.ndarray], length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve 2B*a + C == 0 (mod A) per row: ``(solvable, residue, modulus)``.
+
+    (A, B, C) are the columns of the word matrices of palindromes of
+    ``length`` n, so AC - B^2 = (-1)^n, and B^-1 = (-1)^(n+1) B modulo A.
+    Hence g = gcd(2B, A) = 2 - (A & 1); a row is solvable iff g divides C,
+    and its heads are then unique modulo m2 = A/g: a = (-C/g) times the
+    inverse of 2B/g modulo m2, which is B^-1 when g = 2 and ((m2 + 1)/2) B^-1
+    when g = 1.  Residues of unsolvable rows mean nothing.  No product
+    passes A^2.  Raises InternalConsistencyError if a row breaks the
+    determinant identity, on which the closed form rests.
+    """
+    A, B, C = abc
+    det = 1 if length % 2 == 0 else -1
+    if not (A * C - B * B == det).all():
+        raise InternalConsistencyError(f"a palindrome of length {length} has det W != {det}")
+    g = 2 - (A & 1)
+    m2 = A // g
+    b_inv = -det * B % m2
+    inv = np.where(g == 2, b_inv, (m2 + 1) // 2 * b_inv % m2)
+    return C % g == 0, -C // g % m2 * inv % m2, m2
+
+
 def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarray, np.ndarray]) -> MinedFamilies:
     """The families of the palindromes of ``length`` with determining halves
     ``halves`` (rows) and word matrix columns ``abc`` = (A, B, C).
@@ -165,8 +195,9 @@ def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarr
     any step has no family.
 
     On int64 columns ``palindromes`` keeps 2A^2 below 2^63, which bounds the
-    congruence (its operands are below 2A and its residue product below
-    A^2), b_slope's and b_const's numerators (below 2A^2) and limit.  The
+    closed-form congruence (``_head_congruence``: the determinant check's
+    products are at most A^2, and so is every product of two residues),
+    b_slope's and b_const's numerators (below 2A^2) and limit.  The
     operands of the identity b*A == 2aB + C grow with c, so each row gets
     the largest c, ``c_safe``, at which b <= INT64_MAX // A and
     a <= (INT64_MAX - C) // (2 max(B, 1)): up to it a, b, 2a, b*A and
@@ -175,7 +206,7 @@ def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarr
     """
     A, B, C = abc
     top = halves.max(axis=1, initial=0)
-    solvable, res, mod = solve_linear_congruences(2 * B, C, A)
+    solvable, res, mod = _head_congruence(abc, length)
     rows = np.flatnonzero(solvable)
     A, B, C, top, res, mod = (col[rows] for col in (A, B, C, top, res, mod))
     slope = 2 * B * mod // A
@@ -238,18 +269,27 @@ def mine(palindrome: list[int] | tuple[int, ...]) -> MinedFamily | None:
     return next(iter(_mine_block(halves, length, palindrome_triples(halves, length))), None)
 
 
-def mine_sweep(max_len: int, max_entry: int) -> MinedFamilies:
-    """Mine every palindrome up to the given bounds, in deterministic order.
+def sweep_blocks(max_len: int, max_entry: int) -> Iterator[MinedFamilies]:
+    """The families of every palindrome up to the given bounds, one
+    ``MinedFamilies`` per block of ``convergents.palindromes``.
 
-    Enumeration is by length, then lexicographic over the determining half
-    (``convergents.palindromes``), one block of halves at a time.  Cost grows
-    like max_entry^(max_len/2).
+    Enumeration is by length, then lexicographic over the determining half,
+    a block of halves at a time; a block's palindromes are as wide as its
+    length, its columns keep the block's dtype, and a block may hold no
+    family.  Cost grows like max_entry^(max_len/2).  Bad bounds raise
+    DomainError here, before the first block is mined.
     """
     if max_len < 0 or (max_len > 0 and max_entry < 1):
         raise DomainError("bad sweep bounds")
-    blocks = [_mine_block(halves, n, abc)
-              for n in range(max_len + 1) for halves, abc in palindromes(n, max_entry)]
-    return MinedFamilies.concat(blocks, max_len)
+    return (_mine_block(halves, n, abc) for n in range(max_len + 1) for halves, abc in palindromes(n, max_entry))
+
+
+def mine_sweep(max_len: int, max_entry: int) -> MinedFamilies:
+    """Mine every palindrome up to the given bounds, in deterministic order:
+    the blocks of ``sweep_blocks`` concatenated, palindromes padded to
+    ``max_len``.  One block on Python ints makes every column Python ints.
+    """
+    return MinedFamilies.concat(list(sweep_blocks(max_len, max_entry)), max_len)
 
 
 def write_jsonl(families: MinedFamilies, out) -> None:
@@ -274,4 +314,4 @@ def write_jsonl(families: MinedFamilies, out) -> None:
     _jsontext.write_rows(out, len(families), WRITE_BLOCK, columns_of, end="\n")
 
 
-__all__ = ["MinedFamily", "MinedFamilies", "mine", "mine_sweep", "write_jsonl", "ACCEPT_INSTANCES"]
+__all__ = ["MinedFamily", "MinedFamilies", "mine", "mine_sweep", "sweep_blocks", "write_jsonl", "ACCEPT_INSTANCES"]

@@ -43,6 +43,9 @@ MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43f
 # 4,892,910 bytes), where lengths 25 and 26 run on Python ints; CI checks
 # it on a pipe too.
 MINE_SWEEP_26_2_SHA256 = "e812190432623b241dbc278bb91186b4a226f918d792c8611646f1ac82b7a837"
+# stdout sha256 of `mine --sweep --max-len 12 --max-entry 8` (449,389 lines,
+# 72,778,986 bytes), too large to capture here; only CI checks it, on a pipe.
+MINE_SWEEP_12_8_SHA256 = "f2c47499ccde0253ad3292bec63b1db39b421820e9f9507f2d50cae012ebcd58"
 # stdout sha256 of the 18 commands `sequences --name N --count 60 --format
 # csv`, concatenated: N over SEQUENCES_PINNED, then odd-u, even-p and even-q,
 # each at --m 1, 2 and 3 (1,098 lines, 22,638 bytes); CI checks it on a pipe
@@ -435,6 +438,26 @@ class TestMine:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == MINE_7_6_SHA256
         assert max(sizes) == 64 and sum(sizes) == 1 + 2 * (6 + 6**2 + 6**3) + 6**4
+
+    def test_sweep_streams_blocks_in_both_formats(self, capsys, monkeypatch):
+        # Blocks of four palindromes, lengths 7 to 9 on Python ints, and a
+        # block that realizes no family: the CLI writes each block as it is
+        # mined, and its bytes are those of the concatenated sweep.
+        monkeypatch.setattr(convergents, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(convergents, "INT64_MAX", 10**7)
+        blocks = list(miner.sweep_blocks(9, 3))
+        assert {b.a_modulus.dtype for b in blocks} == {np.dtype(np.int64), np.dtype(object)}
+        assert any(len(b) == 0 for b in blocks)
+        swept = miner.mine_sweep(9, 3)
+        want_json = io.StringIO()
+        miner.write_jsonl(swept, want_json)
+        want_text = "".join(
+            f"[{','.join(map(str, fam.palindrome))}]: a = {fam.a_modulus}*c+{fam.a_residue}, "
+            f"b = {fam.b_expr()}, c >= {fam.min_c}\n"
+            for fam in swept
+        )
+        for fmt, want in [("json", want_json.getvalue()), ("text", want_text)]:
+            assert run(capsys, "mine", "--sweep", "--max-len", "9", "--max-entry", "3", "--format", fmt) == (0, want, "")
 
     def test_big_pattern_pinned(self, capsys):
         code, out, _ = run(capsys, "mine", "--pattern", "1000000000000,1000000000000")

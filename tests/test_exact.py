@@ -16,7 +16,6 @@ from surdcf.exact import (
     pollard_brent,
     rat,
     solve_linear_congruence,
-    solve_linear_congruences,
 )
 
 
@@ -226,18 +225,22 @@ CONGRUENCE_CASES = [
 
 
 def column_solutions(c1, c0, mod, dtype):
-    """``solve_linear_congruences`` on columns of ``dtype``, as one
-    ``solve_linear_congruence`` answer per row."""
-    ok, residue, modulus = solve_linear_congruences(*(np.array(col, dtype=dtype) for col in (c1, c0, mod)))
-    assert ok.dtype == bool
-    return [(r, m) if o else None for o, r, m in zip(ok.tolist(), residue.tolist(), modulus.tolist())]
+    """``solve_linear_congruence`` on each row of columns of ``dtype``: numpy
+    int64 scalars, or Python ints (``dtype=object``)."""
+    cols = [np.array(col, dtype=dtype) for col in (c1, c0, mod)]
+    return [solve_linear_congruence(*row) for row in zip(*cols)]
 
 
 class TestLinearCongruenceColumns:
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_named_cases(self, dtype):
+        # Every case named above, against the definition and the brute-force
+        # scan; int64 rows only where they fit.
         cases = [case for case in CONGRUENCE_CASES if dtype is object or max(map(abs, case)) < 2**62]
-        want = [solve_linear_congruence(*case) for case in cases]
+        for case in cases:
+            assert_congruence_definition(*case)
+        want = [(hits[0], mod // math.gcd(c1, mod)) if (hits := brute_congruence(c1, c0, mod)) else None
+                for c1, c0, mod in cases]
         assert column_solutions(*zip(*cases), dtype) == want
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -248,26 +251,11 @@ class TestLinearCongruenceColumns:
             hits = brute_congruence(c1, c0, mod)
             assert sol == ((hits[0], mod // math.gcd(c1, mod)) if hits else None), (c1, c0, mod)
 
-    def test_python_int_columns_at_miner_sizes(self):
-        rows = []
-        for pal in [(50,) * 30, (1, 2, 1) * 7, (9, 8, 9), (3,) * 20]:
-            m = word_matrix(pal)
-            rows += [(2 * m.m12, m.m22 + shift, m.m11) for shift in (-1, 0, 1)]
-            rows += [(-m.m12, m.m22 + shift, m.m11) for shift in (-1, 0, 1)]
-        got = column_solutions(*zip(*rows), object)
-        assert any(got) and not all(got)
-        for (c1, c0, mod), sol in zip(rows, got):
-            g = math.gcd(c1, mod)
-            assert (sol is not None) == (c0 % g == 0)
-            if sol is not None:
-                residue, modulus = sol
-                assert modulus == mod // g and 0 <= residue < modulus
-                assert (c1 * residue + c0) % mod == 0
-
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_bad_modulus(self, dtype):
-        with pytest.raises(DomainError):
-            solve_linear_congruences(*(np.array(col, dtype=dtype) for col in ([1, 1], [1, 1], [3, 0])))
+        for mod in (0, -3):
+            with pytest.raises(DomainError):
+                column_solutions([1], [1], [mod], dtype)
 
 
 class TestRat:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from conftest import reference_mine
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_convergents import _palindromes as reference_palindromes
+from test_exact import palindromes
 
 from surdcf import convergents, miner
+from surdcf.convergents import INT64_MAX, palindrome_half, palindrome_triples
 from surdcf.engine import expand_sqrt
-from surdcf.exact import DomainError
+from surdcf.exact import DomainError, InternalConsistencyError, solve_linear_congruence
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
-from surdcf.miner import MinedFamilies, MinedFamily, mine, mine_sweep, write_jsonl
+from surdcf.miner import MinedFamilies, MinedFamily, mine, mine_sweep, sweep_blocks, write_jsonl
 
 # The (max_len, max_entry) sweeps the tests run against the scalar reference.
 SWEEP_CASES = [(7, 6), (0, 3), (1, 5), (6, 3), (3, 2), (9, 3)]
@@ -95,6 +98,95 @@ class TestMine:
         assert mine(pal) == reference_mine(pal)
 
 
+def triples_of(pals, dtype):
+    """(A, B, C) columns of palindromes of one length, from halves of ``dtype``."""
+    halves = np.array([palindrome_half(pal) for pal in pals], dtype=dtype).reshape(len(pals), -1)
+    return palindrome_triples(halves, len(pals[0]))
+
+
+def head_rows(pals, dtype):
+    """``miner._head_congruence`` on ``pals`` as one (solvable, residue, modulus)
+    per row, of Python ints whatever ``dtype``."""
+    ok, res, mod = miner._head_congruence(triples_of(pals, dtype), len(pals[0]))
+    assert ok.dtype == bool
+    return list(zip(ok.tolist(), map(int, res), map(int, mod)))
+
+
+def assert_head_definition(pal, row):
+    """``row`` = (solvable, residue, modulus) solves 2B*a + C == 0 (mod A) for
+    the word matrix [[A, B], [B, C]] of ``pal``, by gcd and the scalar solver."""
+    A, B, C = (int(col[0]) for col in triples_of([pal], object))
+    g = math.gcd(2 * B, A)
+    ok, res, mod = row
+    assert ok == (C % g == 0)
+    assert mod == A // g
+    if ok:
+        assert 0 <= res < mod and (2 * B * res + C) % A == 0
+        assert solve_linear_congruence(2 * B, C, A) == (res, mod)
+    else:
+        assert solve_linear_congruence(2 * B, C, A) is None
+
+
+class TestHeadCongruence:
+    @settings(max_examples=200, deadline=None)
+    @given(palindromes)
+    @example((50,) * 30)
+    @example((1, 1))
+    @example((3, 1, 3))
+    def test_determinant_identity(self, pal):
+        # W is a product of n step matrices of determinant -1, on both int64
+        # and Python-int columns, whenever int64 holds the row.
+        det = (-1) ** len(pal)
+        A, B, C = triples_of([pal], object)
+        assert (A * C - B * B == det).all()
+        if 2 * A[0] ** 2 <= INT64_MAX:
+            A, B, C = triples_of([pal], np.int64)
+            assert A.dtype == np.int64 and (A * C - B * B == det).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(palindromes)
+    @example((50,) * 30)
+    @example((3,) * 20)      # A even, C odd: unsolvable
+    @example((1, 1))
+    def test_closed_form_matches_definition(self, pal):
+        (row,) = head_rows([pal], object)
+        assert_head_definition(pal, row)
+        if 2 * int(triples_of([pal], object)[0][0]) ** 2 <= INT64_MAX:
+            assert head_rows([pal], np.int64) == [row]
+
+    @pytest.mark.parametrize("max_len, max_entry", [(7, 4), (10, 2)])
+    def test_closed_form_matches_brute_force(self, max_len, max_entry):
+        # Every head a modulo A that solves the congruence, scanned, on the
+        # sweep's own int64 blocks and again on Python ints.
+        unsolvable = 0
+        for n in range(max_len + 1):
+            for halves, (A, B, C) in convergents.palindromes(n, max_entry):
+                pals = [tuple(h) + tuple(h[: n // 2][::-1]) for h in halves.tolist()]
+                got = head_rows(pals, np.int64)
+                assert head_rows(pals, object) == got
+                for a_, b_, c_, (ok, res, mod) in zip(A.tolist(), B.tolist(), C.tolist(), got):
+                    hits = np.flatnonzero((2 * b_ * np.arange(a_) + c_) % a_ == 0).tolist()
+                    assert ok == bool(hits)
+                    if ok:
+                        assert hits == list(range(res, a_, mod))
+                    else:
+                        assert a_ % 2 == 0 and c_ % 2 == 1
+                        unsolvable += 1
+        assert unsolvable
+
+    def test_python_int_rows_at_miner_sizes(self):
+        rows = [(pal, head_rows([pal], object)[0]) for pal in [(50,) * 30, (1, 2, 1) * 7, (9, 8, 9), (3,) * 20]]
+        assert any(ok for _, (ok, _, _) in rows) and not all(ok for _, (ok, _, _) in rows)
+        for pal, row in rows:
+            assert_head_definition(pal, row)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_broken_determinant_raises(self, dtype):
+        A, B, C = triples_of([(2, 2), (1, 1)], dtype)
+        with pytest.raises(InternalConsistencyError):
+            miner._head_congruence((A, B, C + np.array([0, 1], dtype=dtype)), 2)
+
+
 class TestMineSweep:
     def test_len0(self):
         fams = list(mine_sweep(0, 3))
@@ -160,6 +252,19 @@ class TestMineSweep:
         monkeypatch.setattr(miner, "INT64_MAX", 10**10)
         assert list(mine_sweep(7, 6)) == want
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    def test_blocks_concatenate_to_the_sweep(self, monkeypatch):
+        # One block per four palindromes, one of which realizes no family.
+        monkeypatch.setattr(convergents, "BLOCK_ROWS", 4)
+        blocks = list(sweep_blocks(9, 3))
+        assert any(len(b) == 0 for b in blocks)
+        assert [fam for b in blocks for fam in b] == list(mine_sweep(9, 3)) == reference_sweep(9, 3)
+
+    @pytest.mark.parametrize("bounds", [(-1, 3), (1, 0)])
+    def test_bad_bounds_raise_before_mining(self, monkeypatch, bounds):
+        monkeypatch.setattr(miner, "_mine_block", None)
+        with pytest.raises(DomainError):
+            sweep_blocks(*bounds)
 
     def test_engine_confirms_every_family_far_out(self):
         # The engine is the oracle for the realisation identity that mine

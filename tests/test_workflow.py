@@ -149,6 +149,13 @@ def test_ci_checks_long_mine_sweep_digest():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_26_2_SHA256]
 
 
+def test_ci_checks_larger_mine_sweep_digest():
+    from test_cli import MINE_SWEEP_12_8_SHA256
+
+    check = digest_check("python -m surdcf.cli mine --sweep --max-len 12 --max-entry 8")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_12_8_SHA256]
+
+
 def memory_cap(argv):
     """The run of the one CI step that caps the peak RSS of ``argv``."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
@@ -170,10 +177,11 @@ def test_ci_caps_registry_peak_memory():
 @pytest.mark.parametrize(
     "argv, cap",
     [
-        (["mine", "--sweep", "--max-len", "10", "--max-entry", "8"], 70),
+        (["mine", "--sweep", "--max-len", "10", "--max-entry", "8"], 60),
+        (["mine", "--sweep", "--max-len", "12", "--max-entry", "8"], 60),
         (["analyze", "--from", "2", "--to", "1000000", "--jobs", "1"], 135),
     ],
-    ids=["mine-sweep", "analyze-1e6"],
+    ids=["mine-sweep", "mine-sweep-12-8", "analyze-1e6"],
 )
 def test_ci_caps_peak_memory(argv, cap):
     assert f"sys.exit(peak_mb > {cap})" in memory_cap(argv)
