@@ -5,68 +5,49 @@ convergent/matrix toolkit, a registry of parameterized expansion families
 with a brute-force verifier, a palindrome-pattern miner, and a structure
 harness for range sweeps (vectorised numpy kernels by default, or the exact
 engine with ``analyze --kernel python``).
+
+The exported names (``__all__``) resolve lazily (PEP 562): ``import
+surdcf`` loads no submodule, and ``surdcf.X`` or ``from surdcf import X``
+imports the one module that defines ``X`` on first use.  So code that needs
+only the engine never loads numpy.
 """
 
-from .exact import (
-    DomainError,
-    InternalConsistencyError,
-    Rat,
-    RationalValueError,
-    ResourceLimitError,
-    is_square,
-    isqrt,
-    solve_linear_congruence,
-)
-from .engine import (
-    CentralClass,
-    CenterRelation,
-    PeriodicCF,
-    SurdExpansion,
-    SurdState,
-    central_class,
-    expand_sqrt,
-    expand_surd,
-    period_length,
-)
-from .convergents import (
-    Convergent,
-    QuadSolution,
-    convergents_of_word,
-    palindrome_b,
-    surd_from_periodic_cf,
-    word_matrix,
-)
-from .mat2 import Mat2, mat_pow, odd_quotient_power, pell_power, sqrt3_power
-from .chebyshev import (
-    Poly,
-    cheb_mat_pow,
-    cheb_u,
-    cheb_u_prime,
-    cousin_closed_form,
-    cousin_mat_pow,
-    eval_poly,
-)
-from .sequences import (
-    LinRecSpec,
-    QuadRingElem,
-    ab_pair,
-    binet_nth,
-    interleaved_even_pair,
-    linrec_nth,
-    odd_multiplier,
-    pell_pair,
-    sqrt3_pair,
-    triple113_pair,
-)
-from .families import (
-    FamilyDescriptor,
-    FamilyValidityError,
-    VerifyReport,
-    instantiate,
-    registry,
-    verify_family,
-)
-from .miner import MinedFamilies, MinedFamily, mine, mine_sweep
-from .analyzer import StructReport, check_claims, period_stats, sum_two_coprime_squares
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_MODULE_OF = {
+    name: module
+    for module, names in {
+        "exact": ("DomainError InternalConsistencyError Rat RationalValueError ResourceLimitError "
+                  "is_square isqrt solve_linear_congruence"),
+        "engine": ("CentralClass CenterRelation PeriodicCF SurdExpansion SurdState central_class "
+                   "expand_sqrt expand_surd period_length"),
+        "convergents": ("Convergent QuadSolution convergents_of_word palindrome_b "
+                        "surd_from_periodic_cf word_matrix"),
+        "mat2": "Mat2 mat_pow odd_quotient_power pell_power sqrt3_power",
+        "chebyshev": "Poly cheb_mat_pow cheb_u cheb_u_prime cousin_closed_form cousin_mat_pow eval_poly",
+        "sequences": ("LinRecSpec QuadRingElem ab_pair binet_nth interleaved_even_pair linrec_nth "
+                      "odd_multiplier pell_pair sqrt3_pair triple113_pair"),
+        "families": "FamilyDescriptor FamilyValidityError VerifyReport instantiate registry verify_family",
+        "miner": "MinedFamilies MinedFamily mine mine_sweep",
+        "analyzer": "StructReport check_claims period_stats sum_two_coprime_squares",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # An unknown name raises AttributeError, so ``from surdcf import miner``
+    # falls back to importing the submodule.
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -31,6 +31,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+# Rows per write of analyzer.write_json and miner.write_jsonl.
+WRITE_BLOCK = 4096
+
 _MINUS, _ZERO = ord("-"), ord("0")
 _COMMA = np.frombuffer(b", ", np.uint8)
 

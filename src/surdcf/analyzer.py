@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fanout, _jsontext, _kernels
+from ._jsontext import WRITE_BLOCK
 from .engine import expand_sqrt, half_period
 from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
 
@@ -199,10 +200,6 @@ class StructReport:
             "claims": [self.claims[cid].to_dict() for cid in CLAIM_IDS],
             "histogram": {str(k): v for k, v in sorted(self.histogram.items())},
         }
-
-
-# Rows that write_json and miner.write_jsonl format per write.
-WRITE_BLOCK = 4096
 
 
 def write_json(report: StructReport, out) -> None:

@@ -7,6 +7,10 @@ regardless of parallelism.
 
 Exit codes: 0 success, 1 usage error, 2 domain error.  Mathematical findings
 (erratum families, claim counterexamples) are data, never nonzero exits.
+
+Each command imports the modules it runs inside its handler, and building
+the parser imports none of them, so ``expand`` never loads numpy and
+``mine`` never loads the analyzer.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ import json
 import os
 import sys
 
-from . import _kernels, analyzer, families, miner, sequences
-from .convergents import convergents_of_word
-from .engine import SurdState, expand_sqrt, expand_surd
 from .exact import DomainError, ResourceLimitError
 
 EXIT_OK = 0
@@ -34,6 +35,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def format_help(self) -> str:
+        # Help that names what a command module defines is made here, when
+        # it is printed, so that building the parser imports no command module.
+        for action in self._actions:
+            if hasattr(action, "help_from"):
+                action.help = action.help_from()
+        return super().format_help()
 
 
 def _emit(obj, fmt: str, text_fn):
@@ -52,6 +61,8 @@ def _parse_int_list(raw: str) -> list[int]:
 
 
 def cmd_expand(args) -> int:
+    from .engine import expand_sqrt
+
     try:
         cf = expand_sqrt(args.d)
     except DomainError as exc:
@@ -67,6 +78,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_surd(args) -> int:
+    from .engine import SurdState, expand_surd
+
     try:
         state = SurdState(args.p, args.q, args.d)
         exp = expand_surd(state, max_steps=args.max_steps)
@@ -90,6 +103,8 @@ def cmd_surd(args) -> int:
 
 
 def cmd_convergents(args) -> int:
+    from .convergents import convergents_of_word
+
     try:
         word = _parse_int_list(args.word)
         conv = convergents_of_word(word)
@@ -120,6 +135,8 @@ def _budget_from_args(args):
 
 
 def cmd_verify_families(args) -> int:
+    from . import families
+
     for option, cap in (("--n-max", args.n_max), ("--m-max", args.m_max), ("--k-max", args.k_max)):
         if cap is not None and cap < 0:
             print(f"verify-families: need {option} >= 0", file=sys.stderr)
@@ -137,6 +154,13 @@ def cmd_verify_families(args) -> int:
             return EXIT_USAGE
         fams = [by_id[fid] for fid in args.id]
     budget = _budget_from_args(args)
+    # Every family is checked before the first record is written.
+    for fam in fams:
+        try:
+            families.check_budget(fam, budget)
+        except DomainError as exc:
+            print(f"verify-families: {fam.id}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     all_ok = True
     for fam in fams:
         try:
@@ -155,6 +179,8 @@ def cmd_verify_families(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from . import miner
+
     bounds = (args.max_len, args.max_entry)
     if args.sweep:
         try:
@@ -201,7 +227,13 @@ def cmd_analyze(args) -> int:
     if args.jobs < 1:
         print("analyze: need --jobs >= 1", file=sys.stderr)
         return EXIT_USAGE
-    backend = _kernels.backend_name(args.kernel)
+    from . import _kernels, analyzer
+
+    try:
+        backend = _kernels.backend_name(args.kernel)
+    except ValueError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "csv":
         print("length,count")
         hist = analyzer.period_stats(args.d_from, args.d_to, jobs=args.jobs, backend=backend)
@@ -221,6 +253,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sequences(args) -> int:
+    from . import sequences
+
     try:
         rows = sequences.named_sequence(args.name, args.count, m=args.m)
     except DomainError as exc:
@@ -236,6 +270,18 @@ def cmd_sequences(args) -> int:
         for k, v in rows:
             print(json.dumps({"index": k, "value": v}, sort_keys=True))
     return EXIT_OK
+
+
+def _kernel_help() -> str:
+    from ._kernels import BACKENDS, backend_name
+
+    return f"one of {list(BACKENDS)} (default {backend_name()})"
+
+
+def _sequence_name_help() -> str:
+    from .sequences import NAMED_SEQUENCES
+
+    return f"one of {sorted(NAMED_SEQUENCES)} or odd-u/even-p/even-q (with --m)"
 
 
 def _add_format(p, choices=("json", "csv", "text")):
@@ -286,13 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="d_from", type=int, required=True)
     p.add_argument("--to", dest="d_to", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--kernel", choices=_kernels.BACKENDS, default=None)
+    p.add_argument("--kernel", default=None).help_from = _kernel_help
     _add_format(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sequences", help="dump a named integer sequence")
-    p.add_argument("--name", required=True,
-                   help=f"one of {sorted(sequences.NAMED_SEQUENCES)} or odd-u/even-p/even-q (with --m)")
+    p.add_argument("--name", required=True).help_from = _sequence_name_help
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--m", type=int, default=None)
     _add_format(p)

@@ -438,10 +438,22 @@ def _param_values(fam: FamilyDescriptor, p: ParamSpec, budget: Mapping[str, int]
     return range(p.lo, hi + 1)
 
 
+def check_budget(fam: FamilyDescriptor, budget: Mapping[str, int] | None) -> None:
+    """Raise DomainError naming the first parameter to which ``budget`` (with
+    the family's own caps) leaves no value: such a family has no member, and
+    would read as verified with nothing tested."""
+    for p in fam.params:
+        values = _param_values(fam, p, budget)
+        if not values:
+            raise DomainError(f"the budget leaves parameter {p.name} no value "
+                              f"({p.name} >= {p.lo} but {p.name} <= {values.stop - 1})")
+
+
 def _assignments(
     fam: FamilyDescriptor, budget: Mapping[str, int] | None
 ) -> Iterator[dict[str, int]]:
     """Every budgeted assignment, the first parameter varying slowest."""
+    check_budget(fam, budget)
     names = fam.free_params()
     ranges = [_param_values(fam, p, budget) for p in fam.params]
     for values in itertools.product(*ranges):
@@ -501,7 +513,8 @@ def verify_family(
 
     ``budget`` maps parameter names to inclusive maxima; unbounded n defaults
     to its first 101 values.  Comparison is term for term; mismatches are
-    recorded verbatim, in assignment order.
+    recorded verbatim, in assignment order.  A budget that leaves a
+    parameter no value raises DomainError (``check_budget``).
     """
     report = VerifyReport(fam.id)
     report.failures.extend(f.to_dict() for f in iter_failures(fam, budget, report))
@@ -559,6 +572,7 @@ __all__ = [
     "verify_family",
     "iter_failures",
     "status_of",
+    "check_budget",
     "write_record",
     "REGISTRY_ENV",
 ]

@@ -41,7 +41,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _jsontext
-from .analyzer import WRITE_BLOCK
+from ._jsontext import WRITE_BLOCK
 from .convergents import INT64_MAX, palindrome_half, palindrome_triples, palindromes, realizes
 from .exact import DomainError, InternalConsistencyError
 

@@ -222,6 +222,31 @@ class TestVerifyFamilies:
         assert json.loads(out)["tested"] == 1
 
     @pytest.mark.parametrize(
+        "argv, err",
+        [
+            # --n-max 0 leaves 67 families no member; the first of them is
+            # refused before any family writes a record.
+            (["--n-max", "0"], "euler-l1: the budget leaves parameter n no value (n >= 1 but n <= 0)"),
+            (["--id", "perron-l3", "--n-max", "0"],
+             "perron-l3: the budget leaves parameter n no value (n >= 1 but n <= 0)"),
+            (["--m-max", "0", "--format", "text"],
+             "l2-2m: the budget leaves parameter m no value (m >= 1 but m <= 0)"),
+        ],
+        ids=["all-n", "perron-l3", "all-m-text"],
+    )
+    def test_budget_leaving_a_family_no_member_is_usage_error(self, capsys, argv, err):
+        code, out, got = run(capsys, "verify-families", *argv)
+        assert (code, out) == (1, "")
+        assert got == f"verify-families: {err}\n"
+
+    def test_budget_leaving_each_family_a_member_runs(self, capsys):
+        # --m-max 0 caps no parameter of these families, and l6-c1 starts n at 0.
+        code, out, _ = run(capsys, "verify-families", "--id", "l6-c1", "--id", "euler-l1",
+                           "--n-max", "1", "--m-max", "0")
+        assert code == 0
+        assert [json.loads(line)["tested"] for line in out.splitlines()] == [2, 1]
+
+    @pytest.mark.parametrize(
         "argv",
         [("verify-families", "--jobs", "2"), ("verify-families", "--all"), ("mine", "--sweep", "--jobs", "2")],
         ids=["jobs", "all", "mine-jobs"],

@@ -199,6 +199,15 @@ class TestVerify:
         assert report.status == "verified"
         assert report.tested == 1000 and not report.failures
 
+    @pytest.mark.parametrize("budget, name", [({"n": 0}, "n"), ({"m": 0, "n": 3}, "m")])
+    def test_budget_leaving_no_member_raises(self, budget, name):
+        # Nothing tested must not read as verified.
+        fam = family_by_id("perron-l3")
+        with pytest.raises(DomainError, match=f"leaves parameter {name} no value"):
+            verify_family(fam, budget)
+        with pytest.raises(DomainError, match=f"leaves parameter {name} no value"):
+            families.write_record(fam, budget, io.StringIO())
+
     def test_period6_bridge(self):
         report = verify_family(family_by_id("l6-bridge"), budget={"n": 200})
         assert report.status == "verified" and report.tested == 200

@@ -1,0 +1,139 @@
+"""Each command loads only the modules it runs, and the package's exports
+are lazy (PEP 562).
+
+This test process has imported the whole package already, so every run is
+made in a fresh interpreter, which then reports its ``sys.modules``.  All
+runs may load ``surdcf.cli`` and ``surdcf.exact``; each row names the
+package modules that a run loads besides them (no more, no fewer) and the
+outside modules that it must not load.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import surdcf
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALWAYS = {"cli", "exact"}
+WATCHED = ("numpy", "concurrent.futures", "multiprocessing")
+NO_POOL = ("concurrent.futures", "multiprocessing")
+
+ANALYZE = {"analyzer", "_kernels", "_jsontext", "_fanout", "engine"}
+MINE = {"miner", "convergents", "mat2", "sequences", "_jsontext"}
+VERIFY = {"families", "engine", "sequences", "convergents", "mat2", "_jsontext"}
+
+# Every name that ``surdcf`` exported when it imported its modules eagerly,
+# by the module that defines it.
+EXPORTS = {
+    "exact": ["DomainError", "InternalConsistencyError", "Rat", "RationalValueError",
+              "ResourceLimitError", "is_square", "isqrt", "solve_linear_congruence"],
+    "engine": ["CentralClass", "CenterRelation", "PeriodicCF", "SurdExpansion", "SurdState",
+               "central_class", "expand_sqrt", "expand_surd", "period_length"],
+    "convergents": ["Convergent", "QuadSolution", "convergents_of_word", "palindrome_b",
+                    "surd_from_periodic_cf", "word_matrix"],
+    "mat2": ["Mat2", "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power"],
+    "chebyshev": ["Poly", "cheb_mat_pow", "cheb_u", "cheb_u_prime", "cousin_closed_form",
+                  "cousin_mat_pow", "eval_poly"],
+    "sequences": ["LinRecSpec", "QuadRingElem", "ab_pair", "binet_nth", "interleaved_even_pair",
+                  "linrec_nth", "odd_multiplier", "pell_pair", "sqrt3_pair", "triple113_pair"],
+    "families": ["FamilyDescriptor", "FamilyValidityError", "VerifyReport", "instantiate",
+                 "registry", "verify_family"],
+    "miner": ["MinedFamilies", "MinedFamily", "mine", "mine_sweep"],
+    "analyzer": ["StructReport", "check_claims", "period_stats", "sum_two_coprime_squares"],
+}
+EXPORTED = [name for names in EXPORTS.values() for name in names]
+
+
+def modules_after(code: str) -> tuple[set, set]:
+    """(surdcf modules without the package prefix, watched outside modules)
+    in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    report = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", code + "\n" + report],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return ({m.removeprefix("surdcf.") for m in loaded if m.startswith("surdcf.")},
+            {m for m in WATCHED if m in loaded})
+
+
+def cli_run(*argv: str) -> str:
+    """Code that runs ``cli.main(argv)`` with its stdout dropped."""
+    return ("import contextlib, io\n"
+            "from surdcf import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({list(argv)!r}) == 0\n")
+
+
+@pytest.mark.parametrize(
+    "code, also, never",
+    [
+        ("import surdcf", set(), WATCHED),
+        ("import surdcf.cli", set(), WATCHED),
+        ("import surdcf\nsurdcf.expand_sqrt", {"engine"}, WATCHED),
+        ("from surdcf import miner", MINE, NO_POOL),
+        (cli_run("expand", "13"), {"engine"}, WATCHED),
+        (cli_run("surd", "--p", "1", "--q", "2", "--d", "13"), {"engine"}, WATCHED),
+        (cli_run("analyze", "--from", "2", "--to", "3000"), ANALYZE, NO_POOL),
+        (cli_run("analyze", "--from", "2", "--to", "3000", "--kernel", "python"), ANALYZE, NO_POOL),
+        (cli_run("mine", "--sweep", "--max-len", "5", "--max-entry", "3"), MINE, NO_POOL),
+        (cli_run("mine", "--pattern", "2,2"), MINE, NO_POOL),
+        (cli_run("verify-families", "--id", "euler-l1", "--id", "rep2-k1", "--n-max", "5"),
+         VERIFY, NO_POOL),
+        (cli_run("verify-families", "--id", "euler-l1", "--n-max", "5", "--format", "text"),
+         VERIFY, NO_POOL),
+    ],
+    ids=["import-surdcf", "import-cli", "export-attribute", "from-surdcf-import-miner",
+         "expand", "surd", "analyze-numpy", "analyze-python", "mine-sweep", "mine-pattern",
+         "verify-families-json", "verify-families-text"],
+)
+def test_run_loads_only_its_modules(code, also, never):
+    package, outside = modules_after(code)
+    assert package - ALWAYS == also
+    assert not outside & set(never)
+
+
+def test_parsing_loads_no_command_module():
+    package, outside = modules_after(
+        "from surdcf import cli\n"
+        "cli.build_parser().parse_args(['sequences', '--name', 'fibonacci'])\n")
+    assert package == ALWAYS and not outside
+
+
+def test_help_names_what_the_modules_define(capsys):
+    from surdcf import _kernels, cli, sequences
+
+    for command, names in (("sequences", sorted(sequences.NAMED_SEQUENCES)),
+                           ("analyze", list(_kernels.BACKENDS))):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"one of {names}" in help_text
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_export_is_its_module_attribute(name):
+    (module,) = [m for m, names in EXPORTS.items() if name in names]
+    assert getattr(surdcf, name) is getattr(importlib.import_module(f"surdcf.{module}"), name)
+
+
+def test_exports_listed_and_star_imported():
+    assert sorted(EXPORTED) == surdcf.__all__
+    assert set(EXPORTED) <= set(dir(surdcf))
+    namespace = {}
+    exec("from surdcf import *", namespace)
+    assert set(EXPORTED) <= namespace.keys()
+    assert surdcf.__version__ == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        surdcf.no_such_name
+    with pytest.raises(ImportError):
+        from surdcf import no_such_name  # noqa: F401

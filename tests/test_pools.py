@@ -5,7 +5,8 @@ A recording stand-in for ProcessPoolExecutor is patched into ``_fanout``,
 the package's one fan-out: it notes ``max_workers`` and maps serially, so
 no process is started.  The analyzer's range chunks go through it, and the
 CPU count that caps them is patched too; the family verifier and the miner
-run in-process and open no pool.
+run in-process and open no pool.  In a fresh interpreter, only a pool that
+opens imports ``concurrent.futures``.
 """
 
 import json
@@ -111,3 +112,18 @@ def test_in_process_commands_open_no_pool(capsys, monkeypatch, argv, key, want):
     monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RaisingPool)
     assert main(argv) == 0
     assert [json.loads(line)[key] for line in capsys.readouterr().out.splitlines()] == want
+
+
+@pytest.mark.parametrize("jobs, pooled", [(2, True), (1, False)], ids=["pool", "in-process"])
+def test_only_a_pool_loads_concurrent_futures(jobs, pooled):
+    # A fresh interpreter, since this one has patched the pool in; with
+    # every radicand paying for a worker, --jobs 2 opens a real pool of two.
+    from test_imports import modules_after
+
+    _, outside = modules_after(
+        "import os\n"
+        "from surdcf import analyzer\n"
+        "analyzer.EXACT_POOL_MIN_WORK = 1\n"
+        "os.cpu_count = lambda: 2\n"
+        f"analyzer.check_claims(2, 10, jobs={jobs}, backend='python')\n")
+    assert ("concurrent.futures" in outside) is pooled

@@ -185,3 +185,27 @@ def test_ci_caps_registry_peak_memory():
 )
 def test_ci_caps_peak_memory(argv, cap):
     assert f"sys.exit(peak_mb > {cap})" in memory_cap(argv)
+
+
+def start_up_check():
+    """The run of the one CI step that reads ``python -X importtime``."""
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (check,) = [step["run"] for step in job["steps"] if "-X importtime" in step.get("run", "")]
+    # A failed run stops the step before its imports are read.
+    assert check.startswith("set -e\n")
+    return check
+
+
+@pytest.mark.parametrize(
+    "command, unwanted",
+    [
+        ('python -X importtime -c "import surdcf.cli" 2>&1)', r"(numpy|concurrent\.futures)"),
+        ("python -X importtime -m surdcf.cli expand 13 2>&1 >/dev/null)", "numpy"),
+    ],
+    ids=["import-cli", "expand"],
+)
+def test_ci_checks_start_up_imports(command, unwanted):
+    check = start_up_check()
+    (var,) = re.findall(rf"^(\w+)=\$\(PYTHONPATH=src {re.escape(command)}$", check, re.M)
+    assert f"""if grep -E '\\| +{unwanted}$' <<< "${var}"; then exit 1; fi""" in check.splitlines()
