@@ -3,8 +3,9 @@
 A block of rows ``{"k1": v1, "k2": v2, ...}`` is laid out as a ``uint8``
 matrix with one row per JSON row.  The keys, braces and separators are
 literal bytes, the same in every row.  Each value is a cell of NUL-padded
-text: an int's digits are right-aligned by ``divmod(., 10)`` over the
-whole column, its sign takes a byte of its own, and the cells left over are
+text: an int's digits are right-aligned by ``divmod(., 10^4)`` over the
+whole column, four digits (a limb) a call, each limb's bytes looked up in
+one table; its sign takes a byte of its own, and the cells left over are
 NUL (0).  Dropping every NUL (``M[M != 0]``) leaves the text of the rows,
 in row order, with no Python loop over the rows.
 
@@ -35,6 +36,8 @@ import numpy as np
 WRITE_BLOCK = 4096
 
 _MINUS, _ZERO = ord("-"), ord("0")
+# ``digits`` splits each int into limbs of 4 decimal digits, each below LIMB.
+LIMB = 10**4
 _COMMA = np.frombuffer(b", ", np.uint8)
 
 
@@ -57,10 +60,36 @@ def ints(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _limb_table() -> np.ndarray:
+    """The 4 bytes of each limb value v < 10^4, as one ``uint32`` each.
+
+    Row v holds v NUL-padded on the left, with row 0 all NUL: the leading
+    limb of an int.  Row 10^4 + v holds v zero-padded to 4 digits: a limb
+    below the leading one.
+    """
+    v = np.arange(LIMB)
+    cells = np.empty((2, LIMB, 4), np.uint8)
+    for k in range(4):
+        cells[:, :, -1 - k] = v // 10**k % 10 + _ZERO
+        cells[0, :, -1 - k] *= v >= 10**k  # a leading zero is NUL
+    return cells.reshape(-1, 4).view(np.uint32).ravel()
+
+
+_LIMBS = _limb_table()
+
+
 def digits(col) -> np.ndarray:
     """The decimal text of the ints of ``col``, one cell per int: a ``uint8``
     array of shape ``col.shape + (width,)``, right-aligned and NUL-padded,
-    with a sign column first when any int is negative."""
+    with a sign column first when any int is negative.
+
+    Each magnitude is split into 4-digit limbs by ``divmod(., 10^4)``, and
+    each limb's 4 bytes come from ``_LIMBS``: NUL-padded where no higher
+    limb is left, zero-padded below one.  The limbs are laid out as
+    ``uint32`` in one row per int, with a limb more where the sign needs
+    the room, and the cells are the last bytes of that row.  0 alone has no
+    limb text, and gets its "0" last.
+    """
     if col.dtype == object:
         col = ints(col)
     if col.dtype == object:
@@ -75,16 +104,20 @@ def digits(col) -> np.ndarray:
         mag = mag.astype(np.uint32)  # divides several times faster than uint64
     width = len(str(top))
     sign = int(neg.any())
-    cells = np.zeros((*col.shape, sign + width), np.uint8)
+    below = (width - 1) // 4  # limbs below the leading one
+    limbs = np.empty((*col.shape, -(-(sign + width) // 4)), np.uint32)
+    for k in range(1, below + 1):
+        mag, limb = np.divmod(mag, LIMB)
+        np.add(limb, LIMB, out=limb, where=mag != 0)
+        # "clip" writes straight into the strided column; no index is out
+        # of range to clip.
+        _LIMBS.take(limb, out=limbs[..., -k], mode="clip")
+    _LIMBS.take(mag, out=limbs[..., -below - 1], mode="clip")
+    limbs[..., : -below - 1] = 0
+    cells = limbs.view(np.uint8)[..., 4 * limbs.shape[-1] - sign - width :]
+    np.maximum(cells[..., -1], _ZERO, out=cells[..., -1])
     if sign:
         cells[..., 0] = np.where(neg, _MINUS, 0)
-    for k in range(1, width + 1):
-        rest, digit = np.divmod(mag, 10)
-        digit += _ZERO
-        if k > 1:
-            digit *= mag != 0  # a leading zero is NUL
-        cells[..., -k] = digit
-        mag = rest
     return cells
 
 
@@ -98,20 +131,6 @@ def _lists(values: np.ndarray, lengths: np.ndarray) -> list:
     cells[at >= 0] = 0
     cells[..., w:][at == -1] = 0
     return [b"[", cells.reshape(n, -1), b"]"]
-
-
-def period(a0: int, half: list[int], odd: bool) -> str:
-    """``json.dumps`` of the period that the half walk (a0, half, odd) of
-    sqrt(d) stands for (``engine.half_period``), made from the half.
-
-    The half's digit cells, each with its ``", "``, are made once and laid
-    out forward, then again reversed: from the centre row on for odd ell,
-    which repeats the centre, and from the row before it for even ell.
-    2*a0 closes the list.
-    """
-    cells = digits(ints(half))
-    cells = np.concatenate([cells, np.broadcast_to(_COMMA, (len(half), 2))], axis=1)
-    return f"[{text(np.concatenate([cells, cells[::-1] if odd else cells[-2::-1]]))}{2 * a0}]"
 
 
 def pad(lists: list) -> Ragged:

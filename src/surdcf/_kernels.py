@@ -18,19 +18,24 @@ are byte-identical whichever backend runs.
 ``sweep_range`` is a half-walk kernel.  Like ``engine.half_period`` it walks
 each sqrt(d) only to the centre of its period and logs no quotient.  Its
 live set is ``WIDTH`` lanes wide, every lane value held in float32 (see
-below); a lane that reaches its centre is refilled from the queue of
-pending radicands, one numpy round at a time, and the set is compacted only
-once the queue is empty.  From then on the live set
+below), and it is loaded largest d first; a lane that reaches its centre is
+refilled from the queue of pending radicands, one numpy round at a time,
+and the set shrinks only once the queue is empty, by moving live lanes from
+its end into the stopped slots (``_drop``).  From then on the live set
 drains in blocks of rounds: a block steps every live lane a few rounds at
 once, with one ufunc call per operation and row, and then finds each lane's
 first stop in one scan of the block.  A numpy call costs about a
 microsecond however few lanes it carries, so a narrow set pays eight calls
-per round in a block, where a round on its own pays about twenty.  A lane
-walks at most a block's length past its centre; ``_block_rounds`` keeps
-that under 1/16 of the rounds it walked before.  Once no more than
-``TAIL`` lanes are live, the walk hands them to a scalar loop in Python
-ints.  The palindrome and terminal facts hold by construction of the
-mirrored period, and the bound fact is "largest walked quotient <= a0".
+per round in a block, where a round on its own pays about fifteen.  The
+lanes that stop are not written to the fact columns where they stop: a
+round or block with stops pays about nine calls to add their records to a
+batch (``_Stops``), which is written once it holds a live set's worth and
+once more when the walk ends.  A lane walks at most a block's length past
+its centre; ``_block_rounds`` keeps that under 1/16 of the rounds it walked
+before.  Once no more than ``TAIL`` lanes are live, the walk hands them to
+a scalar loop in Python ints.  The palindrome and terminal facts hold by
+construction of the mirrored period, and the bound fact is "largest walked
+quotient <= a0".
 
 The lanes are float32, and their arithmetic is exact under the gate.  Every
 lane value is an integer of magnitude at most 2R + 1, where R = isqrt(d) <=
@@ -133,10 +138,12 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     While the queue holds radicands, the walk goes one round at a time and
     refills each finished lane at once.  Once it is empty, the live lanes
     step ``_block_rounds`` rounds at a time, through ``_block`` wherever
-    that is more than one, and the lanes that stopped are dropped.  Once at
-    most ``TAIL`` lanes are live, each of them is finished on its own by
-    ``_finish``, in Python ints.
+    that is more than one, and the lanes that stopped are dropped.  The
+    stopped lanes gather in ``_Stops``, which writes them to the columns a
+    batch at a time.  Once at most ``TAIL`` lanes are live, each of them is
+    finished on its own by ``_finish``, in Python ints.
     """
+    stops = _Stops(r, q1, ell, center, flags)
     lane = queue[:WIDTH].copy()
     pending = queue[lane.size :]
     R = r[lane].astype(LANE)
@@ -151,9 +158,7 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
         rounds = 1 if pending.size else _block_rounds(step - loaded, lane.size)
         if rounds > 1:
             live = lane, R, P, Q, Q_prev, top, start
-            lane, R, P, Q, Q_prev, top, start = _block(
-                r, q1, live, step, rounds, ell, center, flags
-            )
+            lane, R, P, Q, Q_prev, top, start = _block(r, q1, live, step, rounds, stops)
             step += rounds
             continue
         a = _quotient(R + P, Q)
@@ -161,14 +166,13 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
         P_next = a * Q - P
         Q_next = Q_prev + a * (P - P_next)
         step += 1
-        stop = np.flatnonzero((P_next == P) | (Q_next == Q) | (Q_next == 1))
-        P_last, P, Q, Q_prev = P, P_next, Q_next, Q
+        even, odd = P_next == P, Q_next == Q
+        stop = np.flatnonzero(even | odd | (Q_next == 1))
+        P, Q, Q_prev = P_next, Q_next, Q
         if not stop.size:
             continue
-        even = P[stop] == P_last[stop]
-        odd = ~even & (Q[stop] == Q_prev[stop])
-        _record(r, q1, lane[stop], even, odd, step - start[stop], a[stop],
-                top[stop] <= R[stop], ell, center, flags)
+        stops.add(lane[stop], even[stop], odd[stop], step - start[stop], a[stop],
+                  top[stop] <= R[stop])
         # Refill the finished slots from the queue; once it is empty, drop
         # the slots left over.
         fill, stop = stop[: pending.size], stop[pending.size :]
@@ -181,12 +185,27 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
             top[fill] = 0
             start[fill] = loaded = step
         if stop.size:
-            keep = np.ones(lane.size, bool)
-            keep[stop] = False
-            lane, R, P, Q, Q_prev, top, start = (
-                x[keep] for x in (lane, R, P, Q, Q_prev, top, start)
-            )
+            lane, R, P, Q, Q_prev, top, start = _drop(stop, (lane, R, P, Q, Q_prev, top, start))
+    stops.write()
     _finish(q1, (lane, R, P, Q, Q_prev, top, start), step, ell, center, flags)
+
+
+def _drop(stop, arrays) -> list:
+    """The walk's ``arrays`` without their slots ``stop`` (ascending).
+
+    The live slots past the length that is kept move into the stopped slots
+    before it, in place, and each array is cut to that length: a copy of at
+    most ``stop.size`` values per array, where compacting the whole live set
+    would copy all of it.  Lanes change slots, which no stop depends on.
+    """
+    n = len(arrays[0]) - stop.size
+    cut = np.searchsorted(stop, n)
+    live = np.ones(stop.size, bool)
+    live[stop[cut:] - n] = False
+    hole, move = stop[:cut], n + np.flatnonzero(live)
+    for x in arrays:
+        x[hole] = x[move]
+    return [x[:n] for x in arrays]
 
 
 def _block_rounds(walked: int, live: int) -> int:
@@ -202,7 +221,7 @@ def _block_rounds(walked: int, live: int) -> int:
     return max(1, min(walked // 16, WIDTH // live))
 
 
-def _block(r, q1, live, step, rounds, ell, center, flags):
+def _block(r, q1, live, step, rounds, stops):
     """Step the lanes of ``_half_walk`` ``rounds`` rounds past round ``step``.
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start).
@@ -210,11 +229,12 @@ def _block(r, q1, live, step, rounds, ell, center, flags):
     a_k Q_k + U_{k+1}, a_k = floor((2R - U_k) / Q_k), U_{k+1} =
     (2R - U_k) - a_k Q_k and Q_{k+1} = Q_{k-1} + a_k (U_{k+1} - U_k).
     Row j of the block holds every lane's quotient and next U and Q at
-    round step + j + 1.  A lane's first row with a stop ends its walk: ell,
-    centre and F_BOUND come from that row and the rows before it.  The rows
-    past it go on with the expansion, which never meets Q == 0 since d is
-    not a square, and are ignored.  Returns the arrays of the lanes that did
-    not stop.
+    round step + j + 1.  A lane's first row with a stop ends its walk: its
+    stop record, added to the batch ``stops``, comes from that row and the
+    rows before it.  The rows past it go on with the expansion, which never
+    meets Q == 0 since d is not a square, and are ignored.  ``r`` and ``q1``
+    are the walk's columns, which ``stops`` holds too.  Returns the arrays
+    of the lanes that did not stop.
     """
     lane, R, P, Q, Q_prev, top, start = live
     R2 = 2 * R
@@ -242,27 +262,51 @@ def _block(r, q1, live, step, rounds, ell, center, flags):
     peak = a.max(axis=0)
     peak[stop] = np.where(np.arange(rounds)[:, None] <= row, a[:, stop], 0).max(axis=0)
     np.maximum(top, peak, out=top)
-    even = even[row, stop]
-    odd = ~even & odd[row, stop]
-    _record(r, q1, lane[stop], even, odd, step + 1 + row - start[stop], a[row, stop],
-            top[stop] <= R[stop], ell, center, flags)
+    stops.add(lane[stop], even[row, stop], odd[row, stop], step + 1 + row - start[stop],
+              a[row, stop], top[stop] <= R[stop])
     keep = ~done
     R = R[keep]
     return (lane[keep], R, R - U[rounds][keep], Qs[rounds + 1][keep],
             Qs[rounds][keep], top[keep], start[keep])
 
 
-def _record(r, q1, at, even, odd, k, a, bound, ell, center, flags) -> None:
-    """Write the facts of the lanes of radicand positions ``at`` that stopped
-    after k quotients, the last a: at P_{k+1} == P_k where ``even``, at
-    Q_{k+1} == Q_k where ``odd``.  A lane with neither stopped at
-    Q_{k+1} == 1, which raises.  ``bound`` is where F_BOUND holds."""
-    if not np.all(even | odd):
-        i = at[np.argmin(even | odd)]
-        raise _missed_centre(r[i] * r[i] + q1[i])
-    ell[at] = 2 * k + odd
-    center[at] = np.where(even, a, -1)
-    flags[at[bound]] |= F_BOUND
+class _Stops:
+    """The lanes of a half walk that stopped, written to the fact columns a
+    batch at a time.
+
+    Each ``add`` holds a record of stopped lanes: radicand positions ``at``,
+    the masks ``even`` (P_{k+1} == P_k) and ``odd`` (Q_{k+1} == Q_k), the
+    quotients walked k, the last quotient a and ``bound``, where F_BOUND
+    holds.  Once the records hold a live set's worth (``WIDTH`` lanes), and
+    at ``write``, they are written to ell, center and flags in one pass.
+    Where both masks hold, the even centre wins, as in
+    ``engine.half_period``.  A lane with neither stopped at Q_{k+1} == 1:
+    ``write`` raises for the first such lane added.
+    """
+
+    def __init__(self, r, q1, ell, center, flags):
+        self.r, self.q1, self.columns = r, q1, (ell, center, flags)
+        self.records, self.size = [], 0
+
+    def add(self, at, even, odd, k, a, bound) -> None:
+        self.records.append((at, even, odd, k, a, bound))
+        self.size += at.size
+        if self.size >= WIDTH:
+            self.write()
+
+    def write(self) -> None:
+        if not self.records:
+            return
+        at, even, odd, k, a, bound = map(np.concatenate, zip(*self.records))
+        self.records, self.size = [], 0
+        centred = even | odd
+        if not centred.all():
+            i = at[np.argmin(centred)]
+            raise _missed_centre(self.r[i] * self.r[i] + self.q1[i])
+        ell, center, flags = self.columns
+        ell[at] = 2 * k + (odd & ~even)
+        center[at] = np.where(even, a, -1)
+        flags[at[bound]] |= F_BOUND
 
 
 def _finish(q1, live, step, ell, center, flags) -> None:
@@ -314,7 +358,9 @@ def sweep_range(lo: int, hi: int):
     flags = np.full(d.size, F_PAL | F_TERM, np.uint8)
     flags[q1 == 1] |= F_BOUND
     flags[q1 == 0] = F_SQUARE
-    _half_walk(a0, q1, np.flatnonzero(q1 > 1), ell, center, flags)
+    # Largest d first: periods grow like sqrt(d), so the lanes loaded last,
+    # which the drain starts on, tend to be the shortest.
+    _half_walk(a0, q1, np.flatnonzero(q1 > 1)[::-1], ell, center, flags)
     return ell, a0, center, flags
 
 

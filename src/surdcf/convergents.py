@@ -12,6 +12,11 @@ matrices that way from the determining half alone; ``palindromes`` walks the
 halves depth first, extending each by one quotient with the recurrence step.
 A palindrome's matrix [[A, B], [B, C]] is symmetric, so ``palindromes`` and
 ``realizes`` carry it as the plain triple (A, B, C).
+
+Only the palindrome column builders (``palindrome_triples``,
+``palindrome_matrix``, ``palindromes``) use numpy, and they import it when
+they run: the word and surd functions, and the commands that use only them
+(``convergents``, ``sequences``, ``verify-families``), start without it.
 """
 
 from __future__ import annotations
@@ -21,12 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
 from .mat2 import Mat2
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -193,6 +199,8 @@ def palindrome_triples(halves: np.ndarray, length: int) -> tuple[np.ndarray, np.
     of the half is carried down the columns with ``_extend`` and reflected
     with ``_reflect``.  The empty half's state is that of IDENTITY.
     """
+    import numpy as np
+
     h, odd = divmod(length, 2)
     one, zero = np.ones(len(halves), halves.dtype), np.zeros(len(halves), halves.dtype)
     half = reduce(_extend, halves[:, :h].T, (one, zero, zero, one))
@@ -205,6 +213,8 @@ def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
     The one-row case of ``palindrome_triples``, on Python ints.  Raises
     DomainError as ``palindrome_half`` does.
     """
+    import numpy as np
+
     half = palindrome_half(palindrome)
     A, B, C = palindrome_triples(np.array([half], dtype=object), len(palindrome))
     return Mat2(A[0], B[0], B[0], C[0])
@@ -215,7 +225,7 @@ def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
 # alone holds 8^8 palindromes.
 BLOCK_ROWS = 1 << 13
 
-INT64_MAX = int(np.iinfo(np.int64).max)
+INT64_MAX = 2**63 - 1
 
 
 def palindromes(length: int, max_entry: int) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
@@ -233,6 +243,8 @@ def palindromes(length: int, max_entry: int) -> Iterator[tuple[np.ndarray, tuple
     triple, and any product of two of its entries doubled, is then exact.
     Otherwise they hold Python ints (``dtype=object``).
     """
+    import numpy as np
+
     k = (length + 1) // 2
     widest = palindrome_triples(np.full((1, k), max_entry, dtype=object), length)[0][0]
     fits = 2 * widest * widest <= INT64_MAX

@@ -34,7 +34,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Mapping, NamedTuple
 
-from . import _jsontext, sequences
+from . import sequences
 from .engine import PeriodicCF, half_period, is_primitive_word, mirror
 from .exact import DomainError, is_square
 
@@ -521,11 +521,28 @@ def verify_family(
     return report
 
 
+# The text of each quotient below 1000, shared by every failing period.
+_DECIMAL = [str(v) for v in range(1000)]
+
+
+def period_json(a0: int, half: list[int], odd: bool) -> str:
+    """``json.dumps`` of the period that the half walk (a0, half, odd) of
+    sqrt(d) stands for (``engine.half_period``), made from the half.
+
+    Each quotient's text is made once, from ``_DECIMAL`` where it is below
+    1000, and joined forward, then again reversed: from the centre on for
+    odd ell, which repeats the centre, and from the quotient before it for
+    even ell.  2*a0 closes the list.
+    """
+    words = [_DECIMAL[a] if a < 1000 else str(a) for a in half]
+    return f"[{', '.join([*words, *(words[::-1] if odd else words[-2::-1]), str(2 * a0)])}]"
+
+
 def _failure_json(f: Failure) -> str:
     """``json.dumps(f.to_dict(), sort_keys=True)``, with the actual period
-    formatted from the half (``_jsontext.period``)."""
+    written from the half (``period_json``)."""
     expected = json.dumps({"a0": f.expected.a0, "period": list(f.expected.period)})
-    return (f'{{"actual": {{"a0": {f.a0}, "period": {_jsontext.period(f.a0, f.half, f.odd)}}}, '
+    return (f'{{"actual": {{"a0": {f.a0}, "period": {period_json(f.a0, f.half, f.odd)}}}, '
             f'"d": {f.d}, "expected": {expected}, "params": {json.dumps(f.params, sort_keys=True)}}}')
 
 
@@ -537,8 +554,8 @@ def write_record(fam: FamilyDescriptor, budget: Mapping[str, int] | None, out) -
     ``failures`` is the first key, and every key after it is known once the
     member loop ends, so each failure is written as soon as the engine has
     walked it and none is kept.  A failure's actual period is written from
-    the engine's half walk, as the half's digit cells laid out once forward
-    and once mirrored (``_jsontext.period``): no whole period is built in
+    the engine's half walk, as the text of the half's quotients joined once
+    forward and once mirrored (``period_json``): no whole period is built in
     Python ints.  Nothing is written before the first failure.  An unbound
     variable raises DomainError at the first member that reaches the
     expression holding it, and every tested member reaches them all, so the

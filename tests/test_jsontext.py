@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surdcf import _jsontext
-from surdcf._jsontext import Ragged, digits, period, rows, write_rows
+from surdcf._jsontext import Ragged, digits, rows, write_rows
 from surdcf.engine import expand_sqrt, half_period
+from surdcf.families import period_json
 from surdcf.exact import isqrt
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -98,11 +99,25 @@ def test_write_rows_in_blocks(table, block, seps):
     assert out.writes == -(-len(want) // block)
 
 
+# Every limb value and limb edge: each int up to 10^5, each side of every
+# power of ten up to 10^18, and each side of 2^32, where the magnitudes
+# leave uint32.
+UP_TO_1E5 = list(range(10**5 + 1))
+POWER_EDGES = [10**k + j for k in range(19) for j in (-1, 0, 1)]
+WORD_EDGES = [2**32 - 1, 2**32, 2**32 + 1, INT64_MAX, -INT64_MAX, INT64_MIN]
+
+
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(int64s, max_size=20))
 @example(values=[0])
 @example(values=[INT64_MIN, INT64_MAX, -1, 0, 1, -10, 10])
+@example(values=UP_TO_1E5)
+@example(values=[-v for v in UP_TO_1E5])
+@example(values=POWER_EDGES)
+@example(values=[-v for v in POWER_EDGES])
+@example(values=[2**32 - 1])
+@example(values=WORD_EDGES)
 def test_digits_of_int64(dtype, values):
     cells = digits(int_column(values, dtype))
     assert [_jsontext.text(row) for row in cells] == [str(v) for v in values]
@@ -139,9 +154,11 @@ def test_empty_lists():
     assert rows({"p": period, "q": pal}) == '{"p": [], "q": []}' * 3
 
 
+# ``families.period_json``, the verifier's writer of failing periods, is
+# held to the same ``json.dumps`` bytes.
 def assert_period_text(d):
     """The period's text from the half walk is ``json.dumps`` of the whole period."""
-    assert period(*half_period(d)) == json.dumps(list(expand_sqrt(d).period)), f"d={d}"
+    assert period_json(*half_period(d)) == json.dumps(list(expand_sqrt(d).period)), f"d={d}"
 
 
 @pytest.mark.parametrize("d", [

@@ -90,6 +90,25 @@ def test_sweep_matches_engine(monkeypatch, lo, hi, width):
     check_against_engine(monkeypatch, lo, hi)
 
 
+def test_stop_batches_written_mid_walk(monkeypatch):
+    # A live set of 64 lanes over 3,900 walked radicands: the stopped lanes
+    # are written each time 64 of them have gathered, many times before the
+    # walk ends, and once more at its end.
+    writes = []
+    write = _kernels._Stops.write
+
+    def spy(stops):
+        writes.append(stops.size)
+        write(stops)
+
+    monkeypatch.setattr(_kernels._Stops, "write", spy)
+    monkeypatch.setattr(_kernels, "WIDTH", 64)
+    check_against_engine(monkeypatch, 2, 4000)
+    sweeps = len(TAILS) * len(BLOCK_RULES)
+    assert sum(size >= 64 for size in writes) >= 50 * sweeps
+    assert sum(size < 64 for size in writes) <= sweeps
+
+
 def test_sweep_long_periods_match_engine(monkeypatch):
     # 32 periods here are longer than 8192 quotients, up to 18,624: the
     # lanes walk half of each.
@@ -171,8 +190,10 @@ def test_refill_one_lane(monkeypatch):
 
 
 def test_refill_in_any_queue_order(monkeypatch):
-    # Refilled lanes start afresh: walked from the largest d down, a stale
-    # largest quotient would exceed the next lane's a0 and clear F_BOUND.
+    # Refilled lanes start afresh: walked from the largest d down, as
+    # ``sweep_range`` loads them, a stale largest quotient would exceed the
+    # next lane's a0 and clear F_BOUND.  Here the queue runs ascending, so
+    # both orders are covered.
     walk = _kernels._half_walk
     monkeypatch.setattr(
         _kernels, "_half_walk", lambda r, q1, queue, *cols: walk(r, q1, queue[::-1], *cols)

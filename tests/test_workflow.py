@@ -202,8 +202,12 @@ def start_up_check():
     [
         ('python -X importtime -c "import surdcf.cli" 2>&1)', r"(numpy|concurrent\.futures)"),
         ("python -X importtime -m surdcf.cli expand 13 2>&1 >/dev/null)", "numpy"),
+        ("python -X importtime -m surdcf.cli verify-families --id euler-l1 --format text"
+         " 2>&1 >/dev/null)", "numpy"),
+        ("python -X importtime -m surdcf.cli sequences --name pell-p --count 3 2>&1 >/dev/null)",
+         "numpy"),
     ],
-    ids=["import-cli", "expand"],
+    ids=["import-cli", "expand", "verify-families-text", "sequences"],
 )
 def test_ci_checks_start_up_imports(command, unwanted):
     check = start_up_check()
