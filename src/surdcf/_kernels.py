@@ -383,14 +383,24 @@ def two_squares_range(lo: int, hi: int) -> np.ndarray:
     1 (mod 4), so the odd part of d is that cofactor (mod 4): d is rejected
     when it is 3.  The cost grows with the width of the window and the
     number of sieving primes, not with hi.
+
+    A prime p at least as wide as the window has at most one multiple in
+    it, at offset (-lo) mod p when that is below the width, so all such
+    primes are marked in one vectorised pass; only the narrower primes
+    take a strided slice each.
     """
     _check_range(lo, hi)
+    width = hi - lo
     d = np.arange(lo, hi, dtype=np.int64)
     odd_part = np.where(d % 2 == 0, d // 2, d)
     bad = (d == 1) | (d % 4 == 0) | (odd_part % 4 == 3)
-    for p in _primes_upto(isqrt(max(hi - 1, 0))).tolist():
-        if p % 4 == 3:
-            bad[-lo % p :: p] = True
+    primes = _primes_upto(isqrt(max(hi - 1, 0)))
+    primes = primes[primes % 4 == 3]
+    wide = primes >= width
+    first = -lo % primes[wide]
+    bad[first[first < width]] = True
+    for p in primes[~wide].tolist():
+        bad[-lo % p :: p] = True
     return (~bad).astype(np.uint8)
 
 

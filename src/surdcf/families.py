@@ -11,14 +11,23 @@ Ladder families (a repeated block whose coefficients come from an integer
 sequence) carry a generator name; the generator turns the integer parameters
 (k, and m where applicable) into concrete polynomials in n before evaluation.
 
+Each member is evaluated by ``_member``, behind both ``instantiate`` and
+the verifier.  A family's expressions are compiled, from their checked
+trees, into two code objects: (a, b, head) over the parameters and the
+pattern over the parameters and a.  That happens at the family's first
+member (a ladder's at the first member of each generator call), not when
+the registry loads, and each member then runs two evaluations.
+
 The verifier compares each member against the expansion engine, one
 member after another in the calling process.  The engine walks each member
-only to the centre of its period (``engine.half_period``), and a failure
-keeps that half.  ``write_record`` streams a family's JSON record, writing
-each failure's actual period from its half as soon as the engine has walked
-it, so its memory is bounded by the longest failing member rather than by
-the sum over the family; ``verify_family`` collects the same failures into
-a ``VerifyReport``, each with its whole period.
+only to the centre of its period (``engine.half_period``), and the claimed
+word is compared with that half in place, so a passing member builds no
+period and no ``PeriodicCF``; a failure keeps the half.  ``write_record``
+streams a family's JSON record, writing each failure's actual period from
+its half as soon as the engine has walked it, so its memory is bounded by
+the longest failing member rather than by the sum over the family;
+``verify_family`` collects the same failures into a ``VerifyReport``, each
+with its whole period.
 """
 
 from __future__ import annotations
@@ -30,8 +39,9 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from types import CodeType
 from typing import Iterator, Mapping, NamedTuple
 
 from . import sequences
@@ -60,19 +70,20 @@ _NO_BUILTINS = {"__builtins__": {}}
 
 
 class PolyExpr:
-    """Integer expression over named integer variables, compiled once."""
+    """Integer expression over named integer variables, compiled once.
 
-    __slots__ = ("source", "_code")
+    ``tree`` is the checked expression node, which ``_compile_family``
+    builds a family's code objects from.
+    """
+
+    __slots__ = ("source", "tree", "_code")
 
     def __init__(self, source: str):
         self.source = source
-        self._code = _compile(source)
+        self.tree, self._code = _compile(source)
 
     def eval(self, env: Mapping[str, int]) -> int:
-        try:
-            return eval(self._code, _NO_BUILTINS, env)
-        except NameError as exc:
-            raise DomainError(f"unbound variable {exc.name!r}") from None
+        return _eval(self._code, env)
 
     def __str__(self) -> str:
         return self.source
@@ -81,9 +92,17 @@ class PolyExpr:
         return f"PolyExpr({self.source!r})"
 
 
+def _eval(code: CodeType, env: Mapping[str, int]):
+    try:
+        return eval(code, _NO_BUILTINS, env)
+    except NameError as exc:
+        raise DomainError(f"unbound variable {exc.name!r}") from None
+
+
 @lru_cache(maxsize=4096)
-def _compile(source: str):
-    """The code object of ``source``, checked against the grammar above."""
+def _compile(source: str) -> tuple[ast.expr, CodeType]:
+    """The expression node and code object of ``source``, checked against
+    the grammar above."""
     text = source.strip().replace("^", "**")
     if "**" not in source and _SOURCE.fullmatch(text):
         try:
@@ -91,7 +110,7 @@ def _compile(source: str):
                 warnings.simplefilter("error")
                 tree = ast.parse(text, mode="eval")
             if all(_allowed(node, text) for node in ast.walk(tree)):
-                return compile(tree, "<expr>", "eval")
+                return tree.body, compile(tree, "<expr>", "eval")
         except (SyntaxError, RecursionError):
             pass
     raise DomainError(f"bad expression {source!r}")
@@ -212,6 +231,11 @@ class FamilyDescriptor:
 
     def free_params(self) -> list[str]:
         return [p.name for p in self.params]
+
+    @cached_property
+    def _compiled(self) -> "_Compiled":
+        """The code of a family without a generator, built at its first member."""
+        return _compile_family(self.head_expr or self.a_expr, self.a_expr, self.b_expr, self.pattern)
 
 
 def _param_spec(triple) -> ParamSpec:
@@ -334,26 +358,72 @@ def family_by_id(fid: str, path: str | None = None) -> FamilyDescriptor:
 # Instantiation and verification.
 
 
-def _resolve(fam: FamilyDescriptor, assignment: Mapping[str, int]):
-    """Concrete (head, a, b, pattern) expressions for one assignment."""
+class _Compiled(NamedTuple):
+    """The expressions of one resolution as two code objects: ``values``
+    evaluates (a, b, head) over the parameters, and ``word`` the pattern,
+    as a list, over the parameters and a."""
+
+    values: CodeType
+    word: CodeType
+
+
+def _compile_family(head: PolyExpr, a: PolyExpr, b: PolyExpr, pattern) -> _Compiled:
+    """Compile the expressions from their checked trees, left to right, so
+    that an unbound variable is met in the order of separate evaluations."""
+    values = ast.Tuple([a.tree, b.tree, head.tree], ast.Load(), lineno=1, col_offset=0)
+    word = ast.List([e.tree for e in pattern], ast.Load(), lineno=1, col_offset=0)
+    return _Compiled(compile(ast.Expression(values), "<family>", "eval"),
+                     compile(ast.Expression(word), "<family>", "eval"))
+
+
+def _resolve(fam: FamilyDescriptor, assignment: Mapping[str, int]) -> _Compiled:
+    """The compiled expressions for one assignment."""
     if fam.generator:
         _, wanted = GENERATORS[fam.generator]
         args = tuple(fam.bind[name] if name in fam.bind else assignment[name] for name in wanted)
         return _ladder(fam.generator, args)
-    head = fam.head_expr or fam.a_expr
-    return head, fam.a_expr, fam.b_expr, fam.pattern
+    return fam._compiled
 
 
 @lru_cache(maxsize=256)
-def _ladder(generator: str, args: tuple[int, ...]):
-    """The (head, a, b, pattern) expressions of one ladder generator call.
+def _ladder(generator: str, args: tuple[int, ...]) -> _Compiled:
+    """The compiled expressions of one ladder generator call.
 
     Cached because every n of a ladder family shares them: the packaged
     registry makes 72 distinct calls for its 11,110 ladder members.
     """
     a_s, b_s, pat_s = GENERATORS[generator][0](*args)
-    a_e, b_e = PolyExpr(a_s), PolyExpr(b_s)
-    return a_e, a_e, b_e, tuple(PolyExpr(s) for s in pat_s)
+    a_e = PolyExpr(a_s)
+    return _compile_family(a_e, a_e, PolyExpr(b_s), [PolyExpr(s) for s in pat_s])
+
+
+def _member(fam: FamilyDescriptor, assignment: Mapping[str, int]) -> tuple[int, int, list[int]]:
+    """One family member as (d, head, word): two evaluations of the code
+    compiled for its resolution, then the validity checks of ``instantiate``."""
+    for p in fam.params:
+        v = assignment.get(p.name)
+        if v is None:
+            raise DomainError(f"{fam.id}: missing parameter {p.name}")
+        if v < p.lo or (p.hi is not None and v > p.hi):
+            raise DomainError(f"{fam.id}: parameter {p.name}={v} out of range")
+    code = _resolve(fam, assignment)
+    a, b, head = _eval(code.values, assignment)
+    if a < 1 or b < 1:
+        raise FamilyValidityError(f"{fam.id}: a={a}, b={b} outside validity")
+    word = _eval(code.word, {**assignment, "a": head})
+    if min(word, default=1) < 1:
+        raise FamilyValidityError(f"{fam.id}: nonpositive quotient at {assignment}")
+    if max(word[:-1], default=0) > head:
+        raise FamilyValidityError(f"{fam.id}: interior quotient exceeds head at {assignment}")
+    # A word of m > 1 copies of a shorter word u ends in u's last quotient,
+    # which stands in word[:-1] too: a last quotient above the head, and so
+    # above every other one, leaves the word primitive.
+    if not (word and word[-1] > head) and not is_primitive_word(word):
+        raise FamilyValidityError(f"{fam.id}: period collapses at {assignment}")
+    d = a * a + b
+    if is_square(d):
+        raise FamilyValidityError(f"{fam.id}: d={d} is a perfect square")
+    return d, head, word
 
 
 def instantiate(
@@ -361,35 +431,17 @@ def instantiate(
 ) -> tuple[int, PeriodicCF]:
     """Evaluate one family member: the radicand d and its claimed expansion.
 
-    Out-of-range parameters raise DomainError.  Assignments whose template
+    Out-of-range parameters raise DomainError, and so does a variable that
+    the member's expressions leave unbound.  Assignments whose template
     degenerates (a quotient drops below 1, an interior quotient exceeds the
     head, or the period word collapses to a repetition of a shorter word)
     raise FamilyValidityError: the formula does not claim them.
+
+    The family's expressions are compiled into two code objects at its
+    first member (a ladder's at the first member of each generator call),
+    and each member evaluates those two (``_member``).
     """
-    for p in fam.params:
-        v = assignment.get(p.name)
-        if v is None:
-            raise DomainError(f"{fam.id}: missing parameter {p.name}")
-        if v < p.lo or (p.hi is not None and v > p.hi):
-            raise DomainError(f"{fam.id}: parameter {p.name}={v} out of range")
-    head_e, a_e, b_e, pattern = _resolve(fam, assignment)
-    env = dict(assignment)
-    a = a_e.eval(env)
-    b = b_e.eval(env)
-    head = head_e.eval(env)
-    if a < 1 or b < 1:
-        raise FamilyValidityError(f"{fam.id}: a={a}, b={b} outside validity")
-    env["a"] = head
-    word = [e.eval(env) for e in pattern]
-    if min(word, default=1) < 1:
-        raise FamilyValidityError(f"{fam.id}: nonpositive quotient at {assignment}")
-    if max(word[:-1], default=0) > head:
-        raise FamilyValidityError(f"{fam.id}: interior quotient exceeds head at {assignment}")
-    if not is_primitive_word(word):
-        raise FamilyValidityError(f"{fam.id}: period collapses at {assignment}")
-    d = a * a + b
-    if is_square(d):
-        raise FamilyValidityError(f"{fam.id}: d={d} is a perfect square")
+    d, head, word = _member(fam, assignment)
     return d, PeriodicCF(d, head, tuple(word))
 
 
@@ -486,24 +538,28 @@ def iter_failures(
 ) -> Iterator[Failure]:
     """Yield each failing member, in assignment order.
 
-    The one member loop: each budgeted assignment is instantiated, walked
-    to the centre of its period by the engine and compared term for term
-    with the period that the half stands for.  The half is mirrored only
-    when the lengths agree.  ``report.tested`` and ``report.skipped`` count
-    the members as the loop reaches them; the failures go only to the caller.
+    The one member loop: each budgeted assignment is evaluated from the
+    family's compiled code (``_member``), walked to the centre of its period
+    by the engine and compared term for term with the period that the half
+    stands for, in place: a0, the length, the last quotient 2*a0, the first
+    k quotients against the half and the k before the last against it
+    reversed.  A passing member builds no period and no ``PeriodicCF``; a
+    failing one gets its ``PeriodicCF`` when it is yielded.  ``report.tested``
+    and ``report.skipped`` count the members as the loop reaches them; the
+    failures go only to the caller.
     """
     for assignment in _assignments(fam, budget):
         try:
-            d, expected = instantiate(fam, assignment)
+            d, head, word = _member(fam, assignment)
         except FamilyValidityError:
             report.skipped += 1
             continue
         a0, half, odd = half_period(d)
         report.tested += 1
-        word = expected.period
-        if (a0 != expected.a0 or len(word) != 2 * len(half) + odd
-                or list(word) != mirror(a0, half[:], odd)):
-            yield Failure(assignment, d, expected, a0, half, odd)
+        k = len(half)
+        if (a0 != head or len(word) != 2 * k + odd or word[-1] != 2 * a0
+                or word[:k] != half or word[k - 1 + odd:-1] != half[::-1]):
+            yield Failure(assignment, d, PeriodicCF(d, head, tuple(word)), a0, half, odd)
 
 
 def verify_family(
@@ -530,12 +586,18 @@ def period_json(a0: int, half: list[int], odd: bool) -> str:
     sqrt(d) stands for (``engine.half_period``), made from the half.
 
     Each quotient's text is made once, from ``_DECIMAL`` where it is below
-    1000, and joined forward, then again reversed: from the centre on for
-    odd ell, which repeats the centre, and from the quotient before it for
-    even ell.  2*a0 closes the list.
+    1000, and the list of texts is joined forward, then reversed in place
+    and joined again: from the centre on for odd ell, which repeats the
+    centre, and from the quotient before it for even ell, whose centre is
+    popped first.  2*a0 closes the list.  No list of the whole period is
+    built.
     """
     words = [_DECIMAL[a] if a < 1000 else str(a) for a in half]
-    return f"[{', '.join([*words, *(words[::-1] if odd else words[-2::-1]), str(2 * a0)])}]"
+    forward = ", ".join(words)
+    if not odd:
+        words.pop()
+    words.reverse()
+    return f"[{', '.join(filter(None, (forward, ', '.join(words), str(2 * a0))))}]"
 
 
 def _failure_json(f: Failure) -> str:

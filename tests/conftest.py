@@ -8,7 +8,9 @@ over the whole period with no use of its symmetry, and
 ``brute_two_coprime_squares`` searches for the two squares directly.
 ``reference_mine`` is the miner's rule for one palindrome, run scalar: the
 whole word's matrix, the head congruence by gcd and a modular inverse, then
-the search for the first head one c at a time.
+the search for the first head one c at a time.  ``reference_member`` is a
+family member evaluated one ``PolyExpr.eval`` per expression, from a fresh
+generator call for a ladder.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from math import floor, gcd, isqrt
 import pytest
 
 from surdcf.convergents import realizes, word_matrix
-from surdcf.engine import expand_sqrt
+from surdcf.engine import expand_sqrt, is_primitive_word
+from surdcf.exact import DomainError, is_square
+from surdcf.families import GENERATORS, FamilyValidityError, PolyExpr
 from surdcf.miner import ACCEPT_INSTANCES, MinedFamily
 
 
@@ -121,6 +125,46 @@ def reference_mine(palindrome) -> MinedFamily | None:
         if not realizes((A, B, C), top, mod * k + res, b_slope * k + b_const):
             return None
     return MinedFamily(pal, res, mod, b_slope, b_const, c, ACCEPT_INSTANCES)
+
+
+def reference_member(fam, assignment) -> tuple[int, int, list[int]]:
+    """(d, head, word) of one family member, or the DomainError or
+    FamilyValidityError that ``families`` raises for it, in its order: the
+    parameter ranges, a, b and head evaluated one at a time, a, b >= 1, the
+    pattern one entry at a time with a bound to the head, then the word's
+    checks and d not square."""
+    for p in fam.params:
+        v = assignment.get(p.name)
+        if v is None:
+            raise DomainError(f"{fam.id}: missing parameter {p.name}")
+        if v < p.lo or (p.hi is not None and v > p.hi):
+            raise DomainError(f"{fam.id}: parameter {p.name}={v} out of range")
+    if fam.generator:
+        gen, wanted = GENERATORS[fam.generator]
+        a_s, b_s, pattern_s = gen(*(fam.bind[name] if name in fam.bind else assignment[name]
+                                    for name in wanted))
+        a_e = head_e = PolyExpr(a_s)
+        b_e, pattern = PolyExpr(b_s), [PolyExpr(s) for s in pattern_s]
+    else:
+        head_e, a_e, b_e, pattern = fam.head_expr or fam.a_expr, fam.a_expr, fam.b_expr, fam.pattern
+    env = dict(assignment)
+    a = a_e.eval(env)
+    b = b_e.eval(env)
+    head = head_e.eval(env)
+    if a < 1 or b < 1:
+        raise FamilyValidityError(f"{fam.id}: a={a}, b={b} outside validity")
+    env["a"] = head
+    word = [e.eval(env) for e in pattern]
+    if min(word, default=1) < 1:
+        raise FamilyValidityError(f"{fam.id}: nonpositive quotient at {assignment}")
+    if max(word[:-1], default=0) > head:
+        raise FamilyValidityError(f"{fam.id}: interior quotient exceeds head at {assignment}")
+    if not is_primitive_word(word):
+        raise FamilyValidityError(f"{fam.id}: period collapses at {assignment}")
+    d = a * a + b
+    if is_square(d):
+        raise FamilyValidityError(f"{fam.id}: d={d} is a perfect square")
+    return d, head, word
 
 
 @pytest.fixture(scope="session")

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_member
 from surdcf import _kernels, families
 from surdcf.convergents import palindrome_b
-from surdcf.engine import expand_sqrt
+from surdcf.engine import PeriodicCF, expand_sqrt
 from surdcf.exact import DomainError
 from surdcf.families import (
     FamilyDescriptor,
@@ -278,6 +279,174 @@ class TestWriteRecord:
             {**report.to_dict(), "registry_status": fam.status}, sort_keys=True) + "\n"
         # Every erratum fails at this budget, so the failure rows are covered.
         assert report.failures or not fam.is_erratum
+
+
+def _outcome(member, fam, assignment):
+    """``member``'s (d, head, word), or the type and text of what it raised."""
+    try:
+        d, head, word = member(fam, assignment)
+    except (DomainError, FamilyValidityError) as exc:
+        return type(exc), str(exc)
+    return d, head, list(word)
+
+
+def _instantiated(fam, assignment):
+    d, cf = instantiate(fam, assignment)
+    assert isinstance(cf, PeriodicCF) and cf.d == d
+    return d, cf.a0, cf.period
+
+
+class TestMemberPath:
+    """The compiled member path against one ``PolyExpr.eval`` per expression."""
+
+    @pytest.mark.parametrize("fam", registry(), ids=lambda fam: fam.id)
+    def test_every_budgeted_member_matches_the_reference(self, fam):
+        for assignment in families._assignments(fam, None):
+            want = _outcome(reference_member, fam, assignment)
+            assert _outcome(families._member, fam, assignment) == want, assignment
+            assert _outcome(_instantiated, fam, assignment) == want, assignment
+
+    def test_assignments_outside_the_ranges_match_the_reference(self):
+        for fid, assignment in [("euler-l1", {"n": 0}), ("euler-l1", {}),
+                                ("rep2-ladder", {"k": 0, "n": 1}), ("l2-2m", {"m": 3, "n": 1})]:
+            fam = family_by_id(fid)
+            want = _outcome(reference_member, fam, assignment)
+            assert isinstance(want[0], type) and want[1].startswith(fid)
+            assert _outcome(families._member, fam, assignment) == want
+            assert _outcome(_instantiated, fam, assignment) == want
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            ({"a_expr": "n+z", "b_expr": "2*n", "pattern": ["y", "2*a"]}, "z"),
+            ({"a_expr": "n", "b_expr": "2*q", "head_expr": "r", "pattern": ["2*a"]}, "q"),
+            ({"a_expr": "n", "b_expr": "2*n", "head_expr": "n+r", "pattern": ["w", "2*a"]}, "r"),
+            # The head is evaluated before a >= 1 is checked.
+            ({"a_expr": "n-9", "b_expr": "2*n", "head_expr": "r", "pattern": ["2*a"]}, "r"),
+            ({"a_expr": "n", "b_expr": "2*n", "pattern": ["1", "w", "v", "2*a"]}, "w"),
+            # a is bound in the pattern only.
+            ({"a_expr": "n", "b_expr": "2*a", "pattern": ["2*a"]}, "a"),
+        ],
+        ids=["a", "b", "head", "head-before-validity", "pattern", "a-outside-pattern"],
+    )
+    def test_unbound_variable_in_a_custom_registry(self, tmp_path, record, name):
+        path = tmp_path / "families.jsonl"
+        path.write_text(json.dumps({"id": "custom", "params": [["n", 1, None]], **record}) + "\n")
+        (fam,) = registry(str(path))
+        assignment = {"n": 1}
+        want = _outcome(reference_member, fam, assignment)
+        assert want == (DomainError, f"unbound variable {name!r}")
+        assert _outcome(families._member, fam, assignment) == want
+        assert _outcome(_instantiated, fam, assignment) == want
+        out = io.StringIO()
+        with pytest.raises(DomainError, match=f"unbound variable {name!r}"):
+            write_record(fam, {"n": 3}, out)
+        assert out.getvalue() == ""
+
+    def test_pattern_reads_a_as_the_head(self):
+        # The one registry head_expr has no `a` in its pattern.
+        fam = FamilyDescriptor(
+            id="custom", citation="", params=(ParamSpec("n", 1),),
+            a_expr=PolyExpr("n"), b_expr=PolyExpr("2*n"), head_expr=PolyExpr("n+1"),
+            pattern=(PolyExpr("a-1"), PolyExpr("2*a")),
+        )
+        for n in range(1, 6):
+            want = _outcome(reference_member, fam, {"n": n})
+            assert want == (n * n + 2 * n, n + 1, [n, 2 * n + 2])
+            assert _outcome(families._member, fam, {"n": n}) == want
+
+    @pytest.mark.parametrize(
+        "pattern, collapsing",
+        [(["a", "a"], {1, 2, 3, 4, 5, 6}), (["1", "1"], {1, 2, 3, 4, 5, 6}),
+         (["a", "1", "a", "1"], {1, 2, 3, 4, 5, 6}), (["a", "1", "1"], {1}),
+         (["1", "a"], {1}), (["2", "2*a"], set())],
+    )
+    def test_collapse_is_checked_unless_the_last_quotient_tops_the_head(self, pattern, collapsing):
+        # Every registry member ends above its head, so only words like
+        # these reach the collapse check.
+        fam = FamilyDescriptor(
+            id="custom", citation="", params=(ParamSpec("n", 1),),
+            a_expr=PolyExpr("n"), b_expr=PolyExpr("1"), pattern=tuple(map(PolyExpr, pattern)),
+        )
+        collapsed = set()
+        for n in range(1, 7):
+            want = _outcome(reference_member, fam, {"n": n})
+            assert _outcome(families._member, fam, {"n": n}) == want
+            if want == (FamilyValidityError, f"custom: period collapses at {{'n': {n}}}"):
+                collapsed.add(n)
+        assert collapsed == collapsing
+
+    def test_unbound_pattern_after_invalid_members(self, tmp_path):
+        # Members whose a < 1 are skipped before the pattern is evaluated.
+        path = tmp_path / "families.jsonl"
+        path.write_text(json.dumps({"id": "custom", "params": [["n", 1, None]],
+                                    "a_expr": "n-2", "b_expr": "2*n", "pattern": ["w", "2*a"]}) + "\n")
+        (fam,) = registry(str(path))
+        for n in (1, 2, 3):
+            assert _outcome(families._member, fam, {"n": n}) == _outcome(reference_member, fam, {"n": n})
+        out = io.StringIO()
+        with pytest.raises(DomainError, match="unbound variable 'w'"):
+            write_record(fam, {"n": 3}, out)
+        assert out.getvalue() == ""
+
+    # sqrt(13) = [3; 1, 1, 1, 1, 6] has odd ell = 5 and half [1, 1];
+    # sqrt(19) = [4; 2, 1, 3, 1, 2, 8] has even ell = 6 and half [2, 1, 3].
+    @pytest.mark.parametrize(
+        "a, b, head, pattern, fails",
+        [
+            (3, 4, 3, [1, 1, 1, 1, 6], False),
+            (3, 4, 2, [1, 1, 1, 1, 6], True),
+            (3, 4, 3, [1, 1, 1, 1, 7], True),
+            (3, 4, 3, [1, 1, 1, 2, 6], True),
+            (3, 4, 3, [1, 1, 2, 1, 6], True),
+            (4, 3, 4, [2, 1, 3, 1, 2, 8], False),
+            (4, 3, 5, [2, 1, 3, 1, 2, 8], True),
+            (4, 3, 4, [2, 1, 3, 1, 2, 9], True),
+            (4, 3, 4, [2, 1, 3, 1, 1, 8], True),
+            (4, 3, 4, [2, 1, 3, 2, 2, 8], True),
+            (4, 3, 4, [2, 1, 3, 1, 2, 1, 8], True),
+            (1, 1, 1, [2], False),
+            (1, 1, 1, [3], True),
+        ],
+        ids=["odd-exact", "odd-a0", "odd-last", "odd-mirror-end", "odd-mirror-start",
+             "even-exact", "even-a0", "even-last", "even-mirror-end", "even-mirror-start",
+             "even-longer", "one-exact", "one-last"],
+    )
+    def test_iter_failures_flags_any_one_difference(self, a, b, head, pattern, fails):
+        fam = FamilyDescriptor(
+            id="custom", citation="", params=(ParamSpec("n", 1, 1),),
+            a_expr=PolyExpr(str(a)), b_expr=PolyExpr(str(b)), head_expr=PolyExpr(str(head)),
+            pattern=tuple(PolyExpr(str(q)) for q in pattern),
+        )
+        report = families.VerifyReport(fam.id)
+        found = list(families.iter_failures(fam, None, report))
+        assert (report.tested, report.skipped) == (1, 0)
+        assert len(found) == fails
+        if fails:
+            (f,) = found
+            d = a * a + b
+            assert (f.params, f.d, f.expected) == ({"n": 1}, d, PeriodicCF(d, head, tuple(pattern)))
+            actual = expand_sqrt(d)
+            assert f.to_dict()["actual"] == {"a0": actual.a0, "period": list(actual.period)}
+
+    def test_code_is_compiled_once_per_resolution(self, monkeypatch):
+        calls = []
+        compile_family = families._compile_family
+
+        def counted(*exprs):
+            calls.append(exprs)
+            return compile_family(*exprs)
+
+        monkeypatch.setattr(families, "_compile_family", counted)
+        families._ladder.cache_clear()
+        try:
+            fams = [family_by_id(fid) for fid in ("euler-l1", "l8-a0-general", "pair-m2m-ladder")]
+            assert not calls  # loading the registry compiles no family
+            for fam in fams:
+                verify_family(fam, {"n": 5, "m": 2, "k": 3})
+        finally:
+            families._ladder.cache_clear()
+        assert len(calls) == 1 + 1 + 2 * 3
 
 
 def test_ladder_generator_runs_once_per_argument(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brute_two_coprime_squares
 from surdcf import _kernels
+from surdcf.analyzer import sum_two_coprime_squares
 from surdcf.engine import expand_sqrt, period_facts
 from surdcf.exact import InternalConsistencyError, is_square
 
@@ -337,6 +338,43 @@ def test_two_squares_sieve_matches_brute_force(lo, hi):
         # the sieve covers a >= b >= 1; d = 1 is the lone b = 0 edge
         want = brute_two_coprime_squares(d) if d > 1 else False
         assert bool(mask[i]) == want, f"d={d}"
+
+
+def _wide_primes(lo, hi):
+    """The sieving primes p = 3 (mod 4) at least as wide as [lo, hi), split
+    into those with a multiple in the window and those without."""
+    root = isqrt(hi - 1)
+    sieve = bytearray([1]) * (root + 1)
+    for q in range(2, isqrt(root) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, root + 1, q)))
+    primes = [p for p in range(max(hi - lo, 3), root + 1) if sieve[p] and p % 4 == 3]
+    hits = [p for p in primes if -lo % p < hi - lo]
+    return hits, [p for p in primes if p not in hits]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, wide",
+    [
+        (10**12 - 1, 10**12, True),  # 3^3 * 7 * 11 * 13 * 37 * 101 * 9901
+        (999_999_999_989, 999_999_999_990, True),
+        (5 * 10**7 + 1, 5 * 10**7 + 2, True),
+        (10**12 - 64, 10**12, True),
+        (5 * 10**7, 5 * 10**7 + 1000, True),
+        (10**6, 10**6 + 1100, False),
+    ],
+    ids=["width-1-hit", "width-1-prime", "width-1-small", "1e12-64", "5e7-1000", "wider-than-primes"],
+)
+def test_two_squares_sieve_matches_trial_division(lo, hi, wide):
+    hits, misses = _wide_primes(lo, hi)
+    if wide:
+        assert misses and (hits or hi - lo == 1)
+    else:
+        assert not hits and not misses
+    mask = _kernels.two_squares_range(lo, hi)
+    assert mask.shape == (hi - lo,)
+    for i, d in enumerate(range(lo, hi)):
+        assert bool(mask[i]) == (d > 1 and sum_two_coprime_squares(d)), f"d={d}"
 
 
 def test_backend_name():

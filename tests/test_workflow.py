@@ -171,7 +171,7 @@ def memory_cap(argv):
 
 
 def test_ci_caps_registry_peak_memory():
-    assert "sys.exit(peak_mb > 90)" in memory_cap(["verify-families"])
+    assert "sys.exit(peak_mb > 40)" in memory_cap(["verify-families"])
 
 
 @pytest.mark.parametrize(
