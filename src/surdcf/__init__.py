@@ -20,15 +20,14 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "exact": ("DomainError InternalConsistencyError Rat RationalValueError ResourceLimitError "
-                  "is_square isqrt solve_linear_congruence"),
-        "engine": ("CentralClass CenterRelation PeriodicCF SurdExpansion SurdState central_class "
-                   "expand_sqrt expand_surd period_length"),
+                  "is_square isqrt"),
+        "engine": "PeriodicCF SurdExpansion SurdState expand_sqrt expand_surd",
         "convergents": ("Convergent QuadSolution convergents_of_word palindrome_b "
                         "surd_from_periodic_cf word_matrix"),
         "mat2": "Mat2 mat_pow odd_quotient_power pell_power sqrt3_power",
         "chebyshev": "Poly cheb_mat_pow cheb_u cheb_u_prime cousin_closed_form cousin_mat_pow eval_poly",
-        "sequences": ("LinRecSpec QuadRingElem ab_pair binet_nth interleaved_even_pair linrec_nth "
-                      "odd_multiplier pell_pair sqrt3_pair triple113_pair"),
+        "sequences": ("LinRecSpec QuadRingElem ab_pair interleaved_even_pair linrec_nth pell_pair "
+                      "sqrt3_pair triple113_pair"),
         "families": "FamilyDescriptor FamilyValidityError VerifyReport instantiate registry verify_family",
         "miner": "MinedFamilies MinedFamily mine mine_sweep",
         "analyzer": "StructReport check_claims period_stats sum_two_coprime_squares",

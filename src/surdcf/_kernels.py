@@ -12,8 +12,8 @@ Backend selection, via ``analyze --kernel``:
 
 Any other value is an error.  Both backends fill the same fact columns
 (ell, a0, center, flags, twosq), and ``analyzer`` folds them into a report in
-one place.  Tests pin the kernels against ``engine.period_facts``, so reports
-are byte-identical whichever backend runs.
+one place.  Tests pin the kernels against a literal walk of each whole
+period, so reports are byte-identical whichever backend runs.
 
 ``sweep_range`` is a half-walk kernel.  Like ``engine.half_period`` it walks
 each sqrt(d) only to the centre of its period and logs no quotient.  Its
@@ -158,7 +158,7 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
         rounds = 1 if pending.size else _block_rounds(step - loaded, lane.size)
         if rounds > 1:
             live = lane, R, P, Q, Q_prev, top, start
-            lane, R, P, Q, Q_prev, top, start = _block(r, q1, live, step, rounds, stops)
+            lane, R, P, Q, Q_prev, top, start = _block(live, step, rounds, stops)
             step += rounds
             continue
         a = _quotient(R + P, Q)
@@ -221,7 +221,7 @@ def _block_rounds(walked: int, live: int) -> int:
     return max(1, min(walked // 16, WIDTH // live))
 
 
-def _block(r, q1, live, step, rounds, stops):
+def _block(live, step, rounds, stops):
     """Step the lanes of ``_half_walk`` ``rounds`` rounds past round ``step``.
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start).
@@ -232,9 +232,8 @@ def _block(r, q1, live, step, rounds, stops):
     round step + j + 1.  A lane's first row with a stop ends its walk: its
     stop record, added to the batch ``stops``, comes from that row and the
     rows before it.  The rows past it go on with the expansion, which never
-    meets Q == 0 since d is not a square, and are ignored.  ``r`` and ``q1``
-    are the walk's columns, which ``stops`` holds too.  Returns the arrays
-    of the lanes that did not stop.
+    meets Q == 0 since d is not a square, and are ignored.  Returns the
+    arrays of the lanes that did not stop.
     """
     lane, R, P, Q, Q_prev, top, start = live
     R2 = 2 * R

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, InternalConsistencyError, Rat
-from .mat2 import Mat2, mat_pow
+from .mat2 import Mat2
 from .sequences import quad_power
 
 
@@ -103,7 +103,8 @@ def cousin_closed_form(n: int, x: Rat | int) -> Fraction:
     """U'_n(x) from its surd closed form, evaluated exactly in Z[sqrt(p^2+q^2)].
 
     With x = p/q, (p + sqrt(p^2+q^2))^(n+1) = s + t*sqrt(p^2+q^2) gives
-    U'_n(x) = t / q^n; no rounding anywhere.
+    U'_n(x) = t / q^n; no rounding anywhere.  Nothing in the package calls
+    it: acceptance criterion 4 checks the cousin polynomials against it.
     """
     if n < 0:
         raise DomainError("cousin_closed_form wants n >= 0")
@@ -124,6 +125,8 @@ def cheb_mat_pow(m: Mat2, n: int) -> Mat2:
 
     Entries must come out integral; a non-integer entry means the identity was
     applied outside its hypotheses and raises InternalConsistencyError.
+    Nothing in the package calls it: it is the det = +1 identity that a
+    proof of the ladder families for every k would use.
     """
     if n < 1:
         raise DomainError("cheb_mat_pow wants n >= 1")
@@ -145,7 +148,8 @@ def cousin_mat_pow(m: int, n: int) -> Mat2:
 
     This is the determinant -1 analogue of cheb_mat_pow: the entries are
     U'_n, U'_{n-1}, U'_{n-2} at half the odd quotient, and they agree with
-    the linear-recurrence matrix entries.
+    the linear-recurrence matrix entries.  Nothing in the package calls it:
+    acceptance criterion 4 checks it against ``mat_pow``.
     """
     if m < 0 or n < 1:
         raise DomainError("cousin_mat_pow wants m >= 0, n >= 1")
@@ -169,5 +173,4 @@ __all__ = [
     "cousin_closed_form",
     "cheb_mat_pow",
     "cousin_mat_pow",
-    "mat_pow",
 ]

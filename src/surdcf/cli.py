@@ -78,6 +78,9 @@ def cmd_expand(args) -> int:
 
 
 def cmd_surd(args) -> int:
+    if args.max_steps < 1:
+        print("surd: need --max-steps >= 1", file=sys.stderr)
+        return EXIT_USAGE
     from .engine import SurdState, expand_surd
 
     try:

@@ -139,6 +139,7 @@ def surd_from_periodic_cf(a0: int, period: Sequence[int]) -> QuadSolution:
     own word matrix, which gives an integer quadratic for the full value
     v = a0 + 1/x.  The positive root is returned in normalized form: when the
     input is the expansion of some sqrt(D), the result is exactly (0+sqrt(D))/1.
+    A library function the README documents; no command calls it.
     """
     if len(period) == 0:
         raise DomainError("period must be nonempty")
@@ -290,7 +291,8 @@ def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
     candidate is b = (2*a0*B + C) / A; the pattern is realized by an actual
     square root exactly when this rational is an integer in [1, 2*a0] and no
     entry exceeds a0 (``realizes``).  The empty palindrome is legal (identity
-    matrix, b = 1).
+    matrix, b = 1).  A library function the README documents; the miner
+    solves the same equation on columns (``palindrome_triples``).
     """
     m = palindrome_matrix(palindrome)
     return Fraction(2 * a0 * m.m12 + m.m22, m.m11)

@@ -17,7 +17,6 @@ analyzer's exact columns read the period facts off it.  General surds
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Sequence
@@ -47,27 +46,6 @@ class PeriodicCF:
     def __str__(self) -> str:
         inner = ",".join(str(a) for a in self.period)
         return f"[{self.a0}; {inner}]"
-
-
-class CenterRelation(enum.Enum):
-    LESS_THAN_A0_MINUS_1 = "lt-a0-1"
-    EQUALS_A0_MINUS_1 = "eq-a0-1"
-    EQUALS_A0 = "eq-a0"
-
-
-@dataclass(frozen=True)
-class CentralClass:
-    """Central term of an even-length period and how it compares to a0.
-
-    Odd-length periods have no central term: center and relation are None.
-    """
-
-    center: int | None
-    relation: CenterRelation | None
-
-    @property
-    def has_center(self) -> bool:
-        return self.center is not None
 
 
 @dataclass(frozen=True)
@@ -171,46 +149,6 @@ def expand_sqrt(d: int) -> PeriodicCF:
     return PeriodicCF(d, a0, tuple(mirror(a0, half, odd)))
 
 
-def period_length(d: int) -> int:
-    return expand_sqrt(d).length
-
-
-class PeriodFacts(NamedTuple):
-    """The structure facts of one period word w = (w_1..w_ell) of sqrt(d)."""
-
-    center: int  # w_{ell/2} for even ell, -1 for odd ell
-    palindrome: bool  # w_1..w_{ell-1} reads the same reversed
-    terminal: bool  # w_ell == 2*a0
-    bound: bool  # every w_i with i < ell is <= a0
-
-
-def period_facts(cf: PeriodicCF) -> PeriodFacts:
-    """Centre, palindrome, terminal and bound facts of an expansion's period."""
-    inner = cf.interior()
-    ell = cf.length
-    return PeriodFacts(
-        cf.period[ell // 2 - 1] if ell % 2 == 0 else -1,
-        inner == inner[::-1],
-        cf.period[-1] == 2 * cf.a0,
-        all(a <= cf.a0 for a in inner),
-    )
-
-
-def central_class(d: int) -> CentralClass:
-    """Central term of sqrt(d)'s period, or NoCenter for odd length."""
-    cf = expand_sqrt(d)
-    center = period_facts(cf).center
-    if center < 0:
-        return CentralClass(None, None)
-    if center == cf.a0:
-        rel = CenterRelation.EQUALS_A0
-    elif center == cf.a0 - 1:
-        rel = CenterRelation.EQUALS_A0_MINUS_1
-    else:
-        rel = CenterRelation.LESS_THAN_A0_MINUS_1
-    return CentralClass(center, rel)
-
-
 def _floor_quotient(P: int, Q: int, a0: int) -> int:
     """floor((P + sqrt(d)) / Q) with a0 = isqrt(d); exact for either sign of Q.
 
@@ -267,17 +205,11 @@ def is_primitive_word(word: Sequence[int]) -> bool:
 
 __all__ = [
     "PeriodicCF",
-    "CentralClass",
-    "CenterRelation",
     "SurdState",
     "SurdExpansion",
-    "PeriodFacts",
     "expand_sqrt",
     "half_period",
     "mirror",
     "expand_surd",
-    "period_length",
-    "central_class",
-    "period_facts",
     "is_primitive_word",
 ]

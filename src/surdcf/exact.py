@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
 from math import gcd
 
@@ -115,26 +114,6 @@ def pollard_brent(n: int) -> int:
             return g
 
 
-def solve_linear_congruence(c1: int, c0: int, mod: int) -> tuple[int, int] | None:
-    """Solve c1*x + c0 == 0 (mod mod) for x: ``(residue, modulus)``, or None.
-
-    A solution exists iff g = gcd(c1, mod) divides c0; it is then unique
-    modulo ``modulus`` = mod // g, and is -(c0/g) times the inverse of c1/g
-    modulo it, with 0 <= residue < modulus.  Every solution is
-    ``residue + t*modulus`` for integer t.  The arguments may be any
-    integers, numpy's included; the results are Python ints.  Raises
-    DomainError for mod <= 0.
-    """
-    c1, c0, mod = map(operator.index, (c1, c0, mod))
-    if mod <= 0:
-        raise DomainError(f"modulus must be positive, got {mod}")
-    g = gcd(c1, mod)
-    if c0 % g:
-        return None
-    modulus = mod // g
-    return -c0 // g * pow(c1 // g, -1, modulus) % modulus, modulus
-
-
 def _power(base, n: int, one):
     """base**n for n >= 0 by square and multiply, for any associative ``*``
     with identity ``one``: the one power loop of ``mat2.mat_pow`` and
@@ -148,23 +127,13 @@ def _power(base, n: int, one):
     return result
 
 
-def rat(num: int, den: int = 1) -> Rat:
-    """Exact rational; den must be nonzero."""
-    if den == 0:
-        raise DomainError("zero denominator")
-    return Fraction(num, den)
-
-
 __all__ = [
     "Rat",
-    "rat",
     "isqrt",
     "is_square",
     "is_prime",
     "pollard_brent",
     "PRIME_TEST_LIMIT",
-    "gcd",
-    "solve_linear_congruence",
     "DomainError",
     "ResourceLimitError",
     "InternalConsistencyError",

@@ -348,6 +348,8 @@ def registry(path: str | None = None) -> list[FamilyDescriptor]:
 
 
 def family_by_id(fid: str, path: str | None = None) -> FamilyDescriptor:
+    """The registry's family ``fid``.  A library lookup that acceptance
+    criterion 6 uses; ``verify-families --id`` selects from ``registry``."""
     for fam in registry(path):
         if fam.id == fid:
             return fam
@@ -439,7 +441,9 @@ def instantiate(
 
     The family's expressions are compiled into two code objects at its
     first member (a ladder's at the first member of each generator call),
-    and each member evaluates those two (``_member``).
+    and each member evaluates those two (``_member``).  The verifier calls
+    ``_member`` directly; this is the library's one-member entry point,
+    which the README documents.
     """
     d, head, word = _member(fam, assignment)
     return d, PeriodicCF(d, head, tuple(word))
@@ -570,7 +574,9 @@ def verify_family(
     ``budget`` maps parameter names to inclusive maxima; unbounded n defaults
     to its first 101 values.  Comparison is term for term; mismatches are
     recorded verbatim, in assignment order.  A budget that leaves a
-    parameter no value raises DomainError (``check_budget``).
+    parameter no value raises DomainError (``check_budget``).  The library
+    form of ``verify-families``, which streams through ``write_record``
+    instead; acceptance criteria 5-6 run it.
     """
     report = VerifyReport(fam.id)
     report.failures.extend(f.to_dict() for f in iter_failures(fam, budget, report))

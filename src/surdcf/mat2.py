@@ -36,20 +36,25 @@ class Mat2:
 IDENTITY = Mat2(1, 0, 0, 1)
 
 
-def quotient_matrix(a: int) -> Mat2:
-    """The continued-fraction step matrix [[a, 1], [1, 0]]."""
-    return Mat2(a, 1, 1, 0)
-
-
 def mat_pow(m: Mat2, n: int) -> Mat2:
-    """n-th power by binary exponentiation; mat_pow(m, 0) is the identity."""
+    """n-th power by binary exponentiation; mat_pow(m, 0) is the identity.
+
+    Nothing in the package calls it: it is the reference that the
+    generators below and ``chebyshev``'s powers are checked against
+    (acceptance criteria 3-4).
+    """
     if n < 0:
         raise DomainError(f"matrix power wants n >= 0, got {n}")
     return _power(m, n, IDENTITY)
 
 
 def pell_power(k: int) -> Mat2:
-    """[[1,2],[1,1]]^k assembled from the sqrt(2) convergent pair (p_k, q_k)."""
+    """[[1,2],[1,1]]^k assembled from the sqrt(2) convergent pair (p_k, q_k).
+
+    Nothing in the package calls it: acceptance criterion 3
+    checks it against ``mat_pow``, and a proof of the ladder families for
+    every k would rest on it.
+    """
     if k < 1:
         raise DomainError("pell_power wants k >= 1")
     p, q = sequences.pell_pair(k)
@@ -57,7 +62,11 @@ def pell_power(k: int) -> Mat2:
 
 
 def sqrt3_power(k: int) -> Mat2:
-    """[[3,2],[1,1]]^k assembled from sqrt(3) convergent denominators."""
+    """[[3,2],[1,1]]^k assembled from sqrt(3) convergent denominators.
+
+    Nothing in the package calls it; it stays for the reasons
+    ``pell_power`` gives.
+    """
     if k < 1:
         raise DomainError("sqrt3_power wants k >= 1")
     q = sequences.sqrt3_denominators(2 * k)
@@ -65,7 +74,11 @@ def sqrt3_power(k: int) -> Mat2:
 
 
 def odd_quotient_power(m: int, n: int) -> Mat2:
-    """[[2m+1,1],[1,0]]^n assembled from u(n+1) = (2m+1)u(n) + u(n-1)."""
+    """[[2m+1,1],[1,0]]^n assembled from u(n+1) = (2m+1)u(n) + u(n-1).
+
+    Nothing in the package calls it; it stays for the reasons
+    ``pell_power`` gives.
+    """
     if m < 0 or n < 1:
         raise DomainError("odd_quotient_power wants m >= 0, n >= 1")
     u = sequences.odd_quotient_seq(m, n + 1)
@@ -75,7 +88,6 @@ def odd_quotient_power(m: int, n: int) -> Mat2:
 __all__ = [
     "Mat2",
     "IDENTITY",
-    "quotient_matrix",
     "mat_pow",
     "pell_power",
     "sqrt3_power",

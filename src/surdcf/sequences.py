@@ -4,12 +4,10 @@ Each recurrence fact has one loop.  ``_terms`` runs every constant-coefficient
 recurrence u(n+1) = a*u(n) + b*u(n-1): the named ladders are ``LinRecSpec``
 seeds evaluated by it.  ``_convergent_pairs`` builds the word of
 [a0; block repeating] and runs it through the convergent recurrence,
-``convergents._recurrence``.  Powers in Z[sqrt(D)] use the square-and-multiply
-loop ``exact._power``.
-
-Closed forms are evaluated in the ring Z[sqrt(D)] with an explicit power-of-two
-denominator, so "closed form equals recurrence" is a hard integer equality,
-never a float comparison.
+``convergents._recurrence``.  Powers in Z[sqrt(D)] (``QuadRingElem``,
+``quad_power``) use the square-and-multiply loop ``exact._power`` and stay
+integer pairs; ``chebyshev.cousin_closed_form`` reads its closed form off
+them, so no float enters.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Iterator
 
 # Looked up at call time: convergents imports mat2, which imports this module.
 from . import convergents
-from .exact import DomainError, InternalConsistencyError, _power
+from .exact import DomainError, _power
 
 
 @dataclass(frozen=True)
@@ -31,10 +29,6 @@ class LinRecSpec:
     b: int
     u0: int
     u1: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.a * self.a + 4 * self.b
 
 
 FIBONACCI = LinRecSpec(1, 1, 0, 1)
@@ -86,30 +80,6 @@ def linrec_nth(spec: LinRecSpec, n: int) -> int:
     if n < 0:
         raise DomainError("sequence index must be >= 0")
     return next(islice(_terms(spec), n, None))
-
-
-def binet_nth(spec: LinRecSpec, n: int) -> int:
-    """u(n) from the closed form lambda*alpha^n + mu*beta^n, evaluated exactly.
-
-    With Delta = a^2 + 4b and (a + sqrt(Delta))^n = s + t*sqrt(Delta), the
-    closed form collapses to (u0*s + (2*u1 - a*u0)*t) / 2^n.  The division is
-    checked exact; Delta = 0 (degenerate lambda/mu solve) is rejected.  The
-    same formula covers perfect-square Delta, where alpha and beta are plain
-    integers.
-    """
-    if n < 0:
-        raise DomainError("sequence index must be >= 0")
-    delta = spec.discriminant
-    if delta == 0:
-        raise DomainError("repeated characteristic root; no Binet form")
-    s, t = quad_power(spec.a, 1, delta, n)
-    num = spec.u0 * s + (2 * spec.u1 - spec.a * spec.u0) * t
-    q, r = divmod(num, 1 << n)
-    if r:
-        raise InternalConsistencyError(
-            f"closed form for {spec} at n={n} did not divide out"
-        )
-    return q
 
 
 def _convergent_pairs(a0: int, block: tuple[int, ...], length: int) -> list[tuple[int, int]]:
@@ -179,14 +149,6 @@ def odd_quotient_seq(m: int, up_to: int) -> list[int]:
     return list(islice(_terms(LinRecSpec(2 * m + 1, 1, 0, 1)), max(up_to + 1, 0)))
 
 
-def odd_multiplier(m: int) -> int:
-    """(2m+1)((2m+1)^2 + 3): the index-5 jump multiplier of the u-sequence."""
-    if m < 0:
-        raise DomainError("odd_multiplier wants m >= 0")
-    t = 2 * m + 1
-    return t * (t * t + 3)
-
-
 def even_quotient_pairs(m: int, up_to: int) -> list[tuple[int, int]]:
     """(p_j, q_j) pairs, j = 0..up_to, of sqrt((2m)^2 + 4) = [2m; m, 4m ...].
 
@@ -252,14 +214,12 @@ __all__ = [
     "QuadRingElem",
     "quad_power",
     "linrec_nth",
-    "binet_nth",
     "pell_pair",
     "sqrt3_pair",
     "sqrt3_denominators",
     "ab_pair",
     "triple113_pair",
     "odd_quotient_seq",
-    "odd_multiplier",
     "even_quotient_pairs",
     "interleaved_even_pair",
     "pair_m2m_denominators",

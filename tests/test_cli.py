@@ -107,6 +107,22 @@ class TestSurd:
         code, _, err = run(capsys, "surd", "--p", "0", "--q", "1", "--d", "25")
         assert code == 2
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    @pytest.mark.parametrize("d", ["29", "25"])
+    def test_max_steps_below_one_is_usage_error(self, capsys, steps, d):
+        # Checked before the radicand: a square d is a domain error only
+        # once the budget is valid.
+        code, out, err = run(capsys, "surd", "--p", "-5", "--q", "1", "--d", d, "--max-steps", steps)
+        assert (code, out, err) == (1, "", "surd: need --max-steps >= 1\n")
+
+    def test_max_steps_one_reaches_the_expansion(self, capsys):
+        # 1 + sqrt(2) = [2; 2 ...] repeats its state at the second step.
+        argv = ["surd", "--p", "1", "--q", "1", "--d", "2", "--max-steps"]
+        code, out, err = run(capsys, *argv, "1")
+        assert (code, out, err) == (2, "", "surd: no period within 1 steps for (1+sqrt(2))/1\n")
+        code, out, _ = run(capsys, *argv, "2")
+        assert code == 0 and json.loads(out)["period"] == [2]
+
 
 class TestConvergents:
     def test_json_lines(self, capsys):

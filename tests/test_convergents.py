@@ -20,7 +20,7 @@ from surdcf.convergents import (
 )
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
-from surdcf.mat2 import IDENTITY, Mat2, quotient_matrix
+from surdcf.mat2 import IDENTITY, Mat2
 
 words = st.lists(st.integers(1, 9), min_size=1, max_size=12)
 
@@ -65,7 +65,7 @@ class TestConvergents:
 
 class TestWordMatrix:
     def test_examples_direct_product(self):
-        two = quotient_matrix(1) * quotient_matrix(2)
+        two = Mat2(1, 1, 1, 0) * Mat2(2, 1, 1, 0)
         assert word_matrix([1, 2]) == two == Mat2(3, 1, 2, 1)
         assert word_matrix([2, 2]) == Mat2(5, 2, 2, 1)
         assert word_matrix([7]) == Mat2(7, 1, 1, 0)
@@ -88,7 +88,7 @@ class TestWordMatrix:
     @example(list(range(-5, 35)))
     def test_equals_step_matrix_product(self, word):
         # the reference is the literal product, independent of the recurrence
-        want = reduce(Mat2.__mul__, map(quotient_matrix, word), IDENTITY)
+        want = reduce(Mat2.__mul__, (Mat2(a, 1, 1, 0) for a in word), IDENTITY)
         assert word_matrix(word) == want
 
     def test_empty_word_rejected(self):

@@ -5,17 +5,12 @@ from hypothesis import strategies as st
 from conftest import sqrt_cf_oracle, sqrt_full_walk, surd_cf_oracle
 from surdcf import engine
 from surdcf.engine import (
-    CenterRelation,
-    PeriodicCF,
     SurdState,
-    central_class,
     expand_sqrt,
     expand_surd,
     half_period,
     is_primitive_word,
     mirror,
-    period_facts,
-    period_length,
 )
 from surdcf.exact import DomainError, InternalConsistencyError, ResourceLimitError, isqrt
 
@@ -40,9 +35,9 @@ class TestExpandSqrt:
                 expand_sqrt(bad)
 
     def test_period_length(self):
-        assert period_length(2) == 1
-        assert period_length(13) == 5
-        assert period_length(7) == 4
+        assert expand_sqrt(2).length == 1
+        assert expand_sqrt(13).length == 5
+        assert expand_sqrt(7).length == 4
         assert expand_sqrt(7).as_list() == [2, 1, 1, 1, 4]
 
 
@@ -179,32 +174,6 @@ class TestLargeRadicands:
         cf = expand_sqrt(d)
         assert cf.as_list() == expected.as_list()
         assert cf.period == (5,) * 12 + (2 * cf.a0,)
-
-
-class TestCentralClass:
-    def test_examples(self):
-        c21 = central_class(21)
-        assert (c21.center, c21.relation) == (2, CenterRelation.LESS_THAN_A0_MINUS_1)
-        c7 = central_class(7)
-        assert (c7.center, c7.relation) == (1, CenterRelation.EQUALS_A0_MINUS_1)
-        c13 = central_class(13)
-        assert not c13.has_center and c13.relation is None
-        c22 = central_class(22)
-        assert (c22.center, c22.relation) == (4, CenterRelation.EQUALS_A0)
-
-
-class TestPeriodFacts:
-    def test_engine_periods(self):
-        assert period_facts(expand_sqrt(22)) == (4, True, True, True)
-        assert period_facts(expand_sqrt(2)) == (-1, True, True, True)
-        assert period_facts(expand_sqrt(13)) == (-1, True, True, True)
-
-    def test_each_fact_can_fail(self):
-        # Hand-built words, not expansions: each breaks one fact.
-        assert period_facts(PeriodicCF(0, 3, (1, 2, 1, 6))) == (2, True, True, True)
-        assert period_facts(PeriodicCF(0, 3, (1, 2, 2, 6))) == (2, False, True, True)
-        assert period_facts(PeriodicCF(0, 3, (1, 2, 1, 5))) == (2, True, False, True)
-        assert period_facts(PeriodicCF(0, 3, (4, 6))) == (4, True, True, False)
 
 
 class TestExpandSurd:

@@ -8,6 +8,7 @@ package modules that a run loads besides them (no more, no fewer) and the
 outside modules that it must not load.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -29,26 +30,36 @@ MINE = {"miner", "convergents", "mat2", "sequences", "_jsontext"}
 VERIFY = {"families", "engine", "sequences", "convergents", "mat2"}
 SEQUENCES = {"sequences", "convergents", "mat2"}
 
-# Every name that ``surdcf`` exported when it imported its modules eagerly,
-# by the module that defines it.
+# Every name that ``surdcf`` exports, by the module that defines it.
 EXPORTS = {
     "exact": ["DomainError", "InternalConsistencyError", "Rat", "RationalValueError",
-              "ResourceLimitError", "is_square", "isqrt", "solve_linear_congruence"],
-    "engine": ["CentralClass", "CenterRelation", "PeriodicCF", "SurdExpansion", "SurdState",
-               "central_class", "expand_sqrt", "expand_surd", "period_length"],
+              "ResourceLimitError", "is_square", "isqrt"],
+    "engine": ["PeriodicCF", "SurdExpansion", "SurdState", "expand_sqrt", "expand_surd"],
     "convergents": ["Convergent", "QuadSolution", "convergents_of_word", "palindrome_b",
                     "surd_from_periodic_cf", "word_matrix"],
     "mat2": ["Mat2", "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power"],
     "chebyshev": ["Poly", "cheb_mat_pow", "cheb_u", "cheb_u_prime", "cousin_closed_form",
                   "cousin_mat_pow", "eval_poly"],
-    "sequences": ["LinRecSpec", "QuadRingElem", "ab_pair", "binet_nth", "interleaved_even_pair",
-                  "linrec_nth", "odd_multiplier", "pell_pair", "sqrt3_pair", "triple113_pair"],
+    "sequences": ["LinRecSpec", "QuadRingElem", "ab_pair", "interleaved_even_pair", "linrec_nth",
+                  "pell_pair", "sqrt3_pair", "triple113_pair"],
     "families": ["FamilyDescriptor", "FamilyValidityError", "VerifyReport", "instantiate",
                  "registry", "verify_family"],
     "miner": ["MinedFamilies", "MinedFamily", "mine", "mine_sweep"],
     "analyzer": ["StructReport", "check_claims", "period_stats", "sum_two_coprime_squares"],
 }
 EXPORTED = [name for names in EXPORTS.values() for name in names]
+
+# The module-level functions that nothing in the package refers to, each
+# kept for the reason its docstring gives: the matrix powers and Chebyshev
+# identities that the acceptance criteria check, and the library forms of
+# commands and README examples.
+UNCALLED = {
+    "cheb_mat_pow", "cousin_closed_form", "cousin_mat_pow",
+    "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power",
+    "palindrome_b", "surd_from_periodic_cf",
+    "family_by_id", "instantiate", "verify_family",
+    "mine_sweep",
+}
 
 
 def modules_after(code: str) -> tuple[set, set]:
@@ -141,3 +152,20 @@ def test_unknown_name_raises_attribute_error():
         surdcf.no_such_name
     with pytest.raises(ImportError):
         from surdcf import no_such_name  # noqa: F401
+
+
+def test_only_named_functions_lack_a_package_caller():
+    # A module-level def or class that no name or attribute in the package
+    # refers to is reached from outside it only, by tests at most.
+    defined, used = set(), set()
+    for path in (SRC / "surdcf").glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update(node.name for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = {name for name in defined - used if not (name.startswith("__") and name.endswith("__"))}
+    assert uncalled == UNCALLED

@@ -3,18 +3,22 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from conftest import brute_two_coprime_squares
+from conftest import brute_two_coprime_squares, sqrt_full_walk
 from surdcf import _kernels
 from surdcf.analyzer import sum_two_coprime_squares
-from surdcf.engine import expand_sqrt, period_facts
+from surdcf.engine import expand_sqrt
 from surdcf.exact import InternalConsistencyError, is_square
 
 
 def engine_row(d):
-    cf = expand_sqrt(d)
-    center, pal, term, bound = period_facts(cf)
-    flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
-    return cf.length, cf.a0, center, flags
+    """(ell, a0, center, flags) of sqrt(d), read off the literal walk of its
+    whole period: no stop rule of the half walk and no mirror."""
+    a0, word = sqrt_full_walk(d)
+    ell, inner = len(word), word[:-1]
+    center = word[ell // 2 - 1] if ell % 2 == 0 else -1
+    flags = (_kernels.F_PAL * (inner == inner[::-1]) | _kernels.F_TERM * (word[-1] == 2 * a0)
+             | _kernels.F_BOUND * (max(inner, default=0) <= a0))
+    return ell, a0, center, flags
 
 
 def engine_rows(lo, hi):
@@ -68,9 +72,9 @@ def spy_blocks(monkeypatch):
     calls = []
     block = _kernels._block
 
-    def spy(r, q1, live, step, rounds, *cols):
+    def spy(live, step, rounds, *cols):
         calls.append((step, rounds, live[0].copy(), live[6].copy()))
-        return block(r, q1, live, step, rounds, *cols)
+        return block(live, step, rounds, *cols)
 
     monkeypatch.setattr(_kernels, "_block", spy)
     return calls

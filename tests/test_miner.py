@@ -9,12 +9,11 @@ from conftest import reference_mine
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_convergents import _palindromes as reference_palindromes
-from test_exact import palindromes
 
 from surdcf import convergents, miner
 from surdcf.convergents import INT64_MAX, palindrome_half, palindrome_triples
 from surdcf.engine import expand_sqrt
-from surdcf.exact import DomainError, InternalConsistencyError, solve_linear_congruence
+from surdcf.exact import DomainError, InternalConsistencyError
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
 from surdcf.miner import MinedFamilies, MinedFamily, mine, mine_sweep, sweep_blocks, write_jsonl
 
@@ -25,6 +24,14 @@ SWEEP_CASES = [(7, 6), (0, 3), (1, 5), (6, 3), (3, 2), (9, 3)]
 def reference_sweep(max_len, max_entry):
     return [fam for fam in map(reference_mine, reference_palindromes(max_len, max_entry)) if fam is not None]
 
+
+# Palindromes of length <= 30 with entries <= 50: the miner's word matrices,
+# whose entries run well past 2**64.
+palindromes = st.builds(
+    lambda half, odd: tuple(half + half[::-1][odd:]),
+    st.lists(st.integers(1, 50), min_size=1, max_size=15),
+    st.integers(0, 1),
+)
 
 # Palindromes with entries up to 10**12, whose word matrices run far past
 # int64, mixed with small entries.
@@ -114,7 +121,8 @@ def head_rows(pals, dtype):
 
 def assert_head_definition(pal, row):
     """``row`` = (solvable, residue, modulus) solves 2B*a + C == 0 (mod A) for
-    the word matrix [[A, B], [B, C]] of ``pal``, by gcd and the scalar solver."""
+    the word matrix [[A, B], [B, C]] of ``pal``: solvable iff g = gcd(2B, A)
+    divides C, and then the one solution in [0, A/g)."""
     A, B, C = (int(col[0]) for col in triples_of([pal], object))
     g = math.gcd(2 * B, A)
     ok, res, mod = row
@@ -122,9 +130,6 @@ def assert_head_definition(pal, row):
     assert mod == A // g
     if ok:
         assert 0 <= res < mod and (2 * B * res + C) % A == 0
-        assert solve_linear_congruence(2 * B, C, A) == (res, mod)
-    else:
-        assert solve_linear_congruence(2 * B, C, A) is None
 
 
 class TestHeadCongruence:

@@ -7,12 +7,10 @@ from surdcf.sequences import (
     FIBONACCI,
     LinRecSpec,
     ab_pair,
-    binet_nth,
     even_quotient_pairs,
     interleaved_even_pair,
     linrec_nth,
     named_sequence,
-    odd_multiplier,
     odd_quotient_seq,
     pair_m2m_denominators,
     pell_pair,
@@ -42,29 +40,6 @@ class TestLinRec:
         assert linrec_nth(FIBONACCI, 10) == 55
         assert linrec_nth(ODD3, 6) == 360
         assert linrec_nth(LinRecSpec(9, -2, 4, 7), 0) == 4
-
-    def test_binet_examples(self):
-        assert binet_nth(FIBONACCI, 7) == 13
-        assert binet_nth(ODD3, 3) == 10
-        assert binet_nth(LinRecSpec(5, 3, 2, 11), 1) == 11
-
-    def test_binet_equals_iteration(self):
-        specs = [
-            FIBONACCI,
-            ODD3,
-            LinRecSpec(2, 1, 1, 1),       # sqrt(2) numerators
-            LinRecSpec(4, -1, 1, 3),      # the 4x - 1 pair
-            LinRecSpec(8, 1, 1, 7),       # the 8x + 1 pair
-            LinRecSpec(3, 4, 5, 1),       # perfect-square discriminant (25)
-            LinRecSpec(1, -3, 2, 9),      # negative discriminant
-        ]
-        for spec in specs:
-            for n in range(101):
-                assert binet_nth(spec, n) == linrec_nth(spec, n), (spec, n)
-
-    def test_degenerate_discriminant_rejected(self):
-        with pytest.raises(DomainError):
-            binet_nth(LinRecSpec(2, -1, 0, 1), 5)
 
     def test_power_sequence_parity(self):
         # u(3r) even, u(3r+1) and u(3r+2) odd
@@ -180,11 +155,6 @@ class TestEvenQuotient:
 
 
 class TestOddMultiplier:
-    def test_examples(self):
-        assert odd_multiplier(0) == 4
-        assert odd_multiplier(1) == 36
-        assert odd_multiplier(2) == 140
-
     def test_fibonacci_triple_step(self):
         f = [linrec_nth(FIBONACCI, n) for n in range(40)]
         for k in range(2, 12):
@@ -193,12 +163,14 @@ class TestOddMultiplier:
     def test_pair_recurrences_match_word_convergents(self):
         # the index-(5k-2) and index-5k convergents of [0; m,1,1,m,4m+2 ...]
         # are the inverted (u(3k-1), 2u(3k-2)) and (u(3k+1), 2u(3k)) pairs,
-        # and both ladders advance by the multiplier
+        # and both ladders advance by the multiplier (2m+1)((2m+1)^2 + 3), the
+        # trace of the cube of the step matrix [[2m+1, 1], [1, 0]]
         for m in range(1, 6):
             word = [0] + [m, 1, 1, m, 4 * m + 2] * 11
             conv = convergents_of_word(word)
             u = odd_quotient_seq(m, 34)
-            mult = odd_multiplier(m)
+            cube = mat_pow(Mat2(2 * m + 1, 1, 1, 0), 3)
+            mult = cube.m11 + cube.m22
             for k in range(1, 11):
                 c = conv[5 * k - 2]
                 assert (c.q, c.p) == (u[3 * k - 1], 2 * u[3 * k - 2])
