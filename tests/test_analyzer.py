@@ -326,6 +326,28 @@ class TestCheckClaims:
             check_claims(2, 20, jobs=jobs)
 
 
+class TestCentralClass:
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize(
+        "d, center, cid",
+        [
+            (7, 1, None),                  # center = a0 - 1, but ell = 4
+            (13, -1, None),                # odd period: no centre
+            (19, 3, CLAIM_CENTER_EQM1),    # center = a0 - 1, ell = 6
+            (21, 2, CLAIM_CENTER_LT),
+            (22, 4, CLAIM_CENTER_EQ),
+        ],
+    )
+    def test_examples(self, d, center, cid, backend):
+        # The column source of ``backend`` gives the centre, and the fold
+        # tests d under its class's claim and no other.
+        source = _kernels.sweep_range if backend == "numpy" else analyzer._exact_columns
+        assert int(source(d, d + 1)[2][0]) == center
+        report = check_claims(d, d, backend=backend)
+        classes = (CLAIM_CLASS, CLAIM_CENTER_EQ, CLAIM_CENTER_EQM1, CLAIM_CENTER_LT)
+        assert {c for c in classes if report.claim(c).tested} == ({cid} if cid else set())
+
+
 class TestWriteJson:
     @settings(max_examples=40, deadline=None)
     @given(lo=st.integers(1, 30_000), width=st.integers(1, 600))

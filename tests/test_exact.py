@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from surdcf.exact import (
     PRIME_TEST_LIMIT,
     DomainError,
+    Rat,
     is_prime,
     is_square,
     isqrt,
@@ -120,6 +121,12 @@ class TestPollardBrent:
 
 
 class TestRat:
+    def test_reduced_on_construction(self):
+        r = Rat(6, -4)
+        assert (r.numerator, r.denominator) == (-3, 2)
+        with pytest.raises(ZeroDivisionError):
+            Rat(1, 0)
+
     @given(st.integers(-10**9, 10**9), st.integers(1, 10**9),
            st.integers(-10**9, 10**9), st.integers(1, 10**9))
     def test_field_ops_cross_multiplied(self, a, b, c, d):

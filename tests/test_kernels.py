@@ -4,21 +4,29 @@ import numpy as np
 import pytest
 
 from conftest import brute_two_coprime_squares, sqrt_full_walk
-from surdcf import _kernels
+from surdcf import _kernels, analyzer
 from surdcf.analyzer import sum_two_coprime_squares
 from surdcf.engine import expand_sqrt
 from surdcf.exact import InternalConsistencyError, is_square
+
+
+def word_facts(a0, word):
+    """(center, palindrome, terminal, bound) of a period word with integer
+    part a0, read literally: the middle quotient of an even period (-1 for
+    an odd one), the word before the last quotient reads the same both ways,
+    the last quotient is 2*a0, and no quotient before it exceeds a0."""
+    ell, inner = len(word), word[:-1]
+    center = word[ell // 2 - 1] if ell % 2 == 0 else -1
+    return center, inner == inner[::-1], word[-1] == 2 * a0, max(inner, default=0) <= a0
 
 
 def engine_row(d):
     """(ell, a0, center, flags) of sqrt(d), read off the literal walk of its
     whole period: no stop rule of the half walk and no mirror."""
     a0, word = sqrt_full_walk(d)
-    ell, inner = len(word), word[:-1]
-    center = word[ell // 2 - 1] if ell % 2 == 0 else -1
-    flags = (_kernels.F_PAL * (inner == inner[::-1]) | _kernels.F_TERM * (word[-1] == 2 * a0)
-             | _kernels.F_BOUND * (max(inner, default=0) <= a0))
-    return ell, a0, center, flags
+    center, pal, term, bound = word_facts(a0, word)
+    flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
+    return len(word), a0, center, flags
 
 
 def engine_rows(lo, hi):
@@ -32,6 +40,36 @@ def sweep_rows(lo, hi):
     ell, a0, center, flags = _kernels.sweep_range(lo, hi)
     assert ell.size == a0.size == center.size == flags.size == hi - lo
     return list(zip(ell.tolist(), a0.tolist(), center.tolist(), flags.tolist()))
+
+
+ALL_FACTS = _kernels.F_PAL | _kernels.F_TERM | _kernels.F_BOUND
+
+
+@pytest.mark.parametrize("d, row", [(2, (1, 1, -1)), (13, (5, 3, -1)), (22, (6, 4, 4))])
+def test_period_facts_of_engine_periods(d, row):
+    # (ell, a0, center) and every fact, the same from the walked word, the
+    # engine's expansion, the exact half-walk columns and the kernel sweep.
+    a0, word = sqrt_full_walk(d)
+    assert word == expand_sqrt(d).period
+    assert engine_row(d) == (*row, ALL_FACTS)
+    assert [int(col[0]) for col in analyzer._exact_columns(d, d + 1)] == [*row, ALL_FACTS]
+    assert sweep_rows(d, d + 1) == [(*row, ALL_FACTS)]
+
+
+@pytest.mark.parametrize(
+    "word, facts",
+    [
+        ((1, 2, 1, 6), (2, True, True, True)),
+        ((1, 2, 2, 6), (2, False, True, True)),
+        ((1, 2, 1, 5), (2, True, False, True)),
+        ((4, 6), (4, True, True, False)),
+    ],
+    ids=["none", "palindrome", "terminal", "bound"],
+)
+def test_each_oracle_fact_can_fail(word, facts):
+    # Hand-built words with a0 = 3, not expansions: each breaks one fact, so
+    # the oracle the sweep is checked against cannot pass vacuously.
+    assert word_facts(3, word) == facts
 
 
 # TAIL values every sweep is checked at: numpy rounds to the end, the

@@ -186,6 +186,33 @@ class TestHeadCongruence:
             assert_head_definition(pal, row)
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_named_cases(self, dtype):
+        # (solvable, residue, modulus), frozen from the brute-force scan of
+        # the heads modulo A; an unsolvable row's residue means nothing.
+        cases = {
+            (4,): (True, 0, 2),          # A = 4, g = 2: heads 0 and 2
+            (1, 1): (False, None, 1),    # A = 2, C = 1 odd
+            (2, 2): (True, 1, 5),
+            (3, 3): (False, None, 5),    # A = 10, C = 1 odd
+            (1, 2, 1): (True, 1, 2),     # A = 4: heads 1 and 3
+            (3, 1, 3): (True, 13, 15),
+            (1, 4, 1): (True, 2, 3),     # A = 6: heads 2 and 5
+            (2, 2, 2, 2): (True, 1, 29),
+        }
+        for pal, (ok, res, mod) in cases.items():
+            (row,) = head_rows([pal], dtype)
+            assert (row[0], row[2]) == (ok, mod), pal
+            if ok:
+                assert row[1] == res, pal
+            assert_head_definition(pal, row)
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_unit_modulus(self, dtype):
+        # A/g = 1: every head solves, so the residue is 0 modulo 1.
+        for pal in [(), (1,), (2,)]:
+            assert head_rows([pal], dtype) == [(True, 0, 1)], pal
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_broken_determinant_raises(self, dtype):
         A, B, C = triples_of([(2, 2), (1, 1)], dtype)
         with pytest.raises(InternalConsistencyError):

@@ -14,12 +14,31 @@ from surdcf.sequences import (
     odd_quotient_seq,
     pair_m2m_denominators,
     pell_pair,
+    quad_power,
     sqrt3_denominators,
     sqrt3_pair,
     triple113_pair,
 )
 
 ODD3 = LinRecSpec(3, 1, 0, 1)
+
+
+def binet_nth(spec, n):
+    """u(n) by Binet's closed form, apart from the recurrence loop.
+
+    With D = a^2 + 4b != 0 and (a + sqrt(D))^k = s + t*sqrt(D), the
+    sequence with seeds (0, 1) is U(k) = t / 2^(k-1), and
+    u(n) = u1*U(n) + b*u0*U(n-1).
+    """
+    def unit(k):
+        if k == 0:
+            return 0
+        _, t = quad_power(spec.a, 1, spec.a**2 + 4 * spec.b, k)
+        q, r = divmod(t, 2 ** (k - 1))
+        assert r == 0
+        return q
+
+    return spec.u1 * unit(n) + spec.b * spec.u0 * unit(n - 1) if n else spec.u0
 
 
 def even_quotient_oracle(m, up_to):
@@ -40,6 +59,33 @@ class TestLinRec:
         assert linrec_nth(FIBONACCI, 10) == 55
         assert linrec_nth(ODD3, 6) == 360
         assert linrec_nth(LinRecSpec(9, -2, 4, 7), 0) == 4
+
+    def test_binet_examples(self):
+        assert binet_nth(FIBONACCI, 7) == linrec_nth(FIBONACCI, 7) == 13
+        assert binet_nth(ODD3, 3) == linrec_nth(ODD3, 3) == 10
+        assert binet_nth(LinRecSpec(5, 3, 2, 11), 1) == linrec_nth(LinRecSpec(5, 3, 2, 11), 1) == 11
+
+    def test_binet_equals_iteration(self):
+        specs = [
+            FIBONACCI,
+            ODD3,
+            LinRecSpec(2, 1, 1, 1),       # sqrt(2) numerators
+            LinRecSpec(4, -1, 1, 3),      # the 4x - 1 pair
+            LinRecSpec(8, 1, 1, 7),       # the 8x + 1 pair
+            LinRecSpec(3, 4, 5, 1),       # perfect-square discriminant (25)
+            LinRecSpec(1, -3, 2, 9),      # negative discriminant
+        ]
+        for spec in specs:
+            for n in range(101):
+                assert binet_nth(spec, n) == linrec_nth(spec, n), (spec, n)
+
+    def test_degenerate_discriminant(self):
+        # a^2 + 4b = 0: a double root a/2, and u(n) = n (a/2)^(n-1) from
+        # seeds (0, 1).
+        for a in (2, 4, -6):
+            spec = LinRecSpec(a, -(a * a) // 4, 0, 1)
+            for n in range(1, 61):
+                assert linrec_nth(spec, n) == n * (a // 2) ** (n - 1), (a, n)
 
     def test_power_sequence_parity(self):
         # u(3r) even, u(3r+1) and u(3r+2) odd
@@ -155,6 +201,13 @@ class TestEvenQuotient:
 
 
 class TestOddMultiplier:
+    def test_examples(self):
+        # The ladder multiplier (2m+1)((2m+1)^2 + 3) is the trace of the
+        # cube of the step matrix [[2m+1, 1], [1, 0]].
+        for m, mult in [(0, 4), (1, 36), (2, 140)]:
+            cube = mat_pow(Mat2(2 * m + 1, 1, 1, 0), 3)
+            assert cube.m11 + cube.m22 == mult == (2 * m + 1) * ((2 * m + 1) ** 2 + 3)
+
     def test_fibonacci_triple_step(self):
         f = [linrec_nth(FIBONACCI, n) for n in range(40)]
         for k in range(2, 12):
