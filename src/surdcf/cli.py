@@ -31,7 +31,7 @@ _SWEEP_DEFAULT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
+    def error(self, message):  # argparse calls it, and defaults to exit code 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)

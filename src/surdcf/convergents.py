@@ -57,10 +57,6 @@ class QuadSolution:
     root_num_P: int
     root_den_Q: int
 
-    @property
-    def is_pure_sqrt(self) -> bool:
-        return self.root_num_P == 0 and self.root_den_Q == 1
-
 
 def _check_word(word: Sequence[int]) -> None:
     if len(word) == 0:

@@ -36,11 +36,12 @@ class PeriodicCF:
     def length(self) -> int:
         return len(self.period)
 
-    def interior(self) -> tuple[int, ...]:
-        """The palindromic part of the period (everything but the final 2*a0)."""
-        return self.period[:-1]
-
     def as_list(self) -> list[int]:
+        """[a0, *period], the expansion as one list.
+
+        Nothing in the package calls it: acceptance criterion 1 checks the
+        golden expansions in this form.
+        """
         return [self.a0, *self.period]
 
     def __str__(self) -> str:

@@ -28,9 +28,10 @@ and Python ints (``dtype=object``) elsewhere, through the same code.
 writes each block as it comes holds one block, whatever the sweep's size;
 ``mine_sweep`` concatenates them.  ``write_jsonl`` writes families as JSON
 Lines through the package's one row formatter, ``_jsontext``, a block of
-rows at a time.  The ``b_expr`` text is built by ``_b_expr`` over a column,
-for the JSON rows and for ``MinedFamilies.b_exprs``; ``MinedFamily.b_expr``
-is its one-row case.
+rows at a time.  ``_b_expr`` makes the ``b_expr`` text of a block one
+composite cell (``_jsontext.Text``), written in place into the JSON rows;
+``MinedFamilies.b_exprs`` reads each row's text from the same cell, and
+``MinedFamily.b_expr`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -48,17 +49,29 @@ from .exact import DomainError, InternalConsistencyError
 ACCEPT_INSTANCES = 5
 
 
-def _b_expr(slope: np.ndarray, const: np.ndarray) -> np.ndarray:
+def _b_expr(slope: np.ndarray, const: np.ndarray) -> _jsontext.Text:
     """b = slope*c + const as text, per row: ``4*c+1``, ``2*c-17``, ``3*c``
-    or ``1``, as an ``S`` column of NUL-padded cells (``_jsontext``)."""
+    or ``1``.  One composite cell (``_jsontext.Text``) of the slope's
+    digits, ``*c``, ``+`` and the const's digits, each kept or dropped per
+    row; a negative const brings its own sign."""
     c_term = slope != 0
-    slope_digits, const_digits = _jsontext.digits(slope), _jsontext.digits(const)
-    slope_digits[~c_term] = 0
-    const_digits[c_term & (const == 0)] = 0
-    times_c = np.where(c_term[:, None], np.frombuffer(b"*c", np.uint8), 0).astype(np.uint8)
-    plus = np.where(c_term & (const > 0), ord("+"), 0).astype(np.uint8)
-    cells = _jsontext.join([slope_digits, times_c, plus[:, None], const_digits])
-    return cells.view(f"S{cells.shape[1]}")[:, 0]
+    return _jsontext.Text((
+        (slope, c_term),
+        (b"*c", c_term),
+        (b"+", c_term & (const > 0)),
+        (const, ~c_term | (const != 0)),
+    ))
+
+
+def _lengths(pal: np.ndarray) -> np.ndarray:
+    """The length of each palindrome of a 0-padded block (its entries are at
+    least 1): where its first 0 is, or the block's width if it has none.
+    One ``argmin``; ``np.count_nonzero(pal, axis=1)`` is several times
+    slower over rows this short."""
+    if not pal.shape[1]:
+        return np.zeros(len(pal), np.int64)
+    filled = pal != 0
+    return np.where(filled[:, -1], pal.shape[1], filled.argmin(axis=1))
 
 
 @dataclass(frozen=True)
@@ -82,17 +95,16 @@ class MinedFamily:
     verified_instances: int
 
     def a_of(self, c: int) -> int:
+        """a(c).  Nothing in the package calls it: acceptance criterion 8
+        checks the swept families' instances through it and ``b_of``."""
         return self.a_modulus * c + self.a_residue
 
     def b_of(self, c: int) -> int:
+        """b(c), for acceptance criterion 8 as ``a_of``."""
         return self.b_slope * c + self.b_const
 
-    def d_of(self, c: int) -> int:
-        a = self.a_of(c)
-        return a * a + self.b_of(c)
-
     def b_expr(self) -> str:
-        return _jsontext.text(_b_expr(np.array([self.b_slope]), np.array([self.b_const])))
+        return _jsontext.strings(_b_expr(_jsontext.ints([self.b_slope]), _jsontext.ints([self.b_const])))[0]
 
     def to_dict(self) -> dict:
         return {
@@ -139,10 +151,10 @@ class MinedFamilies:
 
     def b_exprs(self) -> list[str]:
         """``MinedFamily.b_expr`` of every row, from the columns at once."""
-        return [b.replace(b"\0", b"").decode() for b in _b_expr(self.b_slope, self.b_const).tolist()]
+        return _jsontext.strings(_b_expr(self.b_slope, self.b_const))
 
     def __iter__(self) -> Iterator[MinedFamily]:
-        lengths = np.count_nonzero(self.palindrome, axis=1).tolist()
+        lengths = _lengths(self.palindrome).tolist()
         for pal, n, *fields in zip(self.palindrome.tolist(), lengths,
                                    *(col.tolist() for col in self._int_columns())):
             yield MinedFamily(tuple(pal[:n]), *fields)
@@ -299,8 +311,9 @@ def write_jsonl(families: MinedFamilies, out) -> None:
 
     The same bytes, formatted from the columns by ``_jsontext``,
     ``WRITE_BLOCK`` rows per write: the palindromes as lists of their own
-    lengths and ``b_expr`` as a string (it holds only digits, ``*``, ``c``,
-    ``+`` and ``-``, so nothing needs escaping).
+    lengths and ``b_expr`` as a string, the composite cell of ``_b_expr``
+    (it holds only digits, ``*``, ``c``, ``+`` and ``-``, so nothing needs
+    escaping).
     """
     def columns_of(rows: slice) -> dict:
         pal = families.palindrome[rows]
@@ -309,7 +322,7 @@ def write_jsonl(families: MinedFamilies, out) -> None:
             "a_residue": families.a_residue[rows],
             "b_expr": _b_expr(families.b_slope[rows], families.b_const[rows]),
             "min_c": families.min_c[rows],
-            "palindrome": _jsontext.Ragged(pal, np.count_nonzero(pal, axis=1)),
+            "palindrome": _jsontext.Ragged(pal, _lengths(pal)),
             "verified_instances": families.verified_instances[rows],
         }
 

@@ -39,6 +39,10 @@ VERIFY_REGISTRY_TEXT_SHA256 = "81f2e51588cf8073d4ab6ef60699d691077346382228dbbef
 # stdout sha256 of `mine --sweep --max-len 10 --max-entry 8` (8,481,992
 # bytes); CI checks it on a pipe too.
 MINE_SWEEP_SHA256 = "7abb8b49fb0f4633054b43587c8e5b6c7715ca41095a181ba5ddd94b43ff3b55"
+# stdout sha256 of `mine --sweep --max-len 10 --max-entry 8 --format text`
+# (56,173 lines, 3,867,154 bytes), whose `b = ...` fields come from
+# `MinedFamilies.b_exprs`; CI checks it on a pipe too.
+MINE_SWEEP_TEXT_SHA256 = "5f05a39a60867f6a422e17f93a23cd567dcaf1893fc155d82a6fcf4ec5ac04da"
 # stdout sha256 of `mine --sweep --max-len 26 --max-entry 2` (24,574 lines,
 # 4,892,910 bytes), where lengths 25 and 26 run on Python ints; CI checks
 # it on a pipe too.
@@ -440,6 +444,13 @@ class TestMine:
         assert code == 0
         assert len(out.splitlines()) == 1441
         assert hashlib.sha256(out.encode()).hexdigest() == MINE_7_6_TEXT_SHA256
+
+    def test_default_text_sweep_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "10", "--max-entry", "8", "--format", "text")
+        assert code == 0
+        data = out.encode()
+        assert (len(out.splitlines()), len(data)) == (56_173, 3_867_154)
+        assert hashlib.sha256(data).hexdigest() == MINE_SWEEP_TEXT_SHA256
 
     def test_long_sweep_output_pinned(self, capsys):
         code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "26", "--max-entry", "2")

@@ -265,7 +265,7 @@ class TestVerify:
                     d, cf = instantiate(fam, asn)
                 except FamilyValidityError:
                     continue
-                assert palindrome_b(cf.interior(), cf.a0) == d - cf.a0 * cf.a0
+                assert palindrome_b(cf.period[:-1], cf.a0) == d - cf.a0 * cf.a0
 
 
 class TestWriteRecord:

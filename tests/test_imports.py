@@ -49,17 +49,22 @@ EXPORTS = {
 }
 EXPORTED = [name for names in EXPORTS.values() for name in names]
 
-# The module-level functions that nothing in the package refers to, each
-# kept for the reason its docstring gives: the matrix powers and Chebyshev
-# identities that the acceptance criteria check, and the library forms of
-# commands and README examples.
+# The module-level functions, and the methods of module-level classes (as
+# ``Class.method``), that nothing in the package refers to, each kept for
+# the reason its docstring or comment gives: the matrix powers and
+# Chebyshev identities that the acceptance criteria check, the library
+# forms of commands and README examples, the forms in which acceptance
+# criteria 1 and 8 check the golden expansions and the mined families'
+# instances, and an override that argparse calls.
 UNCALLED = {
     "cheb_mat_pow", "cousin_closed_form", "cousin_mat_pow",
     "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power",
     "palindrome_b", "surd_from_periodic_cf",
     "family_by_id", "instantiate", "verify_family",
     "mine_sweep",
+    "PeriodicCF.as_list", "MinedFamily.a_of", "MinedFamily.b_of", "_Parser.error",
 }
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def modules_after(code: str) -> tuple[set, set]:
@@ -155,17 +160,25 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_only_named_functions_lack_a_package_caller():
-    # A module-level def or class that no name or attribute in the package
-    # refers to is reached from outside it only, by tests at most.
+    # A module-level def or class, or a method or property of a module-level
+    # class, that no name or attribute in the package refers to is reached
+    # from outside it only, by tests at most.
     defined, used = set(), set()
     for path in (SRC / "surdcf").glob("*.py"):
         tree = ast.parse(path.read_text(), str(path))
-        defined.update(node.name for node in tree.body
-                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+        for node in tree.body:
+            if isinstance(node, (*DEFS, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, DEFS))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    uncalled = {name for name in defined - used if not (name.startswith("__") and name.endswith("__"))}
+    uncalled = set()
+    for name in defined:
+        own = name.rpartition(".")[2]
+        if own not in used and not (own.startswith("__") and own.endswith("__")):
+            uncalled.add(name)
     assert uncalled == UNCALLED

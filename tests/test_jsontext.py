@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surdcf import _jsontext
-from surdcf._jsontext import Ragged, digits, rows, write_rows
+from surdcf._jsontext import WRITE_BLOCK, Ragged, Text, digits, rows, strings, write_rows
 from surdcf.engine import expand_sqrt, half_period
 from surdcf.families import period_json
 from surdcf.exact import isqrt
@@ -40,6 +40,31 @@ def list_column(lists):
     return col
 
 
+# Literal parts of a ``Text``: none of them needs JSON escaping.
+literals = st.text("0123456789*c+- abxyz=()[]{}:,.'/", min_size=1, max_size=3)
+
+
+@st.composite
+def texts(draw, n):
+    """A ``Text`` of n rows, of literal and int parts (int64 and past it),
+    each kept per row or not, and the text of each row."""
+    parts, want = [], [""] * n
+    for _ in range(draw(st.integers(1, 4))):
+        shown = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            part = draw(literals)
+            texts_ = [part] * n
+            part = part.encode()
+        else:
+            dtype, ints_ = draw(st.sampled_from([(np.int64, int64s), (object, bigs)]))
+            values = draw(st.lists(ints_, min_size=n, max_size=n))
+            part = np.array(values, dtype=dtype)
+            texts_ = [str(v) for v in values]
+        parts.append((part, np.array(shown, dtype=bool)))
+        want = [w + t if keep else w for w, t, keep in zip(want, texts_, shown)]
+    return Text(tuple(parts)), want
+
+
 @st.composite
 def tables(draw):
     """Columns of every kind the writer takes, and the same rows as dicts."""
@@ -47,7 +72,7 @@ def tables(draw):
     small = draw(st.lists(int64s, min_size=n, max_size=n))
     big = draw(st.lists(bigs, min_size=n, max_size=n))
     flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    words = draw(st.lists(st.text("0123456789*c+-", max_size=9), min_size=n, max_size=n))
+    word, words = draw(texts(n))
     ragged = draw(st.lists(st.lists(bigs, max_size=5), min_size=n, max_size=n))
     # Palindromes of mixed lengths in one block, 0-padded as in the miner.
     pals = draw(st.lists(st.lists(entries, max_size=6), min_size=n, max_size=n))
@@ -56,7 +81,7 @@ def tables(draw):
         "small": int_column(small, np.int64),
         "big": np.array(big, dtype=object),
         "flag": np.array(flags, dtype=bool),
-        "word": np.array([w.encode() for w in words], dtype="S") if n else np.zeros(0, "S1"),
+        "word": word,
         "period": list_column(ragged),
         "pal": Ragged(padded.values, np.count_nonzero(padded.values, axis=1)),
     }
@@ -65,6 +90,15 @@ def tables(draw):
         for s, b, f, w, r, p in zip(small, big, flags, words, ragged, pals)
     ]
     return columns, table
+
+
+def block_of(col, rows):
+    """The rows ``rows`` of a column of any kind."""
+    if isinstance(col, Ragged):
+        return Ragged(*(c[rows] for c in col))
+    if isinstance(col, Text):
+        return Text(tuple((p if isinstance(p, bytes) else p[rows], shown[rows]) for p, shown in col.parts))
+    return col[rows]
 
 
 class BlockCounter(io.StringIO):
@@ -92,8 +126,7 @@ def test_write_rows_in_blocks(table, block, seps):
     columns, want = table
     sep, end = seps
     out = BlockCounter()
-    write_rows(out, len(want), block, lambda s: {k: Ragged(*(c[s] for c in v)) if isinstance(v, Ragged)
-                                                 else v[s] for k, v in columns.items()}, sep, end)
+    write_rows(out, len(want), block, lambda s: {k: block_of(v, s) for k, v in columns.items()}, sep, end)
     # Rows joined by sep, the first with none.
     assert out.getvalue() == reference(want, sep, end)[len(sep) if want else 0:]
     assert out.writes == -(-len(want) // block)
@@ -146,6 +179,79 @@ def test_empty_block_writes_nothing():
     out = BlockCounter()
     write_rows(out, 0, 4096, lambda s: pytest.fail("no rows to format"))
     assert out.getvalue() == "" and out.writes == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(texts))
+def test_strings_are_the_text_of_each_row(text_rows):
+    col, want = text_rows
+    assert strings(col) == want
+
+
+@pytest.mark.parametrize("literal", [b'"', b"\\", b"\n", b"\0", b"\x1f", b"\x7f", "\u00e9".encode(), b"c\"c"])
+def test_text_literal_that_needs_escaping_raises(literal):
+    col = Text(((literal, np.ones(2, dtype=bool)),))
+    with pytest.raises(ValueError, match="needs JSON escaping"):
+        rows({"t": col})
+    with pytest.raises(ValueError, match="needs JSON escaping"):
+        strings(col)
+
+
+@pytest.mark.parametrize("values, lead, limbs, width", [
+    ([0, 7, 9999], 0, 1, 4),  # non-negative and below 10^4: one limb, no sign
+    ([0, 10**4], 0, 2, 5),
+    ([3, 2**32 + 5], 0, 3, 10),  # past uint32: divided as int64
+    ([-1, 9999], 0, 2, 5),  # a negative: a sign column
+    ([-9, 5], 0, 1, 2),
+    ([8, 1], 2, 1, 1),  # a list place: the separator's two bytes first
+    ([99], 2, 1, 2),
+    ([999], 2, 2, 3),
+])
+def test_limb_rows(values, lead, limbs, width):
+    rows_, w = _jsontext._limb_rows(np.array(values), lead)
+    assert rows_.shape == (len(values), 4 * limbs) and w == width
+    assert not rows_[:, :lead].any()
+    assert [_jsontext.text(row) for row in rows_] == [str(v) for v in values]
+
+
+@pytest.mark.parametrize("lists", [
+    [[1, 2, 3], [4, 5, 6]],  # every list full length
+    [[], [], []],  # every list empty
+    [[1], [], [10**5, 2, -3], [7, 8]],  # mixed, with multi-limb and signed entries
+    [[2**70], [], [1, -(2**65)]],  # past int64
+    [[0, 0], [0]],  # zeros inside the lists
+])
+@pytest.mark.parametrize("kind", ["ragged", "object"])
+def test_lists_of_every_shape(lists, kind):
+    if kind == "ragged":
+        col = _jsontext.pad(lists)
+    else:
+        col = list_column(lists)
+    want = reference([{"p": x} for x in lists], "", "\n")
+    assert rows({"p": col}, end="\n") == want
+
+
+def test_ragged_entries_past_the_lengths_are_dropped():
+    # Row i is values[i, :lengths[i]], whatever the values past it hold.
+    col = Ragged(np.array([[1, 2, 3], [4, -5, 600000], [7, 8, 9]]), np.array([1, 0, 3]))
+    assert rows({"p": col}, end="\n") == '{"p": [1]}\n{"p": []}\n{"p": [7, 8, 9]}\n'
+
+
+@pytest.mark.parametrize("n", [1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1])
+def test_write_rows_at_block_edges(n):
+    rng = np.random.default_rng(n)
+    lengths = rng.integers(0, 4, n)
+    values = rng.integers(1, 10**6, (n, 3)) * (np.arange(3) < lengths[:, None])
+    d = rng.integers(-(10**12), 10**12, n)
+    flags = rng.random(n) < 0.5
+    word = Text(((d, d != 0), (b"*c", flags)))
+    columns = {"d": d, "f": flags, "p": Ragged(values, lengths), "w": word}
+    table = [{"d": int(d[i]), "f": bool(flags[i]), "p": values[i, :lengths[i]].tolist(),
+              "w": (str(d[i]) if d[i] else "") + ("*c" if flags[i] else "")} for i in range(n)]
+    out = BlockCounter()
+    write_rows(out, n, WRITE_BLOCK, lambda s: {k: block_of(v, s) for k, v in columns.items()}, ", ")
+    assert out.getvalue() == reference(table, ", ")[2:]
+    assert out.writes == -(-n // WRITE_BLOCK)
 
 
 def test_empty_lists():

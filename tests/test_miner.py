@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_convergents import _palindromes as reference_palindromes
 
-from surdcf import convergents, miner
+from surdcf import _jsontext, convergents, miner
 from surdcf.convergents import INT64_MAX, palindrome_half, palindrome_triples
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError, InternalConsistencyError
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
+from surdcf._jsontext import WRITE_BLOCK
 from surdcf.miner import MinedFamilies, MinedFamily, mine, mine_sweep, sweep_blocks, write_jsonl
 
 # The (max_len, max_entry) sweeps the tests run against the scalar reference.
@@ -55,7 +56,7 @@ class TestMine:
         assert (fam.a_residue, fam.a_modulus) == (1, 5)
         assert (fam.b_slope, fam.b_const) == (4, 1)
         assert fam.min_c == 1
-        assert fam.d_of(1) == 41 and expand_sqrt(41).as_list() == [6, 2, 2, 12]
+        assert fam.a_of(1) ** 2 + fam.b_of(1) == 41 and expand_sqrt(41).as_list() == [6, 2, 2, 12]
         assert_family_verifies(fam)
 
     def test_pattern_11_unsolvable(self):
@@ -75,7 +76,7 @@ class TestMine:
         assert (fam.a_residue, fam.a_modulus) == (0, 2)
         assert (fam.b_slope, fam.b_const) == (1, 0)
         assert fam.min_c == 2       # c = 2 is d = 18 = [4; 4, 8]
-        assert fam.d_of(2) == 18
+        assert fam.a_of(2) ** 2 + fam.b_of(2) == 18
         assert_family_verifies(fam)
 
     def test_non_palindrome_rejected(self):
@@ -378,9 +379,94 @@ def reference_b_expr(slope, const):
     return f"{slope}*c"
 
 
+def reference_row(pal, res, mod, slope, const, min_c, checked):
+    """A family's JSON row, built by the scalar rules alone."""
+    return {"palindrome": list(pal), "a_residue": res, "a_modulus": mod,
+            "b_expr": reference_b_expr(slope, const), "min_c": min_c, "verified_instances": checked}
+
+
+def families_of(rows, dtype=None):
+    """``MinedFamilies`` of the rows (tuples in ``MinedFamily`` field order),
+    the int columns of ``dtype`` where given, and their reference JSON Lines."""
+    cols = [list(col) for col in zip(*rows)] or [[] for _ in dataclasses.fields(MinedFamilies)]
+    width = max(map(len, cols[0]), default=0)
+    pal = np.array([list(p) + [0] * (width - len(p)) for p in cols[0]], dtype=np.int64).reshape(len(rows), width)
+    ints = [np.array(col, dtype=dtype) if dtype else col for col in cols[1:]]
+    fams = MinedFamilies(pal, *ints)
+    return fams, "".join(json.dumps(reference_row(*row), sort_keys=True) + "\n" for row in rows)
+
+
 class TestBExpr:
-    coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1),
-                             st.integers(-(2**80), 2**80))
+    int64_coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+    coefficients = st.one_of(int64_coefficients, st.integers(-(2**80), 2**80))
+
+    def assert_cell(self, pairs, dtype):
+        """The composite cell of ``pairs`` (slope, const) is the scalar rule's
+        text: on its own, through ``b_exprs()`` and in the JSON rows."""
+        want = [reference_b_expr(slope, const) for slope, const in pairs]
+        slope, const = (np.array([pair[i] for pair in pairs], dtype=dtype) for i in (0, 1))
+        assert _jsontext.strings(miner._b_expr(slope, const)) == want
+        fams, jsonl = families_of([((1,), 0, 1, slope, const, 1, 5) for slope, const in pairs], dtype)
+        assert fams.b_slope.dtype == dtype
+        assert fams.b_exprs() == want
+        out = io.StringIO()
+        write_jsonl(fams, out)
+        assert out.getvalue() == jsonl
+        assert [json.loads(line)["b_expr"] for line in out.getvalue().splitlines()] == want
+
+    EDGES = [(0, 0), (0, -7), (0, 12), (3, 0), (4, 1), (2, -17), (-5, 9), (-5, -(2**63)),
+             (2**63 - 1, 2**63 - 1), (1, -(2**63))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(int64_coefficients, int64_coefficients), min_size=1, max_size=8))
+    @example(EDGES)
+    @example([(0, 5)] * 3)  # no row with a c term
+    @example([(2, 0)] * 3)  # every const hidden
+    def test_int64_block(self, pairs):
+        self.assert_cell(pairs, np.int64)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(coefficients, coefficients), min_size=1, max_size=8))
+    @example([*EDGES, (2**70, 2**63), (0, -(2**80)), (-(2**64), 0), (2**64, -1)])
+    @example([(1, 2), (0, 0)])  # fits in int64, held as Python ints
+    def test_object_block(self, pairs):
+        self.assert_cell(pairs, object)
+
+    @pytest.mark.parametrize("n", [1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1])
+    def test_blocks_at_the_write_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        slope = rng.integers(-50, 50, n) * (rng.random(n) < 0.8)
+        const = rng.integers(-(10**12), 10**12, n) * (rng.random(n) < 0.7)
+        lengths = rng.integers(0, 7, n)
+        rows = [(tuple(rng.integers(1, 9, k).tolist()), int(r), int(m), int(s), int(c), int(c0), 5)
+                for k, r, m, s, c, c0 in zip(lengths, rng.integers(0, 10**6, n), rng.integers(1, 10**6, n),
+                                             slope, const, rng.integers(0, 40, n))]
+        fams, jsonl = families_of(rows, np.int64)
+        out = BlockCounter()
+        write_jsonl(fams, out)
+        assert out.getvalue() == jsonl
+        assert out.writes == -(-n // WRITE_BLOCK)
+        assert fams.b_exprs() == [reference_b_expr(row[3], row[4]) for row in rows]
+
+    @pytest.mark.parametrize("pals", [
+        [(1, 2, 1), (3, 3, 3), (8, 1, 8)],  # every palindrome full length
+        [(), (), ()],  # every palindrome empty: a block of width 0
+        [(1, 2, 1), (), (4,), (5, 5)],  # mixed
+    ], ids=["full", "empty", "mixed"])
+    def test_palindromes_of_every_shape(self, pals):
+        rows = [(pal, 1, 2, 3, -4, 0, 5) for pal in pals]
+        fams, jsonl = families_of(rows)
+        out = io.StringIO()
+        write_jsonl(fams, out)
+        assert out.getvalue() == jsonl
+        assert [fam.palindrome for fam in fams] == pals
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_palindrome_lengths(self, width):
+        rng = np.random.default_rng(width)
+        lengths = np.r_[0, width, rng.integers(0, width + 1, 50)]
+        pal = rng.integers(1, 9, (len(lengths), width)) * (np.arange(width) < lengths[:, None])
+        assert miner._lengths(pal).tolist() == lengths.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(coefficients, coefficients), max_size=8))

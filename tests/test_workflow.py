@@ -129,6 +129,13 @@ def test_ci_checks_mine_sweep_digest_in_process():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
 
 
+def test_ci_checks_mine_sweep_text_digest():
+    from test_cli import MINE_SWEEP_TEXT_SHA256
+
+    check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8 --format text")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_TEXT_SHA256]
+
+
 def test_ci_checks_sequences_digest():
     from test_cli import SEQUENCES_PINNED, SEQUENCES_SHA256, SEQUENCES_WITH_M
 
