@@ -67,7 +67,7 @@ class Text(NamedTuple):
 
 
 def ints(values) -> np.ndarray:
-    """Python ints (a list, or an ``object`` array) as an int64 array where
+    """Ints (a list, or an array of any int dtype) as an int64 array where
     all of them fit, else ``object``.
 
     (numpy alone would make floats of ints on both sides of 2^63.)

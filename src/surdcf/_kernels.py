@@ -24,18 +24,18 @@ and the set shrinks only once the queue is empty, by moving live lanes from
 its end into the stopped slots (``_drop``).  From then on the live set
 drains in blocks of rounds: a block steps every live lane a few rounds at
 once, with one ufunc call per operation and row, and then finds each lane's
-first stop in one scan of the block.  A numpy call costs about a
-microsecond however few lanes it carries, so a narrow set pays eight calls
-per round in a block, where a round on its own pays about fifteen.  The
-lanes that stop are not written to the fact columns where they stop: a
-round or block with stops pays about nine calls to add their records to a
-batch (``_Stops``), which is written once it holds a live set's worth and
-once more when the walk ends.  A lane walks at most a block's length past
-its centre; ``_block_rounds`` keeps that under 1/16 of the rounds it walked
-before.  Once no more than ``TAIL`` lanes are live, the walk hands them to
-a scalar loop in Python ints.  The palindrome and terminal facts hold by
-construction of the mirrored period, and the bound fact is "largest walked
-quotient <= a0".
+first stop in one scan of the block.  A numpy call on a few hundred lanes
+costs a few tenths of a microsecond, nearly all of it dispatch, so a narrow
+set pays eight calls per round in a block, about 3 us a row, where a round
+on its own pays about fifteen.  The lanes that stop are not written to the
+fact columns where they stop: a round or block with stops pays about nine
+calls to add their records to a batch (``_Stops``), which is written once
+it holds a live set's worth and once more when the walk ends.  A lane walks
+at most a block's length past its centre; ``_block_rounds`` keeps that
+under 1/16 of the rounds it walked before.  Once no more than ``TAIL``
+lanes are live, the walk hands them to a scalar loop in Python ints.  The
+palindrome and terminal facts hold by construction of the mirrored period,
+and the bound fact is "largest walked quotient <= a0".
 
 The lanes are float32, and their arithmetic is exact under the gate.  Every
 lane value is an integer of magnitude at most 2R + 1, where R = isqrt(d) <=
@@ -85,9 +85,15 @@ LANE = np.float32
 WIDTH = 16384
 
 # Live lanes at or below which the half walk, its queue empty, finishes each
-# lane in Python ints, at about 0.3 us per quotient.  Timed against the
-# blocked drain at 0, 16, 32, 48, 64 and 128 (see CHANGES.md).
-TAIL = 32
+# lane in Python ints, at about 0.15 us per quotient, where a block row
+# costs about 3 us however few lanes it steps.  Whole in-process `analyze
+# --jobs 1` calls, median ms of 8 to 12 rounds that run the values in turn:
+#
+#     window              TAIL 8    16     32     64
+#     50000500..+999        28.6   27.3   27.6   30.9
+#     1e9..+199             53.6   50.1   51.1   63.4
+#     1e10..+999           258.9  248.9  250.7  295.7
+TAIL = 16
 
 BACKENDS = ("numpy", "python")
 
@@ -119,7 +125,7 @@ def _isqrt_vec(d: np.ndarray) -> np.ndarray:
 
 def _quotient(x, y, out=None):
     """floor(x / y) of float32 lanes, exact for 0 <= x < 2^24 and y >= 1."""
-    return np.floor(np.divide(x, y, out=out), out=out)
+    return np.floor(np.divide(x, y, out), out)
 
 
 def _half_walk(r, q1, queue, ell, center, flags) -> None:
@@ -243,14 +249,17 @@ def _block(live, step, rounds, stops):
     U_k, Q_p, Q_k = U[0], Qs[0], Qs[1]
     np.subtract(R, P, out=U_k)
     Q_p[:], Q_k[:] = Q_prev, Q
+    # A row's calls carry few lanes and cost mostly dispatch: local names
+    # and positional outputs cut a row's time by about a sixth.
+    sub, mul, add, quotient = np.subtract, np.multiply, np.add, _quotient
     for a_k, U_n, Q_n in zip(a, U[1:], Qs[2:]):
-        np.subtract(R2, U_k, out=U_n)
-        _quotient(U_n, Q_k, out=a_k)
-        np.multiply(a_k, Q_k, out=Q_n)
-        np.subtract(U_n, Q_n, out=U_n)
-        np.subtract(U_n, U_k, out=Q_n)
-        np.multiply(Q_n, a_k, out=Q_n)
-        np.add(Q_n, Q_p, out=Q_n)
+        sub(R2, U_k, U_n)
+        quotient(U_n, Q_k, a_k)
+        mul(a_k, Q_k, Q_n)
+        sub(U_n, Q_n, U_n)
+        sub(U_n, U_k, Q_n)
+        mul(Q_n, a_k, Q_n)
+        add(Q_n, Q_p, Q_n)
         U_k, Q_p, Q_k = U_n, Q_k, Q_n
     even = U[1:] == U[:-1]
     odd = Qs[2:] == Qs[1:-1]

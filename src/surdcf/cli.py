@@ -193,14 +193,18 @@ def cmd_mine(args) -> int:
             return EXIT_USAGE
         # Each block is written as it is mined, so memory holds one block.
         for found in blocks:
-            if args.format == "text":
-                for fam, b_expr in zip(found, found.b_exprs()):
-                    print(
-                        f"[{','.join(map(str, fam.palindrome))}]: a = {fam.a_modulus}*c+{fam.a_residue}, "
-                        f"b = {b_expr}, c >= {fam.min_c}"
-                    )
-            else:
+            if args.format != "text":
                 miner.write_jsonl(found, sys.stdout)
+            elif len(found):
+                # A block's lines from its columns, in one write: no
+                # MinedFamily and no print per row.
+                columns = (found.palindrome.tolist(), miner._lengths(found.palindrome).tolist(),
+                           found.a_modulus.tolist(), found.a_residue.tolist(),
+                           found.b_exprs(), found.min_c.tolist())
+                sys.stdout.write("".join(
+                    f"{str(pal[:n]).replace(' ', '')}: a = {mod}*c+{res}, b = {b_expr}, c >= {min_c}\n"
+                    for pal, n, mod, res, b_expr, min_c in zip(*columns)
+                ))
         return EXIT_OK
     if bounds != (None, None):
         print("mine: --max-len and --max-entry need --sweep", file=sys.stderr)

@@ -161,7 +161,11 @@ class MinedFamilies:
 
     @classmethod
     def concat(cls, parts: list[MinedFamilies], width: int) -> MinedFamilies:
-        """The rows of ``parts`` in order, palindromes padded to ``width``."""
+        """The rows of ``parts`` in order, palindromes padded to ``width``.
+
+        Each column is int64 where all its values fit, even where a part
+        holds it as Python ints, and Python ints where one does not.
+        """
         pal = np.zeros((sum(map(len, parts)), width),
                        np.result_type(np.int64, *(p.palindrome for p in parts)))
         row = 0
@@ -169,7 +173,7 @@ class MinedFamilies:
             pal[row:row + len(p), :p.palindrome.shape[1]] = p.palindrome
             row += len(p)
         rest = (np.concatenate(cols) for cols in zip(*(p._int_columns() for p in parts)))
-        return cls(pal, *rest)
+        return cls(*map(_jsontext.ints, (pal, *rest)))
 
 
 def _head_congruence(abc: tuple[np.ndarray, np.ndarray, np.ndarray], length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,7 +303,8 @@ def sweep_blocks(max_len: int, max_entry: int) -> Iterator[MinedFamilies]:
 def mine_sweep(max_len: int, max_entry: int) -> MinedFamilies:
     """Mine every palindrome up to the given bounds, in deterministic order:
     the blocks of ``sweep_blocks`` concatenated, palindromes padded to
-    ``max_len``.  One block on Python ints makes every column Python ints.
+    ``max_len``.  A column is int64 where all its values fit, and Python
+    ints where one does not.
     The library form of ``mine --sweep``, which writes each block as it
     comes; acceptance criterion 8 runs it.
     """

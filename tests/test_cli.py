@@ -26,6 +26,10 @@ ANALYZE_5E7_SHA256 = "e15e528e4397cf1bd8691350ed5ff3d97ecbd5b517b0cd82e53568dc22
 # chunk whose longest period is 59,879 quotients, so the drain's blocks
 # reach their longest there; CI checks it on a pipe too.
 ANALYZE_1E9_SHA256 = "352490f7a5aee4d6a6e624474af36e993a203e8354d73b1f4919130d99b69c43"
+# stdout sha256 of `analyze --from 10000000000 --to 10000000199`, one numpy
+# chunk whose longest period is 200,548 quotients; CI checks it on a pipe
+# too.
+ANALYZE_1E10_SHA256 = "f32585a2fa6eff6b9398ac005162b523f946f7be5bffb99d44e8b956ee83359e"
 # stdout sha256 of `analyze --from 999999999984 --to 999999999999`, the last
 # 16 radicands under the kernels' gate, on either backend; CI checks it on a
 # pipe too.
@@ -511,6 +515,18 @@ class TestMine:
         for fmt, want in [("json", want_json.getvalue()), ("text", want_text)]:
             assert run(capsys, "mine", "--sweep", "--max-len", "9", "--max-entry", "3", "--format", fmt) == (0, want, "")
 
+        # The text of each block that holds a family is one write.
+        class Writes(io.StringIO):
+            def write(self, s):
+                calls.append(s)
+                return super().write(s)
+
+        calls, out = [], Writes()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["mine", "--sweep", "--max-len", "9", "--max-entry", "3", "--format", "text"]) == 0
+        assert out.getvalue() == want_text
+        assert [c.count("\n") for c in calls] == [len(b) for b in blocks if len(b)]
+
     def test_big_pattern_pinned(self, capsys):
         code, out, _ = run(capsys, "mine", "--pattern", "1000000000000,1000000000000")
         assert code == 0
@@ -644,6 +660,14 @@ class TestAnalyze:
         assert code == 0
         assert max(map(int, json.loads(out)["histogram"])) == 59_879
         assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_1E9_SHA256
+
+    @pytest.mark.parametrize("kernel", ["numpy", "python"])
+    def test_1e10_window_pinned(self, capsys, kernel):
+        code, out, _ = run(capsys, "analyze", "--from", "10000000000", "--to", "10000000199",
+                           "--kernel", kernel)
+        assert code == 0
+        assert max(map(int, json.loads(out)["histogram"])) == 200_548
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_1E10_SHA256
 
     @pytest.mark.parametrize("kernel", ["numpy", "python"])
     def test_gate_window_pinned(self, capsys, kernel):

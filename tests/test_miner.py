@@ -293,6 +293,27 @@ class TestMineSweep:
         assert any(len(b) == 0 for b in blocks)
         assert [fam for b in blocks for fam in b] == list(mine_sweep(9, 3)) == reference_sweep(9, 3)
 
+    def test_concat_keeps_int64_where_every_value_fits(self):
+        # The last blocks run on Python ints, yet every value fits in int64.
+        blocks = list(sweep_blocks(48, 1))
+        assert blocks[-1].a_modulus.dtype == object
+        swept = mine_sweep(48, 1)
+        assert {col.dtype for col in vars(swept).values()} == {np.dtype(np.int64)}
+        assert swept.a_modulus.max() == 7_778_742_049
+        assert list(swept) == [fam for b in blocks for fam in b]
+
+    def test_concat_keeps_python_ints_past_int64(self):
+        blocks = list(sweep_blocks(100, 1))
+        swept = mine_sweep(100, 1)
+        fams = list(swept)
+        assert fams == [fam for b in blocks for fam in b]
+        assert swept.palindrome.dtype == np.int64
+        for name, col in list(vars(swept).items())[1:]:
+            fits = all(-(2**63) <= getattr(fam, name) < 2**63 for fam in fams)
+            assert col.dtype == (np.int64 if fits else object), name
+        wide = {name for name, col in vars(swept).items() if col.dtype == object}
+        assert wide == {"a_residue", "a_modulus", "b_slope", "b_const"}
+
     @pytest.mark.parametrize("bounds", [(-1, 3), (1, 0)])
     def test_bad_bounds_raise_before_mining(self, monkeypatch, bounds):
         monkeypatch.setattr(miner, "_mine_block", None)

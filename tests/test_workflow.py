@@ -77,6 +77,13 @@ def test_ci_checks_deep_window_digest_on_a_pipe():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E9_SHA256]
 
 
+def test_ci_checks_1e10_window_digest_on_both_backends():
+    from test_cli import ANALYZE_1E10_SHA256
+
+    check = both_backends_check("python -m surdcf.cli analyze --from 10000000000 --to 10000000199")
+    assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E10_SHA256]
+
+
 def test_ci_checks_gate_window_digest_on_both_backends():
     from test_cli import ANALYZE_GATE_SHA256
 
