@@ -147,7 +147,8 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     that is more than one, and the lanes that stopped are dropped.  The
     stopped lanes gather in ``_Stops``, which writes them to the columns a
     batch at a time.  Once at most ``TAIL`` lanes are live, each of them is
-    finished on its own by ``_finish``, in Python ints.
+    finished on its own by ``_finish``, in Python ints, which adds their
+    stops to the batch before its last write.
     """
     stops = _Stops(r, q1, ell, center, flags)
     lane = queue[:WIDTH].copy()
@@ -192,8 +193,8 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
             start[fill] = loaded = step
         if stop.size:
             lane, R, P, Q, Q_prev, top, start = _drop(stop, (lane, R, P, Q, Q_prev, top, start))
+    _finish((lane, R, P, Q, Q_prev, top, start), step, stops)
     stops.write()
-    _finish(q1, (lane, R, P, Q, Q_prev, top, start), step, ell, center, flags)
 
 
 def _drop(stop, arrays) -> list:
@@ -289,7 +290,10 @@ class _Stops:
     at ``write``, they are written to ell, center and flags in one pass.
     Where both masks hold, the even centre wins, as in
     ``engine.half_period``.  A lane with neither stopped at Q_{k+1} == 1:
-    ``write`` raises for the first such lane added.
+    ``write`` raises for the first such lane added.  The numpy rounds, the
+    blocks and the scalar ``_finish`` all add their stops here, so ``write``
+    is the walk's one writer of ell, center and F_BOUND, and its one
+    missed-centre check.
     """
 
     def __init__(self, r, q1, ell, center, flags):
@@ -310,20 +314,24 @@ class _Stops:
         centred = even | odd
         if not centred.all():
             i = at[np.argmin(centred)]
-            raise _missed_centre(self.r[i] * self.r[i] + self.q1[i])
+            d = self.r[i] * self.r[i] + self.q1[i]
+            raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
         ell, center, flags = self.columns
         ell[at] = 2 * k + (odd & ~even)
         center[at] = np.where(even, a, -1)
         flags[at[bound]] |= F_BOUND
 
 
-def _finish(q1, live, step, ell, center, flags) -> None:
-    """Walk each lane of ``_half_walk`` to its centre, one at a time.
+def _finish(live, step, stops) -> None:
+    """Walk each lane of ``_half_walk`` to its stop, one at a time, and add
+    the stops to the batch ``stops`` as one record.
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start)
     after round ``step``.  Each lane goes on from its own state, in Python
-    ints, with the same stops as the numpy rounds.
+    ints, to the first of the numpy rounds' stops; ``_Stops.write`` reads
+    the lane's facts off its record, or raises for a missed centre.
     """
+    record = []
     for i, R, P, Q, Q_prev, top, start in zip(*(x.astype(np.int64).tolist() for x in live)):
         k = step - start
         while True:
@@ -333,21 +341,12 @@ def _finish(q1, live, step, ell, center, flags) -> None:
             P_next = a * Q - P
             Q_next = Q_prev + a * (P - P_next)
             k += 1
-            if P_next == P:
-                ell[i], center[i] = 2 * k, a
+            if P_next == P or Q_next == Q or Q_next == 1:
                 break
-            if Q_next == Q:
-                ell[i], center[i] = 2 * k + 1, -1
-                break
-            if Q_next == 1:
-                raise _missed_centre(R * R + int(q1[i]))
             P, Q, Q_prev = P_next, Q_next, Q
-        if top <= R:
-            flags[i] |= F_BOUND
-
-
-def _missed_centre(d) -> InternalConsistencyError:
-    return InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
+        record.append((i, P_next == P, Q_next == Q, k, a, top <= R))
+    if record:
+        stops.add(*map(np.array, zip(*record)))
 
 
 def sweep_range(lo: int, hi: int):

@@ -27,9 +27,11 @@ reach their centres; each chunk drains once, in blocks of rounds over ever
 fewer lanes, until no more than ``_kernels.TAIL`` are live, which the
 kernel finishes in scalar code.  ``period_stats`` maps the same chunks,
 but builds only their sweep columns (ell and the square flags make its
-histogram): no two-squares column and no claim.  The chunks run through the
-package's one fan-out, ``_fanout.fan_out``: in-process at jobs 1 or for a
-single chunk, otherwise in one pool of min(jobs, chunks) processes.
+histogram): no two-squares column and no claim.  ``_map_chunks`` runs the
+chunks in range order: in-process at jobs 1 or for a single chunk, otherwise
+in one ``ProcessPoolExecutor`` of min(jobs, chunks) processes, the package's
+only pool, whose module is imported only when it opens.  The family verifier
+and the miner run in the calling process.
 
 Counterexamples are data: they are collected and reported, never asserted
 away.  The classical facts are theorems, so a counterexample there means an
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fanout, _jsontext, _kernels
+from . import _jsontext, _kernels
 from ._jsontext import WRITE_BLOCK
 from .engine import expand_sqrt, half_period
 from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
@@ -435,15 +437,20 @@ def check_claims(
 
 
 def _map_chunks(fn, d_min: int, d_max: int, jobs: int, backend: str | None) -> list:
-    """``fn`` over the chunks of [d_min, d_max], in range order, through ``_fanout``,
-    on no more processes than there are CPUs (or in-process, for one chunk)."""
+    """``fn`` over the chunks of [d_min, d_max], in range order, on no more
+    processes than there are CPUs (or in-process, at jobs 1 or for one chunk)."""
     if d_min < 1 or d_max < d_min:
         raise DomainError("want 1 <= d_min <= d_max")
     if jobs < 1:
         raise DomainError("want jobs >= 1")
     jobs = min(jobs, os.cpu_count() or 1)
     chunks = _chunks(d_min, d_max, jobs, _kernels.backend_name(backend))
-    return list(_fanout.fan_out(fn, chunks, jobs))
+    if jobs == 1 or len(chunks) <= 1:
+        return list(map(fn, chunks))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        return list(pool.map(fn, chunks))
 
 
 def _merge(report: StructReport, parts: list[StructReport]) -> StructReport:

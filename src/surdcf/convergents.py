@@ -1,9 +1,11 @@
 """Convergents, the word/matrix correspondence, and surd reconstruction.
 
 A quotient word a_0..a_n corresponds to the matrix product of [[a_k,1],[1,0]],
-whose columns are the last two convergent pairs.  Reconstruction runs that
-correspondence backwards: from [a0; period] to the exact quadratic surd the
-expansion denotes.
+whose columns are the last two convergent pairs.  Word matrices and
+palindromes are built with the convergent recurrence, ``sequences._extend``
+and ``sequences._recurrence``, which this module imports.  Reconstruction
+runs that correspondence backwards: from [a0; period] to the exact quadratic
+surd the expansion denotes.
 
 Each step matrix is symmetric, so a reversed word has the transposed matrix,
 and a palindrome u + reverse(v) (u = v, or v followed by the centre) has
@@ -30,6 +32,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
 from .mat2 import Mat2
+from .sequences import _extend, _recurrence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -65,28 +68,6 @@ def _check_word(word: Sequence[int]) -> None:
         raise DomainError("leading quotient must be >= 0")
     if any(a < 1 for a in word[1:]):
         raise DomainError("quotients after the first must be >= 1")
-
-
-def _extend(state: tuple[int, int, int, int], a: int) -> tuple[int, int, int, int]:
-    """The state (p_k, p_{k-1}, q_k, q_{k-1}) one quotient a further on.
-
-    p_k = a*p_{k-1} + p_{k-2}, likewise q: this is the one implementation of
-    the convergent recurrence, and it accepts any integer quotient.  A state
-    holds the entries m11, m12, m21, m22 of the word matrix so far, and the
-    empty word's state is that of IDENTITY: p(-1) = 1, p(-2) = 0, q(-1) = 0,
-    q(-2) = 1.
-    """
-    p1, p0, q1, q0 = state
-    return a * p1 + p0, p1, a * q1 + q0, q1
-
-
-def _recurrence(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1,
-    from the empty word's state (1, 0, 0, 1), that of IDENTITY."""
-    state = (1, 0, 0, 1)
-    for a in word:
-        state = _extend(state, a)
-        yield state
 
 
 def convergents_of_word(word: Sequence[int]) -> list[Convergent]:

@@ -83,6 +83,10 @@ class PolyExpr:
         self.tree, self._code = _compile(source)
 
     def eval(self, env: Mapping[str, int]) -> int:
+        """The expression's value at ``env``.  Nothing in the package calls
+        it, since a member runs its family's two code objects at once: the
+        test oracle of family members evaluates one expression at a time
+        through it."""
         return _eval(self._code, env)
 
     def __str__(self) -> str:

@@ -2,22 +2,23 @@
 
 Each recurrence fact has one loop.  ``_terms`` runs every constant-coefficient
 recurrence u(n+1) = a*u(n) + b*u(n-1): the named ladders are ``LinRecSpec``
-seeds evaluated by it.  ``_convergent_pairs`` builds the word of
-[a0; block repeating] and runs it through the convergent recurrence,
-``convergents._recurrence``.  Powers in Z[sqrt(D)] (``QuadRingElem``,
+seeds evaluated by it.  ``_extend`` is the package's one step of the
+convergent recurrence p_k = a_k*p_{k-1} + p_{k-2}, and ``_recurrence`` runs it
+along a word; ``convergents`` imports both for its word matrices and
+palindromes.  ``_convergent_pairs`` builds the word of [a0; block repeating]
+and runs it through ``_recurrence``.  Powers in Z[sqrt(D)] (``QuadRingElem``,
 ``quad_power``) use the square-and-multiply loop ``exact._power`` and stay
 integer pairs; ``chebyshev.cousin_closed_form`` reads its closed form off
-them, so no float enters.
+them, so no float enters.  Of the package, this module imports ``exact``
+only, so ``mat2``, ``convergents`` and ``chebyshev`` can all build on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, cycle, islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
-# Looked up at call time: convergents imports mat2, which imports this module.
-from . import convergents
 from .exact import DomainError, _power
 
 
@@ -75,6 +76,28 @@ def _terms(spec: LinRecSpec) -> Iterator[int]:
         u0, u1 = u1, spec.a * u1 + spec.b * u0
 
 
+def _extend(state: tuple[int, int, int, int], a: int) -> tuple[int, int, int, int]:
+    """The state (p_k, p_{k-1}, q_k, q_{k-1}) one quotient a further on.
+
+    p_k = a*p_{k-1} + p_{k-2}, likewise q: this is the one implementation of
+    the convergent recurrence, and it accepts any integer quotient.  A state
+    holds the entries m11, m12, m21, m22 of the word matrix so far, and the
+    empty word's state is that of ``mat2.IDENTITY``: p(-1) = 1, p(-2) = 0,
+    q(-1) = 0, q(-2) = 1.
+    """
+    p1, p0, q1, q0 = state
+    return a * p1 + p0, p1, a * q1 + q0, q1
+
+
+def _recurrence(word: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) for each quotient of the word, k = 0..len-1,
+    from the empty word's state (1, 0, 0, 1), that of ``mat2.IDENTITY``."""
+    state = (1, 0, 0, 1)
+    for a in word:
+        state = _extend(state, a)
+        yield state
+
+
 def linrec_nth(spec: LinRecSpec, n: int) -> int:
     """u(n) by direct iteration (exact, linear time)."""
     if n < 0:
@@ -87,7 +110,7 @@ def _convergent_pairs(a0: int, block: tuple[int, ...], length: int) -> list[tupl
     (p_-1, q_-1) = (1, 0), then the convergents of the first ``length``
     quotients, by the convergent recurrence."""
     word = list(islice(chain((a0,), cycle(block)), length))
-    return [(1, 0), *((p, q) for p, _, q, _ in convergents._recurrence(word))]
+    return [(1, 0), *((p, q) for p, _, q, _ in _recurrence(word))]
 
 
 # The seeds (numerators, denominators) of the ladders that ``_terms`` runs.

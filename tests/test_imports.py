@@ -1,5 +1,6 @@
 """Each command loads only the modules it runs, and the package's exports
-are lazy (PEP 562).
+are lazy (PEP 562).  The package's modules import one another one way, with
+no cycle, so every module and every export works as the first import.
 
 This test process has imported the whole package already, so every run is
 made in a fresh interpreter, which then reports its ``sys.modules``.  All
@@ -9,6 +10,7 @@ outside modules that it must not load.
 """
 
 import ast
+import graphlib
 import importlib
 import json
 import os
@@ -25,10 +27,11 @@ ALWAYS = {"cli", "exact"}
 WATCHED = ("numpy", "concurrent.futures", "multiprocessing")
 NO_POOL = ("concurrent.futures", "multiprocessing")
 
-ANALYZE = {"analyzer", "_kernels", "_jsontext", "_fanout", "engine"}
+ANALYZE = {"analyzer", "_kernels", "_jsontext", "engine"}
 MINE = {"miner", "convergents", "mat2", "sequences", "_jsontext"}
-VERIFY = {"families", "engine", "sequences", "convergents", "mat2"}
-SEQUENCES = {"sequences", "convergents", "mat2"}
+VERIFY = {"families", "engine", "sequences"}
+SEQUENCES = {"sequences"}
+MODULES = sorted(path.stem for path in (SRC / "surdcf").glob("*.py") if path.stem != "__init__")
 
 # Every name that ``surdcf`` exports, by the module that defines it.
 EXPORTS = {
@@ -55,27 +58,34 @@ EXPORTED = [name for names in EXPORTS.values() for name in names]
 # Chebyshev identities that the acceptance criteria check, the library
 # forms of commands and README examples, the forms in which acceptance
 # criteria 1 and 8 check the golden expansions and the mined families'
-# instances, and an override that argparse calls.
+# instances, the one-expression evaluation that the test oracle of family
+# members runs, and an override that argparse calls.
 UNCALLED = {
     "cheb_mat_pow", "cousin_closed_form", "cousin_mat_pow",
     "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power",
     "palindrome_b", "surd_from_periodic_cf",
     "family_by_id", "instantiate", "verify_family",
     "mine_sweep",
-    "PeriodicCF.as_list", "MinedFamily.a_of", "MinedFamily.b_of", "_Parser.error",
+    "PeriodicCF.as_list", "MinedFamily.a_of", "MinedFamily.b_of", "PolyExpr.eval",
+    "_Parser.error",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def fresh_json(code: str):
+    """The JSON that ``code`` prints last, run in a fresh interpreter on
+    the package's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def modules_after(code: str) -> tuple[set, set]:
     """(surdcf modules without the package prefix, watched outside modules)
     in ``sys.modules`` once ``code`` has run in a fresh interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    report = "import json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
-    proc = subprocess.run([sys.executable, "-c", code + "\n" + report],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = fresh_json(code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n")
     return ({m.removeprefix("surdcf.") for m in loaded if m.startswith("surdcf.")},
             {m for m in WATCHED if m in loaded})
 
@@ -163,7 +173,9 @@ def test_only_named_functions_lack_a_package_caller():
     # A module-level def or class, or a method or property of a module-level
     # class, that no name or attribute in the package refers to is reached
     # from outside it only, by tests at most.
-    defined, used = set(), set()
+    # A method counts as used only through an attribute: a bare name of
+    # the same spelling (the builtin ``eval``, say) is not a call of it.
+    defined, names, attributes = set(), set(), set()
     for path in (SRC / "surdcf").glob("*.py"):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
@@ -173,12 +185,66 @@ def test_only_named_functions_lack_a_package_caller():
                 defined.update(f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, DEFS))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
     uncalled = set()
     for name in defined:
-        own = name.rpartition(".")[2]
+        owner, _, own = name.rpartition(".")
+        used = attributes if owner else names | attributes
         if own not in used and not (own.startswith("__") and own.endswith("__")):
             uncalled.add(name)
     assert uncalled == UNCALLED
+
+
+def package_imports() -> dict[str, set[str]]:
+    """Each module's module-level imports from the package, by module name:
+    ``from . import x`` and ``from .x import y``, the latter as ``x``."""
+    graph = {}
+    for module in MODULES:
+        path = SRC / "surdcf" / f"{module}.py"
+        graph[module] = set()
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[module].update([node.module] if node.module else
+                                     [alias.name for alias in node.names])
+    return graph
+
+
+def test_module_imports_form_no_cycle():
+    graph = package_imports()
+    # Raises CycleError, naming the cycle, if the modules import in a ring.
+    order = list(graphlib.TopologicalSorter(graph).static_order())
+    assert set(order) == set(MODULES)
+    # sequences, which holds the convergent recurrence, builds on exact alone.
+    assert graph["sequences"] == {"exact"}
+
+
+# Each case is a package module imported first, or a first access of each
+# export of each defining module.
+FIRST_ACCESS = ([f"import surdcf.{module}" for module in MODULES]
+                + [f"from surdcf import {name}" for name in EXPORTED])
+
+
+@pytest.fixture(scope="module")
+def first_access_errors():
+    """The error each ``FIRST_ACCESS`` case raises, or None, from one fresh
+    interpreter that drops every ``surdcf`` module before each case, so
+    that each case is the package's first import."""
+    return fresh_json(
+        "import json, sys\n"
+        "errors = {}\n"
+        f"for case in {FIRST_ACCESS!r}:\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'surdcf']:\n"
+        "        del sys.modules[name]\n"
+        "    try:\n"
+        "        exec(case, {})\n"
+        "        errors[case] = None\n"
+        "    except Exception as exc:\n"
+        "        errors[case] = f'{type(exc).__name__}: {exc}'\n"
+        "print(json.dumps(errors))\n")
+
+
+@pytest.mark.parametrize("case", FIRST_ACCESS)
+def test_first_access_works(first_access_errors, case):
+    assert first_access_errors[case] is None

@@ -333,14 +333,14 @@ def test_scalar_finish_after_numpy_rounds(monkeypatch):
     calls = []
     finish = _kernels._finish
 
-    def spy(q1, live, step, *cols):
-        calls.append((q1, live, step))
-        finish(q1, live, step, *cols)
+    def spy(live, step, stops):
+        calls.append((live, step, stops))
+        finish(live, step, stops)
 
     monkeypatch.setattr(_kernels, "_finish", spy)
     lo = 5 * 10**7
     ell, _, center, flags = _kernels.sweep_range(lo, lo + 1000)
-    ((q1, live, step),) = calls
+    ((live, step, stops),) = calls
     lane, R, P, Q, Q_prev, top, start = live
     assert 0 < lane.size <= _kernels.TAIL
     assert 0 < step < int(ell.max()) // 2
@@ -349,7 +349,9 @@ def test_scalar_finish_after_numpy_rounds(monkeypatch):
         assert t == max(expand_sqrt(lo + i).period[: step - s])
     # ... and the finish keeps it: one above a0 leaves F_BOUND clear.
     cols = np.zeros_like(ell), np.full_like(center, -1), np.zeros_like(flags)
-    finish(q1, (lane, R, P, Q, Q_prev, R + 1, start), step, *cols)
+    batch = _kernels._Stops(stops.r, stops.q1, *cols)
+    finish((lane, R, P, Q, Q_prev, R + 1, start), step, batch)
+    batch.write()
     assert np.array_equal(cols[0][lane], ell[lane])
     assert np.array_equal(cols[1][lane], center[lane])
     assert not np.any(cols[2][lane] & _kernels.F_BOUND)

@@ -1,19 +1,21 @@
 """Process pools are sized by the work they get and the CPU count, not by
 --jobs alone.
 
-A recording stand-in for ProcessPoolExecutor is patched into ``_fanout``,
-the package's one fan-out: it notes ``max_workers`` and maps serially, so
-no process is started.  The analyzer's range chunks go through it, and the
+A recording stand-in for ProcessPoolExecutor is patched into
+``concurrent.futures``, where ``analyzer._map_chunks``, the package's one
+fan-out, imports it from: it notes ``max_workers`` and maps serially, so no
+process is started.  The analyzer's range chunks go through it, and the
 CPU count that caps them is patched too; the family verifier and the miner
 run in-process and open no pool.  In a fresh interpreter, only a pool that
 opens imports ``concurrent.futures``.
 """
 
+import concurrent.futures
 import json
 
 import pytest
 
-from surdcf import _fanout, analyzer
+from surdcf import analyzer
 from surdcf.cli import main
 
 
@@ -40,7 +42,7 @@ def check_claims_dict(jobs):
 @pytest.fixture
 def recording_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
-    monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool
 
 
@@ -109,7 +111,7 @@ class RaisingPool:
     ids=["verify-families", "mine-sweep"],
 )
 def test_in_process_commands_open_no_pool(capsys, monkeypatch, argv, key, want):
-    monkeypatch.setattr(_fanout, "ProcessPoolExecutor", RaisingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RaisingPool)
     assert main(argv) == 0
     assert [json.loads(line)[key] for line in capsys.readouterr().out.splitlines()] == want
 

@@ -45,7 +45,7 @@ def digest_check(command):
 def test_ci_checks_pinned_analyze_digest_on_a_pipe():
     from test_cli import ANALYZE_1E5_SHA256
 
-    check = digest_check("python -m surdcf.cli analyze --from 2 --to 100000")
+    check = digest_check("python -W error -m surdcf.cli analyze --from 2 --to 100000")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
 
 
@@ -66,28 +66,28 @@ def both_backends_check(command):
 def test_ci_checks_long_period_digest_on_a_pipe():
     from test_cli import ANALYZE_5E7_SHA256
 
-    check = both_backends_check("python -m surdcf.cli analyze --from 50000000 --to 50000999")
+    check = both_backends_check("python -W error -m surdcf.cli analyze --from 50000000 --to 50000999")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_5E7_SHA256]
 
 
 def test_ci_checks_deep_window_digest_on_a_pipe():
     from test_cli import ANALYZE_1E9_SHA256
 
-    check = both_backends_check("python -m surdcf.cli analyze --from 1000000000 --to 1000000199")
+    check = both_backends_check("python -W error -m surdcf.cli analyze --from 1000000000 --to 1000000199")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E9_SHA256]
 
 
 def test_ci_checks_1e10_window_digest_on_both_backends():
     from test_cli import ANALYZE_1E10_SHA256
 
-    check = both_backends_check("python -m surdcf.cli analyze --from 10000000000 --to 10000000199")
+    check = both_backends_check("python -W error -m surdcf.cli analyze --from 10000000000 --to 10000000199")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E10_SHA256]
 
 
 def test_ci_checks_gate_window_digest_on_both_backends():
     from test_cli import ANALYZE_GATE_SHA256
 
-    check = both_backends_check("python -m surdcf.cli analyze --from 999999999984 --to 999999999999")
+    check = both_backends_check("python -W error -m surdcf.cli analyze --from 999999999984 --to 999999999999")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_GATE_SHA256]
 
 
@@ -106,6 +106,16 @@ def test_ci_checks_registry_text_digest_with_warnings_as_errors():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_TEXT_SHA256]
 
 
+def test_ci_runs_analyze_and_mine_digests_with_warnings_as_errors():
+    # A float32 divide by zero or invalid value in the sweep kernel raises
+    # RuntimeWarning under -W error, and fails the step.
+    commands = [line.strip() for run in digest_checks() for line in run.splitlines()
+                if re.search(r"surdcf\.cli (analyze|mine) ", line)]
+    assert len(commands) == 11
+    assert all(command.startswith("PYTHONPATH=src python -W error -m surdcf.cli ")
+               for command in commands)
+
+
 def test_ci_checks_analyze_digest_through_the_pool():
     from test_cli import ANALYZE_1E6_SHA256
 
@@ -114,7 +124,7 @@ def test_ci_checks_analyze_digest_through_the_pool():
     # The one real-process pool check: 2..10^6 splits into several chunks on
     # the default kernel, so --jobs 2 runs them in a pool of two.
     assert len(analyzer._chunks(2, 1_000_000, 2, _kernels.backend_name(None))) >= 2
-    check = digest_check("python -m surdcf.cli analyze --from 2 --to 1000000 --jobs 2")
+    check = digest_check("python -W error -m surdcf.cli analyze --from 2 --to 1000000 --jobs 2")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E6_SHA256]
 
 
@@ -125,21 +135,21 @@ def test_ci_checks_analyze_digest_at_jobs_2_in_process():
 
     # 2..10^5 is one chunk at --jobs 2, so the step runs it in-process.
     assert len(analyzer._chunks(2, 100_000, 2, _kernels.backend_name(None))) == 1
-    check = digest_check("python -m surdcf.cli analyze --from 2 --to 100000 --jobs 2")
+    check = digest_check("python -W error -m surdcf.cli analyze --from 2 --to 100000 --jobs 2")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
 
 
 def test_ci_checks_mine_sweep_digest_in_process():
     from test_cli import MINE_SWEEP_SHA256
 
-    check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8")
+    check = digest_check("python -W error -m surdcf.cli mine --sweep --max-len 10 --max-entry 8")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_SHA256]
 
 
 def test_ci_checks_mine_sweep_text_digest():
     from test_cli import MINE_SWEEP_TEXT_SHA256
 
-    check = digest_check("python -m surdcf.cli mine --sweep --max-len 10 --max-entry 8 --format text")
+    check = digest_check("python -W error -m surdcf.cli mine --sweep --max-len 10 --max-entry 8 --format text")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_TEXT_SHA256]
 
 
@@ -159,14 +169,14 @@ def test_ci_checks_sequences_digest():
 def test_ci_checks_long_mine_sweep_digest():
     from test_cli import MINE_SWEEP_26_2_SHA256
 
-    check = digest_check("python -m surdcf.cli mine --sweep --max-len 26 --max-entry 2")
+    check = digest_check("python -W error -m surdcf.cli mine --sweep --max-len 26 --max-entry 2")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_26_2_SHA256]
 
 
 def test_ci_checks_larger_mine_sweep_digest():
     from test_cli import MINE_SWEEP_12_8_SHA256
 
-    check = digest_check("python -m surdcf.cli mine --sweep --max-len 12 --max-entry 8")
+    check = digest_check("python -W error -m surdcf.cli mine --sweep --max-len 12 --max-entry 8")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_12_8_SHA256]
 
 
