@@ -35,7 +35,7 @@ at most a block's length past its centre; ``_block_rounds`` keeps that
 under 1/16 of the rounds it walked before.  Once no more than ``TAIL``
 lanes are live, the walk hands them to a scalar loop in Python ints.  The
 palindrome and terminal facts hold by construction of the mirrored period,
-and the bound fact is "largest walked quotient <= a0".
+so no flag records them, and F_BOUND is "largest walked quotient <= a0".
 
 The lanes are float32, and their arithmetic is exact under the gate.  Every
 lane value is an integer of magnitude at most 2R + 1, where R = isqrt(d) <=
@@ -64,10 +64,9 @@ import numpy as np
 
 from .exact import InternalConsistencyError
 
-# Bit layout of the per-d flags array.
+# Bit layout of the per-d flags array.  No bit records the palindrome or
+# terminal fact, which the mirror makes true.
 F_SQUARE = 1
-F_PAL = 2
-F_TERM = 4
 F_BOUND = 8
 # Reserved and never set; readers of the flags may still test it.
 F_OVERFLOW = 16
@@ -353,8 +352,8 @@ def sweep_range(lo: int, hi: int):
     """Per-d expansion structure for lo <= d < hi.
 
     Returns (ell, a0, center, flags) int64/uint8 arrays.  Squares have ell 0,
-    centre -1 and flags F_SQUARE; every other d has F_PAL | F_TERM, F_BOUND
-    where its interior quotients are <= a0, and centre -1 for odd ell.
+    centre -1 and flags F_SQUARE; every other d has flags F_BOUND where its
+    interior quotients are <= a0, else 0, and centre -1 for odd ell.
     """
     _check_range(lo, hi)
     d = np.arange(lo, hi, dtype=np.int64)
@@ -362,7 +361,7 @@ def sweep_range(lo: int, hi: int):
     q1 = d - a0 * a0
     ell = (q1 == 1).astype(np.int64)
     center = np.full(d.size, -1, np.int64)
-    flags = np.full(d.size, F_PAL | F_TERM, np.uint8)
+    flags = np.zeros(d.size, np.uint8)
     flags[q1 == 1] |= F_BOUND
     flags[q1 == 0] = F_SQUARE
     # Largest d first: periods grow like sqrt(d), so the lanes loaded last,
@@ -413,8 +412,6 @@ def two_squares_range(lo: int, hi: int) -> np.ndarray:
 
 __all__ = [
     "F_SQUARE",
-    "F_PAL",
-    "F_TERM",
     "F_BOUND",
     "F_OVERFLOW",
     "KERNEL_D_LIMIT",

@@ -11,9 +11,9 @@ backend and for radicands past the kernels' int64 gate.  One fold turns the
 columns into a report, with one boolean mask per claim, whichever source
 filled them.  Both sources walk sqrt(d) only to the centre of its period
 and take the rest as the mirror image, so the palindrome and terminal facts
-hold by construction in either; no source path checks them against a walked
-word.  The test oracle ``conftest.sqrt_full_walk``, which walks whole
-periods, is that check (``test_matches_per_d_oracle``).
+hold by construction in either: no flag records them, and the fold counts
+both claims with no failing row.  The test oracle ``conftest.sqrt_full_walk``
+checks them on whole periods (``test_matches_per_d_oracle``).
 
 ``jobs`` must be at least 1 and is capped at the CPU count.  ``_chunks``
 sizes a range's pool by its estimated work, against the measured crossover
@@ -33,10 +33,11 @@ in one ``ProcessPoolExecutor`` of min(jobs, chunks) processes, the package's
 only pool, whose module is imported only when it opens.  The family verifier
 and the miner run in the calling process.
 
-Counterexamples are data: they are collected and reported, never asserted
-away.  The classical facts are theorems, so a counterexample there means an
-engine bug; the central-term parity claims are unproven observations and the
-report carries a distinct status when instances violate them.
+Counterexamples are data, reported and never asserted away: each claim
+reports ``ok`` or ``counterexamples``, and ``analyze`` exits 0 either way.  The classical facts, ``center-a0-mod4`` and
+``center-a0m1-parity`` (the last two proven in ``_fold``) are theorems, so
+a counterexample there means an engine bug; the two-squares converse and
+``center-lt-parity`` are printed observations with counterexamples.
 
 Counterexamples are kept as columns.  A chunk keeps, per claim, only its
 failing rows: a ``d`` array and the claim's detail columns at those rows.
@@ -71,10 +72,10 @@ CLAIM_CENTER_EQM1 = "center-a0m1-parity"
 CLAIM_CENTER_EQ = "center-a0-mod4"
 CLAIM_CLASS = "center-class-coverage"
 
-# The first four are classical theorems: a counterexample means an engine bug.
-# The converse of the two-squares fact and the three central-term parity
-# claims are printed observations; their counterexamples are findings, and
-# the report carries them under a distinct status instead of failing.
+# Theorems, where a counterexample means an engine bug: the first four, and
+# center-a0-mod4 and center-a0m1-parity (proven in ``_fold``).  The converse
+# and center-lt-parity are observations; the class coverage holds by the
+# bound fact.  This order is the output order.
 CLAIM_IDS = [
     CLAIM_PALINDROME,
     CLAIM_TERMINAL,
@@ -195,6 +196,8 @@ class StructReport:
         return self.claims[cid]
 
     def to_dict(self) -> dict:
+        """No package code calls it: acceptance criterion 7 reads it, and the
+        tests check ``write_json``'s bytes against it."""
         return {
             "range": [self.d_min, self.d_max],
             "tested": self.tested,
@@ -237,14 +240,13 @@ def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
     beyond the kernels' gate, but a0 * a0 would wrap.
     """
     rows = []
-    by_construction = _kernels.F_PAL | _kernels.F_TERM
     for d in range(lo, hi):
         if is_square(d):
             rows.append((0, isqrt(d), -1, _kernels.F_SQUARE))
         else:
             a0, half, odd = half_period(d)
             bound = _kernels.F_BOUND if max(half, default=0) <= a0 else 0
-            rows.append((2 * len(half) + odd, a0, -1 if odd else half[-1], by_construction | bound))
+            rows.append((2 * len(half) + odd, a0, -1 if odd else half[-1], bound))
     return [np.array(col, dtype=object) for col in zip(*rows)]
 
 
@@ -273,31 +275,25 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     report.histogram = _histogram(ell, live)
 
     def claim(cid, tested, failed, **cols):
-        # A detail is a chunk-wide column, or a function of the failing rows.
+        # Count ``cid`` over ``tested``; keep d and the detail columns at the
+        # rows where it fails, and return them.
         result = report.claim(cid)
         result.tested = int(np.count_nonzero(tested))
         idx = np.flatnonzero(tested & failed)
-        result.columns = {"d": d[idx]}
-        for name, col in cols.items():
-            result.columns[name] = col(idx) if callable(col) else col[idx]
+        result.columns = {"d": d[idx], **{name: col[idx] for name, col in cols.items()}}
+        return result.columns
 
-    pal, term, bound = (
-        (flags & bit) != 0 for bit in (_kernels.F_PAL, _kernels.F_TERM, _kernels.F_BOUND)
-    )
-    # The classical facts only fail on an engine or kernel bug; pull the
-    # exact word so that the report is actionable.  Only the rows where one
-    # of them fails get a word.
-    broken = np.flatnonzero(live & ~(pal & term & bound))
-    words = np.empty(len(broken), dtype=object)
-    for j, i in enumerate(broken.tolist()):
-        words[j] = list(expand_sqrt(lo + i).period)
-
-    def period(idx):
-        return words[np.searchsorted(broken, idx)]
-
-    claim(CLAIM_PALINDROME, live, ~pal, period=period)
-    claim(CLAIM_TERMINAL, live, ~term, period=period)
-    claim(CLAIM_BOUND, live, ~bound, period=period, a0=a0)
+    # Either source mirrors its half walk, so the palindrome and terminal
+    # facts hold by construction: counted, they never fail.
+    claim(CLAIM_PALINDROME, live, False)
+    claim(CLAIM_TERMINAL, live, False)
+    # The bound fact only fails on an engine or kernel bug; its failing rows
+    # get the exact word, so that the report is actionable.
+    unbound = claim(CLAIM_BOUND, live, (flags & _kernels.F_BOUND) == 0, a0=a0)
+    words = np.empty(len(unbound["d"]), dtype=object)
+    for j, n in enumerate(unbound["d"].tolist()):
+        words[j] = list(expand_sqrt(n).period)
+    unbound["period"] = words
 
     # Odd period length implies a coprime two-square splitting (theorem);
     # the printed converse is checked separately and does have exceptions
@@ -308,7 +304,23 @@ def _fold(lo, hi, ell, a0, center, flags, twosq) -> StructReport:
     claim(CLAIM_TWOSQ, odd, ~twosq, ell=ell, two_squares=twosq)
     claim(CLAIM_TWOSQ_CONVERSE, twosq, even, ell=ell, two_squares=twosq)
 
-    # Central-term claims, with the canonical split d = a0^2 + b.
+    # Central-term claims, with the canonical split d = a0^2 + b.  Two are
+    # theorems.  Let the k-th complete quotient be (P_k + sqrt(d)) / Q_k:
+    # P_0 = 0, Q_0 = 1, P_{k+1} = a_k Q_k - P_k, Q_{k+1} Q_k = d - P_{k+1}^2.
+    # For k >= 1, 0 < P_k <= a0, and Q_k >= 1 with Q_k = 1 only where ell
+    # divides k.  At the centre k = ell / 2 of an even period, with c = a_k,
+    # P_{k+1} = P_k, so 2 P_k = c Q_k and d = P_k^2 + Q_k Q_{k-1}.  And
+    # gcd(Q_{k-1}, 2 P_k, Q_k) = 1 (the form (Q_{k-1}, 2 P_k, -Q_k) is
+    # primitive): so at k = 1, and a common divisor of Q_k, 2 P_{k+1} =
+    # 2 a_k Q_k - 2 P_k and Q_{k+1} = Q_{k-1} + a_k (2 P_k - a_k Q_k)
+    # divides 2 P_k and Q_{k-1}, the triple one step before.
+    # center-a0-mod4: c = a0 gives a0 Q_k = 2 P_k <= 2 a0, so Q_k = 2 (not
+    # 1), P_k = a0 and b = 2 Q_{k-1}, with Q_{k-1} odd by the gcd: b = 2 mod 4.
+    # center-a0m1-parity: c = a0 - 1 and a0 >= 4 give Q_k <= 2a0 / (a0 - 1)
+    # < 3, so Q_k = 2, P_k = a0 - 1, Q_{k-1} is odd, and b = 2 Q_{k-1} -
+    # 2 a0 + 1 is 1 (mod 4) for odd a0, 3 for even.  a0 <= 3 means d <= 15,
+    # where no even period is longer than 4, so ell > 4 leaves a0 >= 4; it
+    # drops d = 8 and 12 (ell 2, Q_k = 4 and 3).
     b = d - a0 * a0
     detail = dict(center=center, a0=a0, b=b, ell=ell)
     claim(CLAIM_CLASS, even & (center > a0), True, **detail)

@@ -6,15 +6,16 @@ flips the recurrence sign to U'(n+1) = 2x U'(n) + U'(n-1), so its coefficients
 are the absolute values of U's.  One loop, ``_cheb``, runs both recurrences
 and takes the sign as its argument.
 
-The classical det=+1 matrix-power identity is exposed as `cheb_mat_pow`.  For
-the quotient matrix [[2m+1,1],[1,0]] - determinant -1, where that identity
-does not apply - the cousin version `cousin_mat_pow` is the correct one.
+One identity, ``_cayley_hamilton``, gives both matrix powers: M^n =
+P_{n-1}(x) M - det(M) P_{n-2}(x) I at half the trace x, with P = U for det +1
+(`cheb_mat_pow`) and U' for det -1 (`cousin_mat_pow`, on [[2m+1,1],[1,0]]).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .exact import DomainError, InternalConsistencyError, Rat
 from .mat2 import Mat2
@@ -46,38 +47,15 @@ class Poly:
         return s[1:] if s.startswith("+") else s
 
 
-ZERO = Poly(())
-ONE = Poly((1,))
-
-
-def _shift(p: Poly) -> Poly:
-    # multiply by t = 2x
-    if not p.coeffs:
-        return ZERO
-    return Poly((0, *p.coeffs))
-
-
-def _combine(p: Poly, q: Poly, sign: int) -> Poly:
-    n = max(len(p.coeffs), len(q.coeffs))
-    cs = [0] * n
-    for i, c in enumerate(p.coeffs):
-        cs[i] += c
-    for i, c in enumerate(q.coeffs):
-        cs[i] += sign * c
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return Poly(tuple(cs))
-
-
 def _cheb(n: int, sign: int, name: str) -> Poly:
     # The one loop of both recurrences, P(n+1) = 2x P(n) + sign*P(n-1), from
-    # P(-1) = 0 and P(0) = 1.
+    # P(-1) = 0 and P(0) = 1, on coefficients: times t = 2x shifts them up.
     if n < 0:
         raise DomainError(f"{name} wants n >= 0")
-    prev, cur = ZERO, ONE
+    prev, cur = (), (1,)
     for _ in range(n):
-        prev, cur = cur, _combine(_shift(cur), prev, sign)
-    return cur
+        prev, cur = cur, tuple(c + sign * p for c, p in zip_longest((0, *cur), prev, fillvalue=0))
+    return Poly(cur)
 
 
 def cheb_u(n: int) -> Poly:
@@ -120,11 +98,27 @@ def _int_or_fail(v: Fraction, what: str) -> int:
     return v.numerator
 
 
+def _cayley_hamilton(m: Mat2, n: int) -> Mat2:
+    """M^n, n >= 1, for det(M) = +1 or -1: M^2 = tM - det(M) I for the trace
+    t, so M^n = P_{n-1}(x) M - det(M) P_{n-2}(x) I at x = t/2, P_{-1} = 0,
+    with P = U for det +1 and U' for det -1.  A non-integer entry means the
+    identity was applied outside its hypotheses: InternalConsistencyError."""
+    det = m.det()
+    cheb = cheb_u if det == 1 else cheb_u_prime
+    x = Fraction(m.m11 + m.m22, 2)
+    p1 = eval_poly(cheb(n - 1), x)
+    p2 = det * eval_poly(cheb(n - 2), x) if n >= 2 else Fraction(0)
+    return Mat2(
+        _int_or_fail(m.m11 * p1 - p2, "power entry 11"),
+        _int_or_fail(m.m12 * p1, "power entry 12"),
+        _int_or_fail(m.m21 * p1, "power entry 21"),
+        _int_or_fail(m.m22 * p1 - p2, "power entry 22"),
+    )
+
+
 def cheb_mat_pow(m: Mat2, n: int) -> Mat2:
     """M^n for det(M) = +1 via U evaluated at half the trace.
 
-    Entries must come out integral; a non-integer entry means the identity was
-    applied outside its hypotheses and raises InternalConsistencyError.
     Nothing in the package calls it: it is the det = +1 identity that a
     proof of the ladder families for every k would use.
     """
@@ -132,37 +126,20 @@ def cheb_mat_pow(m: Mat2, n: int) -> Mat2:
         raise DomainError("cheb_mat_pow wants n >= 1")
     if m.det() != 1:
         raise DomainError("cheb_mat_pow needs determinant +1 (see cousin_mat_pow)")
-    a = Fraction(m.m11 + m.m22, 2)
-    u1 = eval_poly(cheb_u(n - 1), a)
-    u2 = eval_poly(cheb_u(n - 2), a) if n >= 2 else Fraction(0)
-    return Mat2(
-        _int_or_fail(m.m11 * u1 - u2, "power entry 11"),
-        _int_or_fail(m.m12 * u1, "power entry 12"),
-        _int_or_fail(m.m21 * u1, "power entry 21"),
-        _int_or_fail(m.m22 * u1 - u2, "power entry 22"),
-    )
+    return _cayley_hamilton(m, n)
 
 
 def cousin_mat_pow(m: int, n: int) -> Mat2:
     """[[2m+1,1],[1,0]]^n via the cousin polynomials at x = (2m+1)/2.
 
-    This is the determinant -1 analogue of cheb_mat_pow: the entries are
-    U'_n, U'_{n-1}, U'_{n-2} at half the odd quotient, and they agree with
-    the linear-recurrence matrix entries.  Nothing in the package calls it:
-    acceptance criterion 4 checks it against ``mat_pow``.
+    The determinant -1 analogue of cheb_mat_pow: entry 11 is (2m+1) U'_{n-1}
+    + U'_{n-2} = U'_n, so the entries are U'_n, U'_{n-1} and U'_{n-2}.
+    Nothing in the package calls it: acceptance criterion 4 checks it
+    against ``mat_pow``.
     """
     if m < 0 or n < 1:
         raise DomainError("cousin_mat_pow wants m >= 0, n >= 1")
-    x = Fraction(2 * m + 1, 2)
-    top = eval_poly(cheb_u_prime(n), x)
-    mid = eval_poly(cheb_u_prime(n - 1), x)
-    low = eval_poly(cheb_u_prime(n - 2), x) if n >= 2 else Fraction(0)
-    return Mat2(
-        _int_or_fail(top, "cousin entry 11"),
-        _int_or_fail(mid, "cousin entry 12"),
-        _int_or_fail(mid, "cousin entry 21"),
-        _int_or_fail(low, "cousin entry 22"),
-    )
+    return _cayley_hamilton(Mat2(2 * m + 1, 1, 1, 0), n)
 
 
 __all__ = [

@@ -44,10 +44,6 @@ class Convergent:
     q: int
     index: int
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 @dataclass(frozen=True)
 class QuadSolution:

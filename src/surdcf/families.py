@@ -465,6 +465,8 @@ class VerifyReport:
         return status_of(len(self.failures))
 
     def to_dict(self) -> dict:
+        """The record as a dict.  No package code calls it: it is the
+        reference for ``write_record``'s bytes, which the tests compare."""
         return {
             "id": self.family_id,
             "tested": self.tested,

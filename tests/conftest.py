@@ -3,9 +3,10 @@
 The expansion oracle here deliberately avoids the engine's (P, Q) step
 recurrences: it expands a high-precision *rational* approximation of the surd
 with the schoolbook floor/reciprocal loop, at two precisions, and only trusts
-the common stable prefix.  ``sqrt_full_walk`` is the (P, Q) walk itself, run
-over the whole period with no use of its symmetry, and
-``brute_two_coprime_squares`` searches for the two squares directly.
+the common stable prefix.  ``sqrt_pq_walk`` is the (P, Q) walk itself, run
+over the whole period with no use of its symmetry; ``sqrt_full_walk`` keeps
+its quotients.  ``brute_two_coprime_squares`` searches for the two squares
+directly.
 ``reference_mine`` is the miner's rule for one palindrome, run scalar: the
 whole word's matrix, the head congruence by gcd and a modular inverse, then
 the search for the first head one c at a time.  ``reference_member`` is a
@@ -63,19 +64,28 @@ def surd_cf_oracle(p: int, q: int, d: int, terms: int) -> list[int]:
     return first
 
 
-def sqrt_full_walk(d: int) -> tuple[int, tuple[int, ...]]:
-    """(a0, period) of sqrt(d): the literal (P, Q) walk to the first Q == 1."""
+def sqrt_pq_walk(d: int) -> tuple[int, tuple[int, ...], list[int], list[int]]:
+    """(a0, period, P, Q) of sqrt(d): the literal (P, Q) walk to the first
+    Q == 1.  The k-th complete quotient is (P[k] + sqrt(d)) / Q[k], for
+    k = 0 .. ell, from P[0] = 0 and Q[0] = 1."""
     a0 = isqrt(d)
-    P, Q = a0, d - a0 * a0
+    P, Q = [0, a0], [1, d - a0 * a0]
     period = []
     while True:
-        a = (a0 + P) // Q
+        a = (a0 + P[-1]) // Q[-1]
         period.append(a)
-        if Q == 1:
-            return a0, tuple(period)
-        P = a * Q - P
-        Q, rem = divmod(d - P * P, Q)
+        if Q[-1] == 1:
+            return a0, tuple(period), P, Q
+        P.append(a * Q[-1] - P[-1])
+        q, rem = divmod(d - P[-1] * P[-1], Q[-1])
         assert rem == 0, f"step left a remainder at d={d}"
+        Q.append(q)
+
+
+def sqrt_full_walk(d: int) -> tuple[int, tuple[int, ...]]:
+    """(a0, period) of sqrt(d), from ``sqrt_pq_walk``."""
+    a0, period, _, _ = sqrt_pq_walk(d)
+    return a0, period
 
 
 def brute_two_coprime_squares(d: int) -> bool:

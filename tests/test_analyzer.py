@@ -1,13 +1,14 @@
 import io
 import json
 import time
+from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_two_coprime_squares, sqrt_full_walk
+from conftest import brute_two_coprime_squares, sqrt_full_walk, sqrt_pq_walk
 from surdcf import analyzer, exact
 from surdcf.analyzer import (
     CLAIM_BOUND,
@@ -85,7 +86,9 @@ def oracle_report(d_min, d_max):
     }
 
 
-FACT_BITS = {"palindrome": _kernels.F_PAL, "terminal": _kernels.F_TERM, "bound": _kernels.F_BOUND}
+# The one classical fact a flag bit records: the palindrome and terminal
+# facts hold by construction of the mirror, and no bit holds them.
+FACT_BITS = {"bound": _kernels.F_BOUND}
 
 
 def break_fact(monkeypatch, backend, fact, ds):
@@ -350,6 +353,78 @@ class TestCentralClass:
         assert {c for c in classes if report.claim(c).tested} == ({cid} if cid else set())
 
 
+def centre_facts(d):
+    """(ell, a0, c, P_k, Q_k, Q_{k-1}) at the centre k = ell / 2 of the even
+    period of sqrt(d), or None for an odd period, read off the literal
+    (P, Q) walk of the whole period.
+
+    Asserts the identities the proofs in ``analyzer._fold`` start from:
+    gcd(Q_{k-1}, 2 P_k, Q_k) = 1 at k = ell // 2 for every ell > 1, and at
+    an even centre c, 2 P_k = c Q_k and d = P_k^2 + Q_k Q_{k-1}.
+    """
+    a0, word, P, Q = sqrt_pq_walk(d)
+    ell = len(word)
+    k = ell // 2
+    if k:
+        assert gcd(Q[k - 1], 2 * P[k], Q[k]) == 1, d
+    if ell % 2:
+        return None
+    c = word[k - 1]
+    assert 2 * P[k] == c * Q[k], d
+    assert d == P[k] ** 2 + Q[k] * Q[k - 1], d
+    return ell, a0, c, P[k], Q[k], Q[k - 1]
+
+
+def assert_centre_theorems(d):
+    """The steps of the proofs of center-a0-mod4 and center-a0m1-parity at
+    d: a centre c = a0, or c = a0 - 1 with a0 >= 4, has P_k = c, Q_k = 2
+    and Q_{k-1} odd.  Returns ``centre_facts(d)``."""
+    facts = centre_facts(d)
+    if facts:
+        _, a0, c, P, Q, Q_prev = facts
+        if c == a0 or (c == a0 - 1 and a0 >= 4):
+            assert (P, Q, Q_prev % 2) == (c, 2, 1), d
+    return facts
+
+
+class TestCentralTheorems:
+    def test_centres_to_60000(self):
+        # 4,753 centres equal a0 and 4,754 equal a0 - 1; of the latter only
+        # d = 8 and 12, where a0 < 4, have Q_k != 2.
+        eq = eqm1 = eqm1_long = 0
+        other = []
+        for d in range(2, 60_001):
+            facts = None if is_square(d) else assert_centre_theorems(d)
+            if facts is None:
+                continue
+            ell, a0, c, _, Q, _ = facts
+            eq += c == a0
+            eqm1 += c == a0 - 1
+            eqm1_long += c == a0 - 1 and ell > 4
+            if c == a0 - 1 and Q != 2:
+                other.append((d, ell, Q))
+        assert (eq, eqm1) == (4753, 4754)
+        assert other == [(8, 2, 4), (12, 2, 3)]
+        # The claims as the fold counts them: every centre tested, none fails.
+        report = check_claims(2, 60_000)
+        assert report.claim(CLAIM_CENTER_EQ).to_dict() == {
+            "id": CLAIM_CENTER_EQ, "tested": eq, "status": "ok", "counterexamples": []}
+        assert report.claim(CLAIM_CENTER_EQM1).to_dict() == {
+            "id": CLAIM_CENTER_EQM1, "tested": eqm1_long, "status": "ok", "counterexamples": []}
+
+    def test_periods_past_4_have_a0_at_least_4(self):
+        # a0 <= 3 means d <= 15, where no even period is longer than 4: the
+        # claim's ell > 4 leaves only the a0 >= 4 that its proof needs.
+        lengths = [len(sqrt_full_walk(d)[1]) for d in range(2, 16) if not is_square(d)]
+        assert max(ell for ell in lengths if ell % 2 == 0) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(16, 10**9 - 1))
+    def test_centres_below_1e9(self, d):
+        assume(not is_square(d))
+        assert_centre_theorems(d)
+
+
 class TestWriteJson:
     @settings(max_examples=40, deadline=None)
     @given(lo=st.integers(1, 30_000), width=st.integers(1, 600))
@@ -401,14 +476,14 @@ class TestWriteJson:
         assert report.claim(CLAIM_TWOSQ).counterexamples[1] == {"d": 34, "ell": 4, "two_squares": False}
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
-    @pytest.mark.parametrize("fact", ["palindrome", "terminal", "bound"])
+    @pytest.mark.parametrize("fact", ["bound"])
     def test_broken_classical_fact(self, monkeypatch, backend, fact):
         # Period lists, and a0 on the bound claim, reach the writer.
         break_fact(monkeypatch, backend, fact, [22, 31, 94])
         report = check_claims(2, 100, backend=backend)
-        cid = {"palindrome": CLAIM_PALINDROME, "terminal": CLAIM_TERMINAL, "bound": CLAIM_BOUND}[fact]
-        assert [c["d"] for c in report.claim(cid).counterexamples] == [22, 31, 94]
-        assert report.claim(cid).counterexamples[0]["period"] == [1, 2, 4, 2, 1, 8]
+        cex = report.claim(CLAIM_BOUND).counterexamples
+        assert [c["d"] for c in cex] == [22, 31, 94]
+        assert cex[0]["period"] == [1, 2, 4, 2, 1, 8]
         monkeypatch.setattr(analyzer, "WRITE_BLOCK", 2)
         assert_writer_matches(report)
 

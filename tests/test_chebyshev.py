@@ -109,6 +109,15 @@ class TestMatrixPower:
             for n in range(1, 101):
                 assert cousin_mat_pow(m, n) == mat_pow(base, n)
 
+    def test_cousin_entries_are_the_printed_polynomials(self):
+        # The printed form: [[U'_n, U'_{n-1}], [U'_{n-1}, U'_{n-2}]] at half
+        # the odd quotient, with U'_{-1} = 0.
+        for m in range(9):
+            x = Fraction(2 * m + 1, 2)
+            u = [Fraction(0)] + [eval_poly(cheb_u_prime(n), x) for n in range(61)]
+            for n in range(1, 61):
+                assert cousin_mat_pow(m, n) == Mat2(u[n + 1], u[n], u[n], u[n - 1])
+
 
 def test_poly_str_smoke():
     assert str(cheb_u(2)) == "(2x)^2-1"

@@ -22,11 +22,14 @@ def word_facts(a0, word):
 
 def engine_row(d):
     """(ell, a0, center, flags) of sqrt(d), read off the literal walk of its
-    whole period: no stop rule of the half walk and no mirror."""
+    whole period: no stop rule of the half walk and no mirror.
+
+    The sweep holds no palindrome or terminal flag, since its mirror makes
+    both facts true; this walk asserts them for every radicand compared."""
     a0, word = sqrt_full_walk(d)
     center, pal, term, bound = word_facts(a0, word)
-    flags = _kernels.F_PAL * pal | _kernels.F_TERM * term | _kernels.F_BOUND * bound
-    return len(word), a0, center, flags
+    assert pal and term, f"period of sqrt({d}) is not a palindrome closed by 2*a0"
+    return len(word), a0, center, _kernels.F_BOUND * bound
 
 
 def engine_rows(lo, hi):
@@ -42,7 +45,7 @@ def sweep_rows(lo, hi):
     return list(zip(ell.tolist(), a0.tolist(), center.tolist(), flags.tolist()))
 
 
-ALL_FACTS = _kernels.F_PAL | _kernels.F_TERM | _kernels.F_BOUND
+ALL_FACTS = _kernels.F_BOUND
 
 
 @pytest.mark.parametrize("d, row", [(2, (1, 1, -1)), (13, (5, 3, -1)), (22, (6, 4, 4))])
@@ -54,6 +57,24 @@ def test_period_facts_of_engine_periods(d, row):
     assert engine_row(d) == (*row, ALL_FACTS)
     assert [int(col[0]) for col in analyzer._exact_columns(d, d + 1)] == [*row, ALL_FACTS]
     assert sweep_rows(d, d + 1) == [(*row, ALL_FACTS)]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(2, 3001), (5 * 10**7, 5 * 10**7 + 1000), (999_999_999_984, 10**12)],
+    ids=["small-d", "long-periods", "gate"],
+)
+def test_flags_hold_only_square_and_bound(lo, hi, backend):
+    # The palindrome and terminal facts hold by construction of the mirror,
+    # so neither source keeps a bit for them: a square's flags are F_SQUARE,
+    # and every other radicand's are F_BOUND or 0.
+    source = _kernels.sweep_range if backend == "numpy" else analyzer._exact_columns
+    flags = np.array(source(lo, hi)[3].tolist())
+    square = np.array([is_square(d) for d in range(lo, hi)])
+    assert flags.size == hi - lo
+    assert np.all(flags[square] == _kernels.F_SQUARE)
+    assert set(flags[~square].tolist()) <= {0, _kernels.F_BOUND}
 
 
 @pytest.mark.parametrize(

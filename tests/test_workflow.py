@@ -56,10 +56,9 @@ def both_backends_check(command):
     The step loops over both backends, so no one command precedes the pipe,
     and a failed check in the first pass ends the step.
     """
-    (check,) = [run for run in digest_checks() if command in run]
+    (check,) = [run for run in digest_checks() if f'{command} --kernel "$kernel" |' in run]
     assert "set -e -o pipefail" in check
     assert re.findall(r"^\s*for kernel in (.*); do$", check, re.M) == ["numpy python"]
-    assert f'{command} --kernel "$kernel" |' in check
     return check
 
 
@@ -91,6 +90,31 @@ def test_ci_checks_gate_window_digest_on_both_backends():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_GATE_SHA256]
 
 
+# stdout sha256 of `analyze` over these ranges and formats, the same on
+# both backends.
+ANALYZE_CSV_AND_TEXT_SHA256 = [
+    ("--from 2 --to 100000 --format csv",
+     "e987523f2074b36356bfbd1bd62ea73c1458692519ec4da9b0a12a77abbecde9"),
+    ("--from 50000000 --to 50000999 --format csv",
+     "751589497f2c175e3ca98b6c0e03609f2d87d17eb2ee2eb4de6fa075653ccf6f"),
+    ("--from 2 --to 100000 --format text",
+     "6b2a5ff9e676fb37183012a3addd57fd9b0700d9761a2084108288c8cb7ace9c"),
+]
+
+
+def test_ci_checks_analyze_csv_and_text_digests_on_both_backends():
+    # period_stats and the text report: one step, each command on each
+    # backend piped into its own check, in this order.
+    (args, _), *_ = ANALYZE_CSV_AND_TEXT_SHA256
+    check = both_backends_check(f"python -W error -m surdcf.cli analyze {args}")
+    commands = [line.strip() for line in check.splitlines() if "surdcf.cli analyze" in line]
+    assert commands == [
+        f'PYTHONPATH=src python -W error -m surdcf.cli analyze {args} --kernel "$kernel"'
+        f' | sha256sum -c <(echo "{digest}  -")'
+        for args, digest in ANALYZE_CSV_AND_TEXT_SHA256
+    ]
+
+
 def test_ci_checks_registry_digest_on_a_pipe():
     from test_cli import VERIFY_REGISTRY_SHA256
 
@@ -111,7 +135,7 @@ def test_ci_runs_analyze_and_mine_digests_with_warnings_as_errors():
     # RuntimeWarning under -W error, and fails the step.
     commands = [line.strip() for run in digest_checks() for line in run.splitlines()
                 if re.search(r"surdcf\.cli (analyze|mine) ", line)]
-    assert len(commands) == 11
+    assert len(commands) == 14
     assert all(command.startswith("PYTHONPATH=src python -W error -m surdcf.cli ")
                for command in commands)
 
