@@ -293,6 +293,23 @@ class TestVerifyFamilies:
         assert len(out.splitlines()) == 121
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REGISTRY_TEXT_SHA256
 
+    def test_closed_pipe_exits_quietly(self):
+        # The reader leaves after 100 bytes, inside the first failure, so a
+        # later failure's period, written in pieces, meets the closed pipe.
+        # stdout is block-buffered, as under a shell.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "surdcf.cli", "verify-families", "--id", "pair-m2m-k2-printed"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(100).startswith(b'{"failures": [{"actual": {"a0": 12, "period": [')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
     def test_long_period_errata_output_pinned(self, capsys):
         # The two erratum families whose failure records print the longest
         # actual periods (up to 271,170 quotients): every one of them comes

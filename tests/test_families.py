@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from surdcf.families import (
     FamilyValidityError,
     ParamSpec,
     PolyExpr,
+    VerifyReport,
     family_by_id,
     instantiate,
     registry,
@@ -279,6 +282,31 @@ class TestWriteRecord:
             {**report.to_dict(), "registry_status": fam.status}, sort_keys=True) + "\n"
         # Every erratum fails at this budget, so the failure rows are covered.
         assert report.failures or not fam.is_erratum
+
+    def test_failing_periods_are_written_in_pieces(self):
+        # All 303 members fail at m <= 3, the longest half walk 8,605
+        # quotients long.  Each failing period is written from its half in
+        # pieces, so the write holds the half, one list of the half's texts
+        # and one piece: about twice the half's list, and never the period
+        # or its text whole, which took about four times.
+        fam = family_by_id("pair-m2m-k2-printed")
+        budget = {"m": 3}
+        half_size = max(sys.getsizeof(f.half)
+                        for f in families.iter_failures(fam, budget, VerifyReport(fam.id)))
+        tracemalloc.start()
+        try:
+            assert write_record(fam, budget, _Discard()) == 303
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * half_size
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing."""
+
+    def write(self, s):
+        return len(s)
 
 
 def _outcome(member, fam, assignment):

@@ -10,6 +10,7 @@ outside modules that it must not load.
 """
 
 import ast
+import collections
 import graphlib
 import importlib
 import json
@@ -59,7 +60,8 @@ EXPORTED = [name for names in EXPORTS.values() for name in names]
 # forms of commands and README examples, the forms in which acceptance
 # criteria 1 and 8 check the golden expansions and the mined families'
 # instances, the one-expression evaluation that the test oracle of family
-# members runs, and an override that argparse calls.
+# members runs, the reports as dicts that the tests hold the streamed
+# bytes to, and an override that argparse calls.
 UNCALLED = {
     "cheb_mat_pow", "cousin_closed_form", "cousin_mat_pow",
     "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power",
@@ -67,7 +69,19 @@ UNCALLED = {
     "family_by_id", "instantiate", "verify_family",
     "mine_sweep",
     "PeriodicCF.as_list", "MinedFamily.a_of", "MinedFamily.b_of", "PolyExpr.eval",
+    "StructReport.to_dict", "VerifyReport.to_dict",
     "_Parser.error",
+}
+# A method whose name more than one package class defines is not used just
+# because some attribute has that name: each either stands in ``UNCALLED``
+# or is named here with the package function (``module.qualname``) that
+# calls it, which must hold an attribute of that name.
+SHARED_NAME_CALLERS = {
+    "ClaimResult.status": "analyzer.write_json",
+    "ClaimResult.to_dict": "analyzer.StructReport.to_dict",
+    "Failure.to_dict": "families.verify_family",
+    "MinedFamily.to_dict": "cli.cmd_mine",
+    "VerifyReport.status": "families.VerifyReport.to_dict",
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -175,26 +189,41 @@ def test_only_named_functions_lack_a_package_caller():
     # from outside it only, by tests at most.
     # A method counts as used only through an attribute: a bare name of
     # the same spelling (the builtin ``eval``, say) is not a call of it.
-    defined, names, attributes = set(), set(), set()
+    defined, names, attributes, bodies = set(), set(), set(), {}
     for path in (SRC / "surdcf").glob("*.py"):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (*DEFS, ast.ClassDef)):
                 defined.add(node.name)
+                bodies[f"{path.stem}.{node.name}"] = node
             if isinstance(node, ast.ClassDef):
-                defined.update(f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, DEFS))
+                for sub in node.body:
+                    if isinstance(sub, DEFS):
+                        defined.add(f"{node.name}.{sub.name}")
+                        bodies[f"{path.stem}.{node.name}.{sub.name}"] = sub
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
-    uncalled = set()
+    methods = collections.Counter(name.rpartition(".")[2] for name in defined if "." in name)
+    uncalled, shared = set(), set()
     for name in defined:
         owner, _, own = name.rpartition(".")
-        used = attributes if owner else names | attributes
-        if own not in used and not (own.startswith("__") and own.endswith("__")):
+        if own.startswith("__") and own.endswith("__"):
+            continue
+        if owner and methods[own] > 1:
+            shared.add(name)
+        elif own not in (attributes if owner else names | attributes):
             uncalled.add(name)
-    assert uncalled == UNCALLED
+    # Each shared-name method is either uncalled or mapped to its caller,
+    # never both, and the map names no other method.
+    assert uncalled | (shared - SHARED_NAME_CALLERS.keys()) == UNCALLED
+    assert SHARED_NAME_CALLERS.keys() <= shared
+    for method, caller in SHARED_NAME_CALLERS.items():
+        own = method.rpartition(".")[2]
+        assert any(isinstance(node, ast.Attribute) and node.attr == own
+                   for node in ast.walk(bodies[caller])), f"{caller} does not call {method}"
 
 
 def package_imports() -> dict[str, set[str]]:

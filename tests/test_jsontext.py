@@ -2,16 +2,17 @@
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surdcf import _jsontext
+from surdcf import _jsontext, families
 from surdcf._jsontext import WRITE_BLOCK, Ragged, Text, digits, rows, strings, write_rows
 from surdcf.engine import expand_sqrt, half_period
-from surdcf.families import period_json
+from surdcf.families import Failure, _write_failure
 from surdcf.exact import isqrt
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
@@ -260,21 +261,51 @@ def test_empty_lists():
     assert rows({"p": period, "q": pal}) == '{"p": [], "q": []}' * 3
 
 
-# ``families.period_json``, the verifier's writer of failing periods, is
-# held to the same ``json.dumps`` bytes.
+# ``families._write_failure``, the verifier's writer of failure records,
+# writes the actual period from the half walk in pieces of ``_PIECE``
+# quotients; its bytes are held to ``json.dumps`` of the whole record.
 def assert_period_text(d):
-    """The period's text from the half walk is ``json.dumps`` of the whole period."""
-    assert period_json(*half_period(d)) == json.dumps(list(expand_sqrt(d).period)), f"d={d}"
+    """The record written from the half walk is ``json.dumps`` of the
+    record holding the whole period."""
+    a0, half, odd = half_period(d)
+    expected = expand_sqrt(d)
+    out = io.StringIO()
+    _write_failure(Failure({"n": 1}, d, expected, a0, half, odd), out)
+    want = {"actual": {"a0": a0, "period": list(expected.period)}, "d": d,
+            "expected": {"a0": expected.a0, "period": list(expected.period)}, "params": {"n": 1}}
+    assert out.getvalue() == json.dumps(want, sort_keys=True), f"d={d}"
 
 
-@pytest.mark.parametrize("d", [
+SMALL_WALKS = [
     2, 10**12 + 1,  # d = a0^2 + 1: ell 1, an empty half
     3, 41, 7,  # ell 2, 3 and 4
     13, 19, 22,  # longer odd and even periods
     27, 99, 10**6 + 2 * 10**3,  # 2*a0 wider than every interior cell
-])
+    31, 61, 46, 109,  # halves of 4 to 7 quotients
+]
+PIECES = [1, 2, 3]
+
+
+def test_small_walks_cover_the_piece_edges():
+    # Empty halves, both parities of ell, and for each piece size halves
+    # of exactly one and two pieces and of one quotient either side.
+    walks = [half_period(d) for d in SMALL_WALKS]
+    lengths = {len(half) for _, half, _ in walks}
+    assert 0 in lengths and {odd for _, _, odd in walks} == {False, True}
+    for piece in PIECES:
+        assert {piece * j + e for j in (1, 2) for e in (-1, 0, 1)} <= lengths
+
+
+@pytest.mark.parametrize("d", SMALL_WALKS)
 def test_period_of_small_walks(d):
     assert_period_text(d)
+
+
+@pytest.mark.parametrize("piece", PIECES)
+@pytest.mark.parametrize("d", SMALL_WALKS)
+def test_period_of_small_walks_in_small_pieces(d, piece):
+    with mock.patch.object(families, "_PIECE", piece):
+        assert_period_text(d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,6 +313,14 @@ def test_period_of_small_walks(d):
 def test_period_of_random_walks(d):
     if isqrt(d) ** 2 != d:
         assert_period_text(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10**7), st.sampled_from(PIECES))
+def test_period_of_random_walks_in_small_pieces(d, piece):
+    if isqrt(d) ** 2 != d:
+        with mock.patch.object(families, "_PIECE", piece):
+            assert_period_text(d)
 
 
 def test_period_of_the_longest_failing_member():

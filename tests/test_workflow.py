@@ -219,7 +219,7 @@ def memory_cap(argv):
 
 
 def test_ci_caps_registry_peak_memory():
-    assert "sys.exit(peak_mb > 40)" in memory_cap(["verify-families"])
+    assert "sys.exit(peak_mb > 25)" in memory_cap(["verify-families"])
 
 
 @pytest.mark.parametrize(
