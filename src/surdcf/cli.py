@@ -5,8 +5,14 @@ sequences.  Multi-record output is JSON Lines, single-record output a single
 JSON object; everything is emitted with sorted keys so runs are byte-identical
 regardless of parallelism.
 
-Exit codes: 0 success, 1 usage error, 2 domain error.  Mathematical findings
-(erratum families, claim counterexamples) are data, never nonzero exits.
+Exit codes: 0 success; 2 for a domain error of expand, surd and convergents,
+and when a family not marked erratum fails in verify-families; 1 for every
+input error of verify-families, mine, analyze and sequences, for a bad option
+value (such as ``surd --max-steps`` below 1) and for argparse errors.  Each
+subparser declares its command's code for bad input (``bad_input``), and
+``main`` is the one place where an error becomes a stderr line and a code.
+Mathematical findings (erratum families, claim counterexamples) are data,
+never nonzero exits.
 
 Each command imports the modules it runs inside its handler, and building
 the parser imports none of them, so ``expand`` never loads numpy and
@@ -28,6 +34,10 @@ EXIT_DOMAIN = 2
 
 # `mine --sweep` bounds when --max-len or --max-entry is not given.
 _SWEEP_DEFAULT = 3
+
+
+class _UsageError(Exception):
+    """A bad option value: exit 1, whatever the command's code for bad input."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,11 +73,7 @@ def _parse_int_list(raw: str) -> list[int]:
 def cmd_expand(args) -> int:
     from .engine import expand_sqrt
 
-    try:
-        cf = expand_sqrt(args.d)
-    except DomainError as exc:
-        print(f"expand: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    cf = expand_sqrt(args.d)
     obj = {"d": cf.d, "a0": cf.a0, "period": list(cf.period), "length": cf.length}
     if args.format == "csv":
         print("d,a0,length,period")
@@ -79,16 +85,10 @@ def cmd_expand(args) -> int:
 
 def cmd_surd(args) -> int:
     if args.max_steps < 1:
-        print("surd: need --max-steps >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need --max-steps >= 1")
     from .engine import SurdState, expand_surd
 
-    try:
-        state = SurdState(args.p, args.q, args.d)
-        exp = expand_surd(state, max_steps=args.max_steps)
-    except (DomainError, ResourceLimitError) as exc:
-        print(f"surd: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    exp = expand_surd(SurdState(args.p, args.q, args.d), max_steps=args.max_steps)
     obj = {
         "p": args.p,
         "q": args.q,
@@ -108,12 +108,7 @@ def cmd_surd(args) -> int:
 def cmd_convergents(args) -> int:
     from .convergents import convergents_of_word
 
-    try:
-        word = _parse_int_list(args.word)
-        conv = convergents_of_word(word)
-    except DomainError as exc:
-        print(f"convergents: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    conv = convergents_of_word(_parse_int_list(args.word))
     if args.format == "csv":
         print("k,p,q")
         for c in conv:
@@ -126,58 +121,40 @@ def cmd_convergents(args) -> int:
     return EXIT_OK
 
 
-def _budget_from_args(args):
-    budget = {}
-    if args.n_max is not None:
-        budget["n"] = args.n_max
-    if args.m_max is not None:
-        budget["m"] = args.m_max
-    if args.k_max is not None:
-        budget["k"] = args.k_max
-    return budget or None
-
-
 def cmd_verify_families(args) -> int:
     from . import families
 
-    for option, cap in (("--n-max", args.n_max), ("--m-max", args.m_max), ("--k-max", args.k_max)):
+    caps = {"n": args.n_max, "m": args.m_max, "k": args.k_max}
+    for name, cap in caps.items():
         if cap is not None and cap < 0:
-            print(f"verify-families: need {option} >= 0", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"need --{name}-max >= 0")
+    budget = {name: cap for name, cap in caps.items() if cap is not None} or None
     try:
         fams = families.registry(args.registry)
-    except (OSError, DomainError) as exc:
-        print(f"verify-families: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        raise _UsageError(exc) from None
     if args.id:
         by_id = {f.id: f for f in fams}
         missing = [fid for fid in args.id if fid not in by_id]
         if missing:
-            print(f"verify-families: unknown id(s) {missing}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _UsageError(f"unknown id(s) {missing}")
         fams = [by_id[fid] for fid in args.id]
-    budget = _budget_from_args(args)
-    # Every family is checked before the first record is written.
-    for fam in fams:
-        try:
-            families.check_budget(fam, budget)
-        except DomainError as exc:
-            print(f"verify-families: {fam.id}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     all_ok = True
-    for fam in fams:
-        try:
+    try:
+        # Every family is checked before the first record is written.
+        for fam in fams:
+            families.check_budget(fam, budget)
+        for fam in fams:
             if args.format == "text":
                 counts = families.VerifyReport(fam.id)
                 failures = sum(1 for _ in families.iter_failures(fam, budget, counts))
                 print(f"{fam.id}: {families.status_of(failures)} ({counts.tested} tested, {failures} failures)")
             else:
                 failures = families.write_record(fam, budget, sys.stdout)
-        except DomainError as exc:
-            print(f"verify-families: {fam.id}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if failures and not fam.is_erratum:
-            all_ok = False
+            if failures and not fam.is_erratum:
+                all_ok = False
+    except DomainError as exc:
+        raise DomainError(f"{fam.id}: {exc}") from None
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
 
@@ -186,38 +163,17 @@ def cmd_mine(args) -> int:
 
     bounds = (args.max_len, args.max_entry)
     if args.sweep:
-        try:
-            blocks = miner.sweep_blocks(*(_SWEEP_DEFAULT if b is None else b for b in bounds))
-        except DomainError as exc:
-            print(f"mine: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        write = miner.write_text if args.format == "text" else miner.write_jsonl
         # Each block is written as it is mined, so memory holds one block.
-        for found in blocks:
-            if args.format != "text":
-                miner.write_jsonl(found, sys.stdout)
-            elif len(found):
-                # A block's lines from its columns, in one write: no
-                # MinedFamily and no print per row.
-                columns = (found.palindrome.tolist(), miner._lengths(found.palindrome).tolist(),
-                           found.a_modulus.tolist(), found.a_residue.tolist(),
-                           found.b_exprs(), found.min_c.tolist())
-                sys.stdout.write("".join(
-                    f"{str(pal[:n]).replace(' ', '')}: a = {mod}*c+{res}, b = {b_expr}, c >= {min_c}\n"
-                    for pal, n, mod, res, b_expr, min_c in zip(*columns)
-                ))
+        for found in miner.sweep_blocks(*(_SWEEP_DEFAULT if b is None else b for b in bounds)):
+            write(found, sys.stdout)
         return EXIT_OK
     if bounds != (None, None):
-        print("mine: --max-len and --max-entry need --sweep", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--max-len and --max-entry need --sweep")
     if args.pattern is None:
-        print("mine: need --pattern or --sweep", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        pattern = _parse_int_list(args.pattern)
-        fam = miner.mine(pattern)
-    except DomainError as exc:
-        print(f"mine: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need --pattern or --sweep")
+    pattern = _parse_int_list(args.pattern)
+    fam = miner.mine(pattern)
     if fam is None:
         _emit({"palindrome": pattern, "family": None}, args.format,
               lambda o: f"no family realizes [{args.pattern}]")
@@ -229,18 +185,15 @@ def cmd_mine(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.d_from < 1 or args.d_to < args.d_from:
-        print("analyze: need 1 <= --from <= --to", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need 1 <= --from <= --to")
     if args.jobs < 1:
-        print("analyze: need --jobs >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("need --jobs >= 1")
     from . import _kernels, analyzer
 
     try:
         backend = _kernels.backend_name(args.kernel)
     except ValueError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(exc) from None
     if args.format == "csv":
         print("length,count")
         hist = analyzer.period_stats(args.d_from, args.d_to, jobs=args.jobs, backend=backend)
@@ -262,11 +215,7 @@ def cmd_analyze(args) -> int:
 def cmd_sequences(args) -> int:
     from . import sequences
 
-    try:
-        rows = sequences.named_sequence(args.name, args.count, m=args.m)
-    except DomainError as exc:
-        print(f"sequences: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = sequences.named_sequence(args.name, args.count, m=args.m)
     if args.format == "csv":
         print("index,value")
         for k, v in rows:
@@ -302,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="periodic expansion of sqrt(d)")
     p.add_argument("d", type=int)
     _add_format(p)
-    p.set_defaults(fn=cmd_expand)
+    p.set_defaults(fn=cmd_expand, bad_input=EXIT_DOMAIN)
 
     p = sub.add_parser("surd", help="expansion of a general surd (p + sqrt(d))/q")
     p.add_argument("--p", type=int, required=True)
@@ -310,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=10**6)
     _add_format(p, ("json", "text"))
-    p.set_defaults(fn=cmd_surd)
+    p.set_defaults(fn=cmd_surd, bad_input=EXIT_DOMAIN)
 
     p = sub.add_parser("convergents", help="convergents of a quotient word")
     p.add_argument("--word", required=True, help="comma-separated quotients, e.g. 1,2,2,2")
     _add_format(p)
-    p.set_defaults(fn=cmd_convergents)
+    p.set_defaults(fn=cmd_convergents, bad_input=EXIT_DOMAIN)
 
     p = sub.add_parser("verify-families", help="check registry families against the engine")
     p.add_argument("--id", action="append", help="family id (repeatable); default all")
@@ -324,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--registry", default=None, help="registry file override (also SURDCF_REGISTRY)")
     _add_format(p, ("json", "text"))
-    p.set_defaults(fn=cmd_verify_families)
+    p.set_defaults(fn=cmd_verify_families, bad_input=EXIT_USAGE)
 
     p = sub.add_parser("mine", help="derive families from palindrome patterns")
     mode = p.add_mutually_exclusive_group()
@@ -333,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=None, help=f"with --sweep (default {_SWEEP_DEFAULT})")
     p.add_argument("--max-entry", type=int, default=None, help=f"with --sweep (default {_SWEEP_DEFAULT})")
     _add_format(p, ("json", "text"))
-    p.set_defaults(fn=cmd_mine)
+    p.set_defaults(fn=cmd_mine, bad_input=EXIT_USAGE)
 
     p = sub.add_parser("analyze", help="structure claims over a d range")
     p.add_argument("--from", dest="d_from", type=int, required=True)
@@ -341,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--kernel", default=None).help_from = _kernel_help
     _add_format(p)
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn=cmd_analyze, bad_input=EXIT_USAGE)
 
     p = sub.add_parser("sequences", help="dump a named integer sequence")
     p.add_argument("--name", required=True).help_from = _sequence_name_help
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--m", type=int, default=None)
     _add_format(p)
-    p.set_defaults(fn=cmd_sequences)
+    p.set_defaults(fn=cmd_sequences, bad_input=EXIT_USAGE)
 
     return parser
 
@@ -367,6 +316,12 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
+    except (_UsageError, DomainError, ResourceLimitError) as exc:
+        # Bad input, the one stderr line of a failed run.  An
+        # InternalConsistencyError is an engine bug, and escapes with its
+        # traceback.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, _UsageError) else args.bad_input
 
 
 if __name__ == "__main__":

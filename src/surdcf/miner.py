@@ -28,7 +28,8 @@ and Python ints (``dtype=object``) elsewhere, through the same code.
 writes each block as it comes holds one block, whatever the sweep's size;
 ``mine_sweep`` concatenates them.  ``write_jsonl`` writes families as JSON
 Lines through the package's one row formatter, ``_jsontext``, a block of
-rows at a time.  ``_b_expr`` makes the ``b_expr`` text of a block one
+rows at a time, and ``write_text`` writes them as the text lines of ``mine
+--format text``.  ``_b_expr`` makes the ``b_expr`` text of a block one
 composite cell (``_jsontext.Text``), written in place into the JSON rows;
 ``MinedFamilies.b_exprs`` reads each row's text from the same cell, and
 ``MinedFamily.b_expr`` is its one-row case.
@@ -334,4 +335,21 @@ def write_jsonl(families: MinedFamilies, out) -> None:
     _jsontext.write_rows(out, len(families), WRITE_BLOCK, columns_of, end="\n")
 
 
-__all__ = ["MinedFamily", "MinedFamilies", "mine", "mine_sweep", "sweep_blocks", "write_jsonl", "ACCEPT_INSTANCES"]
+def write_text(families: MinedFamilies, out) -> None:
+    """Write the ``mine --format text`` line of each family to ``out``,
+    ``[2,2]: a = 5*c+1, b = 4*c+1, c >= 1``, all of them in one write
+    (none for a block with no family): from the columns, with no
+    ``MinedFamily`` and no print per row."""
+    if not len(families):
+        return
+    columns = (families.palindrome.tolist(), _lengths(families.palindrome).tolist(),
+               families.a_modulus.tolist(), families.a_residue.tolist(),
+               families.b_exprs(), families.min_c.tolist())
+    out.write("".join(
+        f"{str(pal[:n]).replace(' ', '')}: a = {mod}*c+{res}, b = {b_expr}, c >= {min_c}\n"
+        for pal, n, mod, res, b_expr, min_c in zip(*columns)
+    ))
+
+
+__all__ = ["MinedFamily", "MinedFamilies", "mine", "mine_sweep", "sweep_blocks", "write_jsonl", "write_text",
+           "ACCEPT_INSTANCES"]

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from surdcf import _kernels, analyzer, convergents, families, miner, sequences
 from surdcf.cli import main
+from surdcf.exact import InternalConsistencyError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -836,3 +838,100 @@ def test_csv_refused_where_not_written(capsys, argv):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+# Registries that the error-path table names as "@name" in its argv.
+REGISTRIES = {
+    "wrong": [dict(EULER_RECORD, id="wrong", pattern=["a"]), EULER_RECORD],
+    "unbound": [EULER_RECORD, dict(EULER_RECORD, id="unbound", a_expr="n+x")],
+    "no-id": [EULER_RECORD, {k: v for k, v in EULER_RECORD.items() if k != "id"}],
+}
+
+# Each command's error paths, and the edges beside them, as (argv, exit
+# code, stdout, stderr): the exit code is the command's for bad input (2 for
+# a domain error of expand, surd and convergents, 1 for the rest and for a
+# bad option value), and stderr holds one line naming the command.  Where
+# several checks fail, the line names the first.
+ERROR_PATHS = [
+    ("expand 16", 2, "", "expand: 16 is a perfect square\n"),
+    ("expand 1", 2, "", "expand: 1 is a perfect square\n"),
+    ("expand 0", 2, "", "expand: radicand must be positive, got 0\n"),
+    ("expand -3 --format csv", 2, "", "expand: radicand must be positive, got -3\n"),
+    ("surd --p 1 --q 1 --d 29 --max-steps 0", 1, "", "surd: need --max-steps >= 1\n"),
+    ("surd --p -5 --q 1 --d 29 --max-steps 0", 1, "", "surd: need --max-steps >= 1\n"),
+    ("surd --p 1 --q 2 --d 16 --max-steps -1", 1, "", "surd: need --max-steps >= 1\n"),
+    ("surd --p 1 --q 2 --d 16", 2, "", "surd: radicand must be a positive non-square, got 16\n"),
+    ("surd --p 1 --q 2 --d -13", 2, "", "surd: radicand must be a positive non-square, got -13\n"),
+    ("surd --p 1 --q 0 --d 13", 2, "", "surd: surd denominator Q must be nonzero\n"),
+    ("surd --p 1 --q 2 --d 13 --max-steps 1", 2, "",
+     "surd: no period within 1 steps for (1+sqrt(13))/2\n"),
+    ("convergents --word a,b", 2, "", "convergents: not a comma-separated integer list: 'a,b'\n"),
+    ("convergents --word ''", 2, "", "convergents: empty quotient word\n"),
+    ("convergents --word 1,-2", 2, "", "convergents: quotients after the first must be >= 1\n"),
+    ("convergents --word 0,1 --format text", 0, "0/1, 1/1\n", ""),
+    ("verify-families --registry /nonexistent/x.jsonl", 1, "",
+     "verify-families: [Errno 2] No such file or directory: '/nonexistent/x.jsonl'\n"),
+    ("verify-families --registry /nonexistent", 1, "",
+     "verify-families: [Errno 2] No such file or directory: '/nonexistent'\n"),
+    ("verify-families --registry /nonexistent --id nope", 1, "",
+     "verify-families: [Errno 2] No such file or directory: '/nonexistent'\n"),
+    ("verify-families --registry @no-id --n-max 3", 1, "",
+     "verify-families: registry line 3: record has no 'id'\n"),
+    ("verify-families --id nope --id euler-l1 --id nah", 1, "",
+     "verify-families: unknown id(s) ['nope', 'nah']\n"),
+    ("verify-families --id nope --n-max 0", 1, "", "verify-families: unknown id(s) ['nope']\n"),
+    ("verify-families --n-max -1", 1, "", "verify-families: need --n-max >= 0\n"),
+    ("verify-families --m-max -1", 1, "", "verify-families: need --m-max >= 0\n"),
+    ("verify-families --k-max -2 --n-max -1", 1, "", "verify-families: need --n-max >= 0\n"),
+    ("verify-families --n-max -1 --registry /nonexistent", 1, "", "verify-families: need --n-max >= 0\n"),
+    ("verify-families --id euler-l1 --n-max 0", 1, "",
+     "verify-families: euler-l1: the budget leaves parameter n no value (n >= 1 but n <= 0)\n"),
+    ("verify-families --registry @unbound --n-max 3 --format text", 1,
+     "euler-l1: verified (3 tested, 0 failures)\n", "verify-families: unbound: unbound variable 'x'\n"),
+    ("verify-families --registry @wrong --n-max 3 --format text", 2,
+     "wrong: erratum (3 tested, 3 failures)\neuler-l1: verified (3 tested, 0 failures)\n", ""),
+    ("verify-families --registry @wrong --id euler-l1 --n-max 2 --format text", 0,
+     "euler-l1: verified (2 tested, 0 failures)\n", ""),
+    ("mine --pattern 0", 1, "", "mine: palindrome entries must be >= 1\n"),
+    ("mine --pattern 1,2", 1, "", "mine: word is not a palindrome\n"),
+    ("mine --pattern a", 1, "", "mine: not a comma-separated integer list: 'a'\n"),
+    ("mine --pattern 1,1 --format text", 0, "no family realizes [1,1]\n", ""),
+    ("mine", 1, "", "mine: need --pattern or --sweep\n"),
+    ("mine --max-len 3", 1, "", "mine: --max-len and --max-entry need --sweep\n"),
+    ("mine --pattern 2,2 --max-entry 3", 1, "", "mine: --max-len and --max-entry need --sweep\n"),
+    ("mine --sweep --max-len -1 --format text", 1, "", "mine: bad sweep bounds\n"),
+    ("mine --sweep --max-entry 0", 1, "", "mine: bad sweep bounds\n"),
+    ("analyze --from 0 --to 9", 1, "", "analyze: need 1 <= --from <= --to\n"),
+    ("analyze --from 9 --to 2 --format csv", 1, "", "analyze: need 1 <= --from <= --to\n"),
+    ("analyze --from 2 --to 9 --jobs 0", 1, "", "analyze: need --jobs >= 1\n"),
+    ("analyze --from 2 --to 9 --jobs -3 --format csv", 1, "", "analyze: need --jobs >= 1\n"),
+    ("analyze --from 2 --to 9 --kernel gpu", 1, "", "analyze: unknown sweep backend 'gpu': want numpy|python\n"),
+    ("analyze --from 0 --to 9 --jobs 0 --kernel gpu", 1, "", "analyze: need 1 <= --from <= --to\n"),
+    ("analyze --from 2 --to 9 --jobs 0 --kernel gpu", 1, "", "analyze: need --jobs >= 1\n"),
+    ("sequences --name nope", 1, "", "sequences: unknown sequence name 'nope'\n"),
+    ("sequences --name fibonacci --m 2", 1, "", "sequences: sequence 'fibonacci' takes no m\n"),
+    ("sequences --name odd-u --m -1", 1, "", "sequences: odd quotient sequence wants m >= 0\n"),
+    ("sequences --name even-p --m 0", 1, "", "sequences: even quotient sequence wants m >= 1, up_to >= 0\n"),
+    ("sequences --name nope --count -1", 1, "", "sequences: count must be >= 0\n"),
+    ("sequences --name pell-p --count 0 --format text", 0, "\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ERROR_PATHS, ids=[case[0] for case in ERROR_PATHS])
+def test_error_paths(capsys, tmp_path, argv, code, out, err):
+    args = [write_registry(tmp_path, *REGISTRIES[arg[1:]]) if arg.startswith("@") else arg
+            for arg in shlex.split(argv)]
+    assert run(capsys, *args) == (code, out, err)
+
+
+def test_engine_bug_escapes_as_a_traceback(monkeypatch):
+    # main reports bad input only: an InternalConsistencyError means an
+    # engine bug, and is not turned into an exit code.
+    from surdcf import engine
+
+    def broken(d):
+        raise InternalConsistencyError(f"step left a remainder at d={d}")
+
+    monkeypatch.setattr(engine, "expand_sqrt", broken)
+    with pytest.raises(InternalConsistencyError, match="d=13"):
+        main(["expand", "13"])

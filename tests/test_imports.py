@@ -63,7 +63,7 @@ EXPORTED = [name for names in EXPORTS.values() for name in names]
 # members runs, the reports as dicts that the tests hold the streamed
 # bytes to, and an override that argparse calls.
 UNCALLED = {
-    "cheb_mat_pow", "cousin_closed_form", "cousin_mat_pow",
+    "cheb_mat_pow", "cousin_closed_form", "cousin_mat_pow", "eval_poly",
     "mat_pow", "odd_quotient_power", "pell_power", "sqrt3_power",
     "palindrome_b", "surd_from_periodic_cf",
     "family_by_id", "instantiate", "verify_family",

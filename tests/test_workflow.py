@@ -204,6 +204,36 @@ def test_ci_checks_larger_mine_sweep_digest():
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [MINE_SWEEP_12_8_SHA256]
 
 
+# The argv that the CI step runs through ``check``, with the exit code each
+# must give; each is a case of ``test_cli.ERROR_PATHS``.
+CI_ERROR_PATHS = [
+    ("expand 16", 2),
+    ("mine --pattern 1,2", 1),
+    ("surd --p -5 --q 1 --d 29 --max-steps 0", 1),
+    ("analyze --from 2 --to 9 --kernel gpu", 1),
+    ("verify-families --registry /nonexistent", 1),
+]
+
+
+def test_ci_runs_error_paths_in_a_fresh_interpreter():
+    from test_cli import ERROR_PATHS
+
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    (job,) = workflow["jobs"].values()
+    (check,) = [step["run"] for step in job["steps"] if "check() {" in step.get("run", "")]
+    # Each run's stderr alone is kept, and a failed run does not end the
+    # step before its exit code is compared.
+    assert 'err=$(PYTHONPATH=src python -W error -m surdcf.cli "$@" 2>&1 >/dev/null) || code=$?' in check
+    # The step fails unless the code is the wanted one and stderr is one
+    # line that holds no traceback.
+    assert ('if [ "$code" != "$want" ] || [ -z "$err" ] || [[ "$err" == *$\'\\n\'* ]]'
+            ' || [[ "$err" == *Traceback* ]]; then') in check
+    assert re.findall(r"^check (\d) (.*)$", check, re.M) == [(str(code), argv) for argv, code in CI_ERROR_PATHS]
+    table = {argv: (code, err) for argv, code, _, err in ERROR_PATHS}
+    for argv, code in CI_ERROR_PATHS:
+        assert table[argv][0] == code and table[argv][1].count("\n") == 1
+
+
 def memory_cap(argv):
     """The run of the one CI step that caps the peak RSS of ``argv``."""
     workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
