@@ -20,7 +20,7 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "exact": ("DomainError InternalConsistencyError Rat RationalValueError ResourceLimitError "
-                  "is_square isqrt"),
+                  "is_square isqrt sum_two_coprime_squares"),
         "engine": "PeriodicCF SurdExpansion SurdState expand_sqrt expand_surd",
         "convergents": ("Convergent QuadSolution convergents_of_word palindrome_b "
                         "surd_from_periodic_cf word_matrix"),
@@ -30,7 +30,7 @@ _MODULE_OF = {
                       "sqrt3_pair triple113_pair"),
         "families": "FamilyDescriptor FamilyValidityError VerifyReport instantiate registry verify_family",
         "miner": "MinedFamilies MinedFamily mine mine_sweep",
-        "analyzer": "StructReport check_claims period_stats sum_two_coprime_squares",
+        "analyzer": "StructReport check_claims period_stats",
     }.items()
     for name in names.split()
 }

@@ -60,7 +60,7 @@ import numpy as np
 from . import _jsontext, _kernels
 from ._jsontext import WRITE_BLOCK
 from .engine import expand_sqrt, half_period
-from .exact import PRIME_TEST_LIMIT, DomainError, is_prime, is_square, isqrt, pollard_brent
+from .exact import DomainError, is_square, isqrt, sum_two_coprime_squares
 
 CLAIM_PALINDROME = "palindrome"
 CLAIM_TERMINAL = "terminal-2a0"
@@ -87,61 +87,6 @@ CLAIM_IDS = [
     CLAIM_CENTER_EQ,
     CLAIM_CLASS,
 ]
-
-
-# Trial divisors below this run with no primality test of the cofactor.
-_TRIAL_ONLY = 1 << 10
-
-
-def sum_two_coprime_squares(d: int) -> bool:
-    """True iff d = a^2 + b^2 with a >= b >= 1 and gcd(a, b) = 1.
-
-    By the criterion: d > 1 is such a sum iff 4 does not divide d and every
-    odd prime factor of d is 1 (mod 4).  Trial division of the odd part
-    stops at the first prime factor that is 3 (mod 4); the cofactor left
-    above the square root is 1 or a prime.  Past the divisor _TRIAL_ONLY,
-    a cofactor n that ``is_prime`` can test ends the search: it is split
-    into primes by ``pollard_brent`` and ``is_prime``, and each prime is
-    tested, so no large cofactor costs O(sqrt(n)) trial division.  A
-    cofactor too large for ``is_prime`` is trial-divided on until a division
-    brings it into range.  d = 1 (the b = 0 edge, gcd(1, 0) = 1) is admitted.
-    """
-    if d < 1:
-        raise DomainError("sum_two_coprime_squares wants d >= 1")
-    if d % 4 == 0:
-        return False
-    n = d >> 1 if d % 2 == 0 else d
-    p, probe = 3, _TRIAL_ONLY
-    while p * p <= n:
-        if n % p == 0:
-            if p % 4 == 3:
-                return False
-            n //= p
-            while n % p == 0:
-                n //= p
-            probe = max(p, _TRIAL_ONLY)
-        elif p >= probe:
-            if n < PRIME_TEST_LIMIT:
-                return all(q % 4 == 1 for q in _prime_factors(n))
-            # No further test until a division changes n.
-            probe = n
-        p += 2
-    return n % 4 != 3
-
-
-def _prime_factors(n: int):
-    """The prime factors of odd 1 < n < PRIME_TEST_LIMIT, with multiplicity.
-
-    Each split is an exact division by a factor ``pollard_brent`` found.
-    """
-    parts = [n]
-    while parts:
-        m = parts.pop()
-        if is_prime(m):
-            yield m
-        else:
-            f = pollard_brent(m)
-            parts += (f, m // f)
 
 
 @dataclass
@@ -508,7 +453,6 @@ __all__ = [
     "StructReport",
     "check_claims",
     "period_stats",
-    "sum_two_coprime_squares",
     "write_json",
     "CLAIM_IDS",
 ]

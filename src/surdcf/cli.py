@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--registry", default=None, help="registry file override (also SURDCF_REGISTRY)")
+    p.add_argument("--registry", default=None, help="registry file in place of the packaged one")
     _add_format(p, ("json", "text"))
     p.set_defaults(fn=cmd_verify_families, bad_input=EXIT_USAGE)
 

@@ -1,24 +1,20 @@
 """Convergents, the word/matrix correspondence, and surd reconstruction.
 
 A quotient word a_0..a_n corresponds to the matrix product of [[a_k,1],[1,0]],
-whose columns are the last two convergent pairs.  Word matrices and
-palindromes are built with the convergent recurrence, ``sequences._extend``
-and ``sequences._recurrence``, which this module imports.  Reconstruction
-runs that correspondence backwards: from [a0; period] to the exact quadratic
-surd the expansion denotes.
+whose columns are the last two convergent pairs.  Word matrices are built
+with the convergent recurrence, ``sequences._recurrence``, which this module
+imports.  Reconstruction runs that correspondence backwards: from
+[a0; period] to the exact quadratic surd the expansion denotes.
 
-Each step matrix is symmetric, so a reversed word has the transposed matrix,
-and a palindrome u + reverse(v) (u = v, or v followed by the centre) has
-W(u)·W(v)ᵀ.  ``palindrome_matrix`` and ``palindromes`` build palindrome
-matrices that way from the determining half alone; ``palindromes`` walks the
-halves depth first, extending each by one quotient with the recurrence step.
-A palindrome's matrix [[A, B], [B, C]] is symmetric, so ``palindromes`` and
-``realizes`` carry it as the plain triple (A, B, C).
+Each step matrix is symmetric, so a palindrome's word matrix is symmetric
+too, [[A, B], [B, C]].  ``realizes`` carries it as the plain triple
+(A, B, C) of the realisation identity b*A == 2*a*B + C, and ``palindrome_b``
+solves that identity for b; the miner builds the triples on numpy columns
+(``miner.palindromes``).
 
-Only the palindrome column builders (``palindrome_triples``,
-``palindrome_matrix``, ``palindromes``) use numpy, and they import it when
-they run: the word and surd functions, and the commands that use only them
-(``convergents``, ``sequences``, ``verify-families``), start without it.
+Like the rest of the exact core (``exact``, ``engine``, ``mat2``,
+``sequences``), this module imports no numpy, so the ``convergents``
+command and the library calls of this module start without it.
 """
 
 from __future__ import annotations
@@ -26,16 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Sequence
 
 from .exact import DomainError, RationalValueError, is_square, isqrt
-from .mat2 import Mat2
-from .sequences import _extend, _recurrence
-
-if TYPE_CHECKING:
-    import numpy as np
+from .mat2 import IDENTITY, Mat2
+from .sequences import _recurrence
 
 
 @dataclass(frozen=True)
@@ -141,15 +133,6 @@ def surd_from_periodic_cf(a0: int, period: Sequence[int]) -> QuadSolution:
     return QuadSolution(a2, a1, a0c, D, P, Q)
 
 
-def _reflect(head: tuple[int, int, int, int], half: tuple[int, int, int, int]) -> tuple[int, int, int]:
-    """(A, B, C) of W(u)·W(v)ᵀ = [[A, B], [B, C]] from the states of u and v:
-    the word matrix of the palindrome u + reverse(v), whose lower left entry
-    is B and is not computed."""
-    P1, P0, Q1, Q0 = head
-    p1, p0, q1, q0 = half
-    return P1 * p1 + P0 * p0, P1 * q1 + P0 * q0, Q1 * q1 + Q0 * q0
-
-
 def palindrome_half(palindrome: Sequence[int]) -> tuple[int, ...]:
     """The determining half of a palindrome, its first ceil(length/2) entries.
 
@@ -164,83 +147,11 @@ def palindrome_half(palindrome: Sequence[int]) -> tuple[int, ...]:
     return pal[: (len(pal) + 1) // 2]
 
 
-def palindrome_triples(halves: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) columns of the palindromes of ``length`` whose determining
-    halves are the rows of ``halves``, in the dtype of ``halves``.
-
-    By the reflection identity a palindrome h + reverse(h) has the word
-    matrix W(h)·W(h)ᵀ, and h + [c] + reverse(h) has W(hc)·W(h)ᵀ: the state
-    of the half is carried down the columns with ``_extend`` and reflected
-    with ``_reflect``.  The empty half's state is that of IDENTITY.
-    """
-    import numpy as np
-
-    h, odd = divmod(length, 2)
-    one, zero = np.ones(len(halves), halves.dtype), np.zeros(len(halves), halves.dtype)
-    half = reduce(_extend, halves[:, :h].T, (one, zero, zero, one))
-    return _reflect(_extend(half, halves[:, h]) if odd else half, half)
-
-
-def palindrome_matrix(palindrome: Sequence[int]) -> Mat2:
-    """Word matrix of a palindrome with entries >= 1; the empty one is IDENTITY.
-
-    The one-row case of ``palindrome_triples``, on Python ints.  Raises
-    DomainError as ``palindrome_half`` does.
-    """
-    import numpy as np
-
-    half = palindrome_half(palindrome)
-    A, B, C = palindrome_triples(np.array([half], dtype=object), len(palindrome))
-    return Mat2(A[0], B[0], B[0], C[0])
-
-
-# Rows per block of ``palindromes``.  It bounds the memory a block's columns
-# and their temporaries take, whatever the sweep's size: length 16 at entry 8
-# alone holds 8^8 palindromes.
-BLOCK_ROWS = 1 << 13
-
-INT64_MAX = 2**63 - 1
-
-
-def palindromes(length: int, max_entry: int) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """(halves, (A, B, C)) per block of the palindromes of ``length`` over 1..max_entry.
-
-    ``halves`` holds one determining half per row, the first ceil(length/2)
-    entries, and (A, B, C) are the columns of the rows' word matrices
-    [[A, B], [B, C]] (``palindrome_triples``).  The rows run lexicographic
-    over the halves, block after block, and a block holds the next
-    BLOCK_ROWS halves or the rest; length 0 gives the empty word alone.
-
-    The columns are int64 when twice the square of the largest A of the
-    length, that of the all-max_entry word, fits in int64: A grows with every
-    entry, and B, C and every entry of a half's state are at most A, so the
-    triple, and any product of two of its entries doubled, is then exact.
-    Otherwise they hold Python ints (``dtype=object``).
-    """
-    import numpy as np
-
-    k = (length + 1) // 2
-    widest = palindrome_triples(np.full((1, k), max_entry, dtype=object), length)[0][0]
-    fits = 2 * widest * widest <= INT64_MAX
-    count = max_entry**k
-    for lo in range(0, count, BLOCK_ROWS):
-        # The halves numbered lo.. are their numbers' base-max_entry digits, plus 1.
-        rest = np.arange(lo, min(lo + BLOCK_ROWS, count))
-        digits = []
-        for _ in range(k):
-            rest, digit = np.divmod(rest, max_entry)
-            digits.append(digit + 1)
-        halves = np.array(digits[::-1], dtype=np.int64).reshape(k, len(rest)).T
-        if not fits:
-            halves = halves.astype(object)
-        yield halves, palindrome_triples(halves, length)
-
-
 def realizes(abc: tuple[int, int, int], max_entry: int, a: int, b: int) -> bool:
     """True iff sqrt(a^2 + b) = [a; w, 2a] for the palindrome w with matrix ``abc``.
 
     ``abc`` = (A, B, C) holds the entries of the symmetric word matrix
-    [[A, B], [B, C]] of w (entries >= 1, see ``palindrome_matrix``) and
+    [[A, B], [B, C]] of w (entries >= 1; the identity for the empty word) and
     ``max_entry`` is w's largest entry, 0 for the empty word.  The identity
     is b*A == 2*a*B + C, with every entry of w at most a and 1 <= b <= 2a.
     Then a = isqrt(a^2 + b), a^2 + b is not a square, and
@@ -260,14 +171,17 @@ def realizes(abc: tuple[int, int, int], max_entry: int, a: int, b: int) -> bool:
 def palindrome_b(palindrome: Sequence[int], a0: int) -> Fraction:
     """The unique b making [a0; palindrome, 2*a0] expand sqrt(a0^2 + b).
 
-    The word matrix of a palindrome is symmetric, [[A, B], [B, C]], and the
-    candidate is b = (2*a0*B + C) / A; the pattern is realized by an actual
-    square root exactly when this rational is an integer in [1, 2*a0] and no
-    entry exceeds a0 (``realizes``).  The empty palindrome is legal (identity
-    matrix, b = 1).  A library function the README documents; the miner
-    solves the same equation on columns (``palindrome_triples``).
+    The word matrix of a palindrome is symmetric, [[A, B], [B, C]], and this
+    solves for b the realisation identity b*A == 2*a0*B + C, which
+    ``realizes`` checks for a given b: b = (2*a0*B + C) / A.  The pattern is
+    realized by an actual square root exactly when this rational is an
+    integer in [1, 2*a0] and no entry exceeds a0.  The empty palindrome is legal
+    (identity matrix, b = 1).  Raises DomainError as ``palindrome_half``
+    does.  A library function the README documents; the miner checks the
+    same identity on columns, through ``realizes``.
     """
-    m = palindrome_matrix(palindrome)
+    palindrome_half(palindrome)
+    m = word_matrix(palindrome) if len(palindrome) else IDENTITY
     return Fraction(2 * a0 * m.m12 + m.m22, m.m11)
 
 
@@ -278,9 +192,6 @@ __all__ = [
     "word_matrix",
     "surd_from_periodic_cf",
     "palindrome_half",
-    "palindrome_matrix",
-    "palindrome_triples",
-    "palindromes",
     "palindrome_b",
     "realizes",
 ]

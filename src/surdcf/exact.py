@@ -4,6 +4,11 @@ No floating point enters any computation whose result is asserted exact.
 Integers are unbounded Python ints.  Rationals are ``fractions.Fraction``
 (aliased ``Rat``), which already guarantees the reduced-form invariant
 (gcd(num, den) = 1, den > 0) on construction.
+
+The scalar two-squares test ``sum_two_coprime_squares`` lives here with the
+primality test and the factor search it runs (``is_prime``,
+``pollard_brent``); ``analyzer`` imports it for the columns that the exact
+engine fills.  Like every exact module, this one imports no numpy.
 """
 
 from __future__ import annotations
@@ -114,6 +119,61 @@ def pollard_brent(n: int) -> int:
             return g
 
 
+# Trial divisors below this run with no primality test of the cofactor.
+_TRIAL_ONLY = 1 << 10
+
+
+def sum_two_coprime_squares(d: int) -> bool:
+    """True iff d = a^2 + b^2 with a >= b >= 1 and gcd(a, b) = 1.
+
+    By the criterion: d > 1 is such a sum iff 4 does not divide d and every
+    odd prime factor of d is 1 (mod 4).  Trial division of the odd part
+    stops at the first prime factor that is 3 (mod 4); the cofactor left
+    above the square root is 1 or a prime.  Past the divisor _TRIAL_ONLY,
+    a cofactor n that ``is_prime`` can test ends the search: it is split
+    into primes by ``pollard_brent`` and ``is_prime``, and each prime is
+    tested, so no large cofactor costs O(sqrt(n)) trial division.  A
+    cofactor too large for ``is_prime`` is trial-divided on until a division
+    brings it into range.  d = 1 (the b = 0 edge, gcd(1, 0) = 1) is admitted.
+    """
+    if d < 1:
+        raise DomainError("sum_two_coprime_squares wants d >= 1")
+    if d % 4 == 0:
+        return False
+    n = d >> 1 if d % 2 == 0 else d
+    p, probe = 3, _TRIAL_ONLY
+    while p * p <= n:
+        if n % p == 0:
+            if p % 4 == 3:
+                return False
+            n //= p
+            while n % p == 0:
+                n //= p
+            probe = max(p, _TRIAL_ONLY)
+        elif p >= probe:
+            if n < PRIME_TEST_LIMIT:
+                return all(q % 4 == 1 for q in _prime_factors(n))
+            # No further test until a division changes n.
+            probe = n
+        p += 2
+    return n % 4 != 3
+
+
+def _prime_factors(n: int):
+    """The prime factors of odd 1 < n < PRIME_TEST_LIMIT, with multiplicity.
+
+    Each split is an exact division by a factor ``pollard_brent`` found.
+    """
+    parts = [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            yield m
+        else:
+            f = pollard_brent(m)
+            parts += (f, m // f)
+
+
 def _power(base, n: int, one):
     """base**n for n >= 0 by square and multiply, for any associative ``*``
     with identity ``one``: the one power loop of ``mat2.mat_pow`` and
@@ -133,6 +193,7 @@ __all__ = [
     "is_square",
     "is_prime",
     "pollard_brent",
+    "sum_two_coprime_squares",
     "PRIME_TEST_LIMIT",
     "DomainError",
     "ResourceLimitError",

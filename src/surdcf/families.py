@@ -37,7 +37,6 @@ from __future__ import annotations
 import ast
 import itertools
 import json
-import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -50,7 +49,6 @@ from . import sequences
 from .engine import PeriodicCF, half_period, is_primitive_word, mirror
 from .exact import DomainError, is_square
 
-REGISTRY_ENV = "SURDCF_REGISTRY"
 _REGISTRY_RESOURCE = "families.jsonl"
 
 
@@ -322,8 +320,7 @@ def _descriptor_from_record(rec) -> FamilyDescriptor:
 def registry(path: str | None = None) -> list[FamilyDescriptor]:
     """All registry families, in file order.
 
-    Resolution order for the data file: explicit path argument, the
-    SURDCF_REGISTRY environment variable, then the packaged registry.  A
+    The data file is ``path`` when given, else the packaged registry.  A
     record raises DomainError naming its 1-based line if it is not valid
     JSON or not an object, lacks ``id`` or ``params``, has a malformed
     params triple or a repeated param name, has a ``bind`` or ``budget``
@@ -332,7 +329,6 @@ def registry(path: str | None = None) -> list[FamilyDescriptor]:
     generator nor all of ``a_expr``, ``b_expr`` and ``pattern``, or holds
     an expression that is not a string in the grammar of ``PolyExpr``.
     """
-    path = path or os.environ.get(REGISTRY_ENV) or None
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -680,5 +676,4 @@ __all__ = [
     "status_of",
     "check_budget",
     "write_record",
-    "REGISTRY_ENV",
 ]

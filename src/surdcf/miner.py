@@ -16,12 +16,21 @@ gcd or Euclid loop (``_head_congruence``).  The miner checks the identity
 on every block before it relies on it.
 
 The miner works on columns, a block of palindromes at a time: the blocks
-and their (A, B, C) columns come from ``convergents.palindromes`` (no
-matrix object is built), the congruences are solved in closed form, and
-the heads are searched and checked with ``realizes`` over the block's rows.
-``mine`` is the one-row case on Python ints.  Columns are int64 only where
-a bound shows that nothing wraps (see ``palindromes`` and ``_mine_block``),
-and Python ints (``dtype=object``) elsewhere, through the same code.
+and their (A, B, C) columns come from ``palindromes`` (no matrix object is
+built), the congruences are solved in closed form, and the heads are
+searched and checked with ``realizes`` over the block's rows.  ``mine`` is
+the one-row case on Python ints.  ``palindrome_triples`` builds a block's
+columns from the determining halves alone: each step matrix is symmetric,
+so a palindrome u + reverse(v) (u = v, or v followed by the centre) has the
+word matrix W(u)·W(v)ᵀ.
+
+Columns are int64 only where a bound shows that nothing wraps, and Python
+ints (``dtype=object``) elsewhere, through the same code.  That policy is
+this module's alone: the ``fits`` bound of ``palindromes`` and the
+``c_safe`` bound of ``_mine_block``, which relies on it, read the one
+``INT64_MAX``.  The exact modules (``exact``, ``engine``, ``convergents``
+and the rest) import no numpy; it is imported here, and by ``analyzer``,
+``_kernels`` and ``_jsontext``, alone.
 
 ``sweep_blocks`` yields the families of a sweep as columns
 (``MinedFamilies``), one block of palindromes at a time, so a caller that
@@ -38,16 +47,82 @@ composite cell (``_jsontext.Text``), written in place into the JSON rows;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
 from . import _jsontext
 from ._jsontext import WRITE_BLOCK
-from .convergents import INT64_MAX, palindrome_half, palindrome_triples, palindromes, realizes
+from .convergents import palindrome_half, realizes
 from .exact import DomainError, InternalConsistencyError
+from .sequences import _extend
 
 ACCEPT_INSTANCES = 5
+
+
+def _reflect(head: tuple[int, int, int, int], half: tuple[int, int, int, int]) -> tuple[int, int, int]:
+    """(A, B, C) of W(u)·W(v)ᵀ = [[A, B], [B, C]] from the states of u and v:
+    the word matrix of the palindrome u + reverse(v), whose lower left entry
+    is B and is not computed."""
+    P1, P0, Q1, Q0 = head
+    p1, p0, q1, q0 = half
+    return P1 * p1 + P0 * p0, P1 * q1 + P0 * q0, Q1 * q1 + Q0 * q0
+
+
+def palindrome_triples(halves: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) columns of the palindromes of ``length`` whose determining
+    halves are the rows of ``halves``, in the dtype of ``halves``.
+
+    By the reflection identity a palindrome h + reverse(h) has the word
+    matrix W(h)·W(h)ᵀ, and h + [c] + reverse(h) has W(hc)·W(h)ᵀ: the state
+    of the half is carried down the columns with ``_extend`` and reflected
+    with ``_reflect``.  The empty half's state is that of IDENTITY.
+    """
+    h, odd = divmod(length, 2)
+    one, zero = np.ones(len(halves), halves.dtype), np.zeros(len(halves), halves.dtype)
+    half = reduce(_extend, halves[:, :h].T, (one, zero, zero, one))
+    return _reflect(_extend(half, halves[:, h]) if odd else half, half)
+
+
+# Rows per block of ``palindromes``.  It bounds the memory a block's columns
+# and their temporaries take, whatever the sweep's size: length 16 at entry 8
+# alone holds 8^8 palindromes.
+BLOCK_ROWS = 1 << 13
+
+INT64_MAX = 2**63 - 1
+
+
+def palindromes(length: int, max_entry: int) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """(halves, (A, B, C)) per block of the palindromes of ``length`` over 1..max_entry.
+
+    ``halves`` holds one determining half per row, the first ceil(length/2)
+    entries, and (A, B, C) are the columns of the rows' word matrices
+    [[A, B], [B, C]] (``palindrome_triples``).  The rows run lexicographic
+    over the halves, block after block, and a block holds the next
+    BLOCK_ROWS halves or the rest; length 0 gives the empty word alone.
+
+    The columns are int64 when twice the square of the largest A of the
+    length, that of the all-max_entry word, fits in int64: A grows with every
+    entry, and B, C and every entry of a half's state are at most A, so the
+    triple, and any product of two of its entries doubled, is then exact.
+    Otherwise they hold Python ints (``dtype=object``).
+    """
+    k = (length + 1) // 2
+    widest = palindrome_triples(np.full((1, k), max_entry, dtype=object), length)[0][0]
+    fits = 2 * widest * widest <= INT64_MAX
+    count = max_entry**k
+    for lo in range(0, count, BLOCK_ROWS):
+        # The halves numbered lo.. are their numbers' base-max_entry digits, plus 1.
+        rest = np.arange(lo, min(lo + BLOCK_ROWS, count))
+        digits = []
+        for _ in range(k):
+            rest, digit = np.divmod(rest, max_entry)
+            digits.append(digit + 1)
+        halves = np.array(digits[::-1], dtype=np.int64).reshape(k, len(rest)).T
+        if not fits:
+            halves = halves.astype(object)
+        yield halves, palindrome_triples(halves, length)
 
 
 def _b_expr(slope: np.ndarray, const: np.ndarray) -> _jsontext.Text:
@@ -288,7 +363,7 @@ def mine(palindrome: list[int] | tuple[int, ...]) -> MinedFamily | None:
 
 def sweep_blocks(max_len: int, max_entry: int) -> Iterator[MinedFamilies]:
     """The families of every palindrome up to the given bounds, one
-    ``MinedFamilies`` per block of ``convergents.palindromes``.
+    ``MinedFamilies`` per block of ``palindromes``.
 
     Enumeration is by length, then lexicographic over the determining half,
     a block of halves at a time; a block's palindromes are as wide as its

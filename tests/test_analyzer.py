@@ -25,12 +25,11 @@ from surdcf.analyzer import (
     StructReport,
     check_claims,
     period_stats,
-    sum_two_coprime_squares,
     write_json,
 )
 from surdcf import _kernels
 from surdcf.engine import expand_sqrt
-from surdcf.exact import DomainError, is_square
+from surdcf.exact import DomainError, is_square, sum_two_coprime_squares
 
 
 def oracle_report(d_min, d_max):
@@ -150,12 +149,13 @@ class TestTwoSquares:
         # Products of two or three primes above the trial divisors, in both
         # classes mod 4, so that the answer rests on splitting the cofactor.
         splits = []
+        pollard_brent = exact.pollard_brent
 
         def counting(n):
             splits.append(n)
-            return exact.pollard_brent(n)
+            return pollard_brent(n)
 
-        monkeypatch.setattr(analyzer, "pollard_brent", counting)
+        monkeypatch.setattr(exact, "pollard_brent", counting)
         ones = [1033, 1049, 1093, 1097, 1109, 1117]
         threes = [1031, 1039, 1051, 1063, 1087, 1091]
         primes = ones + threes

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from surdcf import _kernels, analyzer, convergents, families, miner, sequences
+from surdcf import _kernels, analyzer, families, miner, sequences
 from surdcf.cli import main
 from surdcf.exact import InternalConsistencyError
 
@@ -168,6 +168,13 @@ class TestVerifyFamilies:
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify-families", "--id", "no-such-family")
         assert code == 1 and "unknown" in err
+
+    def test_registry_env_is_ignored(self, capsys, monkeypatch, tmp_path):
+        # --registry alone overrides the packaged registry, whatever the
+        # environment holds.
+        _, want, _ = run(capsys, "verify-families", "--id", "euler-l1", "--n-max", "5")
+        monkeypatch.setenv("SURDCF_REGISTRY", write_registry(tmp_path, dict(EULER_RECORD, id="only-one")))
+        assert run(capsys, "verify-families", "--id", "euler-l1", "--n-max", "5") == (0, want, "")
 
     def test_several_ids_stream(self, capsys):
         code, out, _ = run(capsys, "verify-families", "--id", "euler-l1",
@@ -491,7 +498,7 @@ class TestMine:
             dtypes.update(col.dtype for col in (halves, *abc))
             return mine_block(halves, length, abc)
 
-        monkeypatch.setattr(convergents, "INT64_MAX", 0)
+        monkeypatch.setattr(miner, "INT64_MAX", 0)
         monkeypatch.setattr(miner, "_mine_block", spy)
         for fmt, digest in [("json", MINE_7_6_SHA256), ("text", MINE_7_6_TEXT_SHA256)]:
             code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6", "--format", fmt)
@@ -507,7 +514,7 @@ class TestMine:
             sizes.append(len(halves))
             return mine_block(halves, length, abc)
 
-        monkeypatch.setattr(convergents, "BLOCK_ROWS", 64)
+        monkeypatch.setattr(miner, "BLOCK_ROWS", 64)
         monkeypatch.setattr(miner, "_mine_block", spy)
         code, out, _ = run(capsys, "mine", "--sweep", "--max-len", "7", "--max-entry", "6")
         assert code == 0
@@ -518,8 +525,8 @@ class TestMine:
         # Blocks of four palindromes, lengths 7 to 9 on Python ints, and a
         # block that realizes no family: the CLI writes each block as it is
         # mined, and its bytes are those of the concatenated sweep.
-        monkeypatch.setattr(convergents, "BLOCK_ROWS", 4)
-        monkeypatch.setattr(convergents, "INT64_MAX", 10**7)
+        monkeypatch.setattr(miner, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(miner, "INT64_MAX", 10**7)
         blocks = list(miner.sweep_blocks(9, 3))
         assert {b.a_modulus.dtype for b in blocks} == {np.dtype(np.int64), np.dtype(object)}
         assert any(len(b) == 0 for b in blocks)

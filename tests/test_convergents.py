@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from surdcf import convergents
+from surdcf import miner
 from surdcf.convergents import (
     convergents_of_word,
     palindrome_b,
-    palindrome_matrix,
-    palindrome_triples,
-    palindromes,
     realizes,
     surd_from_periodic_cf,
     word_matrix,
@@ -21,6 +18,7 @@ from surdcf.convergents import (
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError
 from surdcf.mat2 import IDENTITY, Mat2
+from surdcf.miner import palindrome_triples, palindromes
 
 words = st.lists(st.integers(1, 9), min_size=1, max_size=12)
 
@@ -191,6 +189,18 @@ class TestPalindromeB:
         for d, cf in expansions_10k.items():
             assert palindrome_b(cf.period[:-1], cf.a0) == d - cf.a0 * cf.a0
 
+    @pytest.mark.parametrize("max_len, max_entry", [(9, 3), (1, 5)])
+    def test_matches_the_literal_product(self, max_len, max_entry):
+        # b = (2*a0*B + C)/A off the literal product of the step matrices,
+        # independent of the recurrence, on both parities and the empty word.
+        lengths = set()
+        for pal in _palindromes(max_len, max_entry):
+            m = reduce(Mat2.__mul__, (Mat2(a, 1, 1, 0) for a in pal), IDENTITY)
+            for a0 in (1, 4, 9):
+                assert palindrome_b(pal, a0) == Fraction(2 * a0 * m.m12 + m.m22, m.m11), pal
+            lengths.add(len(pal) % 2)
+        assert lengths == {0, 1}
+
 
 def matrix_of(pal):
     return word_matrix(pal) if pal else IDENTITY
@@ -223,27 +233,17 @@ class TestPalindromeMatrices:
             n += 1
         assert n == count
 
-    @pytest.mark.parametrize("max_len, max_entry", [(9, 3), (1, 5)])
-    def test_palindrome_matrix_matches_word_matrix(self, max_len, max_entry):
-        lengths = set()
-        for pal in _palindromes(max_len, max_entry):
-            assert palindrome_matrix(pal) == matrix_of(pal), pal
-            lengths.add(len(pal) % 2)
-        assert lengths == {0, 1}
-
     def test_empty_word(self):
-        assert palindrome_matrix([]) == IDENTITY
         assert list(palindrome_rows(0, 3)) == [((), (1, 0, 1))]
 
     def test_length_one(self):
         assert list(palindrome_rows(1, 4)) == [((c,), (c, 1, 0)) for c in range(1, 5)]
-        assert palindrome_matrix([7]) == word_matrix([7])
 
     @pytest.mark.parametrize("cap", [1, 7, 64])
     def test_blocks_hold_at_most_the_row_cap(self, monkeypatch, cap):
         # Splitting into blocks changes neither the rows nor their order.
         want = [list(palindrome_rows(length, 6)) for length in range(8)]
-        monkeypatch.setattr(convergents, "BLOCK_ROWS", cap)
+        monkeypatch.setattr(miner, "BLOCK_ROWS", cap)
         for length in range(8):
             sizes = [len(halves) for halves, _ in palindromes(length, 6)]
             assert max(sizes) <= cap and sum(sizes) == 6 ** ((length + 1) // 2)
@@ -255,7 +255,7 @@ class TestPalindromeMatrices:
     )
     def test_columns_are_int64_only_under_the_bound(self, length, max_entry, dtype):
         # int64 exactly when 2*A^2 of the all-max_entry word fits in int64.
-        widest = palindrome_matrix((max_entry,) * length).m11
+        widest = matrix_of((max_entry,) * length).m11
         assert (2 * widest**2 <= np.iinfo(np.int64).max) == (dtype is np.int64)
         halves, abc = next(palindromes(length, max_entry))
         assert halves.dtype == dtype and all(col.dtype == dtype for col in abc)

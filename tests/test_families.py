@@ -155,8 +155,10 @@ class TestRegistry:
             "a_expr": "n", "b_expr": "1", "pattern": ["2*a"],
         }) + "\n")
         assert [f.id for f in registry(str(alt))] == ["only-one"]
+        # The path argument alone overrides: the environment picks no file.
+        packaged = [f.id for f in registry()]
         monkeypatch.setenv("SURDCF_REGISTRY", str(alt))
-        assert [f.id for f in registry()] == ["only-one"]
+        assert [f.id for f in registry()] == packaged and len(packaged) > 100
 
 
 class TestInstantiate:

@@ -37,7 +37,7 @@ MODULES = sorted(path.stem for path in (SRC / "surdcf").glob("*.py") if path.ste
 # Every name that ``surdcf`` exports, by the module that defines it.
 EXPORTS = {
     "exact": ["DomainError", "InternalConsistencyError", "Rat", "RationalValueError",
-              "ResourceLimitError", "is_square", "isqrt"],
+              "ResourceLimitError", "is_square", "isqrt", "sum_two_coprime_squares"],
     "engine": ["PeriodicCF", "SurdExpansion", "SurdState", "expand_sqrt", "expand_surd"],
     "convergents": ["Convergent", "QuadSolution", "convergents_of_word", "palindrome_b",
                     "surd_from_periodic_cf", "word_matrix"],
@@ -49,7 +49,7 @@ EXPORTS = {
     "families": ["FamilyDescriptor", "FamilyValidityError", "VerifyReport", "instantiate",
                  "registry", "verify_family"],
     "miner": ["MinedFamilies", "MinedFamily", "mine", "mine_sweep"],
-    "analyzer": ["StructReport", "check_claims", "period_stats", "sum_two_coprime_squares"],
+    "analyzer": ["StructReport", "check_claims", "period_stats"],
 }
 EXPORTED = [name for names in EXPORTS.values() for name in names]
 
@@ -132,15 +132,35 @@ def cli_run(*argv: str) -> str:
          VERIFY, WATCHED),
         (cli_run("sequences", "--name", "pell-p", "--count", "3"), SEQUENCES, WATCHED),
         (cli_run("convergents", "--word", "1,2,2,2"), {"convergents", "mat2", "sequences"}, WATCHED),
+        ("import surdcf\nsurdcf.palindrome_b([2, 2], 6)", {"convergents", "mat2", "sequences"}, WATCHED),
+        ("import surdcf\nsurdcf.sum_two_coprime_squares(13)", set(), WATCHED),
     ],
     ids=["import-surdcf", "import-cli", "export-attribute", "from-surdcf-import-miner",
          "expand", "surd", "analyze-numpy", "analyze-python", "mine-sweep", "mine-pattern",
-         "verify-families-json", "verify-families-text", "sequences", "convergents"],
+         "verify-families-json", "verify-families-text", "sequences", "convergents",
+         "palindrome-b", "sum-two-coprime-squares"],
 )
 def test_run_loads_only_its_modules(code, also, never):
     package, outside = modules_after(code)
     assert package - ALWAYS == also
     assert not outside & set(never)
+
+
+def test_numpy_only_in_the_column_modules():
+    # The exact modules import no numpy at any depth: a function-local
+    # import or an ``if TYPE_CHECKING:`` block counts too.
+    holders = set()
+    for path in (SRC / "surdcf").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                holders.add(path.stem)
+    assert holders == {"_jsontext", "_kernels", "analyzer", "miner"}
 
 
 def test_parsing_loads_no_command_module():

@@ -5,9 +5,8 @@ import pytest
 
 from conftest import brute_two_coprime_squares, sqrt_full_walk
 from surdcf import _kernels, analyzer
-from surdcf.analyzer import sum_two_coprime_squares
 from surdcf.engine import expand_sqrt
-from surdcf.exact import InternalConsistencyError, is_square
+from surdcf.exact import InternalConsistencyError, is_square, sum_two_coprime_squares
 
 
 def word_facts(a0, word):

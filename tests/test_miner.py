@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from test_convergents import _palindromes as reference_palindromes
 
 from surdcf import _jsontext, convergents, miner
-from surdcf.convergents import INT64_MAX, palindrome_half, palindrome_triples
+from surdcf.convergents import palindrome_half
 from surdcf.engine import expand_sqrt
 from surdcf.exact import DomainError, InternalConsistencyError
 from surdcf.families import FamilyValidityError, family_by_id, instantiate
 from surdcf._jsontext import WRITE_BLOCK
-from surdcf.miner import MinedFamilies, MinedFamily, mine, mine_sweep, sweep_blocks, write_jsonl
+from surdcf.miner import (INT64_MAX, MinedFamilies, MinedFamily, mine, mine_sweep, palindrome_triples,
+                          sweep_blocks, write_jsonl)
 
 # The (max_len, max_entry) sweeps the tests run against the scalar reference.
 SWEEP_CASES = [(7, 6), (0, 3), (1, 5), (6, 3), (3, 2), (9, 3)]
@@ -166,7 +167,7 @@ class TestHeadCongruence:
         # sweep's own int64 blocks and again on Python ints.
         unsolvable = 0
         for n in range(max_len + 1):
-            for halves, (A, B, C) in convergents.palindromes(n, max_entry):
+            for halves, (A, B, C) in miner.palindromes(n, max_entry):
                 pals = [tuple(h) + tuple(h[: n // 2][::-1]) for h in halves.tolist()]
                 got = head_rows(pals, np.int64)
                 assert head_rows(pals, object) == got
@@ -288,7 +289,7 @@ class TestMineSweep:
 
     def test_blocks_concatenate_to_the_sweep(self, monkeypatch):
         # One block per four palindromes, one of which realizes no family.
-        monkeypatch.setattr(convergents, "BLOCK_ROWS", 4)
+        monkeypatch.setattr(miner, "BLOCK_ROWS", 4)
         blocks = list(sweep_blocks(9, 3))
         assert any(len(b) == 0 for b in blocks)
         assert [fam for b in blocks for fam in b] == list(mine_sweep(9, 3)) == reference_sweep(9, 3)

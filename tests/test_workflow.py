@@ -118,7 +118,7 @@ def test_ci_checks_analyze_csv_and_text_digests_on_both_backends():
 def test_ci_checks_registry_digest_on_a_pipe():
     from test_cli import VERIFY_REGISTRY_SHA256
 
-    check = digest_check("python -m surdcf.cli verify-families")
+    check = digest_check("python -W error -m surdcf.cli verify-families")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [VERIFY_REGISTRY_SHA256]
 
 
@@ -181,8 +181,12 @@ def test_ci_checks_sequences_digest():
     from test_cli import SEQUENCES_PINNED, SEQUENCES_SHA256, SEQUENCES_WITH_M
 
     # The step pipes a group of commands, so no one command precedes the pipe.
-    (check,) = [run for run in digest_checks() if "python -m surdcf.cli sequences" in run]
+    (check,) = [run for run in digest_checks() if "surdcf.cli sequences" in run]
     assert "set -o pipefail" in check
+    commands = [line.strip() for line in check.splitlines() if "surdcf.cli sequences" in line]
+    assert len(commands) == 2
+    assert all(command.startswith("PYTHONPATH=src python -W error -m surdcf.cli sequences ")
+               for command in commands)
     # The step's loops run the same 18 commands as the pinned test, in order.
     loops = re.findall(r"^\s*for \w+ in (.*); do$", check, re.M)
     assert [loop.split() for loop in loops] == [SEQUENCES_PINNED, SEQUENCES_WITH_M, ["1", "2", "3"]]
@@ -284,8 +288,11 @@ def start_up_check():
          " 2>&1 >/dev/null)", "numpy"),
         ("python -X importtime -m surdcf.cli sequences --name pell-p --count 3 2>&1 >/dev/null)",
          "numpy"),
+        ("python -X importtime -m surdcf.cli convergents --word 1,2,2,2 2>&1 >/dev/null)", "numpy"),
+        ('python -X importtime -c "import surdcf; surdcf.palindrome_b([2, 2], 6);'
+         ' surdcf.sum_two_coprime_squares(13)" 2>&1)', "numpy"),
     ],
-    ids=["import-cli", "expand", "verify-families-text", "sequences"],
+    ids=["import-cli", "expand", "verify-families-text", "sequences", "convergents", "exact-exports"],
 )
 def test_ci_checks_start_up_imports(command, unwanted):
     check = start_up_check()
