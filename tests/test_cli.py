@@ -151,7 +151,10 @@ class TestConvergents:
 
 
 class TestVerifyFamilies:
-    def test_single_family(self, capsys):
+    def test_single_family(self, capsys, monkeypatch, tmp_path):
+        # Without --registry the packaged registry is read, whatever the
+        # environment names.
+        monkeypatch.setenv("SURDCF_REGISTRY", write_registry(tmp_path, dict(EULER_RECORD, id="only-one")))
         code, out, _ = run(capsys, "verify-families", "--id", "euler-l1", "--n-max", "50")
         assert code == 0
         obj = json.loads(out)
@@ -168,13 +171,6 @@ class TestVerifyFamilies:
     def test_unknown_id(self, capsys):
         code, _, err = run(capsys, "verify-families", "--id", "no-such-family")
         assert code == 1 and "unknown" in err
-
-    def test_registry_env_is_ignored(self, capsys, monkeypatch, tmp_path):
-        # --registry alone overrides the packaged registry, whatever the
-        # environment holds.
-        _, want, _ = run(capsys, "verify-families", "--id", "euler-l1", "--n-max", "5")
-        monkeypatch.setenv("SURDCF_REGISTRY", write_registry(tmp_path, dict(EULER_RECORD, id="only-one")))
-        assert run(capsys, "verify-families", "--id", "euler-l1", "--n-max", "5") == (0, want, "")
 
     def test_several_ids_stream(self, capsys):
         code, out, _ = run(capsys, "verify-families", "--id", "euler-l1",

@@ -271,20 +271,28 @@ class TestMineSweep:
         assert list(mine_sweep(6, 3)) == want
 
     def test_heads_past_the_int64_bound_run_on_python_ints(self, monkeypatch):
-        # Lowering the bound that each row's int64 heads must stay under
-        # sends the later heads of many rows to Python ints while the rest
-        # stay on int64; the families do not change.
-        want = reference_sweep(7, 6)
-        dtypes = set()
+        # At the least bound that keeps every block on int64, 2A^2 of the
+        # sweep's widest word, the later heads of some rows cross their
+        # c_safe and run on Python ints while the rest stay on int64; the
+        # families do not change.
+        want = reference_sweep(9, 3)
+        widest = convergents.word_matrix([3] * 9).m11
+        blocks, dtypes = set(), set()
+
+        def block_spy(halves, length, abc):
+            blocks.update(col.dtype for col in (halves, *abc))
+            return mine_block(halves, length, abc)
 
         def spy(abc, top, a, b):
             dtypes.add(abc[0].dtype)
             return realizes(abc, top, a, b)
 
-        realizes = miner.realizes
+        mine_block, realizes = miner._mine_block, miner.realizes
+        monkeypatch.setattr(miner, "_mine_block", block_spy)
         monkeypatch.setattr(miner, "realizes", spy)
-        monkeypatch.setattr(miner, "INT64_MAX", 10**10)
-        assert list(mine_sweep(7, 6)) == want
+        monkeypatch.setattr(miner, "INT64_MAX", 2 * widest * widest)
+        assert list(mine_sweep(9, 3)) == want
+        assert blocks == {np.dtype(np.int64)}
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
     def test_blocks_concatenate_to_the_sweep(self, monkeypatch):
