@@ -8,8 +8,11 @@ The square-root case runs the classical (P, Q) step recurrences
 
 only as far as the centre of the period: the period is a palindrome followed
 by 2*a0, so the second half is the first half mirrored.  ``half_period`` is
-the one scalar loop that runs them, with the stop rules at the centre and
-the check of every step's remainder.  ``expand_sqrt`` mirrors its half in
+the one scalar loop that runs them, with the stop rules at the centre.  It
+steps Q in the conserved form Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), which
+leaves P_{k+1}^2 + Q_k Q_{k+1} unchanged for any integer a_k, so one check
+that it equals d after the loop stands for the division of every step.
+``expand_sqrt`` mirrors its half in
 place; the family verifier writes failing periods from the half, and the
 analyzer's exact columns read the period facts off it.  General surds
 (P + sqrt(d))/Q detect their cycle by first repetition of the (P, Q) state.
@@ -105,9 +108,14 @@ def half_period(d: int) -> tuple[int, list[int], bool]:
       a_1..a_k, a_k..a_1, 2*a0.
 
     Q_1 == 1 (d = a0^2 + 1) is the period (2*a0,): an empty half with
-    ``odd`` set.  Every step that runs checks that Q_k divides
-    d - P_{k+1}^2, and reaching Q == 1 before either centre raises
-    InternalConsistencyError instead of walking on.
+    ``odd`` set.  Q steps additively, Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1})
+    from Q_0 = 1.  Since a_k Q_k = P_k + P_{k+1}, the step gives
+    P_{k+1}^2 + Q_k Q_{k+1} = P_k^2 + Q_{k-1} Q_k whatever the integer a_k,
+    and the walk starts from P_1^2 + Q_0 Q_1 = d.  So the one check after
+    the loop, P_{k+1}^2 + Q_k Q_{k+1} == d, holds exactly when every step's
+    Q_k divided d - P_{k+1}^2 with quotient Q_{k+1}; it raises
+    InternalConsistencyError if not.  Reaching Q == 1 before either centre
+    raises it too, instead of walking on.
     """
     a0 = _check_sqrt_arg(d)
     P, Q = a0, d - a0 * a0
@@ -115,16 +123,17 @@ def half_period(d: int) -> tuple[int, list[int], bool]:
     if Q == 1:
         return a0, half, True
     append = half.append
+    Q_prev = 1
     while True:
         a = (a0 + P) // Q
         append(a)
         P1 = a * Q - P
-        Q1, rem = divmod(d - P1 * P1, Q)
-        if rem:
-            raise InternalConsistencyError(f"step left a remainder at d={d}")
+        Q1 = Q_prev + a * (P - P1)
         if P1 == P or Q1 == Q or Q1 == 1:
             break
-        P, Q = P1, Q1
+        Q_prev, P, Q = Q, P1, Q1
+    if P1 * P1 + Q * Q1 != d:
+        raise InternalConsistencyError(f"step left a remainder at d={d}")
     if P1 != P and Q1 != Q:
         raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
     return a0, half, P1 != P

@@ -320,7 +320,8 @@ def _descriptor_from_record(rec) -> FamilyDescriptor:
 def registry(path: str | None = None) -> list[FamilyDescriptor]:
     """All registry families, in file order.
 
-    The data file is ``path`` when given, else the packaged registry.  A
+    The data file is ``path`` unless it is None, else the packaged
+    registry; an empty path is a file that does not open.  A
     record raises DomainError naming its 1-based line if it is not valid
     JSON or not an object, lacks ``id`` or ``params``, has a malformed
     params triple or a repeated param name, has a ``bind`` or ``budget``
@@ -329,7 +330,7 @@ def registry(path: str | None = None) -> list[FamilyDescriptor]:
     generator nor all of ``a_expr``, ``b_expr`` and ``pattern``, or holds
     an expression that is not a string in the grammar of ``PolyExpr``.
     """
-    if path:
+    if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     else:

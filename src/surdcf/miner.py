@@ -291,10 +291,12 @@ def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarr
     products are at most A^2, and so is every product of two residues),
     b_slope's and b_const's numerators (below 2A^2) and limit.  The
     operands of the identity b*A == 2aB + C grow with c, so each row gets
-    the largest c, ``c_safe``, at which b <= INT64_MAX // A and
-    a <= (INT64_MAX - C) // (2 max(B, 1)): up to it a, b, 2a, b*A and
-    2aB + C all stay within int64.  A row's heads past its c_safe are
-    checked on Python ints.
+    the largest c, ``c_safe``, at which a <= (INT64_MAX - C) // (2 max(B, 1)).
+    Up to it 2a and 2aB + C stay within int64, and so do b and b*A: b_slope
+    and b_const are floors of 2B*a_modulus/A and (2B*a_residue + C)/A, so
+    b*A <= 2aB + C <= INT64_MAX, and the terms a_modulus*c and b_slope*c
+    are at most a and b.  A row's heads past its c_safe are checked on
+    Python ints.
     """
     A, B, C = abc
     top = halves.max(axis=1, initial=0)
@@ -308,8 +310,7 @@ def _mine_block(halves: np.ndarray, length: int, abc: tuple[np.ndarray, np.ndarr
     if A.dtype == object:
         c_safe = np.full(len(A), -1)
     else:
-        c_safe = np.minimum((INT64_MAX // A - const) // np.maximum(slope, 1),
-                            ((INT64_MAX - C) // (2 * np.maximum(B, 1)) - res) // mod)
+        c_safe = ((INT64_MAX - C) // (2 * np.maximum(B, 1)) - res) // mod
 
     def realized(at: np.ndarray, c) -> np.ndarray:
         """``realizes`` at head number c (a number, or one per row) for the rows ``at``."""

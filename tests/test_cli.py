@@ -876,6 +876,8 @@ ERROR_PATHS = [
      "verify-families: [Errno 2] No such file or directory: '/nonexistent/x.jsonl'\n"),
     ("verify-families --registry /nonexistent", 1, "",
      "verify-families: [Errno 2] No such file or directory: '/nonexistent'\n"),
+    ('verify-families --registry ""', 1, "",
+     "verify-families: [Errno 2] No such file or directory: ''\n"),
     ("verify-families --registry /nonexistent --id nope", 1, "",
      "verify-families: [Errno 2] No such file or directory: '/nonexistent'\n"),
     ("verify-families --registry @no-id --n-max 3", 1, "",

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sqrt_cf_oracle, sqrt_full_walk, surd_cf_oracle
+from conftest import sqrt_cf_oracle, sqrt_full_walk, sqrt_pq_walk, surd_cf_oracle
 from surdcf import engine
 from surdcf.engine import (
     SurdState,
@@ -92,16 +92,58 @@ class TestHalfWalk:
         assert assert_full_walk(d).length > 100_000
 
     def test_failed_step_raises(self, monkeypatch):
-        # Steps faked through the module's divmod: a remainder, and a Q == 1
-        # that arrives before either centre, must raise rather than walk on.
-        monkeypatch.setattr(engine, "divmod", lambda n, q: (2, 1), raising=False)
-        for walk in (expand_sqrt, half_period):
-            with pytest.raises(InternalConsistencyError, match="remainder"):
-                walk(19)
-        monkeypatch.setattr(engine, "divmod", lambda n, q: (1, 0), raising=False)
+        # Faults driven through the real loop.  A radicand whose subtraction
+        # is off by one starts the walk from a wrong Q_1, so the conserved
+        # P^2 + Q_prev*Q is not d when the walk stops: a step's remainder.
+        class OffByOne(int):
+            def __sub__(self, other):
+                return int(self) - other + 1
+
+        for d in (2, 19):
+            for walk in (expand_sqrt, half_period):
+                with pytest.raises(InternalConsistencyError, match=f"remainder at d={d}$"):
+                    walk(OffByOne(d))
+        # An a0 one too small keeps the invariant, and at d = 5 reaches
+        # Q == 1 before either centre.
+        monkeypatch.setattr(engine, "isqrt", lambda d: isqrt(d) - 1)
         for walk in (expand_sqrt, half_period):
             with pytest.raises(InternalConsistencyError, match="without a centre"):
-                walk(19)
+                walk(5)
+
+    def test_multi_limb_registry_radicands(self):
+        # Every registry member past int64, against the literal walk.
+        from surdcf import families
+        radicands = set()
+        for fam in families.registry():
+            for assignment in families._assignments(fam, None):
+                try:
+                    d, _, _ = families._member(fam, assignment)
+                except families.FamilyValidityError:
+                    continue
+                if d >= 2**63:
+                    radicands.add(d)
+        assert len(radicands) == 93
+        for d in radicands:
+            assert_full_walk(d)
+        assert sum(len(half_period(d)[1]) for d in radicands) == 558
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(
+    st.integers(2, 10**6),
+    # (mb)^2 + b has the period (2m, 2mb), or (2m,) at b = 1: multi-limb
+    # states in at most two steps.
+    st.builds(lambda m, b: (m * b) ** 2 + b, st.integers(1, 2**70), st.integers(1, 2**70)),
+))
+def test_pq_walk_conserves_its_form(d):
+    # P_k^2 + Q_{k-1} Q_k = d at every state k >= 1 of the literal walk: the
+    # identity that half_period's one check after its loop rests on.
+    if isqrt(d) ** 2 == d:
+        return
+    _, period, P, Q = sqrt_pq_walk(d)
+    assert len(P) == len(Q) == len(period) + 1
+    for k in range(1, len(P)):
+        assert P[k] * P[k] + Q[k - 1] * Q[k] == d, (d, k)
 
 
 class TestHalfPeriod:

@@ -216,6 +216,7 @@ CI_ERROR_PATHS = [
     ("surd --p -5 --q 1 --d 29 --max-steps 0", 1),
     ("analyze --from 2 --to 9 --kernel gpu", 1),
     ("verify-families --registry /nonexistent", 1),
+    ('verify-families --registry ""', 1),
 ]
 
 
