@@ -33,7 +33,8 @@ calls to add their records to a batch (``_Stops``), which is written once
 it holds a live set's worth and once more when the walk ends.  A lane walks
 at most a block's length past its centre; ``_block_rounds`` keeps that
 under 1/16 of the rounds it walked before.  Once no more than ``TAIL``
-lanes are live, the walk hands them to a scalar loop in Python ints.  The
+lanes are live, the walk hands them in Python ints to the one scalar loop,
+the engine's (``engine._resume``), which the exact backend runs too.  The
 palindrome and terminal facts hold by construction of the mirrored period,
 so no flag records them, and F_BOUND is "largest walked quotient <= a0".
 
@@ -62,6 +63,7 @@ from math import isqrt
 
 import numpy as np
 
+from . import engine
 from .exact import InternalConsistencyError
 
 # Bit layout of the per-d flags array.  No bit records the palindrome or
@@ -83,15 +85,15 @@ LANE = np.float32
 # Lanes in the live set of the half walk.
 WIDTH = 16384
 
-# Live lanes at or below which the half walk, its queue empty, finishes each
-# lane in Python ints, at about 0.15 us per quotient, where a block row
-# costs about 3 us however few lanes it steps.  Whole in-process `analyze
-# --jobs 1` calls, median ms of 8 to 12 rounds that run the values in turn:
+# Live lanes at or below which the half walk, its queue empty, hands each
+# lane to the engine's loop in Python ints, at about 0.13 us per quotient,
+# where a block row costs about 3 us however few lanes it steps.  Whole
+# `analyze --jobs 1` calls in process on 2 CPUs, median ms of 10 rounds:
 #
 #     window              TAIL 8    16     32     64
-#     50000500..+999        28.6   27.3   27.6   30.9
-#     1e9..+199             53.6   50.1   51.1   63.4
-#     1e10..+999           258.9  248.9  250.7  295.7
+#     50000500..+999        33.3   31.8   32.1   36.3
+#     1e9..+199             62.0   59.8   58.1   72.1
+#     1e10..+999           304.1  291.2  292.9  341.7
 TAIL = 16
 
 BACKENDS = ("numpy", "python")
@@ -145,9 +147,9 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     step ``_block_rounds`` rounds at a time, through ``_block`` wherever
     that is more than one, and the lanes that stopped are dropped.  The
     stopped lanes gather in ``_Stops``, which writes them to the columns a
-    batch at a time.  Once at most ``TAIL`` lanes are live, each of them is
-    finished on its own by ``_finish``, in Python ints, which adds their
-    stops to the batch before its last write.
+    batch at a time.  Once at most ``TAIL`` lanes are live, ``_finish``
+    hands each of them on its own to the engine's scalar loop, in Python
+    ints, and adds their stops to the batch before its last write.
     """
     stops = _Stops(r, q1, ell, center, flags)
     lane = queue[:WIDTH].copy()
@@ -287,12 +289,12 @@ class _Stops:
     quotients walked k, the last quotient a and ``bound``, where F_BOUND
     holds.  Once the records hold a live set's worth (``WIDTH`` lanes), and
     at ``write``, they are written to ell, center and flags in one pass.
-    Where both masks hold, the even centre wins, as in
-    ``engine.half_period``.  A lane with neither stopped at Q_{k+1} == 1:
+    Where both masks hold, the even centre wins, as in the engine's loop
+    (``engine._resume``).  A lane with neither stopped at Q_{k+1} == 1:
     ``write`` raises for the first such lane added.  The numpy rounds, the
-    blocks and the scalar ``_finish`` all add their stops here, so ``write``
-    is the walk's one writer of ell, center and F_BOUND, and its one
-    missed-centre check.
+    blocks and ``_finish`` all add their stops here, so ``write`` is the
+    walk's one writer of ell, center and F_BOUND.  It is the missed-centre
+    check of the numpy lanes; the engine's loop checks those of ``_finish``.
     """
 
     def __init__(self, r, q1, ell, center, flags):
@@ -327,23 +329,19 @@ def _finish(live, step, stops) -> None:
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start)
     after round ``step``.  Each lane goes on from its own state, in Python
-    ints, to the first of the numpy rounds' stops; ``_Stops.write`` reads
-    the lane's facts off its record, or raises for a missed centre.
+    ints, in the engine's loop (``engine._resume``), which checks it against
+    d = R^2 + q1.  When it raises, the batch is written before the error
+    leaves, so a missed centre added earlier is the one reported.
     """
     record = []
     for i, R, P, Q, Q_prev, top, start in zip(*(x.astype(np.int64).tolist() for x in live)):
-        k = step - start
-        while True:
-            a = (R + P) // Q
-            if a > top:
-                top = a
-            P_next = a * Q - P
-            Q_next = Q_prev + a * (P - P_next)
-            k += 1
-            if P_next == P or Q_next == Q or Q_next == 1:
-                break
-            P, Q, Q_prev = P_next, Q_next, Q
-        record.append((i, P_next == P, Q_next == Q, k, a, top <= R))
+        tail = []
+        try:
+            odd = engine._resume(R * R + int(stops.q1[i]), R, P, Q, Q_prev, tail)
+        except InternalConsistencyError:
+            stops.write()
+            raise
+        record.append((i, not odd, odd, step - start + len(tail), tail[-1], max(top, max(tail)) <= R))
     if record:
         stops.add(*map(np.array, zip(*record)))
 

@@ -7,14 +7,14 @@ The square-root case runs the classical (P, Q) step recurrences
     Q_{k+1} = (d - P_{k+1}^2) / Q_k
 
 only as far as the centre of the period: the period is a palindrome followed
-by 2*a0, so the second half is the first half mirrored.  ``half_period`` is
-the one scalar loop that runs them, with the stop rules at the centre.  It
-steps Q in the conserved form Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), which
-leaves P_{k+1}^2 + Q_k Q_{k+1} unchanged for any integer a_k, so one check
-that it equals d after the loop stands for the division of every step.
-``expand_sqrt`` mirrors its half in
-place; the family verifier writes failing periods from the half, and the
-analyzer's exact columns read the period facts off it.  General surds
+by 2*a0, so the second half is the first half mirrored.  ``_resume`` is the
+one scalar loop that runs them, from any state, with the stop rules at the
+centre.  It steps Q in the conserved form Q_{k+1} = Q_{k-1} + a_k (P_k -
+P_{k+1}), which leaves P_{k+1}^2 + Q_k Q_{k+1} unchanged for any integer
+a_k, so one check that it equals d after the loop stands for the division
+of every step.  ``half_period`` walks it from the start for ``expand_sqrt``,
+the family verifier and the analyzer's exact columns, and the numpy sweep
+resumes it for its last lanes (``_kernels._finish``).  General surds
 (P + sqrt(d))/Q detect their cycle by first repetition of the (P, Q) state.
 """
 
@@ -100,30 +100,30 @@ def half_period(d: int) -> tuple[int, list[int], bool]:
     ell = 2k + odd.  For a period of length ell, P_k = P_{ell+1-k} and
     Q_k = Q_{ell-k} (Perron, Die Lehre von den Kettenbruechen), so the
     quotients a_1..a_{ell-1} read the same reversed and a_ell = 2*a0.
-    Stepping from (P_k, Q_k) for k >= 1:
+    ``_resume`` walks d from P_1 = a0, Q_1 = d - a0^2 and Q_0 = 1, unless
+    Q_1 == 1 (d = a0^2 + 1): the period (2*a0,), an empty half with ``odd``.
+    """
+    a0 = _check_sqrt_arg(d)
+    Q = d - a0 * a0
+    half: list[int] = []
+    return a0, half, Q == 1 or _resume(d, a0, a0, Q, 1, half)
+
+
+def _resume(d: int, a0: int, P: int, Q: int, Q_prev: int, half: list[int]) -> bool:
+    """Walk sqrt(d), a0 = isqrt(d), from (P_k, Q_k) and Q_{k-1}, k >= 1, to
+    the centre; append a_k, a_{k+1}, ... to ``half`` and return ``odd``.
 
     * the first P_{k+1} == P_k means ell = 2k, and the period is
       a_1..a_k, a_{k-1}..a_1, 2*a0;
     * the first Q_{k+1} == Q_k means ell = 2k + 1, and the period is
       a_1..a_k, a_k..a_1, 2*a0.
 
-    Q_1 == 1 (d = a0^2 + 1) is the period (2*a0,): an empty half with
-    ``odd`` set.  Q steps additively, Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1})
-    from Q_0 = 1.  Since a_k Q_k = P_k + P_{k+1}, the step gives
-    P_{k+1}^2 + Q_k Q_{k+1} = P_k^2 + Q_{k-1} Q_k whatever the integer a_k,
-    and the walk starts from P_1^2 + Q_0 Q_1 = d.  So the one check after
-    the loop, P_{k+1}^2 + Q_k Q_{k+1} == d, holds exactly when every step's
-    Q_k divided d - P_{k+1}^2 with quotient Q_{k+1}; it raises
-    InternalConsistencyError if not.  Reaching Q == 1 before either centre
-    raises it too, instead of walking on.
+    The Q step keeps P_{k+1}^2 + Q_k Q_{k+1} = P_k^2 + Q_{k-1} Q_k, since
+    a_k Q_k = P_k + P_{k+1}: so it equals d after the loop iff it did at
+    the start and every Q_k divided d - P_{k+1}^2.  If not, or if Q == 1
+    comes before either centre, InternalConsistencyError is raised.
     """
-    a0 = _check_sqrt_arg(d)
-    P, Q = a0, d - a0 * a0
-    half: list[int] = []
-    if Q == 1:
-        return a0, half, True
     append = half.append
-    Q_prev = 1
     while True:
         a = (a0 + P) // Q
         append(a)
@@ -136,7 +136,7 @@ def half_period(d: int) -> tuple[int, list[int], bool]:
         raise InternalConsistencyError(f"step left a remainder at d={d}")
     if P1 != P and Q1 != Q:
         raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
-    return a0, half, P1 != P
+    return P1 != P
 
 
 def mirror(a0: int, half: list[int], odd: bool) -> list[int]:

@@ -646,12 +646,13 @@ class TestAnalyze:
         _, out8, _ = run(capsys, "analyze", "--from", "2", "--to", "3000", "--jobs", "4")
         assert out1 == out8
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_output_pinned(self, capsys, jobs):
+    @pytest.mark.parametrize("jobs, kernel", [("1", "numpy"), ("2", "numpy"), ("1", "python")],
+                             ids=["1", "2", "python"])
+    def test_output_pinned(self, capsys, jobs, kernel):
         # 2..10^5 is too little work to pay for a pool: one in-process chunk.
-        assert len(analyzer._chunks(2, 100_000, int(jobs), "numpy")) == 1
+        assert len(analyzer._chunks(2, 100_000, int(jobs), kernel)) == 1
         code, out, _ = run(capsys, "analyze", "--from", "2", "--to", "100000",
-                           "--kernel", "numpy", "--jobs", jobs)
+                           "--kernel", kernel, "--jobs", jobs)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_1E5_SHA256
 

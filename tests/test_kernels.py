@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_two_coprime_squares, sqrt_full_walk
-from surdcf import _kernels, analyzer
+from surdcf import _kernels, analyzer, engine
 from surdcf.engine import expand_sqrt
 from surdcf.exact import InternalConsistencyError, is_square, sum_two_coprime_squares
 
@@ -375,6 +375,60 @@ def test_scalar_finish_after_numpy_rounds(monkeypatch):
     assert np.array_equal(cols[0][lane], ell[lane])
     assert np.array_equal(cols[1][lane], center[lane])
     assert not np.any(cols[2][lane] & _kernels.F_BOUND)
+
+
+def test_corrupt_tail_lane_fails_the_hand_off(monkeypatch):
+    # One lane's Q off by one when it is handed to the scalar finish: the
+    # engine's loop checks P^2 + Q_prev Q == d against the lane's own d,
+    # so the sweep raises instead of writing wrong facts for it.
+    finish = _kernels._finish
+
+    def corrupt(live, step, stops):
+        live[3][0] += 1
+        finish(live, step, stops)
+
+    monkeypatch.setattr(_kernels, "_finish", corrupt)
+    lo = 5 * 10**7
+    with pytest.raises(InternalConsistencyError, match="step left a remainder"):
+        _kernels.sweep_range(lo, lo + 1000)
+
+
+def test_missed_centre_before_the_hand_off_is_reported_first(monkeypatch):
+    # Two lanes faked with a wrong a0 (see test_centre_missed_raises): at
+    # TAIL 1 sqrt(5)'s misses its centre in the numpy rounds and waits in
+    # the batch, and sqrt(11)'s misses it later in the scalar finish.  The
+    # first missed lane is the one reported.
+    monkeypatch.setattr(_kernels, "TAIL", 1)
+    cols = np.zeros(2, np.int64), np.full(2, -1, np.int64), np.zeros(2, np.uint8)
+    with pytest.raises(InternalConsistencyError, match=r"sqrt\(5\) ended without a centre"):
+        _kernels._half_walk(np.array([1, 5]), np.array([4, -14]), np.array([0, 1]), *cols)
+
+
+def test_one_scalar_loop_walks_sqrt_d(monkeypatch):
+    # The numpy kernel's tail and the python backend run the engine's one
+    # scalar loop, as the verifier does through half_period: a spy on it
+    # counts one call per lane handed to the scalar finish ...
+    calls, handed = [], []
+    resume, finish = engine._resume, _kernels._finish
+
+    def count(*args):
+        calls.append(args[0])
+        return resume(*args)
+
+    def spy(live, step, stops):
+        handed.extend(live[0].tolist())
+        finish(live, step, stops)
+
+    monkeypatch.setattr(engine, "_resume", count)
+    monkeypatch.setattr(_kernels, "_finish", spy)
+    lo = 5 * 10**7
+    _kernels.sweep_range(lo, lo + 1000)
+    assert 1 <= len(handed) <= _kernels.TAIL
+    assert calls == [lo + i for i in handed]
+    # ... and one per non-square d with Q_1 > 1 on the exact engine.
+    calls.clear()
+    analyzer.check_claims(2, 3000, backend="python")
+    assert calls == [d for d in range(2, 3001) if d - isqrt(d) ** 2 > 1]
 
 
 def _has_big_3mod4_cofactor(lo, hi):

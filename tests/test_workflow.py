@@ -45,7 +45,7 @@ def digest_check(command):
 def test_ci_checks_pinned_analyze_digest_on_a_pipe():
     from test_cli import ANALYZE_1E5_SHA256
 
-    check = digest_check("python -W error -m surdcf.cli analyze --from 2 --to 100000")
+    check = both_backends_check("python -W error -m surdcf.cli analyze --from 2 --to 100000")
     assert re.findall(r"\b[0-9a-f]{64}\b", check) == [ANALYZE_1E5_SHA256]
 
 
