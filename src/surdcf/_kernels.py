@@ -34,9 +34,11 @@ it holds a live set's worth and once more when the walk ends.  A lane walks
 at most a block's length past its centre; ``_block_rounds`` keeps that
 under 1/16 of the rounds it walked before.  Once no more than ``TAIL``
 lanes are live, the walk hands them in Python ints to the one scalar loop,
-the engine's (``engine._resume``), which the exact backend runs too.  The
-palindrome and terminal facts hold by construction of the mirrored period,
-so no flag records them, and F_BOUND is "largest walked quotient <= a0".
+the engine's (``engine._resume``), which the exact backend runs too.  All
+phases step one lane state (P_k, Q_k, Q_{k-1}) alike, and that loop checks
+the state it is handed against d first.  The palindrome and terminal facts
+hold by construction of the mirror, so no flag records them, and F_BOUND
+is "largest walked quotient <= a0".
 
 The lanes are float32, and their arithmetic is exact under the gate.  Every
 lane value is an integer of magnitude at most 2R + 1, where R = isqrt(d) <=
@@ -114,7 +116,7 @@ def _check_range(lo: int, hi: int) -> None:
     if lo < 1 or hi < lo:
         raise ValueError("want 1 <= lo <= hi")
     if hi > KERNEL_D_LIMIT:
-        raise ValueError("range exceeds the sweep kernels' int64 safety gate")
+        raise ValueError("range exceeds the sweep kernels' float32 exactness gate")
 
 
 def _isqrt_vec(d: np.ndarray) -> np.ndarray:
@@ -135,9 +137,10 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     Sets ell and center there, and F_BOUND where it holds.  A lane holds
     (P + sqrt(d)) / Q after k quotients, the previous Q, its largest
     quotient ``top`` and the round ``start`` it was loaded in, all ``LANE``
-    but ``start``, which is int64 like ``lane``.  Q steps by
-    Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), from Q_0 = 1, P_1 = a0 and
-    Q_1 = d - a0^2.  The stops are those of ``engine.half_period``: the
+    but ``start``, which is int64 like ``lane``.  Every phase steps
+    (P, Q, Q_prev) by a_k = floor((R + P_k) / Q_k), P_{k+1} = a_k Q_k - P_k
+    and Q_{k+1} = Q_{k-1} + a_k (P_k - P_{k+1}), from Q_0 = 1, P_1 = a0 and
+    Q_1 = d - a0^2, to the stops of ``engine.half_period``: the
     first P_{k+1} == P_k gives ell = 2k with centre a_k, the first
     Q_{k+1} == Q_k gives ell = 2k + 1, and Q_{k+1} == 1 before either raises
     InternalConsistencyError.
@@ -148,8 +151,8 @@ def _half_walk(r, q1, queue, ell, center, flags) -> None:
     that is more than one, and the lanes that stopped are dropped.  The
     stopped lanes gather in ``_Stops``, which writes them to the columns a
     batch at a time.  Once at most ``TAIL`` lanes are live, ``_finish``
-    hands each of them on its own to the engine's scalar loop, in Python
-    ints, and adds their stops to the batch before its last write.
+    hands each lane's state on its own to the engine's scalar loop, in
+    Python ints, and adds their stops to the batch before its last write.
     """
     stops = _Stops(r, q1, ell, center, flags)
     lane = queue[:WIDTH].copy()
@@ -233,37 +236,33 @@ def _block(live, step, rounds, stops):
     """Step the lanes of ``_half_walk`` ``rounds`` rounds past round ``step``.
 
     ``live`` holds the walk's arrays (lane, R, P, Q, Q_prev, top, start).
-    A block keeps U = R - P in place of P: since R + P_k = 2R - U_k =
-    a_k Q_k + U_{k+1}, a_k = floor((2R - U_k) / Q_k), U_{k+1} =
-    (2R - U_k) - a_k Q_k and Q_{k+1} = Q_{k-1} + a_k (U_{k+1} - U_k).
-    Row j of the block holds every lane's quotient and next U and Q at
-    round step + j + 1.  A lane's first row with a stop ends its walk: its
-    stop record, added to the batch ``stops``, comes from that row and the
-    rows before it.  The rows past it go on with the expansion, which never
-    meets Q == 0 since d is not a square, and are ignored.  Returns the
-    arrays of the lanes that did not stop.
+    Each row steps every lane's (P, Q, Q_prev) by the equations of a numpy
+    round, one ufunc call per operation: row j holds the quotient and the
+    next P and Q at round step + j + 1.  A lane's first row with a stop
+    ends its walk: its stop record, added to the batch ``stops``, comes
+    from that row and the rows before it.  The rows past it go on with the
+    expansion, which never meets Q == 0 since d is not a square, and are
+    ignored.  Returns the arrays of the lanes that did not stop.
     """
     lane, R, P, Q, Q_prev, top, start = live
-    R2 = 2 * R
     a = np.empty((rounds, lane.size), LANE)
-    U = np.empty((rounds + 1, lane.size), LANE)
+    Ps = np.empty((rounds + 1, lane.size), LANE)
     Qs = np.empty((rounds + 2, lane.size), LANE)
-    U_k, Q_p, Q_k = U[0], Qs[0], Qs[1]
-    np.subtract(R, P, out=U_k)
-    Q_p[:], Q_k[:] = Q_prev, Q
+    P_k, Q_p, Q_k = Ps[0], Qs[0], Qs[1]
+    P_k[:], Q_p[:], Q_k[:] = P, Q_prev, Q
     # A row's calls carry few lanes and cost mostly dispatch: local names
     # and positional outputs cut a row's time by about a sixth.
     sub, mul, add, quotient = np.subtract, np.multiply, np.add, _quotient
-    for a_k, U_n, Q_n in zip(a, U[1:], Qs[2:]):
-        sub(R2, U_k, U_n)
-        quotient(U_n, Q_k, a_k)
+    for a_k, P_n, Q_n in zip(a, Ps[1:], Qs[2:]):
+        add(R, P_k, P_n)
+        quotient(P_n, Q_k, a_k)
         mul(a_k, Q_k, Q_n)
-        sub(U_n, Q_n, U_n)
-        sub(U_n, U_k, Q_n)
+        sub(Q_n, P_k, P_n)
+        sub(P_k, P_n, Q_n)
         mul(Q_n, a_k, Q_n)
         add(Q_n, Q_p, Q_n)
-        U_k, Q_p, Q_k = U_n, Q_k, Q_n
-    even = U[1:] == U[:-1]
+        P_k, Q_p, Q_k = P_n, Q_k, Q_n
+    even = Ps[1:] == Ps[:-1]
     odd = Qs[2:] == Qs[1:-1]
     hit = even | odd | (Qs[2:] == 1)
     done = hit.any(axis=0)
@@ -275,8 +274,7 @@ def _block(live, step, rounds, stops):
     stops.add(lane[stop], even[row, stop], odd[row, stop], step + 1 + row - start[stop],
               a[row, stop], top[stop] <= R[stop])
     keep = ~done
-    R = R[keep]
-    return (lane[keep], R, R - U[rounds][keep], Qs[rounds + 1][keep],
+    return (lane[keep], R[keep], Ps[rounds][keep], Qs[rounds + 1][keep],
             Qs[rounds][keep], top[keep], start[keep])
 
 

@@ -7,7 +7,7 @@ three central-term parity claims, one per central-term class.
 
 Each chunk of the range first becomes fact columns (ell, a0, center, flags,
 twosq): from the numpy kernels, or from the exact engine for the python
-backend and for radicands past the kernels' int64 gate.  One fold turns the
+backend and for radicands past the kernels' float32 gate.  One fold turns the
 columns into a report, with one boolean mask per claim, whichever source
 filled them.  Both sources walk sqrt(d) only to the centre of its period
 and take the rest as the mirror image, so the palindrome and terminal facts
@@ -197,7 +197,7 @@ def _exact_columns(lo: int, hi: int) -> list[np.ndarray]:
 
 def _is_exact(hi: int, backend: str) -> bool:
     """A chunk below ``hi`` takes the exact columns: on the python backend,
-    and past the kernels' int64 gate."""
+    and past the kernels' float32 gate."""
     return backend == "python" or hi > _kernels.KERNEL_D_LIMIT
 
 

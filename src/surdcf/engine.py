@@ -11,7 +11,7 @@ by 2*a0, so the second half is the first half mirrored.  ``_resume`` is the
 one scalar loop that runs them, from any state, with the stop rules at the
 centre.  It steps Q in the conserved form Q_{k+1} = Q_{k-1} + a_k (P_k -
 P_{k+1}), which leaves P_{k+1}^2 + Q_k Q_{k+1} unchanged for any integer
-a_k, so one check that it equals d after the loop stands for the division
+a_k, so one check that it equals d before the loop stands for the division
 of every step.  ``half_period`` walks it from the start for ``expand_sqrt``,
 the family verifier and the analyzer's exact columns, and the numpy sweep
 resumes it for its last lanes (``_kernels._finish``).  General surds
@@ -100,8 +100,9 @@ def half_period(d: int) -> tuple[int, list[int], bool]:
     ell = 2k + odd.  For a period of length ell, P_k = P_{ell+1-k} and
     Q_k = Q_{ell-k} (Perron, Die Lehre von den Kettenbruechen), so the
     quotients a_1..a_{ell-1} read the same reversed and a_ell = 2*a0.
-    ``_resume`` walks d from P_1 = a0, Q_1 = d - a0^2 and Q_0 = 1, unless
-    Q_1 == 1 (d = a0^2 + 1): the period (2*a0,), an empty half with ``odd``.
+    ``_resume`` checks P_1^2 + Q_0 Q_1 == d and walks d from P_1 = a0,
+    Q_1 = d - a0^2 and Q_0 = 1, unless Q_1 == 1 (d = a0^2 + 1): the period
+    (2*a0,), an empty half with ``odd``.
     """
     a0 = _check_sqrt_arg(d)
     Q = d - a0 * a0
@@ -118,11 +119,14 @@ def _resume(d: int, a0: int, P: int, Q: int, Q_prev: int, half: list[int]) -> bo
     * the first Q_{k+1} == Q_k means ell = 2k + 1, and the period is
       a_1..a_k, a_k..a_1, 2*a0.
 
-    The Q step keeps P_{k+1}^2 + Q_k Q_{k+1} = P_k^2 + Q_{k-1} Q_k, since
-    a_k Q_k = P_k + P_{k+1}: so it equals d after the loop iff it did at
-    the start and every Q_k divided d - P_{k+1}^2.  If not, or if Q == 1
-    comes before either centre, InternalConsistencyError is raised.
+    The Q step keeps P_{k+1}^2 + Q_k Q_{k+1} = P_k^2 + Q_{k-1} Q_k for any
+    integer a_k, since a_k Q_k = P_k + P_{k+1}: so if the state handed in
+    has P^2 + Q_prev Q == d, every Q_k divides d - P_{k+1}^2.  If it has
+    not, InternalConsistencyError is raised before the first quotient, and
+    likewise if Q == 1 comes before either centre.
     """
+    if P * P + Q_prev * Q != d:
+        raise InternalConsistencyError(f"step left a remainder at d={d}")
     append = half.append
     while True:
         a = (a0 + P) // Q
@@ -132,8 +136,6 @@ def _resume(d: int, a0: int, P: int, Q: int, Q_prev: int, half: list[int]) -> bo
         if P1 == P or Q1 == Q or Q1 == 1:
             break
         Q_prev, P, Q = Q, P1, Q1
-    if P1 * P1 + Q * Q1 != d:
-        raise InternalConsistencyError(f"step left a remainder at d={d}")
     if P1 != P and Q1 != Q:
         raise InternalConsistencyError(f"period of sqrt({d}) ended without a centre")
     return P1 != P

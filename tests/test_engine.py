@@ -94,7 +94,8 @@ class TestHalfWalk:
     def test_failed_step_raises(self, monkeypatch):
         # Faults driven through the real loop.  A radicand whose subtraction
         # is off by one starts the walk from a wrong Q_1, so the conserved
-        # P^2 + Q_prev*Q is not d when the walk stops: a step's remainder.
+        # P^2 + Q_prev*Q is not d at entry: a step's remainder, raised
+        # before the first quotient.
         class OffByOne(int):
             def __sub__(self, other):
                 return int(self) - other + 1
@@ -109,6 +110,17 @@ class TestHalfWalk:
         for walk in (expand_sqrt, half_period):
             with pytest.raises(InternalConsistencyError, match="without a centre"):
                 walk(5)
+
+    def test_off_form_state_raises_before_walking(self):
+        # A state handed to the loop with Q one too large, at its start and
+        # five quotients in: P^2 + Q_prev*Q != d raises at entry, and no
+        # quotient is appended.
+        for d, k in ((19, 1), (1000003, 5)):
+            a0, _, P, Q = sqrt_pq_walk(d)
+            half = []
+            with pytest.raises(InternalConsistencyError, match=f"remainder at d={d}$"):
+                engine._resume(d, a0, P[k], Q[k] + 1, Q[k - 1], half)
+            assert half == []
 
     def test_multi_limb_registry_radicands(self):
         # Every registry member past int64, against the literal walk.

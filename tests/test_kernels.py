@@ -3,7 +3,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from conftest import brute_two_coprime_squares, sqrt_full_walk
+from conftest import brute_two_coprime_squares, sqrt_full_walk, sqrt_pq_walk
 from surdcf import _kernels, analyzer, engine
 from surdcf.engine import expand_sqrt
 from surdcf.exact import InternalConsistencyError, is_square, sum_two_coprime_squares
@@ -330,6 +330,36 @@ def test_block_walks_past_short_period(monkeypatch):
     assert [(step, rounds) for step, rounds, _, _ in blocks] == [(0, FORCED)]
 
 
+def test_block_hands_on_each_lane_state(monkeypatch):
+    # Every lane a block keeps goes on from its state after round
+    # step + rounds: (P, Q, Q_prev) = (P_{j+1}, Q_{j+1}, Q_j) of the literal
+    # walk, j = step + rounds - start quotients after it was loaded.  Each
+    # block is checked as it returns, before a wrong state walks on.
+    lo, hi = 100_001, 103_201
+    walks = {d - lo: sqrt_pq_walk(d)[2:] for d in walked(lo, hi)}
+    kept = []
+    block = _kernels._block
+
+    def spy(live, step, rounds, stops):
+        out = block(live, step, rounds, stops)
+        lane, _, P, Q, Q_prev, _, start = out
+        for i, state, s in zip(lane.tolist(), zip(P.tolist(), Q.tolist(), Q_prev.tolist()),
+                               start.tolist()):
+            Ps, Qs = walks[i]
+            j = step + rounds - s
+            assert state == (Ps[j + 1], Qs[j + 1], Qs[j]), f"d={lo + i}"
+        kept.append(lane.size)
+        return out
+
+    monkeypatch.setattr(_kernels, "_block", spy)
+    monkeypatch.setattr(_kernels, "WIDTH", 64)
+    for rule in BLOCK_RULES:
+        monkeypatch.setattr(_kernels, "_block_rounds", rule)
+        kept.clear()
+        _kernels.sweep_range(lo, hi)
+        assert sum(kept) > 0, rule.__name__
+
+
 def test_drain_runs_blocks(monkeypatch):
     # The default rule on a narrow window of long periods: once every live
     # lane has walked 32 rounds the drain steps in blocks, each at most 1/16
@@ -379,18 +409,21 @@ def test_scalar_finish_after_numpy_rounds(monkeypatch):
 
 def test_corrupt_tail_lane_fails_the_hand_off(monkeypatch):
     # One lane's Q off by one when it is handed to the scalar finish: the
-    # engine's loop checks P^2 + Q_prev Q == d against the lane's own d,
-    # so the sweep raises instead of writing wrong facts for it.
+    # engine's loop checks P^2 + Q_prev Q == d against the lane's own d
+    # before its first quotient, so the sweep raises instead of writing
+    # wrong facts for it.  From the second lane's state with Q lowered by
+    # one, a loop that checked only after a stop would never stop.
     finish = _kernels._finish
-
-    def corrupt(live, step, stops):
-        live[3][0] += 1
-        finish(live, step, stops)
-
-    monkeypatch.setattr(_kernels, "_finish", corrupt)
     lo = 5 * 10**7
-    with pytest.raises(InternalConsistencyError, match="step left a remainder"):
-        _kernels.sweep_range(lo, lo + 1000)
+    for slot, delta in ((0, 1), (1, -1)):
+
+        def corrupt(live, step, stops):
+            live[3][slot] += delta
+            finish(live, step, stops)
+
+        monkeypatch.setattr(_kernels, "_finish", corrupt)
+        with pytest.raises(InternalConsistencyError, match="step left a remainder"):
+            _kernels.sweep_range(lo, lo + 1000)
 
 
 def test_missed_centre_before_the_hand_off_is_reported_first(monkeypatch):
